@@ -1,54 +1,17 @@
-"""The benchmark's workloads and metrics: the single source ``BENCHMARK.json``
-is generated from (``python3 perfbench/run.py --write-manifest``).
-
-Every per-layer metric names the layer (module) it measures and the
-end-to-end metric and workload it should move; that mapping cannot live in
-``BENCHMARK.json`` (its metric entries have a fixed key set), so it lives
-here and in ``README.md``.
+"""What ``BENCHMARK.json`` cannot hold: the default seed, what each
+end-to-end metric means per workload, and for every per-layer metric the
+layer (module) it measures and the end-to-end metric and workload it should
+move.  Metric names, units, directions and bounds live in ``BENCHMARK.json``
+alone; ``test_perfbench.py`` checks that every per-layer name there has a
+row here and the other way round.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 #: Seed used when ``--seed`` is not given.
 DEFAULT_SEED = 1
-
-#: How long one run measures, in seconds (``--seconds`` default).
-RUN_SECONDS = 15
-
-WORKLOADS: Tuple[Tuple[str, str], ...] = (
-    (
-        "replay-churn",
-        "cached temporal replay through run_algorithm with checkpoints on the "
-        "lazy state: decode, fingerprint, coalesce-heavy 64-op batches, cheap "
-        "checkpoints",
-    ),
-    (
-        "update-mixed",
-        "the paper's per-update model: DyTwoSwap over a mixed stream on a "
-        "large power-law graph, no decode, no coalescing, no checkpoints",
-    ),
-    (
-        "service-ingest",
-        "the always-on path: NDJSON socket, admission, 64-op batches and "
-        "synchronous checkpoints of a large tenant, writes beside reads",
-    ),
-)
-
-#: (name, unit, better, bound) — the bound is the share of the parent's
-#: median by which the metric may worsen before a change is a regression.
-END_TO_END: Tuple[Tuple[str, str, str, float], ...] = (
-    ("setup_s", "s", "lower", 0.25),
-    ("updates_per_s", "ops/s", "higher", 0.25),
-    ("peak_rss_mb", "MB", "lower", 0.10),
-)
-
-#: Request latencies are per-layer metrics (``client.ingest_*``,
-#: ``client.query_*``, ``core.call_*``): on a shared 2-vCPU virtual machine
-#: the service-ingest p50 and p99 repeated only within 0.07-0.24 and
-#: 0.11-0.31 (quartile spread over median) across sets of ten seeded runs,
-#: so they carry no bound.
 
 #: What each end-to-end metric means on each workload.  Times are in
 #: reference seconds (README.md, "Host noise").
@@ -59,122 +22,86 @@ END_TO_END_MEANING: Dict[str, str] = {
     "updates_per_s": "replay-churn: stream ops / wall of run_algorithm; "
     "update-mixed: stream ops / wall of the apply_stream calls; "
     "service-ingest: ops applied per second in the closed-loop phase",
-    "peak_rss_mb": "peak resident memory of the process under test (the "
-    "benchmark process for the replays, the gateway for service-ingest)",
+    "peak_rss_mb": "update-mixed: the benchmark process's resident high-water "
+    "mark during the timed calls minus its resident size just before them "
+    "(interpreter, imports and inputs excluded: the engines' own memory); "
+    "replay-churn: that high-water mark itself (the replay's own working set "
+    "is too small to measure as growth); service-ingest: the gateway's VmHWM",
 }
 
 RC, UM, SI = "replay-churn", "update-mixed", "service-ingest"
 
-#: (name, unit, better, layer, should move) for every per-layer metric.
-PER_LAYER: Tuple[Tuple[str, str, str, str, str], ...] = (
-    ("temporal.cache_build_s", "s", "lower", "workloads.temporal",
-     f"setup_s on {RC}; absent elsewhere"),
-    ("temporal.decode_s", "s", "lower", "workloads.temporal",
-     f"updates_per_s on {RC}; absent elsewhere"),
-    ("temporal.cache_bytes", "bytes", "lower", "workloads.temporal",
-     f"setup_s and updates_per_s on {RC}; absent elsewhere"),
-    ("protocol.take_s", "s", "lower", "updates.protocol",
-     f"updates_per_s on {RC} only"),
-    ("coalesce.s", "s", "lower", "updates.coalesce",
-     f"updates_per_s on {RC} (high cancellation); updates_per_s and "
-     f"client.ingest_tail_ms on {SI} (low cancellation, overhead); none on {UM}"),
-    ("coalesce.in_ops", "count", "higher", "updates.coalesce", "same as coalesce.s"),
-    ("coalesce.net_ops", "count", "lower", "updates.coalesce", "same as coalesce.s"),
-    ("coalesce.cancel_ratio", "ratio", "higher", "updates.coalesce",
-     "same as coalesce.s"),
-    ("core.apply_s", "s", "lower", "core",
-     f"updates_per_s on {UM} (nearly all its time) and {RC}; "
-     f"updates_per_s on {SI}"),
-    ("core.self_s", "s", "lower", "core", "same as core.apply_s"),
-    ("core.call_p50_ms", "ms", "lower", "core", "same as core.apply_s"),
-    ("core.call_tail_ms", "ms", "lower", "core",
-     f"client.ingest_tail_ms on {SI}"),
-    ("core.updates", "count", "higher", "core", "exact; drift is an algorithm change"),
-    ("core.batches", "count", "lower", "core", "exact"),
-    ("core.coalesced", "count", "higher", "core", f"updates_per_s on {RC}; exact"),
-    ("core.candidates", "count", "lower", "core", "updates_per_s; exact"),
-    ("core.swaps_1", "count", "higher", "core", "solution size; exact"),
-    ("core.swaps_2", "count", "higher", "core", f"solution size on {UM}; exact"),
-    ("core.swap_yield", "ratio", "higher", "core", "updates_per_s (wasted candidates)"),
-    ("core.solution_size", "vertices", "higher", "core",
-     "the paper's quality axis; exact per seed"),
-    ("state.move_in", "count", "lower", "core", "updates_per_s; exact"),
-    ("state.move_out", "count", "lower", "core", "updates_per_s; exact"),
-    ("state.count_updates", "count", "lower", "core",
-     f"updates_per_s on {UM} (count maintenance); exact"),
-    ("core.footprint", "refs", "lower", "core", "peak_rss_mb; exact"),
-    ("graph.vertices", "count", "higher", "graphs.dynamic_graph", "input size; exact"),
-    ("graph.edges", "count", "higher", "graphs.dynamic_graph", "input size; exact"),
-    ("runner.update_s", "s", "lower", "experiments.runner",
-     f"updates_per_s on {RC}"),
-    ("runner.outside_s", "s", "lower", "experiments.runner",
-     f"updates_per_s on {RC} (decode, fingerprint, checkpoint I/O)"),
-    ("replay.checkpoints", "count", "lower", "workloads.replay", "exact"),
-    ("replay.checkpoint_s", "s", "lower", "workloads.replay",
-     f"client.ingest_tail_ms and client.query_tail_ms on {SI} (each write "
-     f"blocks the tenant loop); small on {RC}"),
-    ("replay.checkpoint_tail_ms", "ms", "lower", "workloads.replay",
-     f"client.ingest_tail_ms on {SI}"),
-    ("replay.checkpoint_bytes", "bytes", "lower", "workloads.replay",
-     f"client.ingest_tail_ms on {SI}"),
-    ("snapshot.payload_s", "s", "lower", "workloads.snapshot",
-     f"client.ingest_tail_ms on {SI}"),
-    ("snapshot.load_s", "s", "lower", "workloads.snapshot",
-     f"setup_s on {SI} (warm start)"),
-    ("tenant.batches", "count", "lower", "service.tenant", "exact"),
-    ("tenant.checkpoints", "count", "lower", "service.tenant", "exact"),
-    ("tenant.sheds", "count", "lower", "service.tenant",
-     f"client.failed_frac on {SI}"),
-    ("tenant.peak_queue", "ops", "lower", "service.tenant",
-     f"client.ingest_tail_ms on {SI}"),
-    ("tenant.peak_window", "ops", "lower", "service.tenant", "fixed windows: 64"),
-    ("tenant.crashes", "count", "lower", "service.tenant", "must be 0"),
-    ("server.cpu_s", "s", "lower", "service.gateway", f"updates_per_s on {SI}"),
-    ("server.busy_frac", "ratio", "lower", "service.gateway",
-     f"near 1, client.ingest_tail_ms rises before updates_per_s stops rising "
-     f"on {SI}"),
-    ("client.requests", "count", "higher", "service (client)", "sample size"),
-    ("client.late_tail_ms", "ms", "lower", "service (client)",
-     "validity check of the open loop; none"),
-    ("client.ingest_p50_ms", "ms", "lower", "service (client)",
-     f"moved by core.apply_s and replay.checkpoint_s on {SI}"),
-    ("client.ingest_tail_ms", "ms", "lower", "service (client)",
-     f"moved by replay.checkpoint_tail_ms on {SI} (the checkpoint stall)"),
-    ("client.query_p50_ms", "ms", "lower", "service (client)",
-     f"moved by replay.checkpoint_s and core.apply_s on {SI}"),
-    ("client.query_tail_ms", "ms", "lower", "service (client)",
-     f"moved by replay.checkpoint_tail_ms on {SI}"),
-    ("client.durable_tail_ms", "ms", "lower", "service (client)",
-     f"moved by replay.checkpoint_s on {SI}"),
-    ("client.failed_frac", "ratio", "lower", "service (client)",
-     "overloaded + error + timeout replies / requests"),
-    ("client.limit_miss_frac", "ratio", "lower", "service (client)",
-     "requests over the latency limit or failed / requests"),
-    ("trace.overhead_frac", "ratio", "lower", "trace", "none"),
-    ("trace.unattributed_s", "s", "lower", "trace", "none"),
-)
-
-
-def manifest() -> Dict:
-    """The ``BENCHMARK.json`` document."""
-    return {
-        "command": ["python3", "perfbench/run.py"],
-        "paths": ["perfbench"],
-        "run_seconds": RUN_SECONDS,
-        "workloads": [{"name": name, "why": why} for name, why in WORKLOADS],
-        "end_to_end": [
-            {"name": name, "unit": unit, "better": better, "bound": bound}
-            for name, unit, better, bound in END_TO_END
-        ],
-        "per_layer": [
-            {"name": name, "unit": unit, "better": better}
-            for name, unit, better, _layer, _moves in PER_LAYER
-        ],
-    }
-
-
-def metric_units(trace: bool) -> List[Tuple[str, str]]:
-    """``(name, unit)`` of every metric a run in this mode must print."""
-    if trace:
-        return [(row[0], row[1]) for row in PER_LAYER]
-    return [(row[0], row[1]) for row in END_TO_END]
+#: Per-layer metric -> (layer, what it should move).
+PER_LAYER: Dict[str, Tuple[str, str]] = {
+    "temporal.cache_build_s": ("workloads.temporal", f"setup_s on {RC}; absent elsewhere"),
+    "temporal.decode_s": ("workloads.temporal", f"updates_per_s on {RC}; absent elsewhere"),
+    "temporal.cache_bytes": (
+        "workloads.temporal", f"setup_s and updates_per_s on {RC}; absent elsewhere"),
+    "protocol.take_s": ("updates.protocol", f"updates_per_s on {RC} only"),
+    "coalesce.s": (
+        "updates.coalesce",
+        f"updates_per_s on {RC} (high cancellation); updates_per_s and "
+        f"client.ingest_tail_ms on {SI} (low cancellation, overhead); none on {UM}"),
+    "coalesce.in_ops": ("updates.coalesce", "same as coalesce.s"),
+    "coalesce.net_ops": ("updates.coalesce", "same as coalesce.s"),
+    "coalesce.cancel_ratio": ("updates.coalesce", "same as coalesce.s"),
+    "core.apply_s": (
+        "core",
+        f"updates_per_s on {UM} (nearly all its time) and {RC}; updates_per_s on {SI}"),
+    "core.self_s": ("core", "same as core.apply_s"),
+    "core.call_p50_ms": ("core", "same as core.apply_s"),
+    "core.call_tail_ms": ("core", f"client.ingest_tail_ms on {SI}"),
+    "core.updates": ("core", "exact; drift is an algorithm change"),
+    "core.batches": ("core", "exact"),
+    "core.coalesced": ("core", f"updates_per_s on {RC}; exact"),
+    "core.candidates": ("core", "updates_per_s; exact"),
+    "core.swaps_1": ("core", "solution size; exact"),
+    "core.swaps_2": ("core", f"solution size on {UM}; exact"),
+    "core.swap_yield": ("core", "updates_per_s (wasted candidates)"),
+    "core.solution_size": ("core", "the paper's quality axis; exact per seed"),
+    "state.move_in": ("core", "updates_per_s; exact"),
+    "state.move_out": ("core", "updates_per_s; exact"),
+    "state.count_updates": ("core", f"updates_per_s on {UM} (count maintenance); exact"),
+    "core.footprint": ("core", f"peak_rss_mb on {UM} and {SI}; exact"),
+    "graph.vertices": ("graphs.dynamic_graph", "input size; exact"),
+    "graph.edges": ("graphs.dynamic_graph", "input size; exact"),
+    "runner.update_s": ("experiments.runner", f"updates_per_s on {RC}"),
+    "runner.outside_s": (
+        "experiments.runner", f"updates_per_s on {RC} (decode, fingerprint, checkpoint I/O)"),
+    "replay.checkpoints": ("workloads.replay", "exact; written by run_algorithm"),
+    "replay.checkpoint_s": (
+        "workloads.replay",
+        f"client.ingest_tail_ms and client.query_tail_ms on {SI} (each write "
+        f"blocks the tenant loop); small on {RC}"),
+    "replay.checkpoint_tail_ms": ("workloads.replay", f"client.ingest_tail_ms on {SI}"),
+    "replay.checkpoint_bytes": ("workloads.replay", f"client.ingest_tail_ms on {SI}"),
+    "snapshot.payload_s": ("workloads.snapshot", f"client.ingest_tail_ms on {SI}"),
+    "snapshot.load_s": ("workloads.snapshot", f"setup_s on {SI} (warm start)"),
+    "tenant.batches": ("service.tenant", "exact"),
+    "tenant.checkpoints": ("service.tenant", "exact"),
+    "tenant.sheds": ("service.tenant", f"client.failed_frac on {SI}"),
+    "tenant.peak_queue": ("service.tenant", f"client.ingest_tail_ms on {SI}"),
+    "tenant.peak_window": ("service.tenant", "fixed windows: 64"),
+    "tenant.crashes": ("service.tenant", "must be 0"),
+    "server.cpu_s": ("service.gateway", f"updates_per_s on {SI}"),
+    "server.busy_frac": (
+        "service.gateway",
+        f"near 1, client.ingest_tail_ms rises before updates_per_s stops rising on {SI}"),
+    "client.requests": ("service (client)", "sample size"),
+    "client.late_tail_ms": ("service (client)", "validity check of the open loop; none"),
+    "client.ingest_p50_ms": (
+        "service (client)", f"moved by core.apply_s and replay.checkpoint_s on {SI}"),
+    "client.ingest_tail_ms": (
+        "service (client)",
+        f"moved by replay.checkpoint_tail_ms on {SI} (the checkpoint stall)"),
+    "client.query_p50_ms": (
+        "service (client)", f"moved by replay.checkpoint_s and core.apply_s on {SI}"),
+    "client.query_tail_ms": ("service (client)", f"moved by replay.checkpoint_tail_ms on {SI}"),
+    "client.durable_tail_ms": ("service (client)", f"moved by replay.checkpoint_s on {SI}"),
+    "client.failed_frac": (
+        "service (client)", "overloaded + error + timeout replies / requests"),
+    "client.limit_miss_frac": (
+        "service (client)", "requests over the latency limit or failed / requests"),
+    "trace.overhead_frac": ("trace", "none"),
+    "trace.unattributed_s": ("trace", "none"),
+}

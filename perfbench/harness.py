@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import os
-import resource
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -351,18 +350,25 @@ def counter_drift(
 # --------------------------------------------------------------------- #
 # Process facts
 # --------------------------------------------------------------------- #
-def self_peak_rss_mb() -> float:
-    """Peak resident set of this process, in MiB (Linux reports KiB)."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+def _status_mb(pid: int, field: str) -> float:
+    with open(f"/proc/{pid}/status", encoding="ascii") as handle:
+        for line in handle:
+            if line.startswith(field):
+                return int(line.split()[1]) / 1024.0
+    raise RuntimeError(f"no {field} for pid {pid}")
+
+
+def reset_peak_rss_mb() -> float:
+    """Restart this process's resident high-water mark (VmHWM) from its
+    current resident size, and return that size in MiB."""
+    with open("/proc/self/clear_refs", "w", encoding="ascii") as handle:
+        handle.write("5")
+    return _status_mb(os.getpid(), "VmRSS:")
 
 
 def proc_peak_rss_mb(pid: int) -> float:
-    """Peak resident set (VmHWM) of a live child process, in MiB."""
-    with open(f"/proc/{pid}/status", encoding="ascii") as handle:
-        for line in handle:
-            if line.startswith("VmHWM:"):
-                return int(line.split()[1]) / 1024.0
-    raise RuntimeError(f"no VmHWM for pid {pid}")
+    """Resident high-water mark (VmHWM) of a live process, in MiB."""
+    return _status_mb(pid, "VmHWM:")
 
 
 def proc_cpu_seconds(pid: int) -> float:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import os
 import shutil
 import time
 from pathlib import Path
@@ -35,6 +36,7 @@ from repro.workloads import (
     CheckpointConfig,
     algorithm_to_payload,
     cached_temporal_stream,
+    find_checkpoints,
     iter_synthetic_temporal_events,
     latest_checkpoint,
     load_checkpoint,
@@ -50,8 +52,9 @@ from harness import (
     Pinning,
     host_probe,
     median,
+    proc_peak_rss_mb,
+    reset_peak_rss_mb,
     steadiest,
-    self_peak_rss_mb,
     self_times,
 )
 
@@ -102,12 +105,10 @@ def _build_caches(paths: List[Path], cache_dir: Path):
     return streams, elapsed
 
 
-def _replay(stream, directory: Path):
+def _replay(stream, directory: Path, keep=CHECKPOINT_KEEP):
     """One untraced replay; returns (wall seconds, measurement)."""
     shutil.rmtree(directory, ignore_errors=True)
-    config = CheckpointConfig(
-        directory=directory, every=CHECKPOINT_EVERY, keep=CHECKPOINT_KEEP
-    )
+    config = CheckpointConfig(directory=directory, every=CHECKPOINT_EVERY, keep=keep)
     gc.collect()
     start = time.perf_counter()
     measurement = run_algorithm(
@@ -173,6 +174,7 @@ def run(seed: int, seconds: float, trace: bool, work: Path) -> Result:
     reference: Dict[int, tuple] = {}
     counters = []
     brackets = []
+    resident = reset_peak_rss_mb()
     deadline = time.perf_counter() + seconds
     while len(rounds) < MIN_ROUNDS or time.perf_counter() < deadline:
         probe = pinning.settle()
@@ -194,10 +196,8 @@ def run(seed: int, seconds: float, trace: bool, work: Path) -> Result:
         rounds.append(walls)
         brackets.append(Bracket(probe, host_probe()))
     kept = steadiest(rounds, brackets, KEEP_ROUNDS)
+    peak = proc_peak_rss_mb(os.getpid())
     result.counters.update(combine(counters))
-    result.counters["replay.checkpoints"] = sum(
-        -(-len(stream) // CHECKPOINT_EVERY) for stream in streams
-    )
     result.put(
         "setup_s",
         median(b * bracket.scale for b, bracket in kept_builds),
@@ -210,7 +210,16 @@ def run(seed: int, seconds: float, trace: bool, work: Path) -> Result:
         f"{STREAMS} streams, {total} ops each; raw "
         f"{median(total / sum(walls) for walls, _ in kept):.6g}",
     )
-    result.put("peak_rss_mb", self_peak_rss_mb(), "benchmark process")
+    # The whole process, not the growth over ``resident``: the replay's own
+    # working set (about 40 live vertices, one chunk, one checkpoint) is a
+    # few hundred KB that reuses pages the set-up freed, so the growth is
+    # too small to repeat.
+    result.put(
+        "peak_rss_mb",
+        peak,
+        f"high-water mark of the benchmark process during the rounds; "
+        f"{resident:.1f} MB resident before them",
+    )
     return result
 
 
@@ -219,7 +228,7 @@ def _traced(streams, builds: List[float], work: Path, result: Result) -> None:
     counters = []
     roots = []
     untraced = load_s = update_s = outside_s = 0.0
-    in_ops = net_ops = checkpoint_bytes = 0
+    in_ops = net_ops = checkpoint_bytes = checkpoints = 0
     for k, stream in enumerate(streams):
         length = len(stream)
         with tracer.span("temporal.decode"):
@@ -227,9 +236,13 @@ def _traced(streams, builds: List[float], work: Path, result: Result) -> None:
         result.check(decoded == length, "raw decode pass lost operations")
 
         # Untraced reference: the runner itself, for the runner split, the
-        # overhead baseline and the digest the traced loop must reproduce.
+        # overhead baseline, the checkpoints it writes and the digest the
+        # traced loop must reproduce.  It keeps every checkpoint, so the
+        # files left are exactly the runner's writes.
         directory = work / f"ckpt-untraced{k}"
-        wall, measurement = _replay(stream, directory)
+        wall, measurement = _replay(stream, directory, keep=None)
+        written = [offset for offset, _path in find_checkpoints(directory, ALGORITHM)]
+        checkpoints += len(written)
         untraced += wall
         update_s += measurement.elapsed_seconds
         outside_s += wall - measurement.elapsed_seconds
@@ -248,6 +261,7 @@ def _traced(streams, builds: List[float], work: Path, result: Result) -> None:
             threshold = engine.BULK_APPLY_THRESHOLD
             cursor = StreamCursor(stream)
             processed = pending = 0
+            saved = []
             while True:
                 stride = min(CHECKPOINT_EVERY - pending, CHUNK)
                 with tracer.span("protocol.take"):
@@ -277,6 +291,7 @@ def _traced(streams, builds: List[float], work: Path, result: Result) -> None:
                             batch_size=BATCH,
                         )
                     checkpoint_bytes += path.stat().st_size
+                    saved.append(processed)
                     with tracer.span("snapshot.payload"):
                         algorithm_to_payload(engine)
                     pending = 0
@@ -284,6 +299,7 @@ def _traced(streams, builds: List[float], work: Path, result: Result) -> None:
                     break
         roots.append(root)
         result.check(processed == length, "traced loop lost operations")
+        result.check(saved == written, "traced loop checkpoints at other offsets than run_algorithm")
         result.check(
             engine_digest(engine) == expected_digest,
             "traced loop digest differs from the untraced run's final checkpoint",
@@ -292,7 +308,7 @@ def _traced(streams, builds: List[float], work: Path, result: Result) -> None:
 
     for name, value in combine(counters).items():
         result.count(name, value)
-    result.count("replay.checkpoints", tracer.count("replay.checkpoint"))
+    result.count("replay.checkpoints", checkpoints)
     result.count("coalesce.in_ops", in_ops)
     result.count("coalesce.net_ops", net_ops)
     result.put("coalesce.cancel_ratio", 1.0 - net_ops / in_ops if in_ops else 0.0)

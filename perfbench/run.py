@@ -12,7 +12,8 @@ exact work counters with any drift against earlier runs of the same seed.
 The last line is one JSON object ``{"correct", "attempted", "failed",
 "metrics"}``.  A failed correctness check prints no numbers and exits 1.
 
-``--write-manifest`` regenerates ``BENCHMARK.json`` from ``catalog.py``.
+Metric names and units, and the default run length, come from
+``BENCHMARK.json`` at the root of the checkout.
 """
 
 from __future__ import annotations
@@ -37,25 +38,18 @@ ROOT = HERE.parent
 SOURCE = ROOT / "src"
 #: Scratch space inside the checkout; removed per run except the counter ledger.
 WORK = ROOT / ".perfbench_work"
-
-MODULES = {
-    "replay-churn": "replay_churn",
-    "update-mixed": "update_mixed",
-    "service-ingest": "service_ingest",
-}
+MANIFEST = ROOT / "BENCHMARK.json"
 
 
-def parse_args(argv=None) -> argparse.Namespace:
+def parse_args(manifest: Dict, argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(prog="perfbench/run.py", description=__doc__.split("\n")[0])
-    parser.add_argument("--workload", choices=sorted(MODULES))
+    parser.add_argument(
+        "--workload", required=True, choices=[w["name"] for w in manifest["workloads"]]
+    )
     parser.add_argument("--seed", type=int, default=catalog.DEFAULT_SEED)
-    parser.add_argument("--seconds", type=float, default=catalog.RUN_SECONDS)
+    parser.add_argument("--seconds", type=float, default=manifest["run_seconds"])
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--write-manifest", action="store_true")
-    args = parser.parse_args(argv)
-    if not args.write_manifest and args.workload is None:
-        parser.error("--workload is required")
-    return args
+    return parser.parse_args(argv)
 
 
 def provenance() -> Dict:
@@ -105,16 +99,15 @@ def check_drift(workload: str, seed: int, seconds: float, counters: Dict[str, fl
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
-    if args.write_manifest:
-        text = json.dumps(catalog.manifest(), indent=2) + "\n"
-        (ROOT / "BENCHMARK.json").write_text(text, encoding="utf-8")
-        return 0
+    manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
+    args = parse_args(manifest, argv)
     if not (SOURCE / "repro" / "__init__.py").is_file():
         print(f"perfbench: no program sources at {SOURCE}", file=sys.stderr)
         return 2
     sys.path.insert(0, str(SOURCE))
-    module = importlib.import_module(MODULES[args.workload])
+    # Taken before the run: the workloads pin themselves to one CPU.
+    origin = provenance()
+    module = importlib.import_module(args.workload.replace("-", "_"))
     trace = bool(args.trace)
     work = WORK / f"{args.workload}-{os.getpid()}"
     shutil.rmtree(work, ignore_errors=True)
@@ -124,7 +117,7 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
-    print("provenance " + json.dumps(provenance(), sort_keys=True))
+    print("provenance " + json.dumps(origin, sort_keys=True))
     print(f"workload {args.workload} seed {args.seed} trace {args.trace}")
     if result.errors:
         for message in result.errors:
@@ -134,7 +127,8 @@ def main(argv=None) -> int:
         return 1
 
     metrics = {}
-    for name, unit in catalog.metric_units(trace):
+    for entry in manifest["per_layer" if trace else "end_to_end"]:
+        name, unit = entry["name"], entry["unit"]
         if name in result.metrics:
             value, note = result.metrics[name], result.notes.get(name, "")
         elif trace:

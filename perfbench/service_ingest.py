@@ -94,8 +94,10 @@ QUERY_RATE = 100.0
 PHASE1_SHARE = 0.7
 SEGMENTS = 7
 KEEP_SEGMENTS = 5
-#: Latency limit on the tail percentile of phase-1 requests, in ms.
-LATENCY_LIMIT_MS = 250.0
+#: Latency limit on the tail percentile of phase-1 requests, in ms.  That
+#: tail is one synchronous checkpoint of the tenant (about 150 ms at the
+#: default seed), and the host's CPU speed alone swings by up to 1.75x.
+LATENCY_LIMIT_MS = 500.0
 #: Phase 1 is invalid if the generator ran later than this behind schedule.
 LATE_LIMIT_MS = 25.0
 #: Phase 2 (closed loop): groups of requests, each followed by a flush, so

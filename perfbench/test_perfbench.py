@@ -167,9 +167,10 @@ def test_counter_drift_reports_changed_added_and_removed():
 # --------------------------------------------------------------------- #
 # Manifest
 # --------------------------------------------------------------------- #
-def test_manifest_matches_catalog():
+def test_layer_mapping_covers_every_per_layer_metric():
     manifest = json.loads((HERE.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
-    assert manifest == catalog.manifest()
-    names = [m["name"] for m in manifest["end_to_end"] + manifest["per_layer"]]
-    assert len(names) == len(set(names))
-    assert any(m["name"] == "setup_s" for m in manifest["end_to_end"])
+    per_layer = [m["name"] for m in manifest["per_layer"]]
+    end_to_end = [m["name"] for m in manifest["end_to_end"]]
+    assert sorted(per_layer) == sorted(catalog.PER_LAYER)
+    assert sorted(end_to_end) == sorted(catalog.END_TO_END_MEANING)
+    assert len(set(per_layer + end_to_end)) == len(per_layer + end_to_end)

@@ -14,6 +14,7 @@ per-call latency of the core is visible.
 from __future__ import annotations
 
 import gc
+import os
 import time
 from pathlib import Path
 from typing import Dict, List
@@ -31,8 +32,9 @@ from harness import (
     Pinning,
     host_probe,
     median,
+    proc_peak_rss_mb,
+    reset_peak_rss_mb,
     steadiest,
-    self_peak_rss_mb,
     self_times,
 )
 
@@ -68,6 +70,7 @@ def _inputs(seed: int):
 
 
 def _construct(graph):
+    gc.collect()  # the previous engine is freed before this one's copy exists
     working = graph.copy()
     gc.collect()
     start = time.perf_counter()
@@ -98,6 +101,7 @@ def run(seed: int, seconds: float, trace: bool, work: Path) -> Result:
     reference: Dict[int, Dict] = {}
     pinning = Pinning()
     brackets: List[Bracket] = []
+    resident = reset_peak_rss_mb()
     deadline = time.perf_counter() + seconds
     while len(rounds) < MIN_ROUNDS or time.perf_counter() < deadline:
         probe = pinning.settle()
@@ -117,6 +121,7 @@ def run(seed: int, seconds: float, trace: bool, work: Path) -> Result:
                 _verify(engine, result)
             result.check(counters == reference[k], f"input {k} repeat drifted")
             result.attempted += len(operations)
+            del engine
         rounds.append((setups, calls))
         brackets.append(Bracket(probe, host_probe()))
     kept = steadiest(rounds, brackets, KEEP_ROUNDS)
@@ -130,7 +135,13 @@ def run(seed: int, seconds: float, trace: bool, work: Path) -> Result:
         f"{INPUTS} inputs, {total} ops each; raw "
         f"{median(total / sum(calls) for (_setups, calls), _b in kept):.6g}",
     )
-    result.put("peak_rss_mb", self_peak_rss_mb(), "benchmark process")
+    peak = proc_peak_rss_mb(os.getpid())
+    result.put(
+        "peak_rss_mb",
+        peak - resident,
+        f"high-water mark {peak:.1f} MB during the rounds minus {resident:.1f} MB "
+        "resident before them",
+    )
     return result
 
 

@@ -359,6 +359,7 @@ class DynamicMISBase(abc.ABC):
             dispatch = self._dispatch
             for operation in ops:
                 dispatch(operation)
+            self._requeue_risen()
             self._process_candidates()
         elif coalesce:
             net = coalesce_batch(self.graph, ops)
@@ -580,6 +581,37 @@ class DynamicMISBase(abc.ABC):
             for s in kernels.candidate_slots(live, in_sol, counts, self.k):
                 register(s)
         self._process_candidates()
+
+    def _requeue_risen(self) -> None:
+        """Register queued slots again whose count rose after they were queued.
+
+        The per-operation handlers register a slot at the count it has at
+        that moment, and the edge-insertion handler registers nothing
+        because it assumes the queues were drained before the operation.
+        The short-batch path of :meth:`apply_batch` defers the drain, so a
+        slot queued at level ``j`` whose count later in the batch rises to
+        ``j' <= k`` (an edge to, or a move-in of, another solution vertex)
+        would only be examined at ``j``, where it no longer qualifies, and
+        never at ``j'``.  Registering it by its final count — the rule the
+        bulk path applies to every touched slot — restores k-maximality at
+        the batch boundary.  A count that fell was registered again by the
+        handler that lowered it, so only risen counts need this pass; with
+        ``k = 1`` there is nothing to rise to.
+        """
+        labels = self._labels
+        in_sol = self._in_sol
+        counts = self._counts
+        k = self.k
+        risen = {
+            s
+            for level in range(1, k)
+            for members in self._candidates[level].values()
+            for s in members
+            if level < counts[s] <= k and not in_sol[s] and labels[s] is not _FREE
+        }
+        register = self._register_slot
+        for s in sorted(risen, key=self._orders.__getitem__):
+            register(s)
 
     def _dispatch(self, operation: UpdateOperation) -> None:
         """Apply the structural part of one update (no candidate drain)."""

@@ -29,7 +29,7 @@ trajectories do not depend on slot recycling or set iteration order.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Set, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Set, Tuple
 
 from repro.exceptions import (
     EdgeExistsError,
@@ -46,6 +46,11 @@ Edge = Tuple[Vertex, Vertex]
 #: Sentinel stored in the slot→label table for recycled (free) slots.  A
 #: dedicated object so that ``None``/``False``/… remain usable vertex labels.
 _FREE = object()
+
+#: Exact types of the ``labels`` entries of a graph payload (``None`` marks
+#: a free slot); checked as a set first so the per-slot scan runs only when
+#: some entry is of another type.
+_PAYLOAD_LABEL_TYPES = frozenset((int, str, bool, type(None)))
 
 
 class DynamicGraph:
@@ -771,29 +776,42 @@ class DynamicGraph:
     # Bit-for-bit serialisation (the snapshot substrate)
     # ------------------------------------------------------------------ #
     #: Version tag of :meth:`to_payload`; bumped with the representation.
-    PAYLOAD_FORMAT = "repro-graph/1"
+    #: ``/2`` stores the labels as one flat list of JSON-native values
+    #: (``null`` for a free slot) instead of a tagged ``[tag, value]`` pair
+    #: per slot.
+    PAYLOAD_FORMAT = "repro-graph/2"
 
-    def to_payload(self, encode_label: Callable[["Vertex"], object]) -> Dict:
+    def to_payload(self) -> Dict:
         """Capture the graph bit-for-bit as a plain-data document.
 
         Everything trajectory-relevant is included: the label→slot
         assignment (in slot-map insertion order), adjacency, the interned
         orders, and the free-list in LIFO order — so a graph rebuilt by
         :meth:`from_payload` resolves every future operand to the same slot
-        and recycles slots in the same order.  ``encode_label`` maps a
-        vertex label to a JSON-safe value (the serialisation format owns
-        that policy, not the graph).
+        and recycles slots in the same order.  Labels are stored as they
+        are, ``None`` marking a free slot, so only int, str and bool labels
+        are serialisable (JSON keeps the three apart: ``1``, ``"1"``,
+        ``true``); any other label raises :class:`GraphError`.
 
         This method lives on the graph so the payload contract evolves
         together with the internal representation; external modules must
         not reach into the slot arrays directly.
         """
-        labels = self._label
+        labels = list(self._label)
+        for slot in self._free:
+            labels[slot] = None
+        if not set(map(type, labels)) <= _PAYLOAD_LABEL_TYPES or None in self._slot:
+            # Slow path: int/str subclasses are fine, anything else is not.
+            for label in self._slot:
+                if label is None or not isinstance(label, (int, str)):
+                    raise GraphError(
+                        f"cannot snapshot vertex label {label!r} of type "
+                        f"{type(label).__name__}: only int, str and bool labels "
+                        "are serialisable"
+                    )
         return {
             "format": self.PAYLOAD_FORMAT,
-            "labels": [
-                None if label is _FREE else encode_label(label) for label in labels
-            ],
+            "labels": labels,
             "adjacency": [sorted(nbrs) for nbrs in self._adj],
             "orders": list(self._order),
             "free": list(self._free),
@@ -803,9 +821,7 @@ class DynamicGraph:
         }
 
     @classmethod
-    def from_payload(
-        cls, payload: Dict, decode_label: Callable[[object], "Vertex"]
-    ) -> "DynamicGraph":
+    def from_payload(cls, payload: Dict) -> "DynamicGraph":
         """Rebuild a graph captured by :meth:`to_payload` (bit-for-bit inverse).
 
         Raises
@@ -823,10 +839,16 @@ class DynamicGraph:
             )
         graph = cls()
         try:
-            graph._label = [
-                _FREE if entry is None else decode_label(entry)
-                for entry in payload["labels"]
-            ]
+            entries = payload["labels"]
+            if not set(map(type, entries)) <= _PAYLOAD_LABEL_TYPES:
+                for entry in entries:
+                    if entry is not None and not isinstance(entry, (int, str)):
+                        raise GraphError(
+                            f"malformed graph payload: label entry {entry!r} "
+                            f"of type {type(entry).__name__} is not an int, "
+                            "str, bool or null"
+                        )
+            graph._label = [_FREE if entry is None else entry for entry in entries]
             graph._adj = [set(neighbors) for neighbors in payload["adjacency"]]
             graph._order = list(payload["orders"])
             graph._free = list(payload["free"])

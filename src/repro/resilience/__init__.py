@@ -14,9 +14,10 @@ Three pillars (see the per-module docstrings):
   an uninterrupted run.
 
 Layering: ``faults`` and ``integrity`` sit *below* the pipeline (only
-:mod:`repro.exceptions` beneath them) so every layer can import its fault
-hook; the supervisor sits *above* the experiment runner and is therefore
-loaded lazily via module ``__getattr__`` — ``from repro.resilience import
+:mod:`repro.exceptions` beneath them; ``integrity`` trips the torn-write
+points of ``faults``) so every layer can import its fault hook; the
+supervisor sits *above* the experiment runner and is therefore loaded
+lazily via module ``__getattr__`` — ``from repro.resilience import
 supervised_replay`` works, but merely importing a fault point never drags
 the runner in (which would cycle).
 """
@@ -54,8 +55,8 @@ from repro.resilience.faults import (
 from repro.resilience.integrity import (
     DIGEST_KEY,
     document_digest,
-    embed_digest,
     verify_document,
+    write_document,
 )
 
 #: Supervisor names resolved lazily (importing them eagerly would pull the
@@ -99,8 +100,8 @@ __all__ = [
     # integrity
     "DIGEST_KEY",
     "document_digest",
-    "embed_digest",
     "verify_document",
+    "write_document",
     # supervisor (lazy)
     *_SUPERVISOR_EXPORTS,
 ]

@@ -11,21 +11,24 @@ redundancy to *detect* corruption on load.
 
 The scheme is deliberately minimal: the digest of a document is the
 SHA-256 of its canonical JSON serialisation (sorted keys, no whitespace)
-**excluding** the digest field itself.  :func:`embed_digest` stamps it,
+**excluding** the digest field itself.  :func:`write_document` encodes a
+document once in that canonical form, hashes exactly those bytes and
+writes them with the digest added as one more member;
 :func:`verify_document` checks it and raises
 :class:`~repro.exceptions.IntegrityError` on mismatch.  Canonical
 serialisation makes the digest independent of key order and formatting,
-so re-writing an artifact with a different JSON encoder does not
-invalidate it — only changing the *data* does.
+so re-writing an artifact with a different JSON encoder (say with
+``indent=2``) does not invalidate it — only changing the *data* does.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, Optional
+from typing import Any, BinaryIO, Dict, Optional
 
 from repro.exceptions import IntegrityError
+from repro.resilience.faults import trip
 
 #: Key under which the digest is embedded in artifact documents.
 DIGEST_KEY = "sha256"
@@ -42,10 +45,26 @@ def document_digest(document: Dict[str, Any]) -> str:
     return hashlib.sha256(canonical_bytes(document)).hexdigest()
 
 
-def embed_digest(document: Dict[str, Any]) -> Dict[str, Any]:
-    """Return ``document`` with its digest embedded under :data:`DIGEST_KEY`."""
-    document[DIGEST_KEY] = document_digest(document)
-    return document
+def write_document(
+    stream: BinaryIO, document: Dict[str, Any], *, fault_point: str
+) -> None:
+    """Write ``document`` to the binary ``stream`` with its digest embedded.
+
+    The document is JSON-encoded exactly once: the canonical body is hashed
+    and the digest is spliced in as the last member, so the bytes written
+    are the canonical body plus ``"sha256":"<hex>"`` and
+    :func:`verify_document` re-derives the same digest from the parsed
+    document.  ``fault_point`` is tripped (:func:`~repro.resilience.faults.trip`)
+    with half the bytes written — the torn-write scenario of the atomic
+    writers.
+    """
+    body = canonical_bytes(document)
+    stamp = f'"{DIGEST_KEY}":"{hashlib.sha256(body).hexdigest()}"}}'.encode("ascii")
+    data = body[:-1] + (b"," if body != b"{}" else b"") + stamp
+    half = len(data) // 2
+    stream.write(data[:half])
+    trip(fault_point)
+    stream.write(data[half:])
 
 
 def verify_document(

@@ -47,6 +47,7 @@ from repro.exceptions import OverloadedError, ServiceError
 from repro.experiments.runner import create_algorithm, release_engine
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.resilience.faults import SERVICE_INGEST, SERVICE_SHUTDOWN, trip
+from repro.resilience.integrity import document_digest
 from repro.resilience.supervisor import RECOVERABLE, RetryPolicy
 from repro.service.config import TenantSpec
 from repro.updates.operations import UpdateOperation
@@ -69,9 +70,14 @@ FINGERPRINT_SEED = hashlib.sha256(b"repro-service/1").hexdigest()
 SERVICE_FORMAT = "repro-service/1"
 
 
+#: One compact encoder for every chained operation (``json.dumps`` with
+#: non-default separators would build a new encoder per call).
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+
+
 def chain_fingerprint(fingerprint: str, operation: UpdateOperation) -> str:
     """Advance the chained fingerprint by one operation."""
-    entry = json.dumps(encode_operation(operation), separators=(",", ":"))
+    entry = _COMPACT.encode(encode_operation(operation))
     return hashlib.sha256(
         bytes.fromhex(fingerprint) + entry.encode("utf-8")
     ).hexdigest()
@@ -82,12 +88,12 @@ def engine_digest(algorithm) -> str:
 
     Two engines with bit-identical state (graph, solution, counters) hash
     equal; anything less does not.  This is the equality the chaos drill
-    asserts between a crash-recovered tenant and an uninterrupted run.
+    asserts between a crash-recovered tenant and an uninterrupted run.  It
+    is the artifact digest of the payload
+    (:func:`~repro.resilience.integrity.document_digest`): one canonical-JSON
+    rule for the whole library.
     """
-    payload = algorithm_to_payload(algorithm)
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    ).hexdigest()
+    return document_digest(algorithm_to_payload(algorithm))
 
 
 class Tenant:

@@ -29,8 +29,8 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.exceptions import CheckpointError, IntegrityError
-from repro.resilience.faults import CHECKPOINT_WRITE, trip
-from repro.resilience.integrity import embed_digest, verify_document
+from repro.resilience.faults import CHECKPOINT_WRITE
+from repro.resilience.integrity import verify_document, write_document
 from repro.workloads.snapshot import (
     algorithm_from_payload,
     algorithm_to_payload,
@@ -266,7 +266,6 @@ def save_checkpoint(
         "metadata": dict(metadata or {}),
         "algorithm": algorithm_to_payload(algorithm),
     }
-    text = json.dumps(embed_digest(document))
     # Atomic replace: a crash mid-write (the exact scenario checkpoints
     # exist for) must never leave a truncated newest checkpoint shadowing
     # the intact older ones.  The ``checkpoint.write`` fault point fires
@@ -274,11 +273,8 @@ def save_checkpoint(
     # written — the torn-write scenario — and aborting there discards the
     # temp file, so even a planned crash mid-write leaves the directory
     # exactly as it was.
-    half = len(text) // 2
-    with atomic_writer(path) as stream:
-        stream.write(text[:half])
-        trip(CHECKPOINT_WRITE)
-        stream.write(text[half:])
+    with atomic_writer(path, mode="wb", encoding=None) as stream:
+        write_document(stream, document, fault_point=CHECKPOINT_WRITE)
     # Prune strictly *after* the new checkpoint is durably committed: a
     # crash between write and prune leaves extra files (harmless), never
     # fewer resumable states than promised.  The known-checkpoint list is

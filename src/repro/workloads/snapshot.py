@@ -25,9 +25,12 @@ operation boundary the engine state is exactly
   run's).
 
 The on-disk format is versioned JSON (:data:`GRAPH_FORMAT` /
-:data:`ALGORITHM_FORMAT`); vertex labels are tagged so integers and strings
-round-trip exactly.  Payload mismatches raise
-:class:`~repro.exceptions.SnapshotError`.
+:data:`ALGORITHM_FORMAT`).  Vertex labels are stored untagged, as one flat
+list of JSON-native values (``null`` for a free slot): JSON already keeps
+``1``, ``"1"`` and ``true`` apart, so int, str and bool labels round-trip
+exactly, and any other label type is refused on save.  Payloads of an older
+format (``repro-graph/1`` tagged every label) are refused, not converted.
+Payload mismatches raise :class:`~repro.exceptions.SnapshotError`.
 """
 
 from __future__ import annotations
@@ -38,12 +41,12 @@ import tempfile
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, Optional, Union
 
 from repro.exceptions import GraphError, SnapshotError
-from repro.graphs.dynamic_graph import DynamicGraph, Vertex
-from repro.resilience.faults import SNAPSHOT_WRITE, trip
-from repro.resilience.integrity import embed_digest, verify_document
+from repro.graphs.dynamic_graph import DynamicGraph
+from repro.resilience.faults import SNAPSHOT_WRITE
+from repro.resilience.integrity import verify_document, write_document
 
 PathLike = Union[str, Path]
 
@@ -105,33 +108,6 @@ _INSTANCE_COUNTERS = ("search_limit_hits",)
 
 
 # --------------------------------------------------------------------- #
-# Label encoding
-# --------------------------------------------------------------------- #
-def _encode_label(label: Vertex) -> List:
-    if isinstance(label, bool):  # bool is an int subclass; keep it distinct
-        return ["b", label]
-    if isinstance(label, int):
-        return ["i", label]
-    if isinstance(label, str):
-        return ["s", label]
-    raise SnapshotError(
-        f"cannot snapshot vertex label {label!r} of type {type(label).__name__}: "
-        "only int, str and bool labels are serialisable"
-    )
-
-
-def _decode_label(entry: List) -> Vertex:
-    tag, value = entry
-    if tag == "i":
-        return int(value)
-    if tag == "s":
-        return value
-    if tag == "b":
-        return bool(value)
-    raise SnapshotError(f"unknown label tag {tag!r} in snapshot payload")
-
-
-# --------------------------------------------------------------------- #
 # Graph payloads
 # --------------------------------------------------------------------- #
 def graph_to_payload(graph: DynamicGraph) -> Dict:
@@ -145,10 +121,11 @@ def graph_to_payload(graph: DynamicGraph) -> Dict:
     The representation-level work lives on
     :meth:`~repro.graphs.dynamic_graph.DynamicGraph.to_payload` so the
     payload contract evolves together with the graph's internals; this
-    wrapper only owns the label encoding and the exception contract.
+    wrapper only owns the exception contract (a label that is not an int,
+    str or bool raises :class:`SnapshotError`).
     """
     try:
-        return graph.to_payload(_encode_label)
+        return graph.to_payload()
     except GraphError as exc:
         raise SnapshotError(str(exc)) from exc
 
@@ -161,7 +138,7 @@ def graph_from_payload(payload: Dict) -> DynamicGraph:
     raise-based — corrupt data must never silently poison a resumed run).
     """
     try:
-        return DynamicGraph.from_payload(payload, _decode_label)
+        return DynamicGraph.from_payload(payload)
     except GraphError as exc:
         raise SnapshotError(str(exc)) from exc
 
@@ -352,14 +329,11 @@ def save_snapshot(algorithm, path: PathLike) -> None:
     parent directory is created.
     """
     path = Path(path)
-    text = json.dumps(embed_digest(algorithm_to_payload(algorithm)))
-    half = len(text) // 2
+    payload = algorithm_to_payload(algorithm)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        with atomic_writer(path) as stream:
-            stream.write(text[:half])
-            trip(SNAPSHOT_WRITE)
-            stream.write(text[half:])
+        with atomic_writer(path, mode="wb", encoding=None) as stream:
+            write_document(stream, payload, fault_point=SNAPSHOT_WRITE)
     except OSError as exc:
         raise SnapshotError(f"cannot write snapshot {path}: {exc}") from exc
 

@@ -24,7 +24,7 @@ slots mid-stream.
 from __future__ import annotations
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.framework import KSwapFramework
@@ -96,6 +96,10 @@ class TestBatchedEngineEquivalence:
         stream_seed=st.integers(min_value=0, max_value=2**20),
         batch_size=st.sampled_from([4, 48]),
     )
+    # Short batches defer the drain past later edge insertions: a slot queued
+    # at count 1 whose count then rises to 2 must still be offered at level 2.
+    @example(graph_seed=148, stream_seed=4021, batch_size=4)
+    @example(graph_seed=303207, stream_seed=788820, batch_size=48)
     def test_two_swap_mixed(self, graph_seed, stream_seed, batch_size):
         graph = gnm_random_graph(20, 32, seed=graph_seed)
         stream = mixed_update_stream(graph, 50, seed=stream_seed, edge_fraction=0.7)
@@ -126,6 +130,15 @@ class TestBatchedEngineEquivalence:
             graph, 48, burst_size=6, max_neighbors=2, churn=0.85, seed=stream_seed
         )
         _assert_batch_contract(DyTwoSwap, 2, graph, stream, batch_size=36)
+
+    @pytest.mark.parametrize(
+        "graph_seed, stream_seed, batch_size", [(148, 4021, 4), (303207, 788820, 48)]
+    )
+    def test_framework_k2_short_batches(self, graph_seed, stream_seed, batch_size):
+        """The test_two_swap_mixed examples, on the generic framework at k=2."""
+        graph = gnm_random_graph(20, 32, seed=graph_seed)
+        stream = mixed_update_stream(graph, 50, seed=stream_seed, edge_fraction=0.7)
+        _assert_batch_contract(KSwapFramework, 2, graph, stream, batch_size, k=2)
 
     @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(

@@ -19,6 +19,7 @@ uninterrupted reference run.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import urllib.error
 import urllib.request
@@ -53,14 +54,15 @@ from repro.resilience import (
     RetryPolicy,
     active,
     document_digest,
-    embed_digest,
     inject_faults,
     install,
     supervised_replay,
     trip,
     uninstall,
     verify_document,
+    write_document,
 )
+from repro.resilience.integrity import canonical_bytes
 from repro.resilience.supervisor import InvariantGuard
 from repro.workloads import (
     CheckpointConfig,
@@ -72,7 +74,7 @@ from repro.workloads import (
     synthetic_temporal_events,
     write_temporal_edge_list,
 )
-from repro.workloads.replay import QUARANTINE_DIRNAME
+from repro.workloads.replay import QUARANTINE_DIRNAME, load_checkpoint
 from repro.workloads.snapshot import load_snapshot, save_snapshot
 
 #: Zero-backoff policy: recovery tests retry instantly.
@@ -223,10 +225,35 @@ class TestFaultInjector:
         assert injector.hits[BULK_APPLY] == 1
 
 
+def _written(document, fault_point=CHECKPOINT_WRITE) -> bytes:
+    stream = io.BytesIO()
+    write_document(stream, document, fault_point=fault_point)
+    return stream.getvalue()
+
+
 class TestIntegrity:
-    def test_embed_and_verify_round_trip(self):
-        document = embed_digest({"format": "x/1", "value": [1, 2, 3]})
-        assert verify_document(document) is document
+    def test_write_and_verify_round_trip(self):
+        document = {"format": "x/1", "value": [1, 2, 3]}
+        loaded = json.loads(_written(document))
+        assert verify_document(loaded) is loaded
+        assert loaded == {**document, "sha256": document_digest(document)}
+        assert "sha256" not in document  # the caller's document is not stamped
+
+    def test_written_bytes_are_the_canonical_body_plus_its_digest(self):
+        document = {"y": [2, 1], "x": {"b": True, "a": None}, "sha256": "stale"}
+        body = canonical_bytes(document)
+        digest = hashlib.sha256(body).hexdigest()
+        assert _written(document) == body[:-1] + f',"sha256":"{digest}"}}'.encode()
+        assert json.loads(_written({})) == {"sha256": document_digest({})}
+
+    def test_fault_point_fires_with_half_the_bytes_written(self):
+        document = {"value": list(range(100))}
+        full = _written(document, SNAPSHOT_WRITE)
+        stream = io.BytesIO()
+        with inject_faults(FaultPlan.at(SNAPSHOT_WRITE, 1)):
+            with pytest.raises(InjectedFault):
+                write_document(stream, document, fault_point=SNAPSHOT_WRITE)
+        assert stream.getvalue() == full[: len(full) // 2]
 
     def test_digest_ignores_key_order_and_the_digest_field(self):
         a = {"x": 1, "y": 2}
@@ -234,7 +261,7 @@ class TestIntegrity:
         assert document_digest(a) == document_digest(b)
 
     def test_tampered_document_is_rejected(self):
-        document = embed_digest({"format": "x/1", "value": 7})
+        document = json.loads(_written({"format": "x/1", "value": 7}))
         document["value"] = 8
         with pytest.raises(IntegrityError, match="failed its integrity check"):
             verify_document(document, source="unit-test")
@@ -617,6 +644,53 @@ class TestSnapshotIntegrity:
                 save_snapshot(_small_algorithm(), path)
         assert not path.exists()
         assert list(tmp_path.iterdir()) == []  # no temp file survives either
+
+
+def _save_checkpoint(algorithm, directory):
+    return save_checkpoint(
+        algorithm, directory, algorithm_name="DyOneSwap", processed=10,
+        initial_size=0,
+    )
+
+
+def _save_snapshot(algorithm, directory):
+    path = directory / "engine.snapshot.json"
+    save_snapshot(algorithm, path)
+    return path
+
+
+def _load_checkpoint(path):
+    return load_checkpoint(path).restore()
+
+
+_ARTIFACTS = [
+    pytest.param(_save_checkpoint, _load_checkpoint, id="checkpoint"),
+    pytest.param(_save_snapshot, load_snapshot, id="snapshot"),
+]
+
+
+class TestArtifactEncoding:
+    """The digest covers the data, not the bytes: formatting is free, data is not."""
+
+    @pytest.mark.parametrize("save, load", _ARTIFACTS)
+    def test_artifact_loads_after_reindenting(self, save, load, tmp_path):
+        algorithm = _small_algorithm()
+        path = save(algorithm, tmp_path)
+        document = json.loads(path.read_bytes())
+        path.write_text(json.dumps(document, indent=2), encoding="utf-8")
+        assert load(path).solution() == algorithm.solution()
+
+    @pytest.mark.parametrize("save, load", _ARTIFACTS)
+    def test_one_byte_change_inside_labels_is_rejected(self, save, load, tmp_path):
+        path = save(_small_algorithm(), tmp_path)
+        data = bytearray(path.read_bytes())
+        start = data.index(b'"labels":[') + len(b'"labels":[')
+        assert data[start : start + 1] == b"0"
+        data[start] = ord("9")
+        path.write_bytes(bytes(data))
+        json.loads(data)  # still valid JSON: only the digest can tell
+        with pytest.raises(IntegrityError, match="failed its integrity check"):
+            load(path)
 
 
 class _FakeResponse:

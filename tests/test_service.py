@@ -807,3 +807,11 @@ class TestFingerprint:
         for op in reversed(ops):
             swapped = chain_fingerprint(swapped, op)
         assert swapped != forward
+
+    def test_chain_value_is_pinned(self):
+        # Checkpoints store the chain tip: resuming an older checkpoint
+        # needs exactly the same bytes per operation.
+        tip = FINGERPRINT_SEED
+        for op in build_ops(8):
+            tip = chain_fingerprint(tip, op)
+        assert tip == "e34b876aa09b3dbeb43ad93199030600c63a52aee30602e4657ddefc631bc318"

@@ -10,6 +10,8 @@ are covered explicitly so slot recycling crosses the snapshot boundary.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,8 @@ from repro.core.two_swap import DyTwoSwap
 from repro.exceptions import SnapshotError
 from repro.generators.random_graphs import gnm_random_graph
 from repro.graphs.dynamic_graph import DynamicGraph
+from repro.resilience.faults import SNAPSHOT_WRITE
+from repro.resilience.integrity import write_document
 from repro.updates.streams import flash_crowd_stream, mixed_update_stream
 from repro.workloads.snapshot import (
     algorithm_from_payload,
@@ -115,6 +119,65 @@ class TestGraphPayload:
         payload["adjacency"][payload["live"][0]] = [free_slot]
         with pytest.raises(SnapshotError):
             graph_from_payload(payload)
+
+
+def _through_json(payload):
+    return json.loads(json.dumps(payload))
+
+
+class TestFlatLabels:
+    """``repro-graph/2``: labels are one flat list of JSON-native values."""
+
+    def test_labels_are_stored_as_they_are_with_null_for_free_slots(self):
+        graph = DynamicGraph(edges=[(0, "a"), ("a", True)])
+        graph.remove_vertex(0)
+        payload = graph_to_payload(graph)
+        assert payload["format"] == "repro-graph/2"
+        assert payload["labels"] == [None, "a", True]
+        assert payload["free"] == [0]
+
+    @pytest.mark.parametrize("one", [True, 1], ids=["bool", "int"])
+    def test_int_str_and_bool_labels_keep_their_type(self, one):
+        # True == 1, so a graph holds one of them; "1" is distinct from both.
+        graph = DynamicGraph(edges=[(one, "1"), ("1", 2)])
+        restored = graph_from_payload(_through_json(graph_to_payload(graph)))
+        assert {(type(v), v) for v in restored.vertices()} == {
+            (type(one), one), (str, "1"), (int, 2)
+        }
+        assert graph_to_payload(restored) == graph_to_payload(graph)
+
+    # Tuple labels: TestGraphPayload.test_unserialisable_label_rejected.
+    @pytest.mark.parametrize("label", [1.5, None], ids=["float", "none"])
+    def test_non_json_native_label_refused_on_save(self, label, tmp_path):
+        graph = DynamicGraph(edges=[(label, 0)])
+        with pytest.raises(SnapshotError, match="only int, str and bool"):
+            graph_to_payload(graph)
+        path = tmp_path / "engine.snapshot.json"
+        with pytest.raises(SnapshotError, match="only int, str and bool"):
+            save_snapshot(DyOneSwap(graph), path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "entry", [["i", 0], 0.0, {"i": 0}], ids=["list", "float", "dict"]
+    )
+    def test_non_json_native_label_entry_refused_on_restore(self, entry):
+        payload = _through_json(graph_to_payload(DynamicGraph(edges=[(0, 1)])))
+        payload["labels"][0] = entry
+        with pytest.raises(SnapshotError, match="label entry"):
+            graph_from_payload(payload)
+
+    def test_repro_graph_1_payload_refused(self, tmp_path):
+        payload = algorithm_to_payload(DyOneSwap(DynamicGraph(edges=[(0, 1)])))
+        payload["graph"]["format"] = "repro-graph/1"
+        payload["graph"]["labels"] = [["i", 0], ["i", 1]]
+        with pytest.raises(SnapshotError, match="'repro-graph/1'.*'repro-graph/2'"):
+            graph_from_payload(payload["graph"])
+        # A digest-valid /1 snapshot file is refused as a snapshot, not as rot.
+        path = tmp_path / "old.snapshot.json"
+        with path.open("wb") as stream:
+            write_document(stream, payload, fault_point=SNAPSHOT_WRITE)
+        with pytest.raises(SnapshotError, match="repro-graph/1"):
+            load_snapshot(path)
 
 
 class TestAlgorithmPayload:

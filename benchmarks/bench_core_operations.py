@@ -35,17 +35,6 @@ untimed round so the ~2× tracemalloc slowdown never pollutes the timings),
 and ``--compare`` gates *memory* regressions too: a peak more than
 ``--memory-tolerance`` (default 25%) above the committed baseline fails the
 run alongside the time gate.
-
-Since PR 7 the profile also sweeps the **sharded parallel engine**
-(``--workers``, default ``1,2,4``) over the bursty batched workload.  Sweep
-results — per-update cost, coordinator tracemalloc peak *and* the
-shared-memory segment footprint (``shm_kb``) — land under the separate
-``sharded_sweep`` payload key; only the ``workers=1`` point is copied into
-the gated ``per_update`` section (as ``DyOneSwap-bursty-sharded-w1``), and
-``--compare`` additionally enforces the *same-run* dispatch-overhead gate:
-the ``workers=1`` engine (pure delegation) must stay within
-``--sharded-tolerance`` (default 10%) of the plain batched scenario and
-produce the identical solution size.
 """
 
 from __future__ import annotations
@@ -58,7 +47,6 @@ import tracemalloc
 from pathlib import Path
 
 from repro.core import DyOneSwap, DyTwoSwap
-from repro.core.sharded import ShardedEngine
 from repro.core.state import MISState
 from repro.generators import power_law_random_graph
 from repro.updates import flash_crowd_stream, mixed_update_stream
@@ -246,84 +234,6 @@ def run_quick_profile(rounds: int = _QUICK_ROUNDS) -> dict:
     return results
 
 
-def run_sharded_sweep(workers_list, rounds: int = _QUICK_ROUNDS) -> dict:
-    """Best-of-``rounds`` sharded-engine cost on the bursty batched workload.
-
-    One entry per worker count: per-update cost, solution size, the
-    coordinator's tracemalloc peak, and the shared-memory segment footprint
-    (``shm_kb``, zero for ``workers=1`` which never creates segments).  The
-    stream and batch size match the ``DyOneSwap-bursty-batch64`` scenario so
-    the ``workers=1`` point measures pure dispatch overhead.
-    """
-    rounds = max(1, rounds)
-    graph = power_law_random_graph(800, 2.2, seed=123)
-    stream = _STREAM_FACTORIES["bursty"](graph)
-    results = {}
-    for workers in workers_list:
-        best = float("inf")
-        size = 0
-        shm_kb = 0.0
-        for _ in range(rounds):
-            with ShardedEngine(DyOneSwap(graph.copy()), workers=workers) as algo:
-                start = time.perf_counter()
-                algo.apply_stream(stream, batch_size=64)
-                best = min(best, time.perf_counter() - start)
-                size = algo.solution_size
-                shm_kb = round(algo.shared_memory_bytes() / 1024, 1)
-        with ShardedEngine(DyOneSwap(graph.copy()), workers=workers) as algo:
-            tracemalloc.start()
-            baseline = tracemalloc.get_traced_memory()[0]
-            algo.apply_stream(stream, batch_size=64)
-            peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
-        results[f"w{workers}"] = {
-            "workers": workers,
-            "per_update_us": round(best / len(stream) * 1e6, 3),
-            "solution_size": size,
-            "peak_kb": round((peak - baseline) / 1024, 1),
-            "shm_kb": shm_kb,
-        }
-    return results
-
-
-def check_sharded_overhead(per_update: dict, *, tolerance: float = 0.10) -> list:
-    """Same-run gate: the ``workers=1`` engine must cost ≈ the plain engine.
-
-    Compares ``DyOneSwap-bursty-sharded-w1`` (pure delegation through the
-    sharded front-end) against ``DyOneSwap-bursty-batch64`` from the *same*
-    profile run — no committed baseline involved, so clock drift between PRs
-    cannot mask a delegation-layer cost creep.  Solution sizes must match
-    exactly (delegation must not change a single algorithmic decision).
-    """
-    plain = per_update.get("DyOneSwap-bursty-batch64")
-    sharded = per_update.get("DyOneSwap-bursty-sharded-w1")
-    if plain is None or sharded is None:
-        return []
-    failures = []
-    limit = plain["per_update_us"] * (1.0 + tolerance)
-    if sharded["per_update_us"] > limit:
-        failures.append(
-            f"DyOneSwap-bursty-sharded-w1: {sharded['per_update_us']:.3f} "
-            f"us/update exceeds the same-run plain engine "
-            f"{plain['per_update_us']:.3f} us by more than {tolerance:.0%} "
-            f"(limit {limit:.3f} us) — delegation overhead crept in"
-        )
-    else:
-        print(
-            f"ok: sharded w1 {sharded['per_update_us']:.3f} us/update vs "
-            f"plain {plain['per_update_us']:.3f} us "
-            f"({(sharded['per_update_us'] / plain['per_update_us'] - 1.0):+.1%} "
-            f"dispatch overhead)"
-        )
-    if sharded["solution_size"] != plain["solution_size"]:
-        failures.append(
-            f"DyOneSwap-bursty-sharded-w1: solution size "
-            f"{sharded['solution_size']} != plain engine "
-            f"{plain['solution_size']} (sharding must not change decisions)"
-        )
-    return failures
-
-
 def compare_against_baseline(
     per_update: dict,
     baseline: dict,
@@ -477,25 +387,6 @@ def main(argv=None) -> int:
         default="fail",
         help="whether a tripped gate exits non-zero or only warns loudly",
     )
-    parser.add_argument(
-        "--workers",
-        default="1,2,4",
-        help="comma-separated worker counts for the sharded-engine sweep "
-        "(empty string skips the sweep entirely)",
-    )
-    parser.add_argument(
-        "--sharded-tolerance",
-        type=float,
-        default=0.10,
-        help="fractional same-run overhead allowed for the workers=1 sharded "
-        "engine over the plain batched engine",
-    )
-    parser.add_argument(
-        "--sweep-output",
-        default=None,
-        help="optional extra JSON file receiving only the sharded sweep "
-        "(CI uploads it as the worker-sweep artifact)",
-    )
     args = parser.parse_args(argv)
 
     # Load the baseline up front: --output may point at the very same file
@@ -516,22 +407,6 @@ def main(argv=None) -> int:
         trajectory = _load_trajectory(Path(args.compare))
 
     per_update = run_quick_profile(rounds=args.rounds)
-    workers_list = [int(w) for w in args.workers.split(",") if w.strip()]
-    sharded_sweep = (
-        run_sharded_sweep(workers_list, rounds=args.rounds)
-        if workers_list
-        else {}
-    )
-    if "w1" in sharded_sweep:
-        # Only the pure-delegation point enters the gated section: it is the
-        # one configuration whose cost is hardware-independent (no real
-        # parallelism), so it can be compared across machines and PRs.
-        entry = sharded_sweep["w1"]
-        per_update["DyOneSwap-bursty-sharded-w1"] = {
-            "per_update_us": entry["per_update_us"],
-            "solution_size": entry["solution_size"],
-            "peak_kb": entry["peak_kb"],
-        }
     hot_ops = _state_hot_op_rates()
     trajectory_entry = {
         "label": args.label or f"run-{len(trajectory)}",
@@ -546,14 +421,6 @@ def main(argv=None) -> int:
             name: entry["peak_kb"] for name, entry in per_update.items()
         },
     }
-    if sharded_sweep:
-        trajectory_entry["sharded_us"] = {
-            name: entry["per_update_us"]
-            for name, entry in sharded_sweep.items()
-        }
-        trajectory_entry["sharded_shm_kb"] = {
-            name: entry["shm_kb"] for name, entry in sharded_sweep.items()
-        }
     trajectory.append(trajectory_entry)
     payload = {
         "benchmark": "bench_core_operations.quick_profile",
@@ -570,26 +437,12 @@ def main(argv=None) -> int:
         },
         "python": platform.python_version(),
         "per_update": per_update,
-        "sharded_sweep": sharded_sweep,
         "state_hot_ops_per_sec": {k: round(v) for k, v in hot_ops.items()},
         "trajectory": trajectory,
     }
     output.write_text(json.dumps(payload, indent=2) + "\n")
     print(json.dumps(payload, indent=2))
     print(f"\nwritten to {output}")
-    if args.sweep_output and sharded_sweep:
-        sweep_payload = {
-            "benchmark": "bench_core_operations.sharded_sweep",
-            "workload": payload["workload"],
-            "python": platform.python_version(),
-            "label": args.label,
-            "sharded_sweep": sharded_sweep,
-        }
-        Path(args.sweep_output).write_text(
-            json.dumps(sweep_payload, indent=2) + "\n"
-        )
-        print(f"sweep written to {args.sweep_output}")
-
     if baseline is None:
         return 0
     failures = compare_against_baseline(
@@ -598,9 +451,6 @@ def main(argv=None) -> int:
         tolerance=args.tolerance,
         memory_tolerance=args.memory_tolerance,
         label=args.compare,
-    )
-    failures.extend(
-        check_sharded_overhead(per_update, tolerance=args.sharded_tolerance)
     )
     if not failures:
         print(f"benchmark gate OK (tolerance {args.tolerance:.0%})")

@@ -1,26 +1,19 @@
-"""Benchmark — copy-on-write forks, what-if queries and pipelined prefetch.
+"""Benchmark — copy-on-write forks and what-if queries.
 
-The companion scenario for this PR's perf layer, and the **acceptance
-gate** for its headline claim: at ``>= 10k`` live slots, ``engine.fork()``
-must be at least ``--min-speedup`` (default 5×) cheaper than both full-copy
-baselines — a (sentinel-pinned) ``copy.deepcopy`` of the engine and a
-snapshot-payload round trip — while a fork that then diverges stays
-bit-identical to the deep copy walking the same updates.
+The companion scenario for the fork layer, and the **acceptance gate** for
+its headline claim: at ``>= 10k`` live slots, ``engine.fork()`` must be at
+least ``--min-speedup`` (default 5×) cheaper than both full-copy baselines —
+a (sentinel-pinned) ``copy.deepcopy`` of the engine and a snapshot-payload
+round trip — while a fork that then diverges stays bit-identical to the deep
+copy walking the same updates.
 
-Three scenarios, all written to machine-readable JSON with ``--output``:
+Two scenarios, both written to machine-readable JSON with ``--output``:
 
 * ``fork``     — fork vs. deepcopy vs. snapshot round-trip latency, plus the
                  bit-identity check on a shared divergence stream.
 * ``what_if``  — latency of a full hypothetical query (fork, coalesced
                  batch apply, solution diff, discard), the primitive behind
                  the service layer's ``what_if`` command.
-* ``prefetch`` — cached temporal replay wall-clock and tracemalloc peak
-                 under ``REPRO_PREFETCH=0`` vs ``=1``.  Results must be
-                 bit-identical and the peaks must match (the pipeline holds
-                 at most ``depth`` extra chunks); the speedup is *reported*
-                 but not gated — on a single-core box the overlap window is
-                 at the mercy of the scheduler, so CI gates correctness and
-                 memory, and PERFORMANCE.md records the measured ratio.
 
 Exit code 1 when a gate fails (``--gate-mode warn`` downgrades to a loud
 warning for noisy shared runners).
@@ -31,30 +24,20 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import os
 import platform
 import statistics
 import sys
-import tempfile
 import time
-import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core import DyOneSwap
-from repro.experiments import run_algorithm
 from repro.generators.random_graphs import gnm_random_graph
 from repro.graphs import dynamic_graph
-from repro.graphs.dynamic_graph import DynamicGraph
 from repro.service.tenant import engine_digest
 from repro.updates.streams import mixed_update_stream
 from repro.workloads.snapshot import algorithm_from_payload, algorithm_to_payload
-from repro.workloads.temporal import (
-    cached_temporal_stream,
-    synthetic_temporal_events,
-    write_temporal_edge_list,
-)
 
 #: Live-slot floor for the fork scenario — the acceptance criterion is
 #: stated "at >= 10k live slots", so the default workload sits above it.
@@ -147,72 +130,16 @@ def bench_what_if(rounds, num_vertices, num_edges, batch=32):
     }
 
 
-def bench_prefetch(rounds, num_events):
-    with tempfile.TemporaryDirectory(prefix="bench-prefetch-") as scratch:
-        source = Path(scratch) / "events.txt"
-        write_temporal_edge_list(
-            synthetic_temporal_events(num_events, num_vertices=400, seed=29),
-            source,
-        )
-        cached_temporal_stream(source, window=12.0)  # warm the disk cache
-
-        def replay():
-            stream = cached_temporal_stream(source, window=12.0)
-            assert stream.metadata["cache"] == "hit"
-            measurement = run_algorithm(
-                "DyOneSwap", DynamicGraph(), stream, batch_size=32
-            )
-            return measurement
-
-        results = {}
-        for flag in ("0", "1"):
-            os.environ["REPRO_PREFETCH"] = flag
-            elapsed, measurement = _best_of(rounds, replay)
-            tracemalloc.start()
-            baseline, _ = tracemalloc.get_traced_memory()
-            replay()
-            _, peak = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
-            results[flag] = {
-                "seconds": elapsed,
-                "peak_kb": (peak - baseline) / 1024.0,
-                "final_size": measurement.final_size,
-                "updates": measurement.num_updates,
-            }
-        os.environ.pop("REPRO_PREFETCH", None)
-
-    off, on = results["0"], results["1"]
-    return {
-        "num_events": num_events,
-        "updates": on["updates"],
-        "inline_s": off["seconds"],
-        "prefetch_s": on["seconds"],
-        "speedup": off["seconds"] / on["seconds"],
-        "inline_peak_kb": off["peak_kb"],
-        "prefetch_peak_kb": on["peak_kb"],
-        "results_identical": (off["final_size"], off["updates"])
-        == (on["final_size"], on["updates"]),
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rounds", type=int, default=3)
     parser.add_argument("--vertices", type=int, default=DEFAULT_VERTICES)
     parser.add_argument("--edges", type=int, default=DEFAULT_EDGES)
-    parser.add_argument("--events", type=int, default=6_000)
     parser.add_argument(
         "--min-speedup",
         type=float,
         default=5.0,
         help="fork must beat both full-copy baselines by this factor",
-    )
-    parser.add_argument(
-        "--memory-tolerance",
-        type=float,
-        default=0.25,
-        help="allowed fractional tracemalloc-peak excess of the prefetch "
-        "replay over the inline replay",
     )
     parser.add_argument("--output", default=None, help="write results JSON here")
     parser.add_argument("--gate-mode", choices=("fail", "warn"), default="fail")
@@ -226,7 +153,6 @@ def main(argv=None) -> int:
 
     fork = bench_fork(args.rounds, args.vertices, args.edges)
     what_if = bench_what_if(args.rounds, args.vertices, args.edges)
-    prefetch = bench_prefetch(args.rounds, args.events)
 
     print(f"fork @ {fork['live_slots']} live slots:")
     print(
@@ -240,12 +166,6 @@ def main(argv=None) -> int:
         f"{what_if['live_slots']} live): best "
         f"{what_if['what_if_ms_best']:.2f} ms, median "
         f"{what_if['what_if_ms_median']:.2f} ms"
-    )
-    print(
-        f"prefetch replay ({prefetch['updates']} ops): inline "
-        f"{prefetch['inline_s']:.3f} s, prefetch {prefetch['prefetch_s']:.3f} s "
-        f"({prefetch['speedup']:.2f}x), peaks "
-        f"{prefetch['inline_peak_kb']:.0f} / {prefetch['prefetch_peak_kb']:.0f} kB"
     )
 
     failures = []
@@ -265,24 +185,13 @@ def main(argv=None) -> int:
         )
     if not what_if["tenant_unperturbed"]:
         failures.append("what_if perturbed the base engine digest")
-    if not prefetch["results_identical"]:
-        failures.append("prefetch replay result differs from inline replay")
-    if prefetch["prefetch_peak_kb"] > prefetch["inline_peak_kb"] * (
-        1.0 + args.memory_tolerance
-    ) + 512.0:
-        failures.append(
-            f"prefetch peak {prefetch['prefetch_peak_kb']:.0f} kB exceeds "
-            f"inline peak {prefetch['inline_peak_kb']:.0f} kB by more than "
-            f"{args.memory_tolerance:.0%} (+512 kB slack)"
-        )
 
     document = {
-        "benchmark": "fork-whatif-prefetch",
+        "benchmark": "fork-whatif",
         "python": platform.python_version(),
         "rounds": args.rounds,
         "fork": fork,
         "what_if": what_if,
-        "prefetch": prefetch,
         "gates": {"min_speedup": args.min_speedup, "failures": failures},
     }
     if args.output:

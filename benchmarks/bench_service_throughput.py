@@ -26,7 +26,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.experiments.runner import create_algorithm, release_engine
+from repro.experiments.runner import create_algorithm
 from repro.graphs import DynamicGraph
 from repro.resilience.supervisor import RetryPolicy
 from repro.service import ServiceConfig, ServiceThread, TenantSpec
@@ -96,12 +96,9 @@ def test_service_ingest_throughput(benchmark, show_rows):
     # The reference digest prices nothing: it pins correctness of the path.
     operations = _operations()
     engine = create_algorithm("DyOneSwap", DynamicGraph(), None)
-    try:
-        for group in chunked(iter(operations), BATCH):
-            engine.apply_batch(group, coalesce=True)
-        expected = engine_digest(engine)[:16]
-    finally:
-        release_engine(engine)
+    for group in chunked(iter(operations), BATCH):
+        engine.apply_batch(group, coalesce=True)
+    expected = engine_digest(engine)[:16]
     for row in rows:
         assert row["updates"] == NUM_OPERATIONS
         assert row["durable"] == NUM_OPERATIONS  # explicit final checkpoint

@@ -15,12 +15,9 @@
 #                    CI points this at a stable path and uploads it as an
 #                    artifact so warn-mode runs still leave a perf record
 #   BENCH_LABEL      trajectory label recorded in the fresh results
-#   BENCH_SWEEP_OUTPUT  optional JSON file receiving only the sharded
-#                    worker-sweep results; CI uploads it as the worker-sweep
-#                    artifact (unset: the sweep still runs, no extra file)
-#   FORK_BENCH_ROUNDS  best-of-N rounds for the fork/what-if/prefetch gate
+#   FORK_BENCH_ROUNDS  best-of-N rounds for the fork/what-if gate
 #                    (default 3); BENCH_MODE warn downgrades its gate too
-#   FORK_BENCH_OUTPUT  optional JSON file receiving the fork/prefetch results;
+#   FORK_BENCH_OUTPUT  optional JSON file receiving the fork/what-if results;
 #                    CI uploads it as an artifact
 #   COVERAGE         set to 1 to run the tier-1 tests under pytest-cov with a
 #                    hard floor (requires pytest-cov; CI enables this)
@@ -44,11 +41,6 @@ else
     python -m pytest -x -q
 fi
 
-echo
-echo "== tier-1 tests (REPRO_KERNELS=python: stdlib-only kernel fallback) =="
-# Second leg without coverage: proves the pure-Python kernel backend (the
-# differential oracle) stays green when numpy is absent or pinned off.
-REPRO_KERNELS=python python -m pytest -x -q
 
 echo
 echo "== resilience smoke: seed-pinned crash-simulation replay =="
@@ -68,13 +60,12 @@ python benchmarks/bench_core_operations.py \
     --label "${BENCH_LABEL:-ci-check}" \
     --compare BENCH_core.json \
     --tolerance "${BENCH_TOLERANCE:-0.15}" \
-    --compare-mode "${BENCH_MODE:-fail}" \
-    ${BENCH_SWEEP_OUTPUT:+--sweep-output "$BENCH_SWEEP_OUTPUT"}
+    --compare-mode "${BENCH_MODE:-fail}"
 
 echo
-echo "== fork / what-if / prefetch gate (fork >= 5x cheaper than both full-"
-echo "   copy baselines at >= 10k live slots; what-if leaves the base engine"
-echo "   untouched; prefetch replay bit-identical at matched memory) =="
+echo "== fork / what-if gate (fork >= 5x cheaper than both full-copy"
+echo "   baselines at >= 10k live slots; what-if leaves the base engine"
+echo "   untouched) =="
 python benchmarks/bench_fork_whatif.py \
     --rounds "${FORK_BENCH_ROUNDS:-3}" \
     --gate-mode "${BENCH_MODE:-fail}" \

@@ -16,9 +16,7 @@ from repro.core.bounds import (
 from repro.core.framework import KSwapFramework
 from repro.core.lazy import LazyMISState
 from repro.core.one_swap import DyOneSwap
-from repro.core.partition import SlotPartition
 from repro.core.perturbation import pick_perturbation_partner
-from repro.core.sharded import ShardedEngine, ShardStats
 from repro.core.state import MISState
 from repro.core.two_swap import DyTwoSwap
 from repro.core.verification import (
@@ -39,9 +37,6 @@ __all__ = [
     "KSwapFramework",
     "MISState",
     "LazyMISState",
-    "ShardedEngine",
-    "ShardStats",
-    "SlotPartition",
     "pick_perturbation_partner",
     "is_independent_set",
     "is_maximal_independent_set",

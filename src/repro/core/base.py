@@ -46,7 +46,6 @@ from typing import (
     Set,
 )
 
-from repro.core import kernels
 from repro.core.lazy import LazyMISState
 from repro.core.state import MISState
 from repro.exceptions import SolutionInvariantError, UpdateError, VertexNotFoundError
@@ -195,9 +194,7 @@ class DynamicMISBase(abc.ABC):
 
         Must be called at a batch boundary (candidate queues drained — the
         same precondition snapshots impose), because the candidate queues
-        are not forked.  ``ShardedEngine`` delegates this method to its
-        inner engine, so forking a sharded tenant yields a plain
-        single-process fork — the right engine for a throwaway branch.
+        are not forked.
         """
         if self.has_pending_candidates():
             raise SolutionInvariantError(
@@ -562,7 +559,7 @@ class DynamicMISBase(abc.ABC):
         counts = self._counts
         live = [s for s in touched if labels[s] is not _FREE]
         if live:
-            zero = kernels.zero_count_slots(live, in_sol, counts)
+            zero = [s for s in live if not in_sol[s] and counts[s] == 0]
             if zero:
                 if len(zero) > 1:
                     zero.sort(key=graph.slot_order_key)
@@ -573,12 +570,13 @@ class DynamicMISBase(abc.ABC):
             # Registration order follows the interned insertion order so the
             # candidate-queue insertion (hence drain) order is identical for
             # the eager and the lazy state.  The count filter runs first
-            # (kernels sweep — most touched slots carry counts beyond k and
-            # register nothing); registration itself changes no membership
-            # byte or count, so filtering up front matches the inline check.
+            # (most touched slots carry counts beyond k and register
+            # nothing); registration itself changes no membership byte or
+            # count, so filtering up front matches the inline check.
             live.sort(key=self._orders.__getitem__)
             register = self._register_slot
-            for s in kernels.candidate_slots(live, in_sol, counts, self.k):
+            k = self.k
+            for s in [s for s in live if not in_sol[s] and 1 <= counts[s] <= k]:
                 register(s)
         self._process_candidates()
 

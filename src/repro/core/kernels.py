@@ -1,187 +1,27 @@
-"""Vectorized slot-kernel layer: optional numpy bulk sweeps behind the state API.
+"""Failure-atomic validation for the bulk edge mutators.
 
 Every maintenance algorithm works on **slot-indexed flat storage**
-(:mod:`repro.core.state`): membership is a ``bytearray``, ``count(v)`` a flat
-``list`` — both indexed by the graph's dense integer slots.  The bulk update
-paths (``add/remove_edges_slots_bulk``, the sharded engine's per-shard
-classification, the batched repair pass) sweep *arrays of slot pairs* against
-those flat arrays, which is exactly the shape numpy vectorizes.  This module
-provides those sweeps twice:
-
-* a **pure-Python backend** — the stdlib-only fallback and the differential
-  oracle, semantically identical to the loops the states inlined before this
-  layer existed;
-* a **numpy backend** — the same sweeps as vectorized gathers and masks over
-  zero-copy buffer views.
-
-Backend selection
------------------
-``REPRO_KERNELS=python|numpy`` pins the backend; unset (or ``auto``) selects
-numpy when importable and falls back to python otherwise.  Tests switch at
-runtime via :func:`set_backend`.  Small inputs always take the python path
-(``VECTOR_MIN_PAIRS``): below that size the fixed cost of building index
-arrays exceeds the loop it replaces, and both paths are bit-identical by
-contract, so the threshold is a pure performance knob.
-
-Zero-copy mirrors and slot recycling
-------------------------------------
-The numpy kernels never *store* arrays between calls: every membership view
-is built with ``np.frombuffer`` directly over the authoritative ``bytearray``
-(or a shared-memory ``memoryview`` in the sharded engine) and dropped before
-the call returns.  Two invariants follow:
-
-* **Recycled slots cannot desynchronise.**  When the graph's LIFO free-list
-  hands a slot back (``DynamicGraph._alloc``), the state has already reset
-  the slot's membership byte and count (``remove_vertex_slot``), and because
-  the numpy view *is* that memory there is no mirror row to reset — the
-  kernel reads the recycled slot's fresh bytes by construction.  Pinned by
-  the churn suite in ``tests/test_slot_reuse.py`` (numpy backend).
-* **No lingering buffer exports.**  A live ``frombuffer`` view would make
-  ``bytearray.append`` (slot growth in ``_ensure_slot``) raise
-  ``BufferError``; transient views make growth always safe.  Pinned in
-  ``tests/test_kernels.py``.
-
-Atomic bulk validation
-----------------------
-:func:`validate_edge_insertions` / :func:`validate_edge_deletions` are the
-**failure-atomicity** layer shared by both backends and both states: a bulk
-mutator validates its whole pair list (self-loops, duplicates within the
-batch, already-present / missing edges) *before* touching any state, and the
-error raised is the one the historical sequential loop would have raised
-first (same type, same offending pair).  A rejected batch therefore leaves
-graph and bookkeeping byte-identical to the pre-call state.
+(:mod:`repro.core.state`), and the batched update engine mutates it through
+the bulk primitives ``add/remove_edges_slots_bulk`` of both states.
+:func:`validate_edge_insertions` / :func:`validate_edge_deletions` are their
+**failure-atomicity** layer: a bulk mutator validates its whole pair list
+(self-loops, duplicates within the batch, already-present / missing edges)
+*before* touching any state, and the error raised is the one the historical
+sequential loop would have raised first (same type, same offending pair).  A
+rejected batch therefore leaves graph and bookkeeping byte-identical to the
+pre-call state.
 """
 
 from __future__ import annotations
 
-import itertools
-import os
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.exceptions import EdgeExistsError, EdgeNotFoundError, SelfLoopError
 
-try:  # pragma: no cover - exercised via both CI legs
-    import numpy as _np
-except ImportError:  # pragma: no cover - stdlib-only environments
-    _np = None
-
 Pair = Tuple[int, int]
-IndexedPair = Tuple[int, int, int]
-
-PYTHON = "python"
-NUMPY = "numpy"
-_BACKENDS = (PYTHON, NUMPY)
-
-#: Pair count below which every kernel takes the python path even on the
-#: numpy backend: building the index arrays costs more than the loop they
-#: replace.  Both paths are bit-identical, so this is purely a perf knob
-#: (tests lower it to force the vectorized code onto small inputs).
-VECTOR_MIN_PAIRS = 96
-
-_active: Optional[str] = None
 
 
-def numpy_available() -> bool:
-    """Return ``True`` when the numpy backend can be selected."""
-    return _np is not None
-
-
-def _resolve_default() -> str:
-    """Resolve the startup backend from ``REPRO_KERNELS`` (auto-detect)."""
-    choice = os.environ.get("REPRO_KERNELS", "").strip().lower()
-    if not choice or choice == "auto":
-        return NUMPY if _np is not None else PYTHON
-    if choice not in _BACKENDS:
-        raise ValueError(
-            f"REPRO_KERNELS must be one of {_BACKENDS} (or 'auto'), "
-            f"got {choice!r}"
-        )
-    if choice == NUMPY and _np is None:
-        raise RuntimeError(
-            "REPRO_KERNELS=numpy requested but numpy is not importable"
-        )
-    return choice
-
-
-def backend() -> str:
-    """Return the active kernel backend, resolving it on first use."""
-    global _active
-    if _active is None:
-        _active = _resolve_default()
-    return _active
-
-
-def set_backend(name: str) -> None:
-    """Select the kernel backend at runtime (``python`` or ``numpy``)."""
-    global _active
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown kernel backend {name!r}")
-    if name == NUMPY and _np is None:
-        raise RuntimeError("numpy backend requested but numpy is not importable")
-    _active = name
-
-
-def vectorizes(num_pairs: int) -> bool:
-    """Return ``True`` when a sweep of ``num_pairs`` should use numpy.
-
-    The cheap size check runs first: on the (default) numpy backend the hot
-    bulk paths call this once per batch, and most batches are small.
-    """
-    return num_pairs >= VECTOR_MIN_PAIRS and backend() == NUMPY
-
-
-# --------------------------------------------------------------------- #
-# Pair ingestion (numpy backend)
-# --------------------------------------------------------------------- #
-def pair_columns(pairs: Sequence[Pair]):
-    """Ingest slot pairs as two ``intp`` column arrays ``(iu, iv)``.
-
-    One ingest is shared by validation and classification of the same bulk
-    call.  ``fromiter`` over a flattening chain is the fastest tuple-list
-    ingest available without a C extension (measured ~5% ahead of paired
-    list comprehensions and ~2x ahead of ``np.array(pairs)``) — and ingest
-    is the numpy path's dominant cost, so this boundary matters more than
-    the gathers it feeds (see the kernels section of PERFORMANCE.md).
-    """
-    cols = _np.fromiter(
-        itertools.chain.from_iterable(pairs),
-        dtype=_np.intp,
-        count=2 * len(pairs),
-    ).reshape(-1, 2)
-    return cols[:, 0], cols[:, 1]
-
-
-def _first_duplicate_index(iu, iv) -> int:
-    """Index of the first pair that repeats an earlier pair (or -1).
-
-    Pairs are canonicalised endpoint-wise, keyed into one int64, and sorted
-    stably: within a run of equal keys the original order is preserved, so
-    every element after the first of its run is a repeat, and the smallest
-    such original index is exactly where the sequential loop would have
-    tripped.
-    """
-    np = _np
-    lo = np.minimum(iu, iv)
-    hi = np.maximum(iu, iv)
-    base = int(hi.max()) + 1 if hi.size else 1
-    keys = lo.astype(np.int64) * base + hi
-    order = np.argsort(keys, kind="stable")
-    ranked = keys[order]
-    repeats = ranked[1:] == ranked[:-1]
-    if not repeats.any():
-        return -1
-    return int(order[1:][repeats].min())
-
-
-def _raise_insertion_error(graph, adj, pairs: Sequence[Pair], index: int) -> None:
-    """Re-raise the sequential-semantics error for the pair at ``index``."""
-    su, sv = pairs[index]
-    if su == sv:
-        raise SelfLoopError(graph.vertex_of(su))
-    raise EdgeExistsError(graph.vertex_of(su), graph.vertex_of(sv))
-
-
-def validate_edge_insertions(graph, adj, pairs: Sequence[Pair], columns=None) -> None:
+def validate_edge_insertions(graph, adj, pairs: Sequence[Pair]) -> None:
     """Validate a whole insertion pair list before any mutation.
 
     Raises exactly what the historical per-pair loop raised at the first
@@ -190,21 +30,6 @@ def validate_edge_insertions(graph, adj, pairs: Sequence[Pair], columns=None) ->
     within the batch (the repeat would have existed by the time the loop
     reached it).  On success the caller may mutate blindly.
     """
-    n = len(pairs)
-    if columns is not None or vectorizes(n):
-        iu, iv = pair_columns(pairs) if columns is None else columns
-        loops = iu == iv
-        limit = int(_np.argmax(loops)) if loops.any() else n
-        dup = _first_duplicate_index(iu, iv)
-        if 0 <= dup < limit:
-            limit = dup
-        for i in range(limit):
-            su, sv = pairs[i]
-            if sv in adj[su]:
-                raise EdgeExistsError(graph.vertex_of(su), graph.vertex_of(sv))
-        if limit < n:
-            _raise_insertion_error(graph, adj, pairs, limit)
-        return
     seen = set()
     seen_add = seen.add
     for su, sv in pairs:
@@ -218,27 +43,13 @@ def validate_edge_insertions(graph, adj, pairs: Sequence[Pair], columns=None) ->
         seen_add(key)
 
 
-def validate_edge_deletions(graph, adj, pairs: Sequence[Pair], columns=None) -> None:
+def validate_edge_deletions(graph, adj, pairs: Sequence[Pair]) -> None:
     """Validate a whole deletion pair list before any mutation.
 
     Raises :class:`EdgeNotFoundError` at the first pair naming an edge that
     is absent from ``adj`` or already deleted earlier in the batch — the
     same error, at the same pair, as the historical sequential loop.
     """
-    n = len(pairs)
-    if columns is not None or vectorizes(n):
-        iu, iv = pair_columns(pairs) if columns is None else columns
-        limit = _first_duplicate_index(iu, iv)
-        if limit < 0:
-            limit = n
-        for i in range(limit):
-            su, sv = pairs[i]
-            if sv not in adj[su]:
-                raise EdgeNotFoundError(graph.vertex_of(su), graph.vertex_of(sv))
-        if limit < n:
-            su, sv = pairs[limit]
-            raise EdgeNotFoundError(graph.vertex_of(su), graph.vertex_of(sv))
-        return
     seen = set()
     seen_add = seen.add
     for su, sv in pairs:
@@ -248,191 +59,3 @@ def validate_edge_deletions(graph, adj, pairs: Sequence[Pair], columns=None) -> 
         if key in seen:
             raise EdgeNotFoundError(graph.vertex_of(su), graph.vertex_of(sv))
         seen_add(key)
-
-
-# --------------------------------------------------------------------- #
-# Membership classification (frozen membership, one sweep per edge phase)
-# --------------------------------------------------------------------- #
-# During an edge phase of a batch the solution membership is frozen (moves
-# happen only between phases and in the end-of-batch repair pass), so the
-# classification of every pair is a pure function of (pairs, membership)
-# and can be computed in one vectorized sweep.  Replaying the one-sided
-# results through the states' bookkeeping is order-independent: each
-# ``(outside slot, solution slot)`` event commutes with every other (counts
-# and neighbour sets are per-slot), which is the same argument that lets
-# the sharded engine replay per-shard classifications out of phase order.
-
-def classify_insertions(pairs: Sequence[Pair], membership, columns=None):
-    """Classify insertion pairs against frozen membership bytes.
-
-    Returns ``(one_sided, conflicts)``: the one-sided insertions as
-    ``(outside slot, solution slot)`` pairs and the both-in-solution pairs,
-    each in phase order.
-    """
-    if columns is not None or vectorizes(len(pairs)):
-        np = _np
-        iu, iv = pair_columns(pairs) if columns is None else columns
-        mem = np.frombuffer(membership, dtype=np.uint8)
-        u_in = mem[iu] != 0
-        v_in = mem[iv] != 0
-        one_mask = u_in ^ v_in
-        out_slot = np.where(u_in, iv, iu)
-        sol_slot = np.where(u_in, iu, iv)
-        one_sided = list(
-            zip(out_slot[one_mask].tolist(), sol_slot[one_mask].tolist())
-        )
-        both = np.flatnonzero(u_in & v_in)
-        conflicts = [pairs[i] for i in both.tolist()] if both.size else []
-        return one_sided, conflicts
-    one_sided: List[Pair] = []
-    conflicts: List[Pair] = []
-    for su, sv in pairs:
-        if membership[su]:
-            if membership[sv]:
-                conflicts.append((su, sv))
-            else:
-                one_sided.append((sv, su))
-        elif membership[sv]:
-            one_sided.append((su, sv))
-    return one_sided, conflicts
-
-
-def classify_deletions(pairs: Sequence[Pair], membership, columns=None):
-    """Classify deletion pairs against frozen membership bytes.
-
-    Returns ``(one_sided, outside)``: the one-sided deletions as
-    ``(outside slot, solution slot)`` pairs and the pairs with both
-    endpoints outside the solution, each in phase order.  Pairs with both
-    endpoints inside (possible transiently) fall into neither list.
-    """
-    if columns is not None or vectorizes(len(pairs)):
-        np = _np
-        iu, iv = pair_columns(pairs) if columns is None else columns
-        mem = np.frombuffer(membership, dtype=np.uint8)
-        u_in = mem[iu] != 0
-        v_in = mem[iv] != 0
-        one_mask = u_in ^ v_in
-        out_slot = np.where(u_in, iv, iu)
-        sol_slot = np.where(u_in, iu, iv)
-        one_sided = list(
-            zip(out_slot[one_mask].tolist(), sol_slot[one_mask].tolist())
-        )
-        neither = np.flatnonzero(~(u_in | v_in))
-        outside = [pairs[i] for i in neither.tolist()] if neither.size else []
-        return one_sided, outside
-    one_sided: List[Pair] = []
-    outside: List[Pair] = []
-    for su, sv in pairs:
-        u_in = membership[su]
-        if u_in != membership[sv]:
-            one_sided.append((sv, su) if u_in else (su, sv))
-        elif not u_in:
-            outside.append((su, sv))
-    return one_sided, outside
-
-
-# --------------------------------------------------------------------- #
-# Published-view classification (the sharded engine's per-shard sweep)
-# --------------------------------------------------------------------- #
-def _published_membership(membership, iu, iv, published_len, overrides):
-    """Gather membership booleans from a published (possibly stale) view.
-
-    Slots at or beyond the published length read 0 (allocated mid-batch,
-    hence outside the solution); ``overrides`` patches slots whose byte
-    changed after publication.  Mirrors ``partition._membership_probe``.
-    """
-    np = _np
-    limit = len(membership) if published_len is None else published_len
-    if limit <= 0:
-        u_in = np.zeros(len(iu), dtype=bool)
-        v_in = np.zeros(len(iv), dtype=bool)
-    else:
-        mem = np.frombuffer(membership, dtype=np.uint8)[:limit]
-        u_ok = iu < limit
-        v_ok = iv < limit
-        u_in = np.zeros(len(iu), dtype=bool)
-        v_in = np.zeros(len(iv), dtype=bool)
-        u_in[u_ok] = mem[iu[u_ok]] != 0
-        v_in[v_ok] = mem[iv[v_ok]] != 0
-    if overrides:
-        for slot, value in overrides.items():
-            flag = bool(value)
-            u_in[iu == slot] = flag
-            v_in[iv == slot] = flag
-    return u_in, v_in
-
-
-#: Above this many override entries the vectorized per-entry patching loses
-#: to the python probe; the partition classifiers fall back below the pair
-#: threshold anyway, so this only guards pathological override maps.
-MAX_VECTOR_OVERRIDES = 64
-
-
-def classify_deletion_pairs_published(
-    pairs: List[Pair],
-    membership,
-    published_len: Optional[int] = None,
-    overrides: Optional[Mapping[int, int]] = None,
-):
-    """Vectorized twin of :func:`repro.core.partition.classify_deletion_pairs`."""
-    np = _np
-    iu, iv = pair_columns(pairs)
-    u_in, v_in = _published_membership(membership, iu, iv, published_len, overrides)
-    one_mask = u_in ^ v_in
-    out_slot = np.where(u_in, iv, iu)
-    sol_slot = np.where(u_in, iu, iv)
-    dropped = list(zip(out_slot[one_mask].tolist(), sol_slot[one_mask].tolist()))
-    neither = np.flatnonzero(~(u_in | v_in))
-    outside = [pairs[i] for i in neither.tolist()] if neither.size else []
-    return dropped, outside
-
-
-def classify_insertion_pairs_published(
-    pairs: List[IndexedPair],
-    membership,
-    published_len: Optional[int] = None,
-    overrides: Optional[Mapping[int, int]] = None,
-):
-    """Vectorized twin of :func:`repro.core.partition.classify_insertion_pairs`."""
-    np = _np
-    iu = np.array([p[1] for p in pairs], dtype=np.intp)
-    iv = np.array([p[2] for p in pairs], dtype=np.intp)
-    u_in, v_in = _published_membership(membership, iu, iv, published_len, overrides)
-    one_mask = u_in ^ v_in
-    out_slot = np.where(u_in, iv, iu)
-    sol_slot = np.where(u_in, iu, iv)
-    bumped = list(zip(out_slot[one_mask].tolist(), sol_slot[one_mask].tolist()))
-    both = np.flatnonzero(u_in & v_in)
-    conflicts = [pairs[i] for i in both.tolist()] if both.size else []
-    return bumped, conflicts
-
-
-# --------------------------------------------------------------------- #
-# Touched-slot scans (the batched repair pass)
-# --------------------------------------------------------------------- #
-def zero_count_slots(slots: Sequence[int], membership, counts) -> List[int]:
-    """Non-solution slots with count 0, in input order (maximality repair)."""
-    if vectorizes(len(slots)):
-        np = _np
-        idx = np.array(slots, dtype=np.intp)
-        mem = np.frombuffer(membership, dtype=np.uint8)
-        cnt = np.fromiter(
-            map(counts.__getitem__, slots), dtype=np.int64, count=len(slots)
-        )
-        mask = (mem[idx] == 0) & (cnt == 0)
-        return idx[mask].tolist()
-    return [s for s in slots if not membership[s] and counts[s] == 0]
-
-
-def candidate_slots(slots: Sequence[int], membership, counts, k: int) -> List[int]:
-    """Non-solution slots with count in ``[1, k]``, in input order (registration)."""
-    if vectorizes(len(slots)):
-        np = _np
-        idx = np.array(slots, dtype=np.intp)
-        mem = np.frombuffer(membership, dtype=np.uint8)
-        cnt = np.fromiter(
-            map(counts.__getitem__, slots), dtype=np.int64, count=len(slots)
-        )
-        mask = (mem[idx] == 0) & (cnt >= 1) & (cnt <= k)
-        return idx[mask].tolist()
-    return [s for s in slots if not membership[s] and 1 <= counts[s] <= k]

@@ -481,32 +481,19 @@ class LazyMISState:
         _privatize_adj_pairs(graph, adj, pairs)
         bumped: List[int] = []
         conflicts: List[Tuple[int, int]] = []
-        if kernels.vectorizes(len(pairs)):
-            cols = kernels.pair_columns(pairs)
-            kernels.validate_edge_insertions(graph, adj, pairs, cols)
-            one_sided, conflicts = kernels.classify_insertions(
-                pairs, in_sol, cols
-            )
-            for su, sv in pairs:
-                adj[su].add(sv)
-                adj[sv].add(su)
-            for out_slot, _sol_slot in one_sided:
-                counts[out_slot] += 1
-                bumped.append(out_slot)
-        else:
-            kernels.validate_edge_insertions(graph, adj, pairs)
-            for su, sv in pairs:
-                adj[su].add(sv)
-                adj[sv].add(su)
-                if in_sol[su]:
-                    if in_sol[sv]:
-                        conflicts.append((su, sv))
-                    else:
-                        counts[sv] += 1
-                        bumped.append(sv)
-                elif in_sol[sv]:
-                    counts[su] += 1
-                    bumped.append(su)
+        kernels.validate_edge_insertions(graph, adj, pairs)
+        for su, sv in pairs:
+            adj[su].add(sv)
+            adj[sv].add(su)
+            if in_sol[su]:
+                if in_sol[sv]:
+                    conflicts.append((su, sv))
+                else:
+                    counts[sv] += 1
+                    bumped.append(sv)
+            elif in_sol[sv]:
+                counts[su] += 1
+                bumped.append(su)
         graph._num_edges += len(pairs)
         self.stats.count_updates += len(bumped)
         return bumped, conflicts
@@ -526,28 +513,16 @@ class LazyMISState:
         dropped: List[int] = []
         outside: List[Tuple[int, int]] = []
         remove = self._remove_pair_symmetric
-        if kernels.vectorizes(len(pairs)):
-            cols = kernels.pair_columns(pairs)
-            kernels.validate_edge_deletions(graph, adj, pairs, cols)
-            one_sided, outside = kernels.classify_deletions(
-                pairs, in_sol, cols
-            )
-            for su, sv in pairs:
-                remove(adj, su, sv)
-            for out_slot, _sol_slot in one_sided:
-                counts[out_slot] -= 1
-                dropped.append(out_slot)
-        else:
-            kernels.validate_edge_deletions(graph, adj, pairs)
-            for su, sv in pairs:
-                remove(adj, su, sv)
-                u_in = in_sol[su]
-                if u_in != in_sol[sv]:
-                    s_out, s_in = (sv, su) if u_in else (su, sv)
-                    counts[s_out] -= 1
-                    dropped.append(s_out)
-                elif not u_in:
-                    outside.append((su, sv))
+        kernels.validate_edge_deletions(graph, adj, pairs)
+        for su, sv in pairs:
+            remove(adj, su, sv)
+            u_in = in_sol[su]
+            if u_in != in_sol[sv]:
+                s_out, s_in = (sv, su) if u_in else (su, sv)
+                counts[s_out] -= 1
+                dropped.append(s_out)
+            elif not u_in:
+                outside.append((su, sv))
         graph._num_edges -= len(pairs)
         self.stats.count_updates += len(dropped)
         return dropped, outside
@@ -563,56 +538,6 @@ class LazyMISState:
                 f"asymmetric adjacency: edge ({su}, {sv}) present only as "
                 f"{su}->{sv}"
             ) from None
-
-    # ------------------------------------------------------------------ #
-    # Split bulk mutation (the sharded engine's intra-partition path)
-    # ------------------------------------------------------------------ #
-    # See MISState: structural apply + classification replay must be
-    # byte-identical to one bulk call.  The lazy state has no stored I(v)
-    # or hierarchy, so a replayed classification is just the count delta
-    # with the same count_updates accounting as the bulk primitives.
-
-    def add_edges_structural_bulk(self, pairs: List[Tuple[int, int]]) -> None:
-        """Insert a run of edges with no count bookkeeping (validated, atomic)."""
-        adj = self._adj
-        kernels.validate_edge_insertions(self.graph, adj, pairs)
-        _privatize_adj_pairs(self.graph, adj, pairs)
-        for su, sv in pairs:
-            adj[su].add(sv)
-            adj[sv].add(su)
-        self.graph._num_edges += len(pairs)
-
-    def remove_edges_structural_bulk(self, pairs: List[Tuple[int, int]]) -> None:
-        """Delete a run of edges with no count bookkeeping (validated, atomic)."""
-        adj = self._adj
-        kernels.validate_edge_deletions(self.graph, adj, pairs)
-        _privatize_adj_pairs(self.graph, adj, pairs)
-        remove = self._remove_pair_symmetric
-        for su, sv in pairs:
-            remove(adj, su, sv)
-        self.graph._num_edges -= len(pairs)
-
-    def note_solution_neighbors_added(
-        self, pairs: Iterable[Tuple[int, int]]
-    ) -> None:
-        """Replay one-sided insertions: each pair is ``(slot, solution slot)``."""
-        counts = self._count
-        n = 0
-        for slot, _solution_slot in pairs:
-            counts[slot] += 1
-            n += 1
-        self.stats.count_updates += n
-
-    def note_solution_neighbors_removed(
-        self, pairs: Iterable[Tuple[int, int]]
-    ) -> None:
-        """Replay one-sided deletions: each pair is ``(slot, solution slot)``."""
-        counts = self._count
-        n = 0
-        for slot, _solution_slot in pairs:
-            counts[slot] -= 1
-            n += 1
-        self.stats.count_updates += n
 
     # ------------------------------------------------------------------ #
     # Invariant checking

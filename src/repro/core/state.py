@@ -835,32 +835,19 @@ class MISState:
         bumped: List[int] = []
         conflicts: List[Tuple[int, int]] = []
         add_sn = self._add_solution_neighbor
-        if kernels.vectorizes(len(pairs)):
-            cols = kernels.pair_columns(pairs)
-            kernels.validate_edge_insertions(graph, adj, pairs, cols)
-            one_sided, conflicts = kernels.classify_insertions(
-                pairs, in_sol, cols
-            )
-            for su, sv in pairs:
-                adj[su].add(sv)
-                adj[sv].add(su)
-            for out_slot, sol_slot in one_sided:
-                add_sn(out_slot, sol_slot)
-                bumped.append(out_slot)
-        else:
-            kernels.validate_edge_insertions(graph, adj, pairs)
-            for su, sv in pairs:
-                adj[su].add(sv)
-                adj[sv].add(su)
-                if in_sol[su]:
-                    if in_sol[sv]:
-                        conflicts.append((su, sv))
-                    else:
-                        add_sn(sv, su)
-                        bumped.append(sv)
-                elif in_sol[sv]:
-                    add_sn(su, sv)
-                    bumped.append(su)
+        kernels.validate_edge_insertions(graph, adj, pairs)
+        for su, sv in pairs:
+            adj[su].add(sv)
+            adj[sv].add(su)
+            if in_sol[su]:
+                if in_sol[sv]:
+                    conflicts.append((su, sv))
+                else:
+                    add_sn(sv, su)
+                    bumped.append(sv)
+            elif in_sol[sv]:
+                add_sn(su, sv)
+                bumped.append(su)
         graph._num_edges += len(pairs)
         return bumped, conflicts
 
@@ -888,30 +875,17 @@ class MISState:
         dropped: List[int] = []
         outside: List[Tuple[int, int]] = []
         remove_sn = self._remove_solution_neighbor
-        if kernels.vectorizes(len(pairs)):
-            cols = kernels.pair_columns(pairs)
-            kernels.validate_edge_deletions(graph, adj, pairs, cols)
-            one_sided, outside = kernels.classify_deletions(
-                pairs, in_sol, cols
-            )
-            remove = self._remove_pair_symmetric
-            for su, sv in pairs:
-                remove(adj, su, sv)
-            for out_slot, sol_slot in one_sided:
-                remove_sn(out_slot, sol_slot)
-                dropped.append(out_slot)
-        else:
-            kernels.validate_edge_deletions(graph, adj, pairs)
-            remove = self._remove_pair_symmetric
-            for su, sv in pairs:
-                remove(adj, su, sv)
-                u_in = in_sol[su]
-                if u_in != in_sol[sv]:
-                    s_out, s_in = (sv, su) if u_in else (su, sv)
-                    remove_sn(s_out, s_in)
-                    dropped.append(s_out)
-                elif not u_in:
-                    outside.append((su, sv))
+        kernels.validate_edge_deletions(graph, adj, pairs)
+        remove = self._remove_pair_symmetric
+        for su, sv in pairs:
+            remove(adj, su, sv)
+            u_in = in_sol[su]
+            if u_in != in_sol[sv]:
+                s_out, s_in = (sv, su) if u_in else (su, sv)
+                remove_sn(s_out, s_in)
+                dropped.append(s_out)
+            elif not u_in:
+                outside.append((su, sv))
         graph._num_edges -= len(pairs)
         return dropped, outside
 
@@ -926,56 +900,6 @@ class MISState:
                 f"asymmetric adjacency: edge ({su}, {sv}) present only as "
                 f"{su}->{sv}"
             ) from None
-
-    # ------------------------------------------------------------------ #
-    # Split bulk mutation (the sharded engine's intra-partition path)
-    # ------------------------------------------------------------------ #
-    # The sharded engine (repro.core.sharded) separates what the bulk
-    # primitives above do in one pass: shard workers classify their
-    # intra-partition pairs against a shared membership view while the
-    # coordinator performs the structural mutation here, then replays the
-    # workers' classifications through the note_* methods.  Structural
-    # apply + classification replay must leave the state byte-identical to
-    # one add/remove_edges_slots_bulk call over the same pairs — the
-    # per-pair bookkeeping goes through the same _add/_remove_solution_
-    # neighbor transitions, and membership is frozen during an edge phase,
-    # so the interleaving cannot be observed.
-
-    def add_edges_structural_bulk(self, pairs: List[Tuple[int, int]]) -> None:
-        """Insert a run of edges with no count bookkeeping (validated, atomic)."""
-        adj = self._adj
-        kernels.validate_edge_insertions(self.graph, adj, pairs)
-        _privatize_adj_pairs(self.graph, adj, pairs)
-        for su, sv in pairs:
-            adj[su].add(sv)
-            adj[sv].add(su)
-        self.graph._num_edges += len(pairs)
-
-    def remove_edges_structural_bulk(self, pairs: List[Tuple[int, int]]) -> None:
-        """Delete a run of edges with no count bookkeeping (validated, atomic)."""
-        adj = self._adj
-        kernels.validate_edge_deletions(self.graph, adj, pairs)
-        _privatize_adj_pairs(self.graph, adj, pairs)
-        remove = self._remove_pair_symmetric
-        for su, sv in pairs:
-            remove(adj, su, sv)
-        self.graph._num_edges -= len(pairs)
-
-    def note_solution_neighbors_added(
-        self, pairs: Iterable[Tuple[int, int]]
-    ) -> None:
-        """Replay one-sided insertions: each pair is ``(slot, solution slot)``."""
-        add_sn = self._add_solution_neighbor
-        for slot, solution_slot in pairs:
-            add_sn(slot, solution_slot)
-
-    def note_solution_neighbors_removed(
-        self, pairs: Iterable[Tuple[int, int]]
-    ) -> None:
-        """Replay one-sided deletions: each pair is ``(slot, solution slot)``."""
-        remove_sn = self._remove_solution_neighbor
-        for slot, solution_slot in pairs:
-            remove_sn(slot, solution_slot)
 
     # ------------------------------------------------------------------ #
     # Invariant checking

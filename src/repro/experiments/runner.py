@@ -15,6 +15,7 @@ The runner knows how to
 
 from __future__ import annotations
 
+import inspect
 import time
 from dataclasses import dataclass
 from itertools import islice
@@ -22,9 +23,11 @@ from pathlib import Path
 from typing import (
     Callable,
     Dict,
+    FrozenSet,
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Set,
@@ -79,12 +82,33 @@ PAPER_ALGORITHMS: Tuple[str, ...] = (
 )
 
 
+def _constructor_options(cls) -> FrozenSet[str]:
+    """Keyword options ``cls(graph, initial_solution=..., **options)`` accepts.
+
+    Follows ``**kwargs`` up the MRO (``DyOneSwap`` forwards everything to
+    :class:`~repro.core.base.DynamicMISBase`) and stops at the first
+    constructor that names all of its keywords.
+    """
+    names: Set[str] = set()
+    for klass in cls.__mro__:
+        init = klass.__dict__.get("__init__")
+        if init is None:
+            continue
+        params = inspect.signature(init).parameters.values()
+        names.update(p.name for p in params if p.kind is p.KEYWORD_ONLY)
+        if not any(p.kind is p.VAR_KEYWORD for p in params):
+            break
+    names.discard("initial_solution")
+    return frozenset(names)
+
+
 def _make_factory(cls, **fixed):
     def factory(graph: DynamicGraph, initial_solution, **options):
         merged = dict(fixed)
         merged.update(options)
         return cls(graph, initial_solution=initial_solution, **merged)
 
+    factory.options = _constructor_options(cls)
     return factory
 
 
@@ -135,25 +159,30 @@ def _supports_snapshots(name: str, options: Dict) -> bool:
     return supports_snapshots(name)
 
 
-def release_engine(algorithm) -> None:
-    """Deterministically release an engine's external resources.
-
-    A plain algorithm holds nothing beyond Python objects, but a
-    :class:`~repro.core.sharded.ShardedEngine` owns worker processes and
-    ``/dev/shm`` segments.  Those are finalizer-backed, yet a crashed run's
-    exception traceback can keep the engine (and therefore its segments)
-    alive for as long as the caller holds the exception — exactly the
-    supervised-restart window.  Every path that abandons an engine calls
-    this instead of trusting garbage collection.
-    """
-    close = getattr(algorithm, "close", None)
-    if callable(close):
-        close()
-
-
 def available_algorithms() -> Tuple[str, ...]:
     """Names accepted by :func:`run_algorithm`."""
     return tuple(ALGORITHM_FACTORIES)
+
+
+def check_algorithm_options(name: str, options: Mapping) -> None:
+    """Refuse an unregistered algorithm or an option its constructor lacks.
+
+    Raises :class:`ExperimentError` naming the algorithm and every unknown
+    option, so a bad configuration fails where it is loaded instead of as a
+    bare ``TypeError`` from the constructor.
+    """
+    try:
+        factory = ALGORITHM_FACTORIES[name]
+    except KeyError:
+        raise ExperimentError(
+            f"unknown algorithm {name!r}; available: {sorted(ALGORITHM_FACTORIES)}"
+        ) from None
+    unknown = sorted(set(options) - factory.options)
+    if unknown:
+        raise ExperimentError(
+            f"algorithm {name!r} does not accept option(s) "
+            f"{', '.join(map(repr, unknown))}; accepted: {sorted(factory.options)}"
+        )
 
 
 def create_algorithm(
@@ -164,32 +193,10 @@ def create_algorithm(
 ):
     """Instantiate a registered algorithm on ``graph``.
 
-    ``workers=N`` (accepted for every registered algorithm) wraps the
-    instance in a :class:`~repro.core.sharded.ShardedEngine`: batches are
-    fanned out across ``N`` shard processes over shared-memory membership
-    views, with results bit-identical to the unwrapped algorithm.  The
-    wrapper delegates its whole observable surface — state, statistics,
-    snapshots — so measurements, checkpoints and resumes are
-    indistinguishable from single-process runs (``workers`` survives a
-    resume because it lives in the run options, not the snapshot payload).
+    Options are checked by :func:`check_algorithm_options` first.
     """
-    options = dict(options)
-    workers = options.pop("workers", None)
-    try:
-        factory = ALGORITHM_FACTORIES[name]
-    except KeyError:
-        raise ExperimentError(
-            f"unknown algorithm {name!r}; available: {sorted(ALGORITHM_FACTORIES)}"
-        ) from None
-    algorithm = factory(graph, initial_solution, **options)
-    if workers is not None:
-        workers = int(workers)
-        if workers < 1:
-            raise ExperimentError("workers must be at least 1")
-        from repro.core.sharded import ShardedEngine
-
-        algorithm = ShardedEngine(algorithm, workers=workers)
-    return algorithm
+    check_algorithm_options(name, options)
+    return ALGORITHM_FACTORIES[name](graph, initial_solution, **options)
 
 
 def _timed_stream_run(
@@ -316,59 +323,6 @@ def _run_single(
     guard: Optional[Callable] = None,
     guard_every: Optional[int] = None,
 ) -> Tuple[RunMeasurement, object]:
-    """Crash-safe wrapper around :func:`_run_single_inner`.
-
-    On any exception the engines created by the attempt are released via
-    :func:`release_engine` before the exception propagates.  Without this,
-    a sharded engine abandoned by a crash stays pinned by the traceback
-    frames of the in-flight exception — for a supervised tenant that means
-    worker pools and ``/dev/shm`` segments leaking for the whole
-    backoff-and-restart window, once per restart.
-    """
-    created: List[object] = []
-    try:
-        return _run_single_inner(
-            name,
-            graph,
-            stream,
-            dataset=dataset,
-            initial_solution=initial_solution,
-            time_limit_seconds=time_limit_seconds,
-            check_interval=check_interval,
-            batch_size=batch_size,
-            checkpoint=checkpoint,
-            resume_from=resume_from,
-            options=options,
-            guard=guard,
-            guard_every=guard_every,
-            _algo_box=created,
-        )
-    except BaseException:
-        for algorithm in created:
-            try:
-                release_engine(algorithm)
-            except Exception:  # pragma: no cover - best-effort cleanup
-                pass
-        raise
-
-
-def _run_single_inner(
-    name: str,
-    graph: DynamicGraph,
-    stream: Iterable,
-    *,
-    dataset: str,
-    initial_solution: Optional[Iterable[Vertex]],
-    time_limit_seconds: Optional[float],
-    check_interval: int,
-    batch_size: int,
-    checkpoint: Optional[CheckpointConfig],
-    resume_from: Optional[Union[str, Path]],
-    options: Dict,
-    guard: Optional[Callable] = None,
-    guard_every: Optional[int] = None,
-    _algo_box: Optional[List[object]] = None,
-) -> Tuple[RunMeasurement, object]:
     """Shared engine of :func:`run_algorithm` / :func:`run_competition`.
 
     Returns ``(measurement, algorithm)`` — the caller may need the live
@@ -473,12 +427,7 @@ def _run_single_inner(
         def factory(restored_graph, solution, **snapshot_options):
             merged = dict(options)
             merged.update(snapshot_options)
-            built = create_algorithm(name, restored_graph, solution, **merged)
-            if _algo_box is not None:
-                # Registered the moment it exists: a restore that fails
-                # *after* building the engine must still release it.
-                _algo_box.append(built)
-            return built
+            return create_algorithm(name, restored_graph, solution, **merged)
 
         algorithm = restored.restore(factory)
         skip = restored.processed
@@ -487,8 +436,6 @@ def _run_single_inner(
     else:
         working_graph = graph.copy()
         algorithm = create_algorithm(name, working_graph, initial_solution, **options)
-        if _algo_box is not None:
-            _algo_box.append(algorithm)
         initial_size = algorithm.solution_size
     # The per-session cutoff accounts for update time already spent before
     # the resume, mirroring the paper's per-run budget.
@@ -831,84 +778,73 @@ def _run_fanout(
     base = graph.copy()
     names = list(algorithms)
     engines: Dict[str, object] = {}
-    created: List[object] = []
-    try:
-        for name in names:
-            options = algorithm_options.get(name, {})
-            engine = create_algorithm(
-                name, base.fork(), initial_solution, **options
-            )
-            created.append(engine)
-            engines[name] = engine
-        initial_sizes = {name: engines[name].solution_size for name in names}
-        stopwatches = {name: Stopwatch() for name in names}
-        processed = {name: 0 for name in names}
-        running = {name: True for name in names}
-        chunk_size = (
-            max(batch_size, (CHECKPOINT_CHUNK // batch_size) * batch_size)
-            if batch_size > 1
-            else CHECKPOINT_CHUNK
+    for name in names:
+        options = algorithm_options.get(name, {})
+        engines[name] = create_algorithm(
+            name, base.fork(), initial_solution, **options
         )
-        iterator = iter(stream)
-        consumed = 0
-        while any(running.values()):
-            chunk = list(islice(iterator, chunk_size))
-            if not chunk:
-                break
-            consumed += len(chunk)
-            for name in names:
-                if not running[name]:
-                    continue
-                stopwatch = stopwatches[name]
-                with stopwatch:
-                    done, chunk_finished = _timed_stream_run(
-                        engines[name],
-                        chunk,
-                        stopwatch,
-                        time_limit_seconds,
-                        check_interval,
-                        batch_size,
-                    )
-                processed[name] += done
-                if not chunk_finished:
-                    running[name] = False
-            if len(chunk) < chunk_size:
-                break
-        # The single pass above is the whole consumption — a second
-        # iteration of a one-shot stream would silently hand later work
-        # empty chunks, so pin the contract: every algorithm that ran to
-        # completion saw exactly the operations of the single pass.
-        assert all(
-            processed[name] == consumed for name in names if running[name]
-        ), "fan-out double-fed or starved an algorithm within the single pass"
-        measurements: Dict[str, RunMeasurement] = {}
-        final_solutions = []
-        final_graph: Optional[DynamicGraph] = None
+    initial_sizes = {name: engines[name].solution_size for name in names}
+    stopwatches = {name: Stopwatch() for name in names}
+    processed = {name: 0 for name in names}
+    running = {name: True for name in names}
+    chunk_size = (
+        max(batch_size, (CHECKPOINT_CHUNK // batch_size) * batch_size)
+        if batch_size > 1
+        else CHECKPOINT_CHUNK
+    )
+    iterator = iter(stream)
+    consumed = 0
+    while any(running.values()):
+        chunk = list(islice(iterator, chunk_size))
+        if not chunk:
+            break
+        consumed += len(chunk)
         for name in names:
-            engine = engines[name]
-            finished = running[name]
-            measurements[name] = RunMeasurement(
-                algorithm=name,
-                dataset=dataset,
-                num_updates=processed[name],
-                initial_size=initial_sizes[name],
-                final_size=engine.solution_size,
-                elapsed_seconds=stopwatches[name].elapsed,
-                memory_footprint=engine.memory_footprint(),
-                finished=finished,
-                extra=_algorithm_extras(engine),
-            )
-            if finished:
-                final_solutions.append(engine.solution())
-                final_graph = engine.graph
-        return measurements, final_solutions, final_graph
-    except BaseException:
-        for engine in created:
-            try:
-                release_engine(engine)
-            except Exception:  # pragma: no cover - best-effort cleanup
-                pass
-        raise
+            if not running[name]:
+                continue
+            stopwatch = stopwatches[name]
+            with stopwatch:
+                done, chunk_finished = _timed_stream_run(
+                    engines[name],
+                    chunk,
+                    stopwatch,
+                    time_limit_seconds,
+                    check_interval,
+                    batch_size,
+                )
+            processed[name] += done
+            if not chunk_finished:
+                running[name] = False
+        if len(chunk) < chunk_size:
+            break
+    # The single pass above is the whole consumption — a second
+    # iteration of a one-shot stream would silently hand later work
+    # empty chunks, so pin the contract: every algorithm that ran to
+    # completion saw exactly the operations of the single pass.
+    assert all(
+        processed[name] == consumed for name in names if running[name]
+    ), "fan-out double-fed or starved an algorithm within the single pass"
+    measurements: Dict[str, RunMeasurement] = {}
+    final_solutions = []
+    final_graph: Optional[DynamicGraph] = None
+    for name in names:
+        engine = engines[name]
+        finished = running[name]
+        measurements[name] = RunMeasurement(
+            algorithm=name,
+            dataset=dataset,
+            num_updates=processed[name],
+            initial_size=initial_sizes[name],
+            final_size=engine.solution_size,
+            elapsed_seconds=stopwatches[name].elapsed,
+            memory_footprint=engine.memory_footprint(),
+            finished=finished,
+            extra=_algorithm_extras(engine),
+        )
+        if finished:
+            final_solutions.append(engine.solution())
+            final_graph = engine.graph
+    return measurements, final_solutions, final_graph
 
 
 def run_competition(

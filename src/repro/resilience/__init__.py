@@ -40,7 +40,6 @@ from repro.resilience.faults import (
     SERVICE_INGEST,
     SERVICE_QUERY,
     SERVICE_SHUTDOWN,
-    SHARD_APPLY,
     SNAPSHOT_WRITE,
     STREAM_READ,
     FaultInjector,
@@ -85,7 +84,6 @@ __all__ = [
     "SNAPSHOT_WRITE",
     "CACHE_READ",
     "FETCH",
-    "SHARD_APPLY",
     "SERVICE_INGEST",
     "SERVICE_QUERY",
     "SERVICE_SHUTDOWN",

@@ -23,10 +23,6 @@ point                     where it fires
                           (once per chunk line decoded)
 ``fetch``                 :func:`~repro.experiments.fetch.fetch_file`
                           (once per network chunk received)
-``shard.apply``           :meth:`~repro.core.sharded.ShardedEngine.apply_batch`
-                          (once per parallel batch, before dispatch; the
-                          engine converts the fault into a SIGKILL of one
-                          live shard worker — the worker-crash drill)
 ``service.ingest``        :meth:`~repro.service.tenant.Tenant.offer`
                           (once per ingest request, before admission; the
                           gateway degrades it to an ``injected-fault`` error
@@ -82,7 +78,6 @@ CHECKPOINT_WRITE = "checkpoint.write"
 SNAPSHOT_WRITE = "snapshot.write"
 CACHE_READ = "cache.read"
 FETCH = "fetch"
-SHARD_APPLY = "shard.apply"
 SERVICE_INGEST = "service.ingest"
 SERVICE_QUERY = "service.query"
 SERVICE_SHUTDOWN = "service.shutdown"
@@ -96,7 +91,6 @@ FAULT_POINTS: FrozenSet[str] = frozenset(
         SNAPSHOT_WRITE,
         CACHE_READ,
         FETCH,
-        SHARD_APPLY,
         SERVICE_INGEST,
         SERVICE_QUERY,
         SERVICE_SHUTDOWN,

@@ -3,7 +3,7 @@
 The CI-facing end-to-end proof of the resilience acceptance criterion: a
 replay killed repeatedly by injected faults — mid-stream, mid-batch and
 mid-checkpoint-write — recovers through :func:`supervised_replay` and
-produces a measurement **bit-identical** to the uninterrupted run.  Two
+produces a measurement **bit-identical** to the uninterrupted run.  Three
 deterministic scenarios run against the quick temporal workload:
 
 1. *Unbatched*: faults planned at two stream-read counts (one of which
@@ -12,13 +12,7 @@ deterministic scenarios run against the quick temporal workload:
 2. *Batched*: faults planned at a coalesce pass, a bulk-apply pass and a
    checkpoint write, with the invariant guard verifying k-maximality at
    chunk boundaries.
-3. *Sharded*: the batched workload run through the parallel engine
-   (``workers=2``), with a ``shard.apply`` drill — the planned fault is
-   converted into a ``SIGKILL`` of a live shard worker mid-batch — plus a
-   torn checkpoint write.  The recovered sharded measurement must be
-   bit-identical to the uninterrupted *single-process* reference: worker
-   crashes degrade a batch to local recompute, never change its result.
-4. *Service*: the same workload ingested through a live in-process
+3. *Service*: the same workload ingested through a live in-process
    gateway (:mod:`repro.service`) over a real Unix socket, with faults at
    every service point — a rejected ingest admission, a degraded query, a
    mid-batch engine crash (supervised tenant restart with replay-buffer
@@ -45,7 +39,6 @@ from repro.resilience.faults import (
     SERVICE_INGEST,
     SERVICE_QUERY,
     SERVICE_SHUTDOWN,
-    SHARD_APPLY,
     STREAM_READ,
     FaultPlan,
     inject_faults,
@@ -76,7 +69,6 @@ def _scenario(
     plan,
     workdir,
     reference,
-    require_points=(),
     **run_options,
 ):
     """One crash-simulation scenario; returns the failure message or ``None``."""
@@ -103,13 +95,6 @@ def _scenario(
     )
     if not fired:
         return f"{name}: no planned fault fired — the scenario tested nothing"
-    fired_points = {point for point, _hit in fired}
-    for point in require_points:
-        if point not in fired_points:
-            return (
-                f"{name}: required fault point {point!r} never fired — "
-                f"the scenario tested nothing at it"
-            )
     if not result.recovered:
         return f"{name}: no crash was absorbed — the scenario tested nothing"
     if _fingerprint(result.measurement) != _fingerprint(reference):
@@ -128,7 +113,7 @@ def _service_scenario(name, operations, workdir) -> "str | None":
     and a torn checkpoint write, over a real Unix-socket round-trip.
     Returns the failure message or ``None``.
     """
-    from repro.experiments.runner import create_algorithm, release_engine
+    from repro.experiments.runner import create_algorithm
     from repro.graphs.dynamic_graph import DynamicGraph
     from repro.service import ServiceConfig, ServiceThread, TenantSpec
     from repro.service.tenant import engine_digest
@@ -138,12 +123,9 @@ def _service_scenario(name, operations, workdir) -> "str | None":
     batch = 64
     # Reference first, outside the injector: uninterrupted, same boundaries.
     reference_engine = create_algorithm("DyOneSwap", DynamicGraph(), None)
-    try:
-        for group in chunked(iter(operations), batch):
-            reference_engine.apply_batch(group, coalesce=True)
-        expected_digest = engine_digest(reference_engine)
-    finally:
-        release_engine(reference_engine)
+    for group in chunked(iter(operations), batch):
+        reference_engine.apply_batch(group, coalesce=True)
+    expected_digest = engine_digest(reference_engine)
     plan = FaultPlan.union(
         FaultPlan.at(SERVICE_INGEST, 2),
         FaultPlan.at(SERVICE_QUERY, 1),
@@ -275,32 +257,11 @@ def main(argv=None) -> int:
         )
         if failure:
             failures.append(failure)
-        # Scenario 3 — sharded: the same batched workload through the
-        # parallel engine; the shard.apply drill SIGKILLs a live worker
-        # mid-batch and the torn write crashes the coordinator, yet the
-        # recovered measurement must match the single-process reference.
-        failure = _scenario(
-            "sharded",
-            graph,
-            stream,
-            FaultPlan.union(
-                FaultPlan.at(SHARD_APPLY, 2),
-                FaultPlan.at(CHECKPOINT_WRITE, 1),
-            ),
-            tmp / "s3",
-            reference_batched,
-            require_points=(SHARD_APPLY,),
-            batch_size=64,
-            every=128,
-            workers=2,
-        )
-        if failure:
-            failures.append(failure)
-        # Scenario 4 — the always-on service layer: the same operations
+        # Scenario 3 — the always-on service layer: the same operations
         # ingested through a live gateway over a Unix socket, with faults
         # at admission, query, batch apply, checkpoint write and the
         # shutdown drain.
-        failure = _service_scenario("service", list(stream), tmp / "s4")
+        failure = _service_scenario("service", list(stream), tmp / "s3")
         if failure:
             failures.append(failure)
     if failures:

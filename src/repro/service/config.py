@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
-from repro.exceptions import ServiceError
-from repro.experiments.runner import available_algorithms, supports_snapshots
+from repro.exceptions import ExperimentError, ServiceError
+from repro.experiments.runner import check_algorithm_options, supports_snapshots
 from repro.resilience.supervisor import RetryPolicy
 from repro.workloads.replay import CheckpointConfig
 
@@ -81,7 +81,8 @@ class TenantSpec:
         Optional engine snapshot to warm-start from when no checkpoint
         exists yet (first boot of a pre-loaded tenant).
     options:
-        Extra ``create_algorithm`` options (``k``, ``workers``, ...).
+        Extra ``create_algorithm`` options (``k``, ``lazy``, ...); an option
+        the algorithm's constructor does not take is refused here.
     """
 
     name: str
@@ -101,10 +102,10 @@ class TenantSpec:
             raise ServiceError(
                 f"tenant name {self.name!r} must match {_TENANT_NAME.pattern}"
             )
-        if self.algorithm not in available_algorithms():
-            raise ServiceError(
-                f"tenant {self.name!r}: unknown algorithm {self.algorithm!r}"
-            )
+        try:
+            check_algorithm_options(self.algorithm, self.options)
+        except ExperimentError as exc:
+            raise ServiceError(f"tenant {self.name!r}: {exc}") from None
         if not supports_snapshots(self.algorithm):
             raise ServiceError(
                 f"tenant {self.name!r}: algorithm {self.algorithm!r} does not "

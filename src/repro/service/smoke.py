@@ -36,7 +36,7 @@ from typing import Dict, List, Sequence
 
 import repro
 from repro.experiments.datasets import load_temporal_workload
-from repro.experiments.runner import create_algorithm, release_engine
+from repro.experiments.runner import create_algorithm
 from repro.generators.worst_case import flicker_update_stream
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.service.client import ServiceClient, connect_with_retry
@@ -123,12 +123,9 @@ def _wait_until_durable(
 def _reference_digest(initial_graph, operations: Sequence, batch: int) -> str:
     """Uninterrupted run with the service's exact batch boundaries."""
     engine = create_algorithm("DyOneSwap", initial_graph.copy(), None)
-    try:
-        for group in chunked(iter(operations), batch):
-            engine.apply_batch(group, coalesce=True)
-        return engine_digest(engine)
-    finally:
-        release_engine(engine)
+    for group in chunked(iter(operations), batch):
+        engine.apply_batch(group, coalesce=True)
+    return engine_digest(engine)
 
 
 def main() -> int:

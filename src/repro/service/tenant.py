@@ -24,9 +24,7 @@ Responsibilities, and how they compose:
   process death, unlike a hashing cursor's in-memory state) and service
   metadata so a warm start can refuse a config-mismatched checkpoint.
 * **Supervision** (:meth:`run`): a crashed engine (injected fault, I/O
-  error, integrity violation) is released (worker pools and shared memory
-  freed deterministically — see
-  :func:`~repro.experiments.runner.release_engine`), restored from the
+  error, integrity violation) is dropped, restored from the
   newest *valid* checkpoint and brought back to the exact pre-crash state
   by replaying the in-memory replay buffer with the **original batch
   boundaries** — recovery is bit-identical and invisible to clients, while
@@ -44,7 +42,7 @@ from pathlib import Path
 from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.exceptions import OverloadedError, ServiceError
-from repro.experiments.runner import create_algorithm, release_engine
+from repro.experiments.runner import create_algorithm
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.resilience.faults import SERVICE_INGEST, SERVICE_SHUTDOWN, trip
 from repro.resilience.integrity import document_digest
@@ -242,11 +240,8 @@ class Tenant:
         """
         if self.engine is None:
             raise ServiceError(f"tenant {self.spec.name!r} engine is down")
-        # ShardedEngine delegates fork() to its inner engine; the throwaway
-        # branch is always a plain single-process fork.
-        engine = getattr(self.engine, "snapshot_delegate", self.engine)
-        before = set(engine.solution())
-        fork = engine.fork()
+        before = set(self.engine.solution())
+        fork = self.engine.fork()
         if operations:
             fork.apply_batch(list(operations), coalesce=True)
         after = set(fork.solution())
@@ -316,14 +311,14 @@ class Tenant:
                 await self._serve()
                 return
             except asyncio.CancelledError:
-                self._release()
+                self.engine = None
                 raise
             except RECOVERABLE as exc:
                 self.ready.clear()
                 self.status = "recovering"
                 self.stats["crashes"] += 1
                 self.crashes.append(f"{type(exc).__name__}: {exc}")
-                self._release()
+                self.engine = None
                 self._attempt += 1
                 if self._attempt >= self.retry.max_attempts:
                     self.status = "failed"
@@ -333,19 +328,9 @@ class Tenant:
             except BaseException:
                 self.status = "failed"
                 self.ready.clear()
-                self._release()
+                self.engine = None
                 self._idle.set()
                 raise
-
-    def _release(self) -> None:
-        """Free the engine's external resources *now* (shared memory, worker
-        pools), not whenever the garbage collector gets around to it."""
-        if self.engine is not None:
-            engine, self.engine = self.engine, None
-            try:
-                release_engine(engine)
-            except Exception:  # pragma: no cover - best-effort cleanup
-                pass
 
     def _bootstrap(self) -> None:
         """Warm-start priority: newest valid checkpoint > snapshot > fresh."""
@@ -617,6 +602,6 @@ class Tenant:
             # pass its integrity check before we report a clean drain.
             load_checkpoint(path)
         self.final_checkpoint = path
-        self._release()
+        self.engine = None
         self.status = "stopped"
         self._idle.set()

@@ -36,9 +36,6 @@ lists and generators remain valid streams.
 from __future__ import annotations
 
 import hashlib
-import os
-import queue
-import threading
 from itertools import islice
 from typing import (
     Callable,
@@ -172,90 +169,6 @@ def chunked(
         if not chunk:
             return
         yield chunk
-
-
-def prefetch_enabled() -> bool:
-    """Whether the pipelined stream prefetcher is switched on.
-
-    Controlled by the ``REPRO_PREFETCH`` environment variable (default off)
-    and read at *iteration* time, so a test can flip it per replay without
-    re-opening streams.  Prefetching is a pure latency optimisation — the
-    operation sequence, fingerprints and error boundaries are bit-identical
-    either way (see :func:`prefetch_chunks`).
-    """
-    return os.environ.get("REPRO_PREFETCH", "0") not in ("", "0")
-
-
-def prefetch_chunks(chunks: Iterator[List], *, depth: int = 2) -> Iterator[List]:
-    """Run a chunk iterator on a background thread, ``depth`` chunks ahead.
-
-    The double-buffered half of the pipelined ingest path: while the
-    consumer (the engine's repair pass) works through the current decoded
-    chunk, the producer thread reads and decodes the next one.  Order and
-    error semantics are exactly the synchronous path's:
-
-    * chunks are delivered FIFO, so the consumer sees the same sequence;
-    * any exception the producer raises — including injected faults from
-      the ``stream.read`` / ``cache.read`` fault points — is queued *behind*
-      the chunks that preceded it and re-raised at the same chunk boundary
-      the synchronous iteration would have raised it;
-    * closing the returned generator early (consumer abandons the stream)
-      stops the producer thread promptly instead of leaking it.
-
-    ``depth`` bounds residency: at most ``depth`` decoded chunks plus the
-    one being consumed are live, so peak memory matches the synchronous
-    path's O(chunk) bound up to a small constant factor.
-    """
-    if depth < 1:
-        raise ValueError("prefetch depth must be at least 1")
-    buffer: "queue.Queue" = queue.Queue(maxsize=depth)
-    stop = threading.Event()
-    _CHUNK, _DONE, _ERROR = 0, 1, 2
-
-    def produce() -> None:
-        try:
-            try:
-                for chunk in chunks:
-                    while not stop.is_set():
-                        try:
-                            buffer.put((_CHUNK, chunk), timeout=0.1)
-                            break
-                        except queue.Full:
-                            continue
-                    if stop.is_set():
-                        return
-                outcome = (_DONE, None)
-            except BaseException as exc:  # re-raised on the consumer side
-                outcome = (_ERROR, exc)
-            while not stop.is_set():
-                try:
-                    buffer.put(outcome, timeout=0.1)
-                    return
-                except queue.Full:
-                    continue
-        finally:
-            # Release the source promptly (file handles in generator-based
-            # producers) instead of waiting for garbage collection.
-            close = getattr(chunks, "close", None)
-            if close is not None:
-                close()
-
-    worker = threading.Thread(
-        target=produce, name="repro-prefetch", daemon=True
-    )
-    worker.start()
-    try:
-        while True:
-            kind, value = buffer.get()
-            if kind == _CHUNK:
-                yield value
-            elif kind == _DONE:
-                return
-            else:
-                raise value
-    finally:
-        stop.set()
-        worker.join()
 
 
 class OperationStream:

@@ -155,15 +155,11 @@ def fork_for_capture(algorithm):
     fsynced atomic write — then runs against the immutable fork, on a
     background thread if the caller wants
     (:class:`~repro.workloads.replay.AsyncCheckpointWriter`), while the live
-    engine keeps processing updates.  Wrappers exposing ``snapshot_delegate``
-    (:class:`~repro.core.sharded.ShardedEngine`) are unwrapped first,
-    mirroring :func:`algorithm_to_payload` — the fork of a sharded engine is
-    a plain single-process engine, which serializes to the same payload.
+    engine keeps processing updates.
 
     Raises :class:`SnapshotError` for algorithms without fork support (the
     index-based baselines), the same population that cannot snapshot.
     """
-    algorithm = getattr(algorithm, "snapshot_delegate", algorithm)
     fork = getattr(algorithm, "fork", None)
     if fork is None:
         raise SnapshotError(
@@ -181,13 +177,7 @@ def algorithm_to_payload(algorithm) -> Dict:
     between :meth:`apply_update` / ``apply_batch`` calls — mid-batch
     snapshots are rejected because the drained-queue invariant is what makes
     the solution + graph a complete trajectory state).
-
-    Wrappers (e.g. :class:`~repro.core.sharded.ShardedEngine`) expose the
-    wrapped algorithm as ``snapshot_delegate``: the payload captures the
-    delegate, so a sharded run's checkpoints are byte-identical to a
-    single-process run's and restore under either execution mode.
     """
-    algorithm = getattr(algorithm, "snapshot_delegate", algorithm)
     required = ("has_pending_candidates", "state", "stats", "graph")
     for attribute in required:
         if not hasattr(algorithm, attribute):

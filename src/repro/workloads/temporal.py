@@ -68,8 +68,6 @@ from repro.updates.protocol import (
     OperationStream,
     decode_operation,
     encode_operation,
-    prefetch_chunks,
-    prefetch_enabled,
 )
 from repro.workloads.snapshot import atomic_writer
 
@@ -683,11 +681,9 @@ class CachedOperationStream(OperationStream):
         """Read, verify and decode the cache body one chunk line at a time.
 
         All per-chunk work — file I/O, the ``cache.read`` fault point, the
-        incremental body digest and JSON decode — lives here, so the whole
-        pipeline stage can run either inline (the synchronous path) or one
-        chunk ahead on the prefetch thread without duplicating any of the
-        integrity logic.  The end-of-stream count and digest checks run
-        after the last chunk, inside the same stage.
+        incremental body digest and JSON decode — lives here.  The
+        end-of-stream count and digest checks run after the last chunk,
+        inside the same stage.
         """
         count = 0
         body_digest = hashlib.sha256() if self._body_sha256 is not None else None
@@ -735,14 +731,7 @@ class CachedOperationStream(OperationStream):
             )
 
     def __iter__(self) -> Iterator[UpdateOperation]:
-        chunks = self._chunks()
-        if prefetch_enabled():
-            # Pipelined ingest: the next chunk is read + digested + decoded
-            # on a background thread while the consumer's repair pass works
-            # through the current one.  Delivery order, fingerprints and
-            # error boundaries are identical to the inline path.
-            chunks = prefetch_chunks(chunks)
-        for decoded in chunks:
+        for decoded in self._chunks():
             for operation in decoded:
                 yield operation
 

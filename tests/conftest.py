@@ -2,49 +2,12 @@
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
-from repro.core import kernels
 from repro.generators.power_law import power_law_random_graph
 from repro.generators.random_graphs import erdos_renyi_graph
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.updates.streams import mixed_update_stream
-
-
-@pytest.fixture(params=[kernels.PYTHON, kernels.NUMPY])
-def kernel_backend(request):
-    """Run the requesting module's tests under both kernel backends.
-
-    Modules opt in with ``pytestmark = pytest.mark.usefixtures("kernel_backend")``,
-    which duplicates every test into a python-backend and a numpy-backend
-    case (the latter skipped cleanly when numpy is absent).  The numpy leg
-    drops :data:`repro.core.kernels.VECTOR_MIN_PAIRS` to 2 so the vectorized
-    sweeps actually engage on the small workloads tests use — under the
-    default threshold they would all route through the python path — and
-    exports ``REPRO_KERNELS`` so subprocesses (the sharded engine's workers)
-    resolve the same backend.
-    """
-    name = request.param
-    if name == kernels.NUMPY and not kernels.numpy_available():
-        pytest.skip("numpy is not installed")
-    previous = kernels.backend()
-    previous_min = kernels.VECTOR_MIN_PAIRS
-    previous_env = os.environ.get("REPRO_KERNELS")
-    kernels.set_backend(name)
-    os.environ["REPRO_KERNELS"] = name
-    if name == kernels.NUMPY:
-        kernels.VECTOR_MIN_PAIRS = 2
-    try:
-        yield name
-    finally:
-        kernels.VECTOR_MIN_PAIRS = previous_min
-        if previous_env is None:
-            os.environ.pop("REPRO_KERNELS", None)
-        else:
-            os.environ["REPRO_KERNELS"] = previous_env
-        kernels.set_backend(previous)
 
 
 @pytest.fixture

@@ -31,13 +31,17 @@ from repro.core.framework import KSwapFramework
 from repro.core.one_swap import DyOneSwap
 from repro.core.two_swap import DyTwoSwap
 from repro.core.verification import find_j_swap, is_maximal_independent_set
+from repro.experiments import apply_stream_to_graph
 from repro.generators.random_graphs import gnm_random_graph
+from repro.generators.worst_case import (
+    subdivided_complete_graph,
+    subdivided_hypercube_graph,
+)
+from repro.graphs.dynamic_graph import DynamicGraph
 from repro.updates.coalesce import coalesce_batch
-from repro.updates.operations import apply_update
+from repro.updates.operations import UpdateOperation, apply_update
 from repro.updates.streams import flash_crowd_stream, mixed_update_stream
-
-# Every batched-contract case runs under both kernel backends (see conftest).
-pytestmark = pytest.mark.usefixtures("kernel_backend")
+from repro.workloads.snapshot import algorithm_to_payload
 
 
 def _assert_batch_contract(algorithm_class, check_k, graph, stream, batch_size, **kwargs):
@@ -216,3 +220,107 @@ class TestApplyBatchDirect:
         assert raw.graph == net.graph
         assert is_maximal_independent_set(raw.graph, raw.solution())
         assert find_j_swap(raw.graph, raw.solution(), 1) is None
+
+
+SWAP_ALGORITHMS = pytest.mark.parametrize(
+    "algorithm_class, check_k", [(DyOneSwap, 1), (DyTwoSwap, 2)], ids=["DyOneSwap", "DyTwoSwap"]
+)
+
+
+def _assert_k_maximal(algorithm, check_k):
+    solution = algorithm.solution()
+    assert is_maximal_independent_set(algorithm.graph, solution)
+    for j in range(1, check_k + 1):
+        assert find_j_swap(algorithm.graph, solution, j) is None
+
+
+class TestBatchedScenarios:
+    """Fixed scenarios at a larger scale than the property tests above."""
+
+    @SWAP_ALGORITHMS
+    @pytest.mark.parametrize(
+        "family",
+        [lambda: subdivided_complete_graph(6)[0], lambda: subdivided_hypercube_graph(3)[0]],
+        ids=["subdivided_K6", "subdivided_Q3"],
+    )
+    def test_worst_case_families(self, family, algorithm_class, check_k):
+        graph = family()
+        stream = mixed_update_stream(graph, 400, seed=31, edge_fraction=0.6)
+        _assert_batch_contract(algorithm_class, check_k, graph, stream, batch_size=48)
+
+    @SWAP_ALGORITHMS
+    def test_heavy_slot_recycling_churn(self, algorithm_class, check_k):
+        # Flash crowds retract most of what they insert, so slots are freed
+        # and recycled inside nearly every batch.
+        graph = gnm_random_graph(60, 120, seed=41)
+        stream = flash_crowd_stream(
+            graph, 600, burst_size=24, max_neighbors=2, churn=0.9, seed=42
+        )
+        _assert_batch_contract(algorithm_class, check_k, graph, stream, batch_size=64)
+
+    @SWAP_ALGORITHMS
+    def test_same_batch_solution_delete_recycle_and_insert(self, algorithm_class, check_k):
+        """One bulk batch frees a solution slot, recycles it and adds edges.
+
+        The free list is LIFO, so the inserted vertex lands in the deleted
+        solution vertex's slot; the bulk insertion round must then read the
+        recycled slot's fresh (non-solution) membership, not the stale one.
+        """
+
+        def build():
+            return DynamicGraph(edges=[(i, i + 1) for i in range(39)])
+
+        victim = min(v for v in algorithm_class(build()).solution() if 30 <= v <= 35)
+        batch = [
+            UpdateOperation.delete_vertex(victim),
+            UpdateOperation.insert_vertex("reborn", [0, 18]),
+            *(UpdateOperation.insert_edge(i, i + 5) for i in range(11)),
+            *(UpdateOperation.insert_edge(i, i + 9) for i in range(7)),
+            *(UpdateOperation.insert_edge(i, i + 11) for i in range(5)),
+            *(UpdateOperation.delete_edge(17 + i, 18 + i) for i in range(10)),
+        ]
+        assert len(batch) >= algorithm_class.BULK_APPLY_THRESHOLD
+        engine = algorithm_class(build(), check_invariants=True)
+        victim_slot = engine.graph.slot_of(victim)
+        engine.apply_batch(list(batch))
+        assert engine.graph.slot_of("reborn") == victim_slot
+        expected = build()
+        for op in batch:
+            apply_update(expected, op)
+        assert engine.graph == expected
+        _assert_k_maximal(engine, check_k)
+        lazy = algorithm_class(build(), lazy=True)
+        lazy.apply_batch(list(batch))
+        assert lazy.solution() == engine.solution()
+
+    @SWAP_ALGORITHMS
+    def test_stream_split_at_a_batch_boundary_is_byte_identical(self, algorithm_class, check_k):
+        graph = gnm_random_graph(80, 160, seed=3)
+        ops = list(mixed_update_stream(graph, 400, seed=5))
+        whole = algorithm_class(graph.copy())
+        whole.apply_stream(iter(ops), batch_size=64)
+        split = algorithm_class(graph.copy())
+        split.apply_stream(iter(ops[:192]), batch_size=64)
+        split.apply_stream(iter(ops[192:]), batch_size=64)
+        assert algorithm_to_payload(split) == algorithm_to_payload(whole)
+        _assert_k_maximal(split, check_k)
+
+    @SWAP_ALGORITHMS
+    def test_single_updates_between_batches(self, algorithm_class, check_k):
+        graph = gnm_random_graph(80, 160, seed=9)
+        stream = mixed_update_stream(graph, 500, seed=11)
+        ops = list(stream)
+
+        def interleaved(**kwargs):
+            engine = algorithm_class(graph.copy(), **kwargs)
+            engine.apply_stream(iter(ops[:64]), batch_size=64)
+            for op in ops[64:80]:
+                engine.apply_update(op)
+            engine.apply_stream(iter(ops[80:]), batch_size=64)
+            return engine
+
+        engine = interleaved(check_invariants=True)
+        assert engine.graph == apply_stream_to_graph(graph, stream)
+        assert engine.stats.updates_processed == len(ops)
+        _assert_k_maximal(engine, check_k)
+        assert interleaved(lazy=True).solution() == engine.solution()

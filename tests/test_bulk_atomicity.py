@@ -8,8 +8,7 @@ missing edges) and the raised error is the one the historical sequential
 loop raised at its first offending pair — on rejection the state is
 byte-identical to the pre-call state.  These tests assert that equality
 over every observable surface (graph payload, edge count, membership
-bytes, flat counts, statistics) for both state implementations, both
-kernel backends, and both the counted and the structural bulk variants.
+bytes, flat counts, statistics) for both state implementations.
 
 The second half pins the adjacency-symmetry bugfix: a one-sided adjacency
 entry now raises :class:`~repro.exceptions.GraphError` where the corruption
@@ -22,7 +21,6 @@ import dataclasses
 
 import pytest
 
-from repro.core import kernels
 from repro.core.lazy import LazyMISState
 from repro.core.state import MISState
 from repro.exceptions import (
@@ -34,24 +32,6 @@ from repro.exceptions import (
 from repro.graphs.dynamic_graph import DynamicGraph
 
 STATE_CLASSES = (MISState, LazyMISState)
-
-
-@pytest.fixture(params=[kernels.PYTHON, kernels.NUMPY])
-def each_backend(request):
-    """Run each case under both backends, numpy forced onto every sweep."""
-    name = request.param
-    if name == kernels.NUMPY and not kernels.numpy_available():
-        pytest.skip("numpy is not installed")
-    previous = kernels.backend()
-    previous_min = kernels.VECTOR_MIN_PAIRS
-    kernels.set_backend(name)
-    if name == kernels.NUMPY:
-        kernels.VECTOR_MIN_PAIRS = 2
-    try:
-        yield name
-    finally:
-        kernels.VECTOR_MIN_PAIRS = previous_min
-        kernels.set_backend(previous)
 
 
 def _build_state(state_cls):
@@ -119,30 +99,6 @@ REJECTED_BATCHES = [
         [(0, 1), (2, 3), (1, 0)],
         EdgeNotFoundError,
     ),
-    (
-        "structural-insert-self-loop",
-        "add_edges_structural_bulk",
-        [(1, 3), (2, 4), (5, 5)],
-        SelfLoopError,
-    ),
-    (
-        "structural-insert-duplicate",
-        "add_edges_structural_bulk",
-        [(1, 3), (2, 4), (0, 1)],
-        EdgeExistsError,
-    ),
-    (
-        "structural-delete-missing",
-        "remove_edges_structural_bulk",
-        [(0, 1), (2, 3), (1, 5)],
-        EdgeNotFoundError,
-    ),
-    (
-        "structural-delete-duplicate",
-        "remove_edges_structural_bulk",
-        [(0, 1), (2, 3), (0, 1)],
-        EdgeNotFoundError,
-    ),
 ]
 
 
@@ -154,7 +110,7 @@ class TestRejectedBatchesLeaveStateUntouched:
         ids=[case[0] for case in REJECTED_BATCHES],
     )
     def test_rejected_batch_is_a_no_op(
-        self, each_backend, state_cls, label, mutator, batch, error
+        self, state_cls, label, mutator, batch, error
     ):
         graph, state = _build_state(state_cls)
         before = _fingerprint(state)
@@ -165,9 +121,7 @@ class TestRejectedBatchesLeaveStateUntouched:
         graph.check_consistency()
 
     @pytest.mark.parametrize("state_cls", STATE_CLASSES)
-    def test_error_names_the_first_offending_pair(
-        self, each_backend, state_cls
-    ):
+    def test_error_names_the_first_offending_pair(self, state_cls):
         """Sequential-semantics fidelity: with two violations in one batch,
         the error is the one the old per-pair loop hit first."""
         graph, state = _build_state(state_cls)
@@ -182,7 +136,7 @@ class TestRejectedBatchesLeaveStateUntouched:
         assert _fingerprint(state) == before
 
     @pytest.mark.parametrize("state_cls", STATE_CLASSES)
-    def test_accepted_batch_still_applies(self, each_backend, state_cls):
+    def test_accepted_batch_still_applies(self, state_cls):
         """The atomic rewrite must not change the success path."""
         graph, state = _build_state(state_cls)
         bumped, conflicts = state.add_edges_slots_bulk(
@@ -209,9 +163,7 @@ class TestAdjacencySymmetryIsEnforced:
             state.remove_edge_structural(su, sv)
 
     @pytest.mark.parametrize("state_cls", STATE_CLASSES)
-    @pytest.mark.parametrize(
-        "mutator", ["remove_edges_slots_bulk", "remove_edges_structural_bulk"]
-    )
+    @pytest.mark.parametrize("mutator", ["remove_edges_slots_bulk"])
     def test_bulk_removal_raises_on_one_sided_entry(self, state_cls, mutator):
         graph, state = _build_state(state_cls)
         su, sv = graph.slot_of(2), graph.slot_of(3)

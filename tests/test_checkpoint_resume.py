@@ -4,25 +4,35 @@ Asserts the ISSUE's acceptance criterion: a temporal dataset replay can be
 interrupted at an *arbitrary* checkpoint and resumed, and the resumed run's
 final solution, graph and per-algorithm statistics are identical to an
 uninterrupted run's.
+
+Also pins write-behind checkpointing (:class:`AsyncCheckpointWriter` behind
+``CheckpointConfig(write_behind=True)``) and the incremental keep-N prune
+ledger.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import CheckpointError, ExperimentError
+from repro.core.one_swap import DyOneSwap
+from repro.exceptions import CheckpointError, ExperimentError, InjectedFault
 from repro.experiments import (
     load_temporal_workload,
     run_algorithm,
     run_competition,
 )
+from repro.generators.random_graphs import gnm_random_graph
+from repro.resilience.faults import CHECKPOINT_WRITE, FaultPlan, inject_faults
 from repro.updates.streams import UpdateStream
 from repro.workloads import (
     CheckpointConfig,
+    checkpoint_path,
     find_checkpoints,
     latest_checkpoint,
     load_checkpoint,
+    save_checkpoint,
 )
+from repro.workloads.replay import AsyncCheckpointWriter, invalidate_prune_ledger
 from repro.workloads.snapshot import graph_to_payload
 
 
@@ -364,3 +374,139 @@ class TestWallClockCheckpointing:
         checkpoints = find_checkpoints(tmp_path, "DyOneSwap")
         assert len(checkpoints) >= 2  # periodic, not just end-of-stream
         assert checkpoints[0][0] < measurement.num_updates
+
+
+class TestAsyncCheckpointWriter:
+    def _engine(self):
+        return DyOneSwap(gnm_random_graph(24, 40, seed=7))
+
+    def _kwargs(self, processed):
+        return dict(
+            algorithm_name="DyOneSwap",
+            processed=processed,
+            initial_size=0,
+            dataset="writer-test",
+        )
+
+    def test_save_returns_the_committed_path(self, tmp_path):
+        engine = self._engine()
+        with AsyncCheckpointWriter() as writer:
+            promised = writer.save(engine, tmp_path, **self._kwargs(10))
+            assert promised == checkpoint_path(tmp_path, "DyOneSwap", 10)
+            writer.flush()
+            assert promised.exists()
+        loaded = load_checkpoint(promised)
+        assert loaded.processed == 10
+        # The capture forked the engine: mutating it after save() must not
+        # race the background serialization.
+        restored = loaded.restore()
+        assert sorted(restored.solution()) == sorted(engine.solution())
+
+    def test_flush_is_a_durability_barrier(self, tmp_path):
+        engine = self._engine()
+        with AsyncCheckpointWriter() as writer:
+            paths = [
+                writer.save(engine, tmp_path, **self._kwargs(step))
+                for step in (1, 2, 3)
+            ]
+            writer.flush()
+            assert all(path.exists() for path in paths)
+
+    def test_write_failure_surfaces_at_the_barrier(self, tmp_path):
+        engine = self._engine()
+        writer = AsyncCheckpointWriter()
+        try:
+            with inject_faults(FaultPlan.at(CHECKPOINT_WRITE, 1)):
+                writer.save(engine, tmp_path, **self._kwargs(1))
+                with pytest.raises(InjectedFault):
+                    writer.flush()
+            # The torn write left no file and the writer recovers cleanly.
+            assert find_checkpoints(tmp_path, "DyOneSwap") == []
+            writer.save(engine, tmp_path, **self._kwargs(2))
+            writer.flush()
+            assert find_checkpoints(tmp_path, "DyOneSwap") == [
+                (2, checkpoint_path(tmp_path, "DyOneSwap", 2))
+            ]
+        finally:
+            writer.close()
+
+    def test_closed_writer_refuses_saves(self, tmp_path):
+        writer = AsyncCheckpointWriter()
+        writer.close()
+        writer.close()  # idempotent
+        with pytest.raises(CheckpointError, match="closed"):
+            writer.save(self._engine(), tmp_path, **self._kwargs(1))
+
+    def test_depth_must_be_positive(self):
+        with pytest.raises(CheckpointError, match="depth"):
+            AsyncCheckpointWriter(depth=0)
+
+    def test_runner_write_behind_failure_aborts_the_run(self, tmp_path):
+        graph = gnm_random_graph(16, 24, seed=3)
+        from repro.updates.streams import mixed_update_stream
+
+        operations = list(mixed_update_stream(graph.copy(), 300, seed=9))
+        config = CheckpointConfig(
+            directory=tmp_path, every=100, write_behind=True
+        )
+        with inject_faults(FaultPlan.at(CHECKPOINT_WRITE, 2)):
+            with pytest.raises(InjectedFault):
+                run_algorithm("DyOneSwap", graph, operations, checkpoint=config)
+        # The failed run still committed everything before the fault and
+        # nothing after it (no half-written trail).
+        committed = find_checkpoints(tmp_path, "DyOneSwap")
+        assert [processed for processed, _ in committed] == [100]
+
+
+class TestPruneLedger:
+    def _save(self, engine, config, processed):
+        return save_checkpoint(
+            engine,
+            config,
+            algorithm_name="DyOneSwap",
+            processed=processed,
+            initial_size=0,
+        )
+
+    def test_incremental_keep_matches_a_fresh_scan(self, tmp_path):
+        engine = DyOneSwap(gnm_random_graph(12, 18, seed=1))
+        config = CheckpointConfig(directory=tmp_path, every=1, keep=2)
+        for step in range(1, 7):
+            self._save(engine, config, step)
+            survivors = find_checkpoints(tmp_path, "DyOneSwap")
+            expected = [max(1, step - 1), step][: step if step < 2 else 2]
+            assert [processed for processed, _ in survivors] == expected
+
+    def test_external_deletion_triggers_a_rescan(self, tmp_path):
+        engine = DyOneSwap(gnm_random_graph(12, 18, seed=2))
+        config = CheckpointConfig(directory=tmp_path, every=1, keep=2)
+        for step in (1, 2, 3):
+            self._save(engine, config, step)
+        # Another process empties the directory behind the ledger's back.
+        for _, path in find_checkpoints(tmp_path, "DyOneSwap"):
+            path.unlink()
+        # The next pruning write notices its victim is gone, drops the
+        # stale ledger entry and rebuilds from disk — no crash, and the
+        # retention invariant holds against reality, not the cached view.
+        self._save(engine, config, 4)
+        self._save(engine, config, 5)
+        self._save(engine, config, 6)
+        assert [
+            processed for processed, _ in find_checkpoints(tmp_path, "DyOneSwap")
+        ] == [5, 6]
+
+    def test_invalidate_prune_ledger(self, tmp_path):
+        engine = DyOneSwap(gnm_random_graph(12, 18, seed=3))
+        config = CheckpointConfig(directory=tmp_path, every=1, keep=3)
+        for step in (1, 2, 3):
+            self._save(engine, config, step)
+        invalidate_prune_ledger(tmp_path)  # forget one directory
+        self._save(engine, config, 4)
+        assert [
+            processed for processed, _ in find_checkpoints(tmp_path, "DyOneSwap")
+        ] == [2, 3, 4]
+        invalidate_prune_ledger()  # forget everything
+        self._save(engine, config, 5)
+        assert [
+            processed for processed, _ in find_checkpoints(tmp_path, "DyOneSwap")
+        ] == [3, 4, 5]

@@ -18,7 +18,6 @@ unbatched and batched application — against two independent oracles:
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -33,9 +32,6 @@ from repro.updates.streams import (
     mixed_update_stream,
     sliding_window_stream,
 )
-
-# Every oracle configuration runs under both kernel backends (see conftest).
-pytestmark = pytest.mark.usefixtures("kernel_backend")
 
 #: Every engine configuration the oracle cross-checks.
 CONFIGURATIONS = [

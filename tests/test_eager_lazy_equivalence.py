@@ -17,7 +17,6 @@ invariants (maximality and the hierarchy bookkeeping) on both runs.
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -27,9 +26,6 @@ from repro.core.two_swap import DyTwoSwap
 from repro.core.verification import is_maximal_independent_set
 from repro.generators.random_graphs import gnm_random_graph
 from repro.updates.streams import mixed_update_stream
-
-# Every equivalence case runs under both kernel backends (see conftest).
-pytestmark = pytest.mark.usefixtures("kernel_backend")
 
 
 def _build_workload(graph_seed: int, stream_seed: int, n: int, m: int, updates: int):

@@ -13,8 +13,6 @@ independent oracle:
   been forked at all,
 * **chains** — forks of forks keep both properties; each hop shares
   structure with its parent and privatizes only what it touches.
-
-Every case runs under both ``REPRO_KERNELS`` backends (see conftest).
 """
 
 from __future__ import annotations
@@ -29,14 +27,13 @@ from hypothesis import strategies as st
 from repro.core.one_swap import DyOneSwap
 from repro.core.two_swap import DyTwoSwap
 from repro.exceptions import SolutionInvariantError
+from repro.experiments.runner import create_algorithm
 from repro.generators.random_graphs import gnm_random_graph
 from repro.graphs import dynamic_graph
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.updates.operations import UpdateOperation
 from repro.updates.streams import mixed_update_stream
 from repro.workloads.snapshot import algorithm_to_payload
-
-pytestmark = pytest.mark.usefixtures("kernel_backend")
 
 CONFIGURATIONS = [
     (algorithm_class, lazy)
@@ -199,21 +196,6 @@ class TestForkMechanics:
         parent._candidates[1].clear()
         parent.fork()  # drained again: fork allowed
 
-    def test_sharded_engine_forks_via_inner(self):
-        pytest.importorskip("multiprocessing.shared_memory")
-        from repro.core.sharded import ShardedEngine
-
-        inner = _build(DyOneSwap, False, 9, 13, churn=20)
-        sharded = ShardedEngine(inner, workers=2)
-        try:
-            fork = sharded.fork()
-            # The throwaway branch is a plain single-process engine — the
-            # right engine for what-if queries, never a second worker pool.
-            assert isinstance(fork, DyOneSwap)
-            assert _payload_bytes(fork) == _payload_bytes(inner)
-        finally:
-            sharded.close()
-
     def test_fork_preserves_instance_counters(self):
         from repro.core.framework import KSwapFramework
 
@@ -241,3 +223,27 @@ class TestForkMechanics:
         assert fork_time < deep_time, (
             f"fork ({fork_time:.4f}s) not cheaper than deepcopy ({deep_time:.4f}s)"
         )
+
+
+@pytest.mark.parametrize(
+    "name", ["DyARW", "DyOneSwap+perturb", "DyTwoSwap+perturb", "KSwapFramework"]
+)
+def test_other_registered_engines_fork_like_a_deepcopy(name):
+    """The snapshot-capable registry entries that CONFIGURATIONS leaves out."""
+    graph = gnm_random_graph(20, 36, seed=17)
+    parent = create_algorithm(name, graph)
+    parent.apply_stream(
+        mixed_update_stream(parent.graph.copy(), 60, edge_fraction=0.5, seed=18),
+        batch_size=16,
+    )
+    before = _payload_bytes(parent)
+    oracle = _deepcopy_engine(parent)
+    fork = parent.fork()
+    assert type(fork) is type(parent)
+    stream = mixed_update_stream(fork.graph.copy(), 60, edge_fraction=0.5, seed=19)
+    fork.apply_stream(stream)
+    oracle.apply_stream(stream)
+    assert _payload_bytes(fork) == _payload_bytes(oracle)
+    assert _payload_bytes(parent) == before
+    fork.graph.check_consistency()
+    fork._verify()

@@ -13,7 +13,7 @@ from repro.baselines.greedy import (
 )
 from repro.core.verification import is_maximal_independent_set
 from repro.generators.power_law import power_law_random_graph
-from repro.generators.random_graphs import erdos_renyi_graph
+from repro.generators.random_graphs import erdos_renyi_graph, gnm_random_graph
 from repro.graphs.dynamic_graph import DynamicGraph
 
 
@@ -37,6 +37,17 @@ class TestAllGreedyVariants:
         before = path_graph.copy()
         heuristic(path_graph)
         assert path_graph == before
+
+    def test_recycled_slots(self, heuristic):
+        """Vertex churn leaves slots out of step with labels and some free."""
+        graph = gnm_random_graph(40, 90, seed=12)
+        for label in range(0, 40, 4):
+            graph.remove_vertex(label)
+        for i in range(6):
+            graph.add_edge(("late", i), 1 + 4 * i, add_missing_vertices=True)
+        before = graph.copy()
+        assert is_maximal_independent_set(graph, heuristic(graph))
+        assert graph == before
 
 
 class TestQuality:
@@ -74,3 +85,4 @@ class TestExtendToMaximal:
     def test_extending_empty_set(self, star_graph):
         result = extend_to_maximal(star_graph, set())
         assert is_maximal_independent_set(star_graph, result)
+

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -140,3 +141,11 @@ class TestLazyEagerEquivalence:
         for v in eager.solution():
             key = frozenset((v,))
             assert eager.tight_vertices(key, 1) == lazy.tight_vertices(key, 1)
+        for level in (1, 2):
+            assert eager.nonsolution_vertices_with_count(level) == (
+                lazy.nonsolution_vertices_with_count(level)
+            )
+        for pair in combinations(sorted(eager.solution()), 2):
+            key = frozenset(pair)
+            assert eager.tight_vertices(key, 2) == lazy.tight_vertices(key, 2)
+            assert eager.tight_up_to(key, 2) == lazy.tight_up_to(key, 2)

@@ -74,7 +74,11 @@ from repro.workloads import (
     synthetic_temporal_events,
     write_temporal_edge_list,
 )
-from repro.workloads.replay import QUARANTINE_DIRNAME, load_checkpoint
+from repro.workloads.replay import (
+    QUARANTINE_DIRNAME,
+    load_checkpoint,
+    quarantine_checkpoint,
+)
 from repro.workloads.snapshot import load_snapshot, save_snapshot
 
 #: Zero-backoff policy: recovery tests retry instantly.
@@ -389,6 +393,31 @@ class TestCheckpointDurability:
         messages = [str(w.message) for w in caught]
         assert any("does not match the checkpoint naming scheme" in m for m in messages)
         assert any("not a regular file" in m for m in messages)
+
+
+class TestQuarantine:
+    def test_name_collisions_get_a_numeric_suffix(self, tmp_path):
+        path = tmp_path / "DyOneSwap.ckpt"
+        targets = []
+        for generation in range(3):
+            path.write_text(f"corrupt #{generation}")
+            with pytest.warns(RuntimeWarning, match="quarantined corrupt checkpoint"):
+                targets.append(quarantine_checkpoint(path, reason="test"))
+            assert not path.exists()
+        quarantine = tmp_path / QUARANTINE_DIRNAME
+        assert targets == [
+            quarantine / "DyOneSwap.ckpt",
+            quarantine / "DyOneSwap.ckpt.1",
+            quarantine / "DyOneSwap.ckpt.2",
+        ]
+        assert [t.read_text() for t in targets] == [
+            "corrupt #0", "corrupt #1", "corrupt #2"
+        ]
+
+    def test_an_unmovable_file_degrades_to_a_warning(self, tmp_path):
+        missing = tmp_path / "gone.ckpt"
+        with pytest.warns(RuntimeWarning, match="could not quarantine"):
+            assert quarantine_checkpoint(missing) is None
 
 
 class TestSupervisedRecovery:

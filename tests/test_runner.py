@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import inspect
+import re
+
 import pytest
 
+from repro.core.verification import is_maximal_independent_set
 from repro.exceptions import ExperimentError
 from repro.experiments.runner import (
+    ALGORITHM_FACTORIES,
     PAPER_ALGORITHMS,
     available_algorithms,
     compute_reference,
@@ -23,6 +28,20 @@ def graph_and_stream():
     graph = power_law_random_graph(120, 2.2, seed=3)
     stream = mixed_update_stream(graph, 200, seed=4)
     return graph, stream
+
+
+def _keyword_defaults(cls):
+    """Default of every keyword-only constructor parameter along the MRO."""
+    defaults = {}
+    for klass in cls.__mro__:
+        init = klass.__dict__.get("__init__")
+        if init is None:
+            continue
+        for param in inspect.signature(init).parameters.values():
+            if param.kind is param.KEYWORD_ONLY:
+                defaults.setdefault(param.name, param.default)
+    defaults.pop("initial_solution", None)
+    return defaults
 
 
 class TestFactories:
@@ -48,6 +67,28 @@ class TestFactories:
     def test_framework_accepts_k_option(self, small_random_graph):
         algo = create_algorithm("KSwapFramework", small_random_graph.copy(), k=3)
         assert algo.k == 3
+
+    @pytest.mark.parametrize(
+        "options", [{"workers": 2}, {"lazzy": True}, {"workers": 2, "lazzy": True}]
+    )
+    @pytest.mark.parametrize("name", available_algorithms())
+    def test_unknown_options_are_refused(self, path_graph, name, options):
+        before = path_graph.copy()
+        with pytest.raises(ExperimentError, match=re.escape(repr(name))) as excinfo:
+            create_algorithm(name, path_graph, **options)
+        for option in options:
+            assert repr(option) in str(excinfo.value)
+        # Refused before the constructor could touch the graph.
+        assert path_graph == before
+
+    @pytest.mark.parametrize("name", available_algorithms())
+    def test_constructor_options_are_accepted(self, name, small_random_graph):
+        """Every option an algorithm declares is one its constructors take."""
+        cls = type(create_algorithm(name, small_random_graph.copy()))
+        defaults = _keyword_defaults(cls)
+        assert set(defaults) == ALGORITHM_FACTORIES[name].options
+        algo = create_algorithm(name, small_random_graph.copy(), **defaults)
+        assert is_maximal_independent_set(algo.graph, algo.solution())
 
 
 class TestRunAlgorithm:

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.exceptions import ServiceError, WireError
-from repro.experiments.runner import create_algorithm, release_engine, run_algorithm
+from repro.experiments.runner import SNAPSHOT_CAPABLE, create_algorithm
 from repro.generators.worst_case import flicker_update_stream
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.resilience.faults import (
@@ -76,16 +76,13 @@ def service(tmp_path, *tenants, **overrides):
     return ServiceThread(ServiceConfig(tenants=tuple(tenants), **defaults))
 
 
-def reference_digest(operations, batch, initial_graph=None, **options):
+def reference_digest(operations, batch, initial_graph=None):
     engine = create_algorithm(
-        "DyOneSwap", (initial_graph or DynamicGraph()).copy(), None, **options
+        "DyOneSwap", (initial_graph or DynamicGraph()).copy(), None
     )
-    try:
-        for group in chunked(iter(operations), batch):
-            engine.apply_batch(group, coalesce=True)
-        return engine_digest(engine)
-    finally:
-        release_engine(engine)
+    for group in chunked(iter(operations), batch):
+        engine.apply_batch(group, coalesce=True)
+    return engine_digest(engine)
 
 
 # --------------------------------------------------------------------- #
@@ -165,12 +162,32 @@ class TestConfig:
         with pytest.raises(ServiceError, match="listener"):
             ServiceConfig(data_dir=str(tmp_path), tenants=(spec,))
 
+    @pytest.mark.parametrize("options", [{"workers": 2}, {"lazzy": True}])
+    @pytest.mark.parametrize("algorithm", SNAPSHOT_CAPABLE)
+    def test_unknown_algorithm_options_are_refused(self, tmp_path, algorithm, options):
+        (option,) = options
+        with pytest.raises(ServiceError, match=f"tenant 't'.*{option!r}"):
+            TenantSpec(name="t", algorithm=algorithm, options=options)
+        # Refused when the file is loaded, not when the gateway starts.
+        path = tmp_path / "service.json"
+        path.write_text(json.dumps({
+            "data_dir": str(tmp_path / "d"),
+            "port": 0,
+            "tenants": [{"name": "t", "algorithm": algorithm, "options": options}],
+        }))
+        with pytest.raises(ServiceError, match=repr(option)):
+            ServiceConfig.from_file(path)
+
     def test_json_round_trip(self, tmp_path):
         config = ServiceConfig(
             data_dir=str(tmp_path / "d"),
             tenants=(
                 TenantSpec(name="a", batch_size=32, window_max=64, adaptive=False),
                 TenantSpec(name="b", checkpoint_every=128, options={"k": 2}),
+                *(
+                    TenantSpec(name=f"t{i}", algorithm=name, options={"check_invariants": True})
+                    for i, name in enumerate(SNAPSHOT_CAPABLE)
+                ),
             ),
             port=0,
             retry=RetryPolicy(max_attempts=3, base_delay=0.1, cap=1.0, seed=5),
@@ -243,18 +260,15 @@ class TestGateway:
                 # walked the same trajectory (admitted batches, then the
                 # what-if operations as one coalesced batch).
                 engine = create_algorithm("DyOneSwap", DynamicGraph(), None)
-                try:
-                    for group in chunked(iter(ops), 32):
-                        engine.apply_batch(group, coalesce=True)
-                    assert reply["base_size"] == len(engine.solution())
-                    base = set(engine.solution())
-                    engine.apply_batch(list(hypothetical), coalesce=True)
-                    expected = set(engine.solution())
-                    assert reply["size"] == len(expected)
-                    assert set(reply["added"]) == expected - base
-                    assert set(reply["removed"]) == base - expected
-                finally:
-                    release_engine(engine)
+                for group in chunked(iter(ops), 32):
+                    engine.apply_batch(group, coalesce=True)
+                assert reply["base_size"] == len(engine.solution())
+                base = set(engine.solution())
+                engine.apply_batch(list(hypothetical), coalesce=True)
+                expected = set(engine.solution())
+                assert reply["size"] == len(expected)
+                assert set(reply["added"]) == expected - base
+                assert set(reply["removed"]) == base - expected
                 # Repeatable: the discarded fork left no trace, so the same
                 # question gets the same answer.
                 assert client.what_if("wi", hypothetical) == reply
@@ -367,7 +381,7 @@ class TestBackpressure:
 
 
 # --------------------------------------------------------------------- #
-# Supervision: crash recovery, isolation, sharded hygiene
+# Supervision: crash recovery, isolation
 # --------------------------------------------------------------------- #
 class TestSupervision:
     def test_engine_crash_recovers_bit_identically(self, tmp_path):
@@ -450,69 +464,6 @@ class TestSupervision:
                     client.ingest_stream("healthy", ops[:32], chunk=8)
                     assert client.flush("healthy")["applied"] == 32
                     assert client.health()["tenants"]["doomed"] == "failed"
-
-    def test_sharded_tenant_restart_releases_shared_memory(self, tmp_path):
-        shm = Path("/dev/shm")
-        before = {p.name for p in shm.glob("repro-shard-*")}
-        ops = build_ops(256)
-        spec = TenantSpec(
-            name="sharded",
-            batch_size=64,
-            window_max=128,
-            adaptive=False,
-            checkpoint_every=64,
-            options={"workers": 2},
-        )
-        # The torn checkpoint write crashes the tenant while it owns a live
-        # sharded engine; the restart must not leak its segments.
-        with inject_faults(FaultPlan.at(CHECKPOINT_WRITE, 2)) as injector:
-            with service(tmp_path, spec) as svc:
-                with svc.client() as client:
-                    client.ingest_stream("sharded", ops, chunk=64)
-                    digest = client.digest("sharded")["digest"]
-                    stats = client.stats("sharded")["stats"]
-                    assert stats["restarts"] >= 1
-                    # Exactly one engine's worth of segments is live.
-                    live = {
-                        p.name for p in shm.glob("repro-shard-*")
-                    } - before
-                    assert len(live) <= 2
-        assert [f.point for f in injector.fired] == [CHECKPOINT_WRITE]
-        # Workers shut down with the drained tenant: nothing left behind.
-        after = {p.name for p in shm.glob("repro-shard-*")}
-        assert after - before == set()
-        assert digest == reference_digest(ops, 64, workers=2)
-
-    def test_runner_crash_releases_engine_despite_held_traceback(self, tmp_path):
-        """A crashed run must not leak /dev/shm segments even while the
-        caller holds the raised exception (whose traceback pins the frames
-        that reference the engine)."""
-        shm = Path("/dev/shm")
-        before = {p.name for p in shm.glob("repro-shard-*")}
-        graph = DynamicGraph()
-        ops = build_ops(128)
-        from repro.exceptions import InjectedFault
-        from repro.workloads.replay import CheckpointConfig
-
-        held = None
-        with inject_faults(FaultPlan.at(CHECKPOINT_WRITE, 1)):
-            try:
-                run_algorithm(
-                    "DyOneSwap",
-                    graph,
-                    ops,
-                    dataset="leak-test",
-                    batch_size=64,
-                    checkpoint=CheckpointConfig(
-                        directory=tmp_path / "ckpt", every=64
-                    ),
-                    workers=2,
-                )
-            except InjectedFault as exc:
-                held = exc  # keep the traceback (and its frames) alive
-        assert held is not None
-        leaked = {p.name for p in shm.glob("repro-shard-*")} - before
-        assert leaked == set()
 
 
 # --------------------------------------------------------------------- #

@@ -14,11 +14,9 @@ contract of that layer:
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import kernels
 from repro.core.lazy import LazyMISState
 from repro.core.one_swap import DyOneSwap
 from repro.core.state import MISState
@@ -210,87 +208,3 @@ class TestAlgorithmsUnderSlotRecycling:
         # The slot table grows with peak liveness, not with total insertions.
         assert algo.graph.num_slots <= graph.num_slots + len(stream)
 
-
-class TestKernelMirrorSyncUnderSlotRecycling:
-    """Numpy kernels under free-list churn: recycled slots read fresh bytes.
-
-    The numpy backend builds its membership views with transient
-    ``frombuffer`` gathers over the authoritative ``bytearray`` — there is
-    no stored mirror row to desynchronise when ``DynamicGraph``'s LIFO
-    free-list recycles a slot.  This suite pins that design by re-running
-    the module's vertex-heavy churn workloads with the numpy kernels forced
-    onto every sweep (threshold 2) and demanding bit-identical results to
-    the pure-Python backend.
-    """
-
-    def _run_backend(self, name, state_churn_seed=None, workload=None):
-        previous = kernels.backend()
-        previous_min = kernels.VECTOR_MIN_PAIRS
-        kernels.set_backend(name)
-        if name == kernels.NUMPY:
-            kernels.VECTOR_MIN_PAIRS = 2
-        try:
-            if state_churn_seed is not None:
-                results = []
-                for state_cls in (MISState, LazyMISState):
-                    state = TestStateSlotRecycling()._churn(
-                        state_cls, state_churn_seed
-                    )
-                    state.graph.check_consistency()
-                    state.check_invariants()
-                    results.append(sorted(state.solution(), key=repr))
-                return results
-            graph, stream = workload
-            results = []
-            for algorithm_class in (DyOneSwap, DyTwoSwap):
-                for lazy in (False, True):
-                    algo = algorithm_class(graph.copy(), lazy=lazy)
-                    algo.apply_stream(stream, batch_size=16)
-                    algo.graph.check_consistency()
-                    algo.state.check_invariants()
-                    results.append(
-                        (
-                            sorted(algo.solution(), key=repr),
-                            sorted(
-                                map(repr, algo.graph.edges())
-                            ),
-                        )
-                    )
-            return results
-        finally:
-            kernels.VECTOR_MIN_PAIRS = previous_min
-            kernels.set_backend(previous)
-
-    @settings(
-        max_examples=15,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(seed=st.integers(min_value=0, max_value=2**20))
-    def test_state_churn_matches_python_backend(self, seed):
-        if not kernels.numpy_available():
-            pytest.skip("numpy is not installed")
-        assert self._run_backend(kernels.NUMPY, state_churn_seed=seed) == (
-            self._run_backend(kernels.PYTHON, state_churn_seed=seed)
-        )
-
-    @settings(
-        max_examples=15,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-    @given(
-        graph_seed=st.integers(min_value=0, max_value=2**20),
-        stream_seed=st.integers(min_value=0, max_value=2**20),
-    )
-    def test_batched_churn_matches_python_backend(self, graph_seed, stream_seed):
-        """Batched engines hit every kernel: validation, classification,
-        and the repair-pass scans, all over freshly recycled slots."""
-        if not kernels.numpy_available():
-            pytest.skip("numpy is not installed")
-        workload = TestAlgorithmsUnderSlotRecycling()._workload(
-            graph_seed, stream_seed
-        )
-        assert self._run_backend(kernels.NUMPY, workload=workload) == (
-            self._run_backend(kernels.PYTHON, workload=workload)
-        )

@@ -27,6 +27,8 @@ from repro.updates.streams import flash_crowd_stream, mixed_update_stream
 from repro.workloads.snapshot import (
     algorithm_from_payload,
     algorithm_to_payload,
+    atomic_writer,
+    fork_for_capture,
     graph_from_payload,
     graph_to_payload,
     load_snapshot,
@@ -309,3 +311,39 @@ class TestContinuationEquivalence:
         assert graph_to_payload(resumed.graph) == graph_to_payload(
             uninterrupted.graph
         )
+
+
+class TestAtomicWriter:
+    def test_failed_overwrite_keeps_the_old_file_and_leaves_no_temp(self, tmp_path):
+        path = tmp_path / "doc.json"
+        with atomic_writer(path) as stream:
+            stream.write("intact\n")
+
+        class WriterCrashed(RuntimeError):
+            pass
+
+        with pytest.raises(WriterCrashed):
+            with atomic_writer(path) as stream:
+                stream.write("half of a new doc")
+                raise WriterCrashed
+        assert path.read_text(encoding="utf-8") == "intact\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
+
+class TestForkForCapture:
+    def test_capture_is_isolated_from_the_live_engine(self):
+        engine = DyOneSwap(_churned_graph())
+        captured = fork_for_capture(engine)
+        frozen = json.dumps(algorithm_to_payload(captured), sort_keys=True)
+        assert frozen == json.dumps(algorithm_to_payload(engine), sort_keys=True)
+        engine.apply_stream(mixed_update_stream(engine.graph.copy(), 60, seed=13))
+        assert json.dumps(algorithm_to_payload(captured), sort_keys=True) == frozen
+        restored = algorithm_from_payload(json.loads(frozen))
+        assert restored.solution() == captured.solution()
+
+    def test_engines_without_forks_are_refused(self):
+        from repro.experiments.runner import create_algorithm
+
+        baseline = create_algorithm("DGOneDIS", gnm_random_graph(12, 20, seed=1))
+        with pytest.raises(SnapshotError, match="fork"):
+            fork_for_capture(baseline)

@@ -3,19 +3,25 @@
 from __future__ import annotations
 
 import json
+import pathlib
+import tracemalloc
 
 import pytest
 
-from repro.exceptions import GraphError, UpdateError
+from repro.exceptions import EdgeNotFoundError, GraphError, InjectedFault, UpdateError
 from repro.experiments import (
     QUICK_PROFILE,
     load_temporal_workload,
+    run_algorithm,
     temporal_workload_names,
 )
 from repro.exceptions import ExperimentError
 from repro.graphs.dynamic_graph import DynamicGraph
+from repro.resilience.faults import CACHE_READ, FaultPlan, inject_faults
 from repro.updates.operations import UpdateKind
+from repro.workloads import CheckpointConfig, find_checkpoints, load_checkpoint
 from repro.workloads.temporal import (
+    CACHE_CHUNK,
     TemporalEdge,
     cached_temporal_stream,
     read_temporal_edge_list,
@@ -378,3 +384,103 @@ class TestWorkloadCatalog:
         kinds = stream.counts_by_kind()
         assert kinds.get(UpdateKind.DELETE_EDGE, 0) > 0
         assert kinds.get(UpdateKind.DELETE_VERTEX, 0) > 0
+
+
+
+def _warm_cached_stream(tmp_path):
+    """A warmed stream cache spanning several :data:`CACHE_CHUNK` lines."""
+    path = tmp_path / "events.txt"
+    write_temporal_edge_list(synthetic_temporal_events(1_400, num_vertices=60, seed=5), path)
+    assert cached_temporal_stream(path, window=8.0).metadata["cache"] == "miss"
+    stream = cached_temporal_stream(path, window=8.0)
+    assert stream.metadata["cache"] == "hit"
+    assert len(stream) > 2 * CACHE_CHUNK  # several chunk boundaries in play
+    return stream
+
+
+def _replay(stream, directory=None, write_behind=False, **kwargs):
+    """Replay ``stream`` with DyOneSwap; return the measurement's fingerprint."""
+    if directory is not None:
+        kwargs["checkpoint"] = CheckpointConfig(
+            directory=directory, every=1_024, write_behind=write_behind
+        )
+    m = run_algorithm("DyOneSwap", DynamicGraph(), stream, dataset="replay", **kwargs)
+    return m.num_updates, m.initial_size, m.final_size, m.memory_footprint, m.finished, m.extra
+
+
+class TestCachedReplayReadPath:
+    """The cache hit path reads, verifies and decodes one chunk line at a time."""
+
+    def test_cached_operations_match_a_fresh_parse(self, tmp_path):
+        stream = _warm_cached_stream(tmp_path)
+        fresh = temporal_update_stream(
+            read_temporal_edge_list(tmp_path / "events.txt"), window=8.0
+        )
+        assert list(stream) == list(fresh)
+
+    def test_crash_during_read_hits_the_chunk_boundary(self, tmp_path):
+        stream = _warm_cached_stream(tmp_path)
+        delivered = 0
+        with inject_faults(FaultPlan.at(CACHE_READ, 3)):
+            with pytest.raises(InjectedFault) as excinfo:
+                for _ in stream:
+                    delivered += 1
+        # Two full chunks were delivered before the third read crashed, and
+        # the crash left the cache intact for the next pass.
+        assert (excinfo.value.point, delivered) == (CACHE_READ, 2 * CACHE_CHUNK)
+        assert len(list(stream)) == len(stream)
+
+    def test_abandoned_iteration_closes_the_cache_file(self, tmp_path, monkeypatch):
+        stream = _warm_cached_stream(tmp_path)
+        handles = []
+        real_open = pathlib.Path.open
+
+        def recording_open(self, *args, **kwargs):
+            handles.append(real_open(self, *args, **kwargs))
+            return handles[-1]
+
+        monkeypatch.setattr(pathlib.Path, "open", recording_open)
+        iterator = iter(stream)
+        for _ in range(CACHE_CHUNK + 5):  # cross at least one chunk boundary
+            next(iterator)
+        assert not all(handle.closed for handle in handles)
+        iterator.close()
+        assert handles and all(handle.closed for handle in handles)
+
+    def test_consumer_error_is_not_reported_as_corruption(self, tmp_path):
+        """An engine error thrown into the reader propagates unchanged."""
+        chunks = _warm_cached_stream(tmp_path)._chunks()
+        next(chunks)
+        with pytest.raises(EdgeNotFoundError):  # a KeyError, like a bad entry's
+            chunks.throw(EdgeNotFoundError(1, 2))
+
+    def test_write_behind_checkpoints_match_synchronous_ones(self, tmp_path):
+        stream = _warm_cached_stream(tmp_path)
+        results = {}
+        for write_behind in (False, True):
+            directory = tmp_path / f"ckpt-{write_behind}"
+            measured = _replay(stream, directory, write_behind=write_behind, batch_size=32)
+            checkpoints = find_checkpoints(directory, "DyOneSwap")
+            payloads = [load_checkpoint(path).payload for _, path in checkpoints]
+            results[write_behind] = (measured, [n for n, _ in checkpoints], payloads)
+        assert results[True] == results[False]
+        assert len(results[False][1]) >= 2
+
+    def test_write_behind_checkpoint_resumes_synchronously(self, tmp_path):
+        stream = _warm_cached_stream(tmp_path)
+        reference = _replay(stream, tmp_path / "ckpt", write_behind=True)
+        first = find_checkpoints(tmp_path / "ckpt", "DyOneSwap")[0][1]
+        assert _replay(stream, resume_from=first) == reference
+
+    def test_cached_replay_stays_o_chunk(self, tmp_path):
+        """At most one decoded chunk is live, far from the >3k-op stream."""
+        stream = _warm_cached_stream(tmp_path)
+        tracemalloc.start()
+        try:
+            baseline, _ = tracemalloc.get_traced_memory()
+            measured = _replay(stream, batch_size=32)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert measured[0] == len(stream) and measured[4]
+        assert peak - baseline < 6 * 1024 * 1024

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # CI-style smoke check: tier-1 tests plus the quick benchmark gated against
 # the committed BENCH_core.json, so correctness *and* per-update performance
-# regressions fail fast — locally and in the GitHub Actions workflow.
+# regressions fail fast — locally and in the GitHub Actions workflow.  Ends
+# with traced runs of two repository-benchmark workloads (perfbench/), which
+# fail only on their output checks, never on timings.
 #
 # Usage: scripts/ci_check.sh
 #
@@ -70,6 +72,12 @@ python benchmarks/bench_fork_whatif.py \
     --rounds "${FORK_BENCH_ROUNDS:-3}" \
     --gate-mode "${BENCH_MODE:-fail}" \
     ${FORK_BENCH_OUTPUT:+--output "$FORK_BENCH_OUTPUT"}
+
+echo
+echo "== repository benchmark correctness checks (traced replay-churn and"
+echo "   update-mixed runs; exit status only, no timing gate) =="
+python3 perfbench/run.py --workload replay-churn --seconds 2 --trace 1
+python3 perfbench/run.py --workload update-mixed --seconds 2 --trace 1
 
 echo
 echo "ci_check OK (benchmark results: $scratch)"

@@ -325,7 +325,11 @@ class Tenant:
                     self._idle.set()  # never strand a flush() waiter
                     return
                 await asyncio.sleep(self.retry.delay(self._attempt))
-            except BaseException:
+            except BaseException as exc:
+                # A terminal failure is counted and recorded like a
+                # recoverable crash, so the ``stats`` reply says why it failed.
+                self.stats["crashes"] += 1
+                self.crashes.append(f"{type(exc).__name__}: {exc}")
                 self.status = "failed"
                 self.ready.clear()
                 self.engine = None

@@ -9,7 +9,7 @@ differs from its predecessor by a single vertex/edge insertion or deletion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Tuple
 
@@ -26,7 +26,7 @@ class UpdateKind(str, Enum):
     DELETE_EDGE = "delete_edge"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UpdateOperation:
     """One update in a dynamic graph sequence.
 
@@ -42,12 +42,16 @@ class UpdateOperation:
         For :data:`UpdateKind.INSERT_VERTEX`, the (existing) vertices the new
         vertex is connected to upon insertion.  The paper's model inserts a
         vertex together with its incident edges.
+
+    Instances are slotted: they carry no ``__dict__`` and no weak
+    references, which keeps the millions of operations a replay decodes
+    cheap to build.
     """
 
     kind: UpdateKind
     vertex: Optional[Vertex] = None
     edge: Optional[Tuple[Vertex, Vertex]] = None
-    neighbors: Tuple[Vertex, ...] = field(default_factory=tuple)
+    neighbors: Tuple[Vertex, ...] = ()
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -55,26 +59,31 @@ class UpdateOperation:
     @staticmethod
     def insert_vertex(vertex: Vertex, neighbors: Sequence[Vertex] = ()) -> "UpdateOperation":
         """Create a vertex-insertion operation (optionally with incident edges)."""
-        return UpdateOperation(
-            kind=UpdateKind.INSERT_VERTEX, vertex=vertex, neighbors=tuple(neighbors)
-        )
+        return _build(_INSERT_VERTEX, vertex, None, tuple(neighbors))
 
     @staticmethod
     def delete_vertex(vertex: Vertex) -> "UpdateOperation":
         """Create a vertex-deletion operation."""
-        return UpdateOperation(kind=UpdateKind.DELETE_VERTEX, vertex=vertex)
+        return _build(_DELETE_VERTEX, vertex, None, ())
 
     @staticmethod
     def insert_edge(u: Vertex, v: Vertex) -> "UpdateOperation":
         """Create an edge-insertion operation."""
         if u == v:
             raise UpdateError("cannot insert a self loop")
-        return UpdateOperation(kind=UpdateKind.INSERT_EDGE, edge=(u, v))
+        return _build(_INSERT_EDGE, None, (u, v), ())
 
     @staticmethod
     def delete_edge(u: Vertex, v: Vertex) -> "UpdateOperation":
-        """Create an edge-deletion operation."""
-        return UpdateOperation(kind=UpdateKind.DELETE_EDGE, edge=(u, v))
+        """Create an edge-deletion operation.
+
+        A self loop is refused here, as in :meth:`insert_edge`: no
+        :class:`~repro.graphs.dynamic_graph.DynamicGraph` can hold one, so
+        the deletion could only fail later, when a batch applies it.
+        """
+        if u == v:
+            raise UpdateError("cannot delete a self loop")
+        return _build(_DELETE_EDGE, None, (u, v), ())
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -113,6 +122,42 @@ class UpdateOperation:
         if self.kind is UpdateKind.INSERT_EDGE:
             return f"+e {self.edge}"
         return f"-e {self.edge}"
+
+
+# Module globals for the per-operation paths: the constructors below and
+# ``protocol._fingerprint_text``, which imports the kinds.  On CPython 3.11
+# an ``UpdateKind.X`` lookup costs about 0.1 us more than a global read, and
+# a bound slot setter skips the name lookup of ``object.__setattr__``;
+# PERFORMANCE.md ("Read path") has the end-to-end A/B.
+_INSERT_VERTEX = UpdateKind.INSERT_VERTEX
+_DELETE_VERTEX = UpdateKind.DELETE_VERTEX
+_INSERT_EDGE = UpdateKind.INSERT_EDGE
+_DELETE_EDGE = UpdateKind.DELETE_EDGE
+_new_operation = object.__new__
+_set_kind = UpdateOperation.kind.__set__
+_set_vertex = UpdateOperation.vertex.__set__
+_set_edge = UpdateOperation.edge.__set__
+_set_neighbors = UpdateOperation.neighbors.__set__
+
+
+def _build(
+    kind: UpdateKind,
+    vertex: Optional[Vertex],
+    edge: Optional[Tuple[Vertex, Vertex]],
+    neighbors: Tuple[Vertex, ...],
+) -> UpdateOperation:
+    """Fill a fresh instance through its slot descriptors.
+
+    The static constructors' fast path: it skips the frozen dataclass
+    ``__init__``, which routes every field through ``object.__setattr__``.
+    The result is indistinguishable from a keyword-built instance.
+    """
+    operation = _new_operation(UpdateOperation)
+    _set_kind(operation, kind)
+    _set_vertex(operation, vertex)
+    _set_edge(operation, edge)
+    _set_neighbors(operation, neighbors)
+    return operation
 
 
 def apply_update(graph: DynamicGraph, operation: UpdateOperation) -> None:

@@ -49,7 +49,14 @@ from typing import (
 )
 
 from repro.resilience.faults import STREAM_READ, trip
-from repro.updates.operations import UpdateKind, UpdateOperation, apply_update
+from repro.updates.operations import (
+    _DELETE_VERTEX,
+    _INSERT_EDGE,
+    _INSERT_VERTEX,
+    UpdateKind,
+    UpdateOperation,
+    apply_update,
+)
 
 
 # --------------------------------------------------------------------- #
@@ -59,8 +66,9 @@ def encode_operation(operation: UpdateOperation) -> List:
     """Encode an operation as a compact JSON-serialisable list.
 
     The canonical wire form of the pipeline: the chunked stream cache
-    persists it and :class:`StreamCursor` hashes its ``repr`` for the
-    identity fingerprint.  Stable across sessions (no id()/hash values).
+    persists it, and ``repr(encode_operation(op))`` is the operation's
+    **fingerprint text**, the UTF-8 bytes :class:`StreamCursor` feeds its
+    SHA-256.  Stable across sessions (no id()/hash values).
     """
     kind = operation.kind
     if kind is UpdateKind.INSERT_VERTEX:
@@ -86,9 +94,27 @@ def decode_operation(entry: Sequence) -> UpdateOperation:
     raise ValueError(f"unknown operation tag {tag!r}")
 
 
+def _fingerprint_text(operation: UpdateOperation) -> str:
+    """``repr(encode_operation(operation))``, rendered by one ``%`` format.
+
+    Byte-identical to the definition, without building the list first.
+    """
+    kind = operation.kind
+    if kind is _INSERT_VERTEX:
+        return "['+v', %r, %r]" % (operation.vertex, list(operation.neighbors))
+    if kind is _DELETE_VERTEX:
+        return "['-v', %r]" % (operation.vertex,)
+    u, v = operation.edge
+    if kind is _INSERT_EDGE:
+        return "['+e', %r, %r]" % (u, v)
+    return "['-e', %r, %r]" % (u, v)
+
+
 #: Fingerprint of the empty prefix (offset 0) — what a cursor reports before
 #: consuming anything, and what a checkpoint taken at offset 0 would record.
 EMPTY_FINGERPRINT = hashlib.sha256().hexdigest()
+
+_END = object()
 
 
 class StreamCursor:
@@ -96,10 +122,16 @@ class StreamCursor:
 
     Wraps an iterator (or iterable) and tracks ``offset`` (operations
     consumed) plus the incremental SHA-256 ``fingerprint`` of the consumed
-    prefix.  The fingerprint is a pure function of the operation sequence —
-    two streams agree on a prefix iff their cursors agree on
-    ``(offset, fingerprint)`` — which is what makes offset-based
-    checkpoint/resume sound without a materialised list on either side.
+    prefix: the hash of the concatenated UTF-8 fingerprint texts
+    ``repr(encode_operation(op))`` of those operations.  The fingerprint is
+    a pure function of the operation sequence — two streams agree on a
+    prefix iff their cursors agree on ``(offset, fingerprint)`` — which is
+    what makes offset-based checkpoint/resume sound without a materialised
+    list on either side.
+
+    :meth:`take` hashes once per window, over the joined texts of the
+    window's operations; because SHA-256 is incremental, the digest equals
+    the one per-operation iteration produces.
     """
 
     __slots__ = ("_iterator", "_digest", "offset")
@@ -115,7 +147,7 @@ class StreamCursor:
     def __next__(self) -> UpdateOperation:
         trip(STREAM_READ)
         operation = next(self._iterator)
-        self._digest.update(repr(encode_operation(operation)).encode("utf-8"))
+        self._digest.update(_fingerprint_text(operation).encode("utf-8"))
         self.offset += 1
         return operation
 
@@ -137,8 +169,29 @@ class StreamCursor:
         return iterator
 
     def take(self, count: int) -> List[UpdateOperation]:
-        """Consume and return up to ``count`` operations (fewer at the end)."""
-        return list(islice(self, count))
+        """Consume and return up to ``count`` operations (fewer at the end).
+
+        ``stream.read`` trips before every operation, and the digest is
+        updated once for the whole window.  If a fault (or the source)
+        raises mid-window, the ``finally`` hashes exactly the operations
+        consumed so far, so ``(offset, fingerprint)`` never runs ahead of or
+        behind the stream.
+        """
+        iterator = self._iterator
+        operations: List[UpdateOperation] = []
+        texts: List[str] = []
+        try:
+            for _ in range(count):
+                trip(STREAM_READ)
+                operation = next(iterator, _END)
+                if operation is _END:
+                    break
+                texts.append(_fingerprint_text(operation))
+                operations.append(operation)
+        finally:
+            self._digest.update("".join(texts).encode("utf-8"))
+            self.offset += len(texts)
+        return operations
 
     def skip(self, count: int) -> int:
         """Consume up to ``count`` operations, discarding them; return how many.

@@ -732,8 +732,7 @@ class CachedOperationStream(OperationStream):
 
     def __iter__(self) -> Iterator[UpdateOperation]:
         for decoded in self._chunks():
-            for operation in decoded:
-                yield operation
+            yield from decoded
 
     def length_hint(self) -> Optional[int]:
         return self._length

@@ -241,6 +241,28 @@ class TestGateway:
         assert report.clean
         assert report.tenants[0].durable == len(ops)
 
+    def test_self_loop_deletion_is_refused_at_admission(self, tmp_path):
+        spec = TenantSpec(name="t", batch_size=4, window_max=4, adaptive=False)
+        with service(tmp_path, spec) as svc:
+            with svc.client() as client:
+                refused = client.request(
+                    {
+                        "cmd": "ingest",
+                        "tenant": "t",
+                        "seq": 1,
+                        "ops": [["+v", 5, []], ["-e", 5, 5]],
+                    }
+                )
+                assert not refused["ok"]
+                assert "operation #1" in refused["error"]
+                assert "self loop" in refused["error"]
+                # Nothing was admitted and the tenant still serves.
+                assert client.offset("t")["accepted"] == 0
+                ops = [UpdateOperation.insert_vertex(5)]
+                assert client.ingest("t", ops, 1)["accepted"] == 1
+                assert client.flush("t")["applied"] == 1
+                assert client.health()["tenants"]["t"] == "serving"
+
     def test_what_if_answers_without_perturbing_tenant(self, tmp_path):
         ops = build_ops(128)
         hypothetical = build_ops(24, seed=11)
@@ -464,6 +486,34 @@ class TestSupervision:
                     client.ingest_stream("healthy", ops[:32], chunk=8)
                     assert client.flush("healthy")["applied"] == 32
                     assert client.health()["tenants"]["doomed"] == "failed"
+
+    def test_terminal_failure_names_its_cause_in_stats(self, tmp_path):
+        # Admission checks an operation's shape, not whether the graph can
+        # take it: the batch holding the bad deletion fails the tenant for
+        # good, and the stats reply must say why.
+        spec = TenantSpec(name="t", batch_size=4, window_max=4, adaptive=False)
+        with service(tmp_path, spec) as svc:
+            with svc.client() as client:
+                admitted = client.request(
+                    {
+                        "cmd": "ingest",
+                        "tenant": "t",
+                        "seq": 1,
+                        "ops": [["+v", 1, []], ["+v", 2, [1]], ["-e", 5, 6], ["+v", 3, []]],
+                    }
+                )
+                assert admitted["ok"]
+                deadline = time.monotonic() + 30
+                while time.monotonic() < deadline:
+                    if client.health()["tenants"]["t"] == "failed":
+                        break
+                    time.sleep(0.02)
+                assert client.health()["tenants"]["t"] == "failed"
+                reply = client.stats("t")
+                (crash,) = reply["crashes"]
+                assert crash.startswith("VertexNotFoundError: ")
+                # The counter counts every crash, terminal ones included.
+                assert reply["stats"]["crashes"] == len(reply["crashes"])
 
 
 # --------------------------------------------------------------------- #

@@ -2,14 +2,21 @@
 
 from __future__ import annotations
 
-import pytest
+import hashlib
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.exceptions import InjectedFault, UpdateError
 from repro.graphs.dynamic_graph import DynamicGraph
+from repro.resilience.faults import STREAM_READ, FaultPlan, inject_faults
 from repro.updates.operations import UpdateOperation
 from repro.updates.protocol import (
     EMPTY_FINGERPRINT,
     LazyOperationStream,
     StreamCursor,
+    _fingerprint_text,
     as_operation_stream,
     chunked,
     decode_operation,
@@ -46,6 +53,12 @@ class TestEncoding:
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError):
             decode_operation(["??", 1, 2])
+
+    def test_self_loop_deletion_rejected(self):
+        # No graph can hold a self loop, so its deletion is refused when
+        # decoded rather than accepted and failed when a batch applies it.
+        with pytest.raises(UpdateError, match="self loop"):
+            decode_operation(["-e", 5, 5])
 
 
 class TestStreamCursor:
@@ -103,6 +116,100 @@ class TestStreamCursor:
         total, full = fingerprint_prefix(operations)
         assert total == len(operations)
         assert full != fp
+
+
+def _definition_fingerprint(operations):
+    """The fingerprint by its definition: SHA-256 over ``repr(encode_operation(op))``."""
+    text = "".join(repr(encode_operation(op)) for op in operations)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+#: Every kind, int/str/bool/float labels, a quote inside a str label and
+#: vertex inserts with and without neighbours.  The digest was recorded with
+#: the per-operation cursor that wrote every existing checkpoint identity.
+GOLDEN_OPERATIONS = [
+    UpdateOperation.insert_vertex(2),
+    UpdateOperation.insert_vertex("a", [2]),
+    UpdateOperation.insert_vertex(True, [2, "a"]),
+    UpdateOperation.insert_vertex(3),
+    UpdateOperation.insert_edge(3, "a"),
+    UpdateOperation.delete_edge(2, "a"),
+    UpdateOperation.delete_vertex(True),
+    UpdateOperation.insert_vertex("it's", [3, 2]),
+    UpdateOperation.insert_vertex(2.5, [3]),
+    UpdateOperation.delete_vertex(2),
+]
+GOLDEN_FINGERPRINT = "a5ba46fa1bd4e385cfdff7ae47e8b111079ee6c70376b1a7785b9d53c0474beb"
+
+_labels = st.one_of(
+    st.integers(-1000, 1000),
+    st.text(max_size=5),
+    st.booleans(),
+    st.floats(allow_nan=False),
+)
+_edges = st.tuples(_labels, _labels).filter(lambda edge: edge[0] != edge[1])
+_operations = st.one_of(
+    st.builds(UpdateOperation.insert_vertex, _labels, st.lists(_labels, max_size=4)),
+    st.builds(UpdateOperation.delete_vertex, _labels),
+    _edges.map(lambda edge: UpdateOperation.insert_edge(*edge)),
+    _edges.map(lambda edge: UpdateOperation.delete_edge(*edge)),
+)
+
+
+class TestFingerprintStability:
+    """The fingerprint is persisted in checkpoints: its bytes must never move."""
+
+    def test_golden_fingerprint(self):
+        straight = StreamCursor(GOLDEN_OPERATIONS)
+        for _ in straight:
+            pass
+        windowed = StreamCursor(iter(GOLDEN_OPERATIONS))
+        assert windowed.take(3) == GOLDEN_OPERATIONS[:3]
+        assert windowed.skip(4) == 4
+        assert windowed.take(10) == GOLDEN_OPERATIONS[7:]
+        for cursor in (straight, windowed):
+            assert (cursor.offset, cursor.fingerprint) == (10, GOLDEN_FINGERPRINT)
+        assert _definition_fingerprint(GOLDEN_OPERATIONS) == GOLDEN_FINGERPRINT
+
+    @given(
+        st.lists(_operations, max_size=30),
+        st.lists(st.tuples(st.booleans(), st.integers(0, 12)), max_size=10),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_window_splits_match_per_operation_iteration(self, operations, windows):
+        for operation in operations:
+            assert _fingerprint_text(operation) == repr(encode_operation(operation))
+        cursor = StreamCursor(operations)
+        for keep, size in windows:
+            start = cursor.offset
+            if keep:
+                assert cursor.take(size) == operations[start : start + size]
+            else:
+                assert cursor.skip(size) == len(operations[start : start + size])
+            stepped = StreamCursor(operations)
+            for _ in range(cursor.offset):
+                next(stepped)
+            assert (cursor.offset, cursor.fingerprint) == (
+                stepped.offset,
+                stepped.fingerprint,
+            )
+            assert cursor.fingerprint == _definition_fingerprint(
+                operations[: cursor.offset]
+            )
+
+    @pytest.mark.parametrize("method", ["take", "skip"])
+    def test_fault_mid_window_keeps_offset_at_consumed(self, operations, method):
+        cursor = StreamCursor(operations)
+        cursor.take(5)
+        # The 4th read of the next window faults: three more were consumed.
+        with inject_faults(FaultPlan.at(STREAM_READ, 4)):
+            with pytest.raises(InjectedFault):
+                getattr(cursor, method)(10)
+        assert cursor.offset == 8
+        assert cursor.fingerprint == _definition_fingerprint(operations[:8])
+        # The faulted read consumed nothing: the stream continues at op 8.
+        assert cursor.take(len(operations)) == operations[8:]
+        assert cursor.fingerprint == _definition_fingerprint(operations)
 
 
 class TestChunked:

@@ -329,6 +329,16 @@ class TestStreamCache:
         with pytest.raises(GraphError, match="delete the file"):
             list(stream)
 
+    def test_self_loop_deletion_in_cache_is_corruption(self, tmp_path):
+        path = self._events_file(tmp_path)
+        cached_temporal_stream(path, window=8.0)
+        entry = next((tmp_path / ".stream-cache").iterdir())
+        lines = entry.read_text(encoding="utf-8").splitlines(keepends=True)
+        entry.write_text(lines[0] + '[["-e", 3, 3]]\n', encoding="utf-8")
+        stream = cached_temporal_stream(path, window=8.0)
+        with pytest.raises(GraphError, match="corrupt mid-body"):
+            list(stream)
+
     def test_rebuild_sweeps_legacy_monolithic_entries(self, tmp_path):
         # PR4-era caches were single .json documents; nothing reads that
         # format anymore, so a rebuild for the same source stem must remove

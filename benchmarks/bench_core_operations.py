@@ -148,43 +148,49 @@ if pytest is not None:
 # State-level hot-path micro-benchmark
 # --------------------------------------------------------------------------- #
 def _state_hot_op_rates(*, cycles: int = 2000, k: int = 2) -> dict:
-    """Measure move_in/move_out/add_edge/remove_edge throughput (ops/second).
+    """Measure the slot-level move and edge mutators' throughput (ops/second).
 
-    Each pair of inverse operations is cycled on a fixed prepared state so
-    every timed call exercises the complete bookkeeping (counts, hierarchy
-    buckets, footprint counters) without growing the structures.
+    Each pair of inverse operations (``move_out_slot``/``move_in_slot`` and
+    ``remove_edge_one_sided``/``add_edge_slots``) is cycled on a fixed
+    prepared state so every timed call exercises the complete bookkeeping
+    (counts, hierarchy buckets, footprint counters) without growing the
+    structures.
     """
     graph = power_law_random_graph(600, 2.2, seed=7)
     state = MISState(graph, k=k)
+    member = state.in_solution_view()
     for v in sorted(graph.vertices(), key=graph.degree_order_key):
-        if not state.is_in_solution(v) and state.count(v) == 0:
-            state.move_in(v)
-    # A sample of solution vertices for the move cycle and of edges with at
-    # least one solution endpoint for the edge cycle (those touch counts).
-    sample_vertices = sorted(state.solution(), key=graph.order_of)[:50]
-    sample_edges = [
-        (u, v)
-        for u, v in graph.edges()
-        if state.is_in_solution(u) != state.is_in_solution(v)
-    ][:50]
+        slot = graph.slot_of(v)
+        if not member[slot] and state.count_slot(slot) == 0:
+            state.move_in_slot(slot)
+    # A sample of solution vertices for the move cycle and of edges with
+    # exactly one solution endpoint, as (outside, inside) slot pairs, for
+    # the edge cycle (those touch counts).
+    sample_slots = sorted(state.solution_slots_view(), key=graph.orders_view().__getitem__)[:50]
+    sample_edges = []
+    for u, v in graph.edges():
+        su, sv = graph.slot_of(u), graph.slot_of(v)
+        if member[su] != member[sv]:
+            sample_edges.append((sv, su) if member[su] else (su, sv))
+    sample_edges = sample_edges[:50]
 
     rates = {}
     timer = time.perf_counter
 
     start = timer()
     for _ in range(cycles):
-        for v in sample_vertices:
-            state.move_out(v, collect_events=False)
-            state.move_in(v, collect_events=False)
+        for slot in sample_slots:
+            state.move_out_slot(slot)
+            state.move_in_slot(slot)
     elapsed = timer() - start
-    ops = 2 * cycles * len(sample_vertices)
+    ops = 2 * cycles * len(sample_slots)
     rates["move_out_move_in"] = ops / elapsed if elapsed else float("inf")
 
     start = timer()
     for _ in range(cycles):
-        for u, v in sample_edges:
-            state.remove_edge(u, v)
-            state.add_edge(u, v, collect_events=False)
+        for s_out, s_in in sample_edges:
+            state.remove_edge_one_sided(s_out, s_in)
+            state.add_edge_slots(s_out, s_in)
     elapsed = timer() - start
     ops = 2 * cycles * len(sample_edges)
     rates["remove_edge_add_edge"] = ops / elapsed if elapsed else float("inf")

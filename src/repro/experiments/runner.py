@@ -52,7 +52,6 @@ from repro.updates.protocol import (
 )
 from repro.updates.streams import UpdateStream
 from repro.workloads.replay import (
-    AsyncCheckpointWriter,
     CheckpointConfig,
     latest_valid_checkpoint,
     load_checkpoint,
@@ -512,17 +511,9 @@ def _run_single(
             if batch_size > 1
             else CHECKPOINT_CHUNK
         )
-        # Write-behind: the engine is captured as a cheap copy-on-write fork
-        # at the boundary and the serialization + fsync run on the writer's
-        # thread, overlapping the next chunk's update work.  The close() in
-        # the finally block below is the synchronous flush barrier: by the
-        # time this function returns (or unwinds into a crash-recovery
-        # path), every checkpoint the loop decided to write is durable.
-        writer = AsyncCheckpointWriter() if checkpoint.write_behind else None
 
         def persist() -> None:
-            target = save_checkpoint if writer is None else writer.save
-            target(
+            save_checkpoint(
                 algorithm,
                 checkpoint,
                 algorithm_name=name,
@@ -536,76 +527,65 @@ def _run_single(
                 batch_size=batch_size,
             )
 
-        try:
-            pending = 0  # operations applied since the last checkpoint write
-            since_guard = 0  # operations applied since the last guard pass
-            last_write = time.monotonic()
-            while True:
-                if checkpoint.every is not None:
-                    stride = min(checkpoint.every - pending, chunk_cap)
-                    if checkpoint.every_seconds is not None:
-                        stride = min(stride, clock_stride)
-                else:
-                    stride = clock_stride
-                chunk = cursor.take(stride)
-                if not chunk:
-                    break
-                with stopwatch:
-                    done, chunk_finished = _timed_stream_run(
-                        algorithm,
-                        chunk,
-                        stopwatch,
-                        session_limit,
-                        check_interval,
-                        batch_size,
-                    )
-                processed += done
-                pending += done
-                since_guard += done
-                if not chunk_finished:
-                    finished = False
-                    break
-                if guard is not None and (
-                    guard_every is None or since_guard >= guard_every
-                ):
-                    # Outside the stopwatch: first-principles verification is
-                    # supervision overhead, never measured update time.
-                    guard(algorithm)
-                    since_guard = 0
-                due = (
-                    checkpoint.every is not None and pending >= checkpoint.every
-                ) or (
-                    checkpoint.every_seconds is not None
-                    and time.monotonic() - last_write >= checkpoint.every_seconds
+        pending = 0  # operations applied since the last checkpoint write
+        since_guard = 0  # operations applied since the last guard pass
+        last_write = time.monotonic()
+        while True:
+            if checkpoint.every is not None:
+                stride = min(checkpoint.every - pending, chunk_cap)
+                if checkpoint.every_seconds is not None:
+                    stride = min(stride, clock_stride)
+            else:
+                stride = clock_stride
+            chunk = cursor.take(stride)
+            if not chunk:
+                break
+            with stopwatch:
+                done, chunk_finished = _timed_stream_run(
+                    algorithm,
+                    chunk,
+                    stopwatch,
+                    session_limit,
+                    check_interval,
+                    batch_size,
                 )
-                if due:
-                    # Checkpoint I/O happens outside the stopwatch: persisting
-                    # state must not count as update time.
-                    persist()
-                    pending = 0
-                    last_write = time.monotonic()
-                if len(chunk) < stride:
-                    break
-            if guard is not None and finished and since_guard:
-                # End-of-stream guard pass: the final partial interval is
-                # verified too, so a violation in the last chunk cannot slip
-                # into the returned measurement unchecked.
+            processed += done
+            pending += done
+            since_guard += done
+            if not chunk_finished:
+                finished = False
+                break
+            if guard is not None and (
+                guard_every is None or since_guard >= guard_every
+            ):
+                # Outside the stopwatch: first-principles verification is
+                # supervision overhead, never measured update time.
                 guard(algorithm)
-            if finished and pending:
-                # Wall-clock-only configs still leave a resumable checkpoint
-                # at end of stream (operation-interval configs wrote it
-                # in-loop).
+                since_guard = 0
+            due = (
+                checkpoint.every is not None and pending >= checkpoint.every
+            ) or (
+                checkpoint.every_seconds is not None
+                and time.monotonic() - last_write >= checkpoint.every_seconds
+            )
+            if due:
+                # Checkpoint I/O happens outside the stopwatch: persisting
+                # state must not count as update time.
                 persist()
-        except BaseException:
-            if writer is not None:
-                try:
-                    writer.close()
-                except Exception:  # the in-flight crash takes precedence
-                    pass
-            raise
-        else:
-            if writer is not None:
-                writer.close()
+                pending = 0
+                last_write = time.monotonic()
+            if len(chunk) < stride:
+                break
+        if guard is not None and finished and since_guard:
+            # End-of-stream guard pass: the final partial interval is
+            # verified too, so a violation in the last chunk cannot slip
+            # into the returned measurement unchecked.
+            guard(algorithm)
+        if finished and pending:
+            # Wall-clock-only configs still leave a resumable checkpoint
+            # at end of stream (operation-interval configs wrote it
+            # in-loop).
+            persist()
     measurement = RunMeasurement(
         algorithm=name,
         dataset=dataset,

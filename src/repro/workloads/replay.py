@@ -13,6 +13,11 @@ Checkpoint files are JSON documents named
 ``<algorithm>-<processed>.ckpt.json`` inside ``CheckpointConfig.directory``,
 so several algorithms can share one directory and the newest checkpoint of
 each is discoverable by filename alone.
+
+Checkpoints are written synchronously, on the caller's thread: a checkpoint
+is durable once :func:`save_checkpoint` returns, and keep-N pruning runs
+only after that commit, from an incrementally maintained listing of each
+directory.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from __future__ import annotations
 import bisect
 import json
 import os
-import queue
 import re
 import threading
 import warnings
@@ -35,7 +39,6 @@ from repro.workloads.snapshot import (
     algorithm_from_payload,
     algorithm_to_payload,
     atomic_writer,
-    fork_for_capture,
 )
 
 PathLike = Union[str, Path]
@@ -84,21 +87,12 @@ class CheckpointConfig:
         operations) or used alone for runs whose per-operation cost is
         unpredictable.  At least one of ``every`` / ``every_seconds`` must
         be set.
-    write_behind:
-        Move checkpoint serialization + fsync off the hot loop: the runner
-        forks the engine at the checkpoint boundary (cheap, copy-on-write)
-        and an :class:`AsyncCheckpointWriter` worker thread serializes and
-        commits the fork while the run continues.  Durability shifts by at
-        most the in-flight window (the writer flushes at end of run and on
-        any failure); recovery semantics are otherwise unchanged, which is
-        why the resilience and service layers keep the synchronous default.
     """
 
     directory: PathLike
     every: Optional[int] = None
     keep: Optional[int] = None
     every_seconds: Optional[float] = None
-    write_behind: bool = False
 
     def __post_init__(self) -> None:
         if self.every is None and self.every_seconds is None:
@@ -283,119 +277,6 @@ def save_checkpoint(
     if keep is not None:
         _record_and_prune(directory, algorithm_name, processed, path, keep)
     return path
-
-
-class AsyncCheckpointWriter:
-    """Write-behind checkpoint writer: fork on the hot loop, serialize off it.
-
-    ``save(...)`` captures the engine as a copy-on-write fork
-    (:func:`~repro.workloads.snapshot.fork_for_capture` — O(live-delta), the
-    only part that happens on the caller's thread) and queues the expensive
-    part — payload serialization, JSON encoding, the fsynced atomic write and
-    keep-N pruning — for a single worker thread.  ``flush()`` is the
-    synchronous barrier: it blocks until every queued checkpoint is durably
-    committed and re-raises the first failure, which is what drain and crash
-    points call before reporting durability.
-
-    At most ``depth`` captures are in flight; when the queue is full,
-    ``save`` blocks (backpressure) so a slow disk bounds the number of live
-    forks instead of accumulating them.  After a write failure the writer
-    drops the queued tail and re-raises on the next ``save``/``flush`` —
-    half-written trails must not masquerade as progress.  Usable as a
-    context manager; exit flushes and stops the worker.
-    """
-
-    def __init__(self, *, depth: int = 2) -> None:
-        if depth < 1:
-            raise CheckpointError("write-behind depth must be at least 1")
-        self._jobs: "queue.Queue" = queue.Queue(maxsize=depth)
-        self._lock = threading.Lock()
-        self._done = threading.Condition(self._lock)
-        self._in_flight = 0
-        self._failure: Optional[BaseException] = None
-        self._closed = False
-        self._worker = threading.Thread(
-            target=self._run, name="repro-ckpt-writer", daemon=True
-        )
-        self._worker.start()
-
-    def _run(self) -> None:
-        while True:
-            job = self._jobs.get()
-            if job is None:
-                return
-            fork, args, kwargs = job
-            try:
-                with self._lock:
-                    failed = self._failure is not None
-                if not failed:
-                    save_checkpoint(fork, *args, **kwargs)
-            except BaseException as exc:
-                with self._lock:
-                    if self._failure is None:
-                        self._failure = exc
-            finally:
-                with self._done:
-                    self._in_flight -= 1
-                    self._done.notify_all()
-
-    def _raise_failure(self) -> None:
-        failure = self._failure
-        if failure is not None:
-            self._failure = None
-            raise failure
-
-    def save(self, algorithm, config_or_directory, **kwargs) -> Path:
-        """Capture ``algorithm`` now; commit it in the background.
-
-        Accepts :func:`save_checkpoint`'s keyword surface and returns the
-        path the checkpoint will be committed to (deterministic from
-        directory/name/offset).  A failure of an *earlier* queued write is
-        re-raised here — before another fork is taken — or at the latest by
-        :meth:`flush`.
-        """
-        with self._lock:
-            if self._closed:
-                raise CheckpointError("AsyncCheckpointWriter is closed")
-            self._raise_failure()
-        fork = fork_for_capture(algorithm)
-        directory = (
-            config_or_directory.directory
-            if isinstance(config_or_directory, CheckpointConfig)
-            else config_or_directory
-        )
-        path = checkpoint_path(
-            directory, kwargs["algorithm_name"], kwargs["processed"]
-        )
-        with self._done:
-            self._in_flight += 1
-        self._jobs.put((fork, (config_or_directory,), kwargs))
-        return path
-
-    def flush(self) -> None:
-        """Block until every queued checkpoint is durable; re-raise failures."""
-        with self._done:
-            while self._in_flight:
-                self._done.wait()
-            self._raise_failure()
-
-    def close(self) -> None:
-        """Flush, then stop the worker thread.  Idempotent."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-        try:
-            self.flush()
-        finally:
-            self._jobs.put(None)
-            self._worker.join()
-
-    def __enter__(self) -> "AsyncCheckpointWriter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 def load_checkpoint(path: PathLike) -> Checkpoint:

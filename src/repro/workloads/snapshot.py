@@ -16,10 +16,11 @@ operation boundary the engine state is exactly
   label-insertion order of the slot map, so a restored run resolves every
   future operand to the same slot and recycles the same slots in the same
   order as the original,
-* the solution membership (a set of slots) — every derived structure of
-  :class:`~repro.core.state.MISState` / :class:`~repro.core.lazy.LazyMISState`
-  (counts, ``I(v)`` sets, the level hierarchy and its footprint counters) is
-  a pure function of graph + membership and is rebuilt on restore,
+* the solution membership (a set of slots) — everything else the slot
+  state keeps (the counts of :class:`~repro.core.state.SlotState`, plus the
+  ``I(v)`` sets, level hierarchy and footprint counters of the eager
+  :class:`~repro.core.state.MISState`) is a pure function of graph +
+  membership and is rebuilt on restore,
 * the statistics counters of the algorithm and its state (so a resumed
   run's reported statistics are indistinguishable from an uninterrupted
   run's).
@@ -146,29 +147,6 @@ def graph_from_payload(payload: Dict) -> DynamicGraph:
 # --------------------------------------------------------------------- #
 # Algorithm payloads
 # --------------------------------------------------------------------- #
-def fork_for_capture(algorithm):
-    """Cheap copy-on-write fork of ``algorithm`` for off-loop capture.
-
-    The two-phase capture path: on the hot loop, fork the engine in
-    O(live-delta) (:meth:`~repro.core.base.DynamicMISBase.fork`); the
-    expensive part — :func:`algorithm_to_payload` plus JSON encoding and the
-    fsynced atomic write — then runs against the immutable fork, on a
-    background thread if the caller wants
-    (:class:`~repro.workloads.replay.AsyncCheckpointWriter`), while the live
-    engine keeps processing updates.
-
-    Raises :class:`SnapshotError` for algorithms without fork support (the
-    index-based baselines), the same population that cannot snapshot.
-    """
-    fork = getattr(algorithm, "fork", None)
-    if fork is None:
-        raise SnapshotError(
-            f"{type(algorithm).__name__} does not support engine forks; "
-            "only DynamicMISBase algorithms can be captured off-loop"
-        )
-    return fork()
-
-
 def algorithm_to_payload(algorithm) -> Dict:
     """Capture a maintenance algorithm at an operation boundary.
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from slot_helpers import count
 
 from repro.core.one_swap import DyOneSwap
 from repro.core.two_swap import DyTwoSwap
@@ -21,7 +22,7 @@ class TestInsertVertexCases:
         algo = DyOneSwap(path_graph, initial_solution=[0, 2, 4])
         algo.apply_update(UpdateOperation.insert_vertex(10, [0, 2]))
         assert 10 not in algo.solution()
-        assert algo.state.count(10) == 2
+        assert count(algo.state, 10) == 2
 
     def test_vertex_adjacent_only_to_nonsolution_joins(self, path_graph):
         algo = DyOneSwap(path_graph, initial_solution=[0, 2, 4])
@@ -101,7 +102,7 @@ class TestDeleteEdgeCases:
         algo.apply_update(UpdateOperation.delete_edge(0, 1))
         # The hub still has five solution neighbours.
         assert 0 not in algo.solution()
-        assert algo.state.count(0) == 5
+        assert count(algo.state, 0) == 5
 
 
 class TestBookkeeping:

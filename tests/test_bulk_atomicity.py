@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from slot_helpers import count, move_in, slot_pairs
 
 from repro.core.lazy import LazyMISState
 from repro.core.state import MISState
@@ -41,8 +42,7 @@ def _build_state(state_cls):
     """
     graph = DynamicGraph(edges=[(0, 1), (1, 2), (2, 3), (0, 3), (4, 5)])
     state = state_cls(graph, k=2)
-    state.move_in(0)
-    state.move_in(4)
+    move_in(state, 0, 4)
     return graph, state
 
 
@@ -60,10 +60,6 @@ def _fingerprint(state):
         if hasattr(state, "stats")
         else None,
     )
-
-
-def _slots(graph, pairs):
-    return [(graph.slot_of(u), graph.slot_of(v)) for u, v in pairs]
 
 
 #: (label, mutator name, label-level batch, expected error) — each batch has
@@ -115,10 +111,28 @@ class TestRejectedBatchesLeaveStateUntouched:
         graph, state = _build_state(state_cls)
         before = _fingerprint(state)
         with pytest.raises(error):
-            getattr(state, mutator)(_slots(graph, batch))
+            getattr(state, mutator)(slot_pairs(state, batch))
         assert _fingerprint(state) == before
         state.check_invariants()
         graph.check_consistency()
+
+    @pytest.mark.parametrize("state_cls", STATE_CLASSES)
+    @pytest.mark.parametrize(
+        "label, mutator, batch, error",
+        REJECTED_BATCHES,
+        ids=[case[0] for case in REJECTED_BATCHES],
+    )
+    def test_rejected_batch_on_a_fork_privatizes_nothing(
+        self, state_cls, label, mutator, batch, error
+    ):
+        """Validation runs before the copy-on-write barrier, so a refused
+        batch leaves a fork sharing every adjacency set it shared before."""
+        graph, state = _build_state(state_cls)
+        fork = state.fork(graph.fork())
+        shared = bytes(fork.graph._cow_adj)
+        with pytest.raises(error):
+            getattr(fork, mutator)(slot_pairs(fork, batch))
+        assert bytes(fork.graph._cow_adj) == shared
 
     @pytest.mark.parametrize("state_cls", STATE_CLASSES)
     def test_error_names_the_first_offending_pair(self, state_cls):
@@ -130,7 +144,7 @@ class TestRejectedBatchesLeaveStateUntouched:
         # The sequential loop trips on the duplicate first.
         with pytest.raises(EdgeExistsError) as excinfo:
             state.add_edges_slots_bulk(
-                _slots(graph, [(2, 4), (1, 0), (3, 3)])
+                slot_pairs(state, [(2, 4), (1, 0), (3, 3)])
             )
         assert "(1, 0)" in str(excinfo.value)
         assert _fingerprint(state) == before
@@ -140,14 +154,14 @@ class TestRejectedBatchesLeaveStateUntouched:
         """The atomic rewrite must not change the success path."""
         graph, state = _build_state(state_cls)
         bumped, conflicts = state.add_edges_slots_bulk(
-            _slots(graph, [(1, 4), (2, 5)])
+            slot_pairs(state, [(1, 4), (2, 5)])
         )
         assert graph.has_edge(1, 4) and graph.has_edge(2, 5)
         assert conflicts == []
         # 1 gained solution-neighbour 4; 2 is not adjacent to the solution
         # through the new edge (5 is outside).
         assert graph.slot_of(1) in bumped
-        assert state.count(1) == 2  # neighbours 0 and 4 both in solution
+        assert count(state, 1) == 2  # neighbours 0 and 4 both in solution
         state.check_invariants()
 
 

@@ -5,9 +5,8 @@ interrupted at an *arbitrary* checkpoint and resumed, and the resumed run's
 final solution, graph and per-algorithm statistics are identical to an
 uninterrupted run's.
 
-Also pins write-behind checkpointing (:class:`AsyncCheckpointWriter` behind
-``CheckpointConfig(write_behind=True)``) and the incremental keep-N prune
-ledger.
+Also pins that checkpoints are committed synchronously by the writing
+thread, and the incremental keep-N prune ledger.
 """
 
 from __future__ import annotations
@@ -32,8 +31,9 @@ from repro.workloads import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.workloads.replay import AsyncCheckpointWriter, invalidate_prune_ledger
-from repro.workloads.snapshot import graph_to_payload
+from repro.updates.streams import mixed_update_stream
+from repro.workloads.replay import invalidate_prune_ledger
+from repro.workloads.snapshot import algorithm_to_payload, graph_to_payload
 
 
 @pytest.fixture(scope="module")
@@ -376,7 +376,9 @@ class TestWallClockCheckpointing:
         assert checkpoints[0][0] < measurement.num_updates
 
 
-class TestAsyncCheckpointWriter:
+class TestSynchronousCheckpoints:
+    """``save_checkpoint`` commits on the caller's thread before it returns."""
+
     def _engine(self):
         return DyOneSwap(gnm_random_graph(24, 40, seed=7))
 
@@ -385,77 +387,69 @@ class TestAsyncCheckpointWriter:
             algorithm_name="DyOneSwap",
             processed=processed,
             initial_size=0,
-            dataset="writer-test",
+            dataset="checkpoint-test",
         )
+
+    def _run(self, directory, **kwargs):
+        graph = gnm_random_graph(16, 24, seed=3)
+        operations = list(mixed_update_stream(graph.copy(), 300, seed=9))
+        config = CheckpointConfig(directory=directory, every=100)
+        return run_algorithm("DyOneSwap", graph, operations, checkpoint=config, **kwargs)
 
     def test_save_returns_the_committed_path(self, tmp_path):
         engine = self._engine()
-        with AsyncCheckpointWriter() as writer:
-            promised = writer.save(engine, tmp_path, **self._kwargs(10))
-            assert promised == checkpoint_path(tmp_path, "DyOneSwap", 10)
-            writer.flush()
-            assert promised.exists()
-        loaded = load_checkpoint(promised)
+        path = save_checkpoint(engine, tmp_path, **self._kwargs(10))
+        assert path == checkpoint_path(tmp_path, "DyOneSwap", 10)
+        assert path.exists()
+        loaded = load_checkpoint(path)
         assert loaded.processed == 10
-        # The capture forked the engine: mutating it after save() must not
-        # race the background serialization.
-        restored = loaded.restore()
-        assert sorted(restored.solution()) == sorted(engine.solution())
+        assert sorted(loaded.restore().solution()) == sorted(engine.solution())
 
-    def test_flush_is_a_durability_barrier(self, tmp_path):
+    def test_checkpoint_is_unaffected_by_later_updates(self, tmp_path):
         engine = self._engine()
-        with AsyncCheckpointWriter() as writer:
-            paths = [
-                writer.save(engine, tmp_path, **self._kwargs(step))
-                for step in (1, 2, 3)
-            ]
-            writer.flush()
-            assert all(path.exists() for path in paths)
+        frozen = algorithm_to_payload(engine)
+        path = save_checkpoint(engine, tmp_path, **self._kwargs(1))
+        engine.apply_stream(mixed_update_stream(engine.graph.copy(), 60, seed=13))
+        assert algorithm_to_payload(engine) != frozen
+        assert load_checkpoint(path).payload == frozen
 
-    def test_write_failure_surfaces_at_the_barrier(self, tmp_path):
+    def test_write_failure_leaves_no_file_and_the_next_save_succeeds(self, tmp_path):
         engine = self._engine()
-        writer = AsyncCheckpointWriter()
-        try:
-            with inject_faults(FaultPlan.at(CHECKPOINT_WRITE, 1)):
-                writer.save(engine, tmp_path, **self._kwargs(1))
-                with pytest.raises(InjectedFault):
-                    writer.flush()
-            # The torn write left no file and the writer recovers cleanly.
-            assert find_checkpoints(tmp_path, "DyOneSwap") == []
-            writer.save(engine, tmp_path, **self._kwargs(2))
-            writer.flush()
-            assert find_checkpoints(tmp_path, "DyOneSwap") == [
-                (2, checkpoint_path(tmp_path, "DyOneSwap", 2))
-            ]
-        finally:
-            writer.close()
+        with inject_faults(FaultPlan.at(CHECKPOINT_WRITE, 1)):
+            with pytest.raises(InjectedFault):
+                save_checkpoint(engine, tmp_path, **self._kwargs(1))
+        # The torn write left no file behind.
+        assert find_checkpoints(tmp_path, "DyOneSwap") == []
+        save_checkpoint(engine, tmp_path, **self._kwargs(2))
+        assert find_checkpoints(tmp_path, "DyOneSwap") == [
+            (2, checkpoint_path(tmp_path, "DyOneSwap", 2))
+        ]
 
-    def test_closed_writer_refuses_saves(self, tmp_path):
-        writer = AsyncCheckpointWriter()
-        writer.close()
-        writer.close()  # idempotent
-        with pytest.raises(CheckpointError, match="closed"):
-            writer.save(self._engine(), tmp_path, **self._kwargs(1))
-
-    def test_depth_must_be_positive(self):
-        with pytest.raises(CheckpointError, match="depth"):
-            AsyncCheckpointWriter(depth=0)
-
-    def test_runner_write_behind_failure_aborts_the_run(self, tmp_path):
-        graph = gnm_random_graph(16, 24, seed=3)
-        from repro.updates.streams import mixed_update_stream
-
-        operations = list(mixed_update_stream(graph.copy(), 300, seed=9))
-        config = CheckpointConfig(
-            directory=tmp_path, every=100, write_behind=True
-        )
+    def test_runner_checkpoint_failure_aborts_the_run(self, tmp_path):
         with inject_faults(FaultPlan.at(CHECKPOINT_WRITE, 2)):
             with pytest.raises(InjectedFault):
-                run_algorithm("DyOneSwap", graph, operations, checkpoint=config)
-        # The failed run still committed everything before the fault and
-        # nothing after it (no half-written trail).
+                self._run(tmp_path)
+        # The failed run committed everything before the fault and nothing
+        # after it (no half-written trail).
         committed = find_checkpoints(tmp_path, "DyOneSwap")
         assert [processed for processed, _ in committed] == [100]
+
+    def test_checkpoints_are_durable_when_the_run_returns(self, tmp_path):
+        measurement = self._run(tmp_path)
+        committed = find_checkpoints(tmp_path, "DyOneSwap")
+        assert [processed for processed, _ in committed] == [100, 200, 300]
+        last = load_checkpoint(committed[-1][1])  # verifies the digest
+        assert last.restore().solution_size == measurement.final_size
+
+    def test_resume_after_a_failed_write_matches_an_uninterrupted_run(self, tmp_path):
+        reference = self._run(tmp_path / "straight")
+        with inject_faults(FaultPlan.at(CHECKPOINT_WRITE, 3)):
+            with pytest.raises(InjectedFault):
+                self._run(tmp_path / "crashed")
+        newest = latest_checkpoint(tmp_path / "crashed", "DyOneSwap")
+        assert load_checkpoint(newest).processed == 200
+        resumed = self._run(tmp_path / "crashed", resume_from=newest)
+        assert _measurement_fingerprint(resumed) == _measurement_fingerprint(reference)
 
 
 class TestPruneLedger:
@@ -494,6 +488,30 @@ class TestPruneLedger:
         assert [
             processed for processed, _ in find_checkpoints(tmp_path, "DyOneSwap")
         ] == [5, 6]
+
+    def test_keep_one_retains_only_the_newest(self, tmp_path):
+        engine = DyOneSwap(gnm_random_graph(12, 18, seed=4))
+        config = CheckpointConfig(directory=tmp_path, every=1, keep=1)
+        for step in (3, 1, 2):  # out-of-order offsets still prune by offset
+            self._save(engine, config, step)
+        assert [
+            processed for processed, _ in find_checkpoints(tmp_path, "DyOneSwap")
+        ] == [3]
+
+    def test_algorithms_sharing_a_directory_prune_independently(self, tmp_path):
+        engine = DyOneSwap(gnm_random_graph(12, 18, seed=5))
+        config = CheckpointConfig(directory=tmp_path, every=1, keep=2)
+        for step in range(1, 5):
+            self._save(engine, config, step)
+            save_checkpoint(
+                engine,
+                config,
+                algorithm_name="DyOneSwap+lazy",
+                processed=10 * step,
+                initial_size=0,
+            )
+        assert [p for p, _ in find_checkpoints(tmp_path, "DyOneSwap")] == [3, 4]
+        assert [p for p, _ in find_checkpoints(tmp_path, "DyOneSwap+lazy")] == [30, 40]
 
     def test_invalidate_prune_ledger(self, tmp_path):
         engine = DyOneSwap(gnm_random_graph(12, 18, seed=3))

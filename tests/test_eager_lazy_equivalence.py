@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from slot_helpers import counts_by_label
 
 from repro.core.framework import KSwapFramework
 from repro.core.one_swap import DyOneSwap
@@ -42,8 +43,8 @@ def _run(algorithm_class, graph, stream, *, lazy: bool, batch_size: int, **kwarg
 
 def _assert_equivalent(eager, lazy_algo):
     assert eager.solution() == lazy_algo.solution()
-    eager_counts = eager.state.counts_view()
-    lazy_counts = lazy_algo.state.counts_view()
+    eager_counts = counts_by_label(eager.state)
+    lazy_counts = counts_by_label(lazy_algo.state)
     for v in eager.graph.vertices():
         assert eager_counts[v] == lazy_counts[v], f"count({v!r}) diverged"
     # Both bookkeeping variants must still satisfy their own invariants and

@@ -1,11 +1,12 @@
-"""Failure-atomic validation of the bulk edge mutators.
+"""Failure-atomic validation inside the bulk edge mutators.
 
-:func:`~repro.core.kernels.validate_edge_insertions` and
-:func:`~repro.core.kernels.validate_edge_deletions` check a whole slot-pair
-list before a bulk mutator touches any state.  They must accept exactly the
+:meth:`~repro.core.state.SlotState.add_edges_slots_bulk` and
+:meth:`~repro.core.state.SlotState.remove_edges_slots_bulk` check a whole
+slot-pair list before they touch any state.  They must accept exactly the
 lists the sequential loop (``add_edge_slots`` / ``remove_edge_slots`` one
-pair at a time, on a scratch copy) accepts, reject the others with the same
-error at the same pair, and never mutate anything themselves.
+pair at a time, on a scratch copy) accepts and leave the same graph behind,
+reject the others with the same error at the same pair, and leave the graph
+of a refused batch untouched.
 """
 
 from __future__ import annotations
@@ -14,27 +15,27 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.kernels import validate_edge_deletions, validate_edge_insertions
+from repro.core.lazy import LazyMISState
 from repro.exceptions import EdgeExistsError, EdgeNotFoundError, SelfLoopError
 from repro.graphs.dynamic_graph import DynamicGraph
 
-#: kind -> (validator, the per-pair graph primitive it stands in for)
-VALIDATORS = {
-    "insert": (validate_edge_insertions, DynamicGraph.add_edge_slots),
-    "delete": (validate_edge_deletions, DynamicGraph.remove_edge_slots),
+#: kind -> (bulk mutator, the per-pair graph primitive it stands in for)
+MUTATORS = {
+    "insert": ("add_edges_slots_bulk", DynamicGraph.add_edge_slots),
+    "delete": ("remove_edges_slots_bulk", DynamicGraph.remove_edge_slots),
 }
 
 slot_pairs = st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=40)
 
 
-def _validate(kind, graph, pairs):
-    VALIDATORS[kind][0](graph, graph.adjacency_slots_view(), pairs)
+def _apply_bulk(kind, graph, pairs):
+    """Run the bulk mutator over ``graph`` (no solution, so only edges move)."""
+    getattr(LazyMISState(graph), MUTATORS[kind][0])(pairs)
 
 
-def _sequential(kind, graph, pairs):
-    scratch = graph.copy()
+def _sequential(kind, scratch, pairs):
     for su, sv in pairs:
-        VALIDATORS[kind][1](scratch, su, sv)
+        MUTATORS[kind][1](scratch, su, sv)
 
 
 def _outcome(fn, *args):
@@ -51,7 +52,7 @@ def _path_graph():
     return DynamicGraph(vertices=range(6), edges=[(0, 1), (1, 2), (2, 3)])
 
 
-@pytest.mark.parametrize("kind", VALIDATORS)
+@pytest.mark.parametrize("kind", MUTATORS)
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(existing=slot_pairs, batch=slot_pairs)
 def test_validation_matches_the_sequential_loop(kind, existing, batch):
@@ -59,9 +60,13 @@ def test_validation_matches_the_sequential_loop(kind, existing, batch):
     if kind == "delete":  # lead with present edges so acceptance is exercised
         batch = sorted(graph.edges())[: len(batch) // 2] + batch
     before = graph.to_payload()
-    expected = _outcome(_sequential, kind, graph, batch)
-    assert _outcome(_validate, kind, graph, batch) == expected
-    assert graph.to_payload() == before  # validation never mutates
+    scratch = graph.copy()
+    expected = _outcome(_sequential, kind, scratch, batch)
+    assert _outcome(_apply_bulk, kind, graph, batch) == expected
+    if expected[0] == "ok":
+        assert graph.to_payload() == scratch.to_payload()
+    else:
+        assert graph.to_payload() == before  # a refused batch mutates nothing
 
 
 REJECTIONS = {
@@ -82,10 +87,15 @@ REJECTIONS = {
 @pytest.mark.parametrize("kind, pairs, error, named", REJECTIONS.values(), ids=REJECTIONS)
 def test_rejected_at_the_first_offending_pair(kind, pairs, error, named):
     graph = _path_graph()
+    before = graph.to_payload()
     with pytest.raises(error) as excinfo:
-        _validate(kind, graph, pairs)
+        _apply_bulk(kind, graph, pairs)
     assert excinfo.value.args == error(*named).args
-    assert _outcome(_sequential, kind, graph, pairs) == (error.__name__, excinfo.value.args)
+    assert graph.to_payload() == before
+    assert _outcome(_sequential, kind, graph.copy(), pairs) == (
+        error.__name__,
+        excinfo.value.args,
+    )
 
 
 ACCEPTED = {
@@ -98,18 +108,18 @@ ACCEPTED = {
 
 @pytest.mark.parametrize("kind, pairs", ACCEPTED.values(), ids=ACCEPTED)
 def test_valid_batches_are_accepted(kind, pairs):
-    _validate(kind, _path_graph(), pairs)
+    _apply_bulk(kind, _path_graph(), pairs)
 
 
 def test_errors_name_labels_not_slots():
     graph = DynamicGraph(edges=[("a", "b"), ("b", "c")])
     slot = graph.slot_of
     with pytest.raises(EdgeExistsError, match="'c', 'b'"):
-        _validate("insert", graph, [(slot("c"), slot("b"))])
+        _apply_bulk("insert", graph, [(slot("c"), slot("b"))])
     with pytest.raises(EdgeNotFoundError, match="'a', 'c'"):
-        _validate("delete", graph, [(slot("a"), slot("c"))])
+        _apply_bulk("delete", graph, [(slot("a"), slot("c"))])
     with pytest.raises(SelfLoopError, match="'a'"):
-        _validate("insert", graph, [(slot("a"), slot("a"))])
+        _apply_bulk("insert", graph, [(slot("a"), slot("a"))])
 
 
 def test_recycled_slots_are_validated_against_the_new_vertex():
@@ -120,5 +130,5 @@ def test_recycled_slots_are_validated_against_the_new_vertex():
     assert graph.slot_of("fresh") == old
     # The recycled slot starts isolated: the old edge is gone, re-adding is new.
     with pytest.raises(EdgeNotFoundError, match="1, 'fresh'"):
-        _validate("delete", graph, [(graph.slot_of(1), old)])
-    _validate("insert", graph, [(graph.slot_of(1), old)])
+        _apply_bulk("delete", graph, [(graph.slot_of(1), old)])
+    _apply_bulk("insert", graph, [(graph.slot_of(1), old)])

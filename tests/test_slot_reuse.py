@@ -4,7 +4,7 @@
 slots of deleted vertices through a free-list.  These tests pin down the
 contract of that layer:
 
-* the label-level API behaves identically whether or not a slot was reused,
+* the state resolves a reused slot to its new vertex, never the old one,
 * interned insertion indices are *never* reused (tie-breaks stay monotone),
 * the flat-array state bookkeeping survives ``remove_vertex`` →
   ``add_vertex`` cycles (the recycled slot starts clean),
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from slot_helpers import count, labels, move_in, move_out
 
 from repro.core.lazy import LazyMISState
 from repro.core.one_swap import DyOneSwap
@@ -68,8 +69,8 @@ class TestGraphSlotRecycling:
         for v in graph.vertices():
             assert graph.vertex_of(graph.slot_of(v)) == v
 
-    def test_label_level_events_carry_labels_after_recycling(self):
-        """Count events from the label API name vertices, never internal slots."""
+    def test_state_resolves_a_recycled_slot_to_its_new_vertex(self):
+        """The state's counts and neighbour sets follow the slot's new occupant."""
         graph = DynamicGraph(edges=[(0, 1), (1, 2)])
         graph.remove_vertex(1)
         graph.add_vertex(99)  # occupies the recycled slot of vertex 1
@@ -77,11 +78,13 @@ class TestGraphSlotRecycling:
         graph.add_edge(99, 2)
         for state_cls in (MISState, LazyMISState):
             state = state_cls(graph.copy(), k=1)
-            assert sorted(state.move_in(99)) == [(0, 0, 1), (2, 0, 1)]
-            was_in, neighbors, events = state.remove_vertex(99)
+            move_in(state, 99)
+            assert (count(state, 0), count(state, 2)) == (1, 1)
+            assert state.solution() == {99}
+            was_in, neighbors = state.remove_vertex_slot(state.graph.slot_of(99))
             assert was_in
-            assert neighbors == {0, 2}
-            assert sorted(events) == [(0, 1, 0), (2, 1, 0)]
+            assert labels(state, neighbors) == {0, 2}
+            assert (count(state, 0), count(state, 2)) == (0, 0)
 
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(seed=st.integers(min_value=0, max_value=2**20))
@@ -119,27 +122,28 @@ class TestStateSlotRecycling:
         rng = random.Random(seed)
         graph = gnm_random_graph(20, 30, seed=seed)
         state = state_cls(graph, k=2)
+        member = state.in_solution_view()
         for v in sorted(graph.vertices(), key=graph.degree_order_key):
-            if not state.is_in_solution(v) and state.count(v) == 0:
-                state.move_in(v)
+            if not member[graph.slot_of(v)] and count(state, v) == 0:
+                move_in(state, v)
         next_label = 500
         for _ in range(120):
             vertices = list(graph.vertices())
             action = rng.random()
             if action < 0.35 and vertices:
-                state.remove_vertex(rng.choice(vertices))
+                state.remove_vertex_slot(graph.slot_of(rng.choice(vertices)))
             elif action < 0.7:
                 neighbors = rng.sample(vertices, min(len(vertices), rng.randint(0, 3)))
-                count = state.add_vertex(next_label, neighbors)
-                if count == 0:
-                    state.move_in(next_label)
+                slot, new_count = state.add_vertex_slot(next_label, neighbors)
+                if new_count == 0:
+                    state.move_in_slot(slot)
                 next_label += 1
             elif vertices:
                 v = rng.choice(vertices)
-                if state.is_in_solution(v):
-                    state.move_out(v)
-                elif state.count(v) == 0:
-                    state.move_in(v)
+                if member[graph.slot_of(v)]:
+                    move_out(state, v)
+                elif count(state, v) == 0:
+                    move_in(state, v)
         return state
 
     @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])

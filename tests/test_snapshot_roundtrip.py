@@ -28,7 +28,6 @@ from repro.workloads.snapshot import (
     algorithm_from_payload,
     algorithm_to_payload,
     atomic_writer,
-    fork_for_capture,
     graph_from_payload,
     graph_to_payload,
     load_snapshot,
@@ -330,20 +329,24 @@ class TestAtomicWriter:
         assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
 
 
-class TestForkForCapture:
-    def test_capture_is_isolated_from_the_live_engine(self):
-        engine = DyOneSwap(_churned_graph())
-        captured = fork_for_capture(engine)
-        frozen = json.dumps(algorithm_to_payload(captured), sort_keys=True)
+class TestForkPayload:
+    """A fork snapshots like the engine it was taken from, and stays put."""
+
+    @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+    def test_fork_payload_is_frozen_while_the_engine_runs(self, lazy):
+        engine = DyOneSwap(_churned_graph(), lazy=lazy)
+        fork = engine.fork()
+        frozen = json.dumps(algorithm_to_payload(fork), sort_keys=True)
         assert frozen == json.dumps(algorithm_to_payload(engine), sort_keys=True)
         engine.apply_stream(mixed_update_stream(engine.graph.copy(), 60, seed=13))
-        assert json.dumps(algorithm_to_payload(captured), sort_keys=True) == frozen
+        assert json.dumps(algorithm_to_payload(fork), sort_keys=True) == frozen
         restored = algorithm_from_payload(json.loads(frozen))
-        assert restored.solution() == captured.solution()
+        assert restored.solution() == fork.solution()
 
-    def test_engines_without_forks_are_refused(self):
-        from repro.experiments.runner import create_algorithm
-
-        baseline = create_algorithm("DGOneDIS", gnm_random_graph(12, 20, seed=1))
-        with pytest.raises(SnapshotError, match="fork"):
-            fork_for_capture(baseline)
+    def test_restored_fork_continues_like_the_engine(self):
+        engine = DyTwoSwap(_churned_graph())
+        restored = algorithm_from_payload(algorithm_to_payload(engine.fork()))
+        stream = mixed_update_stream(engine.graph.copy(), 80, seed=17)
+        engine.apply_stream(stream, batch_size=8)
+        restored.apply_stream(stream, batch_size=8)
+        assert algorithm_to_payload(restored) == algorithm_to_payload(engine)

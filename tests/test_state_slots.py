@@ -3,11 +3,10 @@
 The maintenance algorithms drive their bookkeeping through slot-indexed
 methods (``move_in_slot``, ``add_edge_slots``, ``remove_vertex_slot``, the
 bulk mutators …) and read it through zero-copy views (``count_slot``,
-``sn_slots_view``, ``tight1_view``, ``tight_up_to_slots`` …); the label-level
-wrappers are covered in ``test_state.py``.  The eager state stores the
-hierarchy and the lazy one recomputes it, but both promise the same answers:
-every test runs on both and checks them against a brute-force reading of the
-graph.
+``sn_slots_view``, ``tight1_view``, ``tight_up_to_slots`` …), the only API
+the states have.  The eager state stores the hierarchy and the lazy one
+recomputes it, but both promise the same answers: every test runs on both
+and checks them against a brute-force reading of the graph.
 """
 
 from __future__ import annotations

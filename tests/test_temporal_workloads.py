@@ -408,12 +408,10 @@ def _warm_cached_stream(tmp_path):
     return stream
 
 
-def _replay(stream, directory=None, write_behind=False, **kwargs):
+def _replay(stream, directory=None, **kwargs):
     """Replay ``stream`` with DyOneSwap; return the measurement's fingerprint."""
     if directory is not None:
-        kwargs["checkpoint"] = CheckpointConfig(
-            directory=directory, every=1_024, write_behind=write_behind
-        )
+        kwargs["checkpoint"] = CheckpointConfig(directory=directory, every=1_024)
     m = run_algorithm("DyOneSwap", DynamicGraph(), stream, dataset="replay", **kwargs)
     return m.num_updates, m.initial_size, m.final_size, m.memory_footprint, m.finished, m.extra
 
@@ -464,23 +462,26 @@ class TestCachedReplayReadPath:
         with pytest.raises(EdgeNotFoundError):  # a KeyError, like a bad entry's
             chunks.throw(EdgeNotFoundError(1, 2))
 
-    def test_write_behind_checkpoints_match_synchronous_ones(self, tmp_path):
-        stream = _warm_cached_stream(tmp_path)
+    def test_cached_replay_checkpoints_match_a_fresh_parse(self, tmp_path):
+        cached = _warm_cached_stream(tmp_path)
+        fresh = temporal_update_stream(
+            read_temporal_edge_list(tmp_path / "events.txt"), window=8.0
+        )
         results = {}
-        for write_behind in (False, True):
-            directory = tmp_path / f"ckpt-{write_behind}"
-            measured = _replay(stream, directory, write_behind=write_behind, batch_size=32)
+        for name, stream in (("cached", cached), ("fresh", fresh)):
+            directory = tmp_path / f"ckpt-{name}"
+            measured = _replay(stream, directory, batch_size=32)
             checkpoints = find_checkpoints(directory, "DyOneSwap")
             payloads = [load_checkpoint(path).payload for _, path in checkpoints]
-            results[write_behind] = (measured, [n for n, _ in checkpoints], payloads)
-        assert results[True] == results[False]
-        assert len(results[False][1]) >= 2
+            results[name] = (measured, [n for n, _ in checkpoints], payloads)
+        assert results["cached"] == results["fresh"]
+        assert len(results["cached"][1]) >= 2
 
-    def test_write_behind_checkpoint_resumes_synchronously(self, tmp_path):
+    def test_cached_replay_resumes_from_its_first_checkpoint(self, tmp_path):
         stream = _warm_cached_stream(tmp_path)
-        reference = _replay(stream, tmp_path / "ckpt", write_behind=True)
+        reference = _replay(stream, tmp_path / "ckpt", batch_size=32)
         first = find_checkpoints(tmp_path / "ckpt", "DyOneSwap")[0][1]
-        assert _replay(stream, resume_from=first) == reference
+        assert _replay(stream, resume_from=first, batch_size=32) == reference
 
     def test_cached_replay_stays_o_chunk(self, tmp_path):
         """At most one decoded chunk is live, far from the >3k-op stream."""

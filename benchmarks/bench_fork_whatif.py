@@ -13,20 +13,26 @@ Two scenarios, both written to machine-readable JSON with ``--output``:
                  bit-identity check on a shared divergence stream.
 * ``what_if``  — latency of a full hypothetical query (fork, coalesced
                  batch apply, solution diff, discard), the primitive behind
-                 the service layer's ``what_if`` command.
+                 the service layer's ``what_if`` command, plus a checkpoint
+                 written after a what-if, compared byte for byte with the
+                 reference encoding.
 
-Exit code 1 when a gate fails (``--gate-mode warn`` downgrades to a loud
-warning for noisy shared runners).
+Exit code 1 when a gate fails.  ``--gate-mode warn`` downgrades only the two
+speed ratios to a loud warning, for noisy shared runners; the correctness
+checks (bit-identical divergence, a non-vacuous divergence stream, an
+unperturbed base engine, the checkpoint after a what-if) always fail.
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import io
 import json
 import platform
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -35,8 +41,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.core import DyOneSwap
 from repro.generators.random_graphs import gnm_random_graph
 from repro.graphs import dynamic_graph
+from repro.resilience.faults import CHECKPOINT_WRITE
+from repro.resilience.integrity import DIGEST_KEY, write_document
 from repro.service.tenant import engine_digest
+from repro.updates.operations import UpdateKind, UpdateOperation
 from repro.updates.streams import mixed_update_stream
+from repro.workloads.replay import save_checkpoint
 from repro.workloads.snapshot import algorithm_from_payload, algorithm_to_payload
 
 #: Live-slot floor for the fork scenario — the acceptance criterion is
@@ -118,6 +128,7 @@ def bench_what_if(rounds, num_vertices, num_edges, batch=32):
         start = time.perf_counter()
         answer = what_if()
         times.append(time.perf_counter() - start)
+    unperturbed = engine_digest(engine) == before_digest
     return {
         "live_slots": engine.graph.num_vertices,
         "hypothetical_ops": len(hypothetical),
@@ -126,8 +137,45 @@ def bench_what_if(rounds, num_vertices, num_edges, batch=32):
         "size": answer[0],
         "added": len(answer[1]),
         "removed": len(answer[2]),
-        "tenant_unperturbed": engine_digest(engine) == before_digest,
+        "tenant_unperturbed": unperturbed,
+        "checkpoint_after_what_if_identical": checkpoint_after_what_if(
+            engine, hypothetical
+        ),
     }
+
+
+def checkpoint_after_what_if(engine, hypothetical) -> bool:
+    """Is a checkpoint written after a what-if the reference encoding?
+
+    The checkpoint encoder keeps the text of every adjacency row whose set
+    object is unchanged since its previous encode; it relies on the
+    ownership bitmap that ``fork()`` resets and that each encode resets
+    again.  So: run a what-if, write on the base, checkpoint, write again
+    on the same rows (deleting the edges just inserted), checkpoint again,
+    and compare that file byte for byte with the same document encoded
+    from ``algorithm_to_payload``.
+    """
+    engine.fork().apply_batch(list(hypothetical), coalesce=True)
+    engine.apply_batch(list(hypothetical), coalesce=True)
+    graph = engine.graph
+    undo = [
+        UpdateOperation.delete_edge(*op.edge)
+        for op in hypothetical
+        if op.kind is UpdateKind.INSERT_EDGE and graph.has_edge(*op.edge)
+    ]
+    with tempfile.TemporaryDirectory() as directory:
+        save_checkpoint(engine, directory, algorithm_name="bench", processed=0, initial_size=0)
+        engine.apply_batch(undo, coalesce=True)
+        path = save_checkpoint(
+            engine, directory, algorithm_name="bench", processed=1, initial_size=0
+        )
+        written = path.read_bytes()
+    document = json.loads(written)
+    del document[DIGEST_KEY]
+    document["algorithm"] = algorithm_to_payload(engine)
+    reference = io.BytesIO()
+    write_document(reference, document, fault_point=CHECKPOINT_WRITE)
+    return bool(undo) and written == reference.getvalue()
 
 
 def main(argv=None) -> int:
@@ -167,24 +215,35 @@ def main(argv=None) -> int:
         f"{what_if['what_if_ms_best']:.2f} ms, median "
         f"{what_if['what_if_ms_median']:.2f} ms"
     )
+    print(
+        "checkpoint after what_if: "
+        + ("identical to" if what_if["checkpoint_after_what_if_identical"] else "DIFFERS from")
+        + " the reference encoding"
+    )
 
-    failures = []
+    # Correctness checks fail in every gate mode; only the speed ratios
+    # are noisy enough to downgrade.
+    broken = []
     if not fork["divergence_bit_identical"]:
-        failures.append("fork divergence is NOT bit-identical to deepcopy")
+        broken.append("fork divergence is NOT bit-identical to deepcopy")
     if not fork["parent_diverged_from_fork"]:
-        failures.append("divergence stream was a no-op (benchmark is vacuous)")
+        broken.append("divergence stream was a no-op (benchmark is vacuous)")
+    if not what_if["tenant_unperturbed"]:
+        broken.append("what_if perturbed the base engine digest")
+    if not what_if["checkpoint_after_what_if_identical"]:
+        broken.append("checkpoint written after what_if differs from the reference encoding")
+    slow = []
     if fork["speedup_vs_deepcopy"] < args.min_speedup:
-        failures.append(
+        slow.append(
             f"fork only {fork['speedup_vs_deepcopy']:.1f}x cheaper than "
             f"deepcopy (need >= {args.min_speedup}x)"
         )
     if fork["speedup_vs_snapshot"] < args.min_speedup:
-        failures.append(
+        slow.append(
             f"fork only {fork['speedup_vs_snapshot']:.1f}x cheaper than the "
             f"snapshot round-trip (need >= {args.min_speedup}x)"
         )
-    if not what_if["tenant_unperturbed"]:
-        failures.append("what_if perturbed the base engine digest")
+    failures = broken + slow
 
     document = {
         "benchmark": "fork-whatif",
@@ -198,12 +257,13 @@ def main(argv=None) -> int:
         Path(args.output).write_text(json.dumps(document, indent=2) + "\n")
         print(f"results written to {args.output}")
 
-    if failures:
-        banner = "GATE FAILED" if args.gate_mode == "fail" else "GATE WARNING"
-        for failure in failures:
-            print(f"{banner}: {failure}", file=sys.stderr)
-        if args.gate_mode == "fail":
-            return 1
+    for failure in broken:
+        print(f"GATE FAILED: {failure}", file=sys.stderr)
+    banner = "GATE FAILED" if args.gate_mode == "fail" else "GATE WARNING"
+    for failure in slow:
+        print(f"{banner}: {failure}", file=sys.stderr)
+    if broken or (slow and args.gate_mode == "fail"):
+        return 1
     return 0
 
 

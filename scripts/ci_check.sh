@@ -18,7 +18,8 @@
 #                    artifact so warn-mode runs still leave a perf record
 #   BENCH_LABEL      trajectory label recorded in the fresh results
 #   FORK_BENCH_ROUNDS  best-of-N rounds for the fork/what-if gate
-#                    (default 3); BENCH_MODE warn downgrades its gate too
+#                    (default 3); BENCH_MODE warn downgrades its two speed
+#                    ratios only, its correctness checks always fail the run
 #   FORK_BENCH_OUTPUT  optional JSON file receiving the fork/what-if results;
 #                    CI uploads it as an artifact
 #   COVERAGE         set to 1 to run the tier-1 tests under pytest-cov with a
@@ -67,7 +68,7 @@ python benchmarks/bench_core_operations.py \
 echo
 echo "== fork / what-if gate (fork >= 5x cheaper than both full-copy"
 echo "   baselines at >= 10k live slots; what-if leaves the base engine"
-echo "   untouched) =="
+echo "   untouched; a checkpoint after a what-if is the reference encoding) =="
 python benchmarks/bench_fork_whatif.py \
     --rounds "${FORK_BENCH_ROUNDS:-3}" \
     --gate-mode "${BENCH_MODE:-fail}" \

@@ -15,10 +15,12 @@ SHA-256 of its canonical JSON serialisation (sorted keys, no whitespace)
 document once in that canonical form, hashes exactly those bytes and
 writes them with the digest added as one more member;
 :func:`verify_document` checks it and raises
-:class:`~repro.exceptions.IntegrityError` on mismatch.  Canonical
-serialisation makes the digest independent of key order and formatting,
-so re-writing an artifact with a different JSON encoder (say with
-``indent=2``) does not invalidate it — only changing the *data* does.
+:class:`~repro.exceptions.IntegrityError` on mismatch.  A writer may hand
+over a member it has already encoded as a :class:`Fragment`, which the
+canonical encoding emits verbatim.  Canonical serialisation makes the
+digest independent of key order and formatting, so re-writing an artifact
+with a different JSON encoder (say with ``indent=2``) does not invalidate
+it — only changing the *data* does.
 """
 
 from __future__ import annotations
@@ -33,11 +35,50 @@ from repro.resilience.faults import trip
 #: Key under which the digest is embedded in artifact documents.
 DIGEST_KEY = "sha256"
 
+#: The canonical rule: sorted keys, no whitespace, ASCII-escaped strings.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+class Fragment:
+    """Canonical JSON text that :func:`canonical_bytes` emits verbatim.
+
+    Lets a writer splice in a member it has already encoded (the graph's
+    adjacency rows, see
+    :meth:`~repro.graphs.dynamic_graph.DynamicGraph.adjacency_json`)
+    instead of handing over the value to encode again.  The text must be
+    what the canonical rule would produce for that value; the document's
+    bytes and digest are then those of the plain document.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+
+def _canonical_text(value: Any) -> str:
+    """Encode ``value`` by the canonical rule, emitting fragments verbatim.
+
+    Plain dicts with string keys are walked member by member, because a
+    fragment may sit anywhere beneath them; every other value is one call
+    of the C encoder.  The result equals ``_CANONICAL.encode`` of the same
+    document with each fragment replaced by its value.
+    """
+    if type(value) is Fragment:
+        return value.text
+    if type(value) is dict and all(type(key) is str for key in value):
+        members = [
+            f"{_CANONICAL.encode(key)}:{_canonical_text(item)}"
+            for key, item in sorted(value.items())
+        ]
+        return "{%s}" % ",".join(members)
+    return _CANONICAL.encode(value)
+
 
 def canonical_bytes(document: Dict[str, Any]) -> bytes:
     """The canonical serialisation of ``document`` (digest field excluded)."""
     body = {key: value for key, value in document.items() if key != DIGEST_KEY}
-    return json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return _canonical_text(body).encode("utf-8")
 
 
 def document_digest(document: Dict[str, Any]) -> str:

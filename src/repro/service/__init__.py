@@ -34,7 +34,7 @@ from repro.service.tenant import (
     FINGERPRINT_SEED,
     SERVICE_FORMAT,
     Tenant,
-    chain_fingerprint,
+    advance_fingerprint,
     engine_digest,
 )
 
@@ -51,6 +51,6 @@ __all__ = [
     "Tenant",
     "FINGERPRINT_SEED",
     "SERVICE_FORMAT",
-    "chain_fingerprint",
+    "advance_fingerprint",
     "engine_digest",
 ]

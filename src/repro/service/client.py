@@ -44,8 +44,12 @@ class ServiceClient:
             raise ServiceError("connect with exactly one of port / unix_socket")
         if unix_socket is not None:
             self._sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            self._sock.settimeout(timeout)
-            self._sock.connect(unix_socket)
+            try:
+                self._sock.settimeout(timeout)
+                self._sock.connect(unix_socket)
+            except BaseException:
+                self._sock.close()
+                raise
         else:
             self._sock = socket.create_connection((host, port), timeout=timeout)
         self._file = self._sock.makefile("rwb")

@@ -38,8 +38,9 @@ import hashlib
 import json
 import time
 from collections import deque
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Deque, Dict, List, Optional, Sequence
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence
 
 from repro.exceptions import OverloadedError, ServiceError
 from repro.experiments.runner import create_algorithm
@@ -48,8 +49,13 @@ from repro.resilience.faults import SERVICE_INGEST, SERVICE_SHUTDOWN, trip
 from repro.resilience.integrity import document_digest
 from repro.resilience.supervisor import RECOVERABLE, RetryPolicy
 from repro.service.config import TenantSpec
-from repro.updates.operations import UpdateOperation
-from repro.updates.protocol import encode_operation
+from repro.updates.operations import (
+    _DELETE_EDGE,
+    _DELETE_VERTEX,
+    _INSERT_EDGE,
+    _INSERT_VERTEX,
+    UpdateOperation,
+)
 from repro.workloads.replay import (
     latest_valid_checkpoint,
     load_checkpoint,
@@ -68,17 +74,50 @@ FINGERPRINT_SEED = hashlib.sha256(b"repro-service/1").hexdigest()
 SERVICE_FORMAT = "repro-service/1"
 
 
-#: One compact encoder for every chained operation (``json.dumps`` with
-#: non-default separators would build a new encoder per call).
+#: Labels render to JSON text by exact type, with no encoder call; any other
+#: type (an int or str subclass, a float, ...) goes through the compact
+#: encoder, which yields the same bytes.
 _COMPACT = json.JSONEncoder(separators=(",", ":"))
+_LABEL_TEXT = {
+    int: int.__repr__,
+    str: encode_basestring_ascii,
+    bool: {True: "true", False: "false"}.__getitem__,
+}
 
 
-def chain_fingerprint(fingerprint: str, operation: UpdateOperation) -> str:
-    """Advance the chained fingerprint by one operation."""
-    entry = _COMPACT.encode(encode_operation(operation))
-    return hashlib.sha256(
-        bytes.fromhex(fingerprint) + entry.encode("utf-8")
-    ).hexdigest()
+def _label_text(label) -> str:
+    render = _LABEL_TEXT.get(type(label))
+    return _COMPACT.encode(label) if render is None else render(label)
+
+
+def advance_fingerprint(fingerprint: str, operations: Iterable[UpdateOperation]) -> str:
+    """Advance the chained fingerprint over ``operations``, in order.
+
+    Each step is ``fp = sha256(fp || text)``, where ``text`` is the compact
+    JSON of the operation's :func:`~repro.updates.protocol.encode_operation`
+    entry.  The digest stays raw bytes between operations and is converted
+    from and to hex once per call.
+    """
+    digest = bytes.fromhex(fingerprint)
+    sha256 = hashlib.sha256
+    label = _label_text
+    for operation in operations:
+        kind = operation.kind
+        if kind is _INSERT_EDGE:
+            u, v = operation.edge
+            text = '["+e",%s,%s]' % (label(u), label(v))
+        elif kind is _DELETE_EDGE:
+            u, v = operation.edge
+            text = '["-e",%s,%s]' % (label(u), label(v))
+        elif kind is _INSERT_VERTEX:
+            text = '["+v",%s,[%s]]' % (
+                label(operation.vertex),
+                ",".join(map(label, operation.neighbors)),
+            )
+        else:
+            text = '["-v",%s]' % label(operation.vertex)
+        digest = sha256(digest + text.encode("utf-8")).digest()
+    return digest.hex()
 
 
 def engine_digest(algorithm) -> str:
@@ -421,8 +460,7 @@ class Tenant:
         self.fingerprint = self._durable_fp
         for batch in replayed:
             self.engine.apply_batch(batch, coalesce=True)
-            for operation in batch:
-                self.fingerprint = chain_fingerprint(self.fingerprint, operation)
+            self.fingerprint = advance_fingerprint(self.fingerprint, batch)
             self.applied += len(batch)
         if self.applied != before_applied or self.fingerprint != before_fingerprint:
             raise ServiceError(
@@ -522,8 +560,7 @@ class Tenant:
             # the same boundary (nothing admitted is ever lost to a crash).
             self._pending.extendleft(reversed(batch))
             raise
-        for operation in batch:
-            self.fingerprint = chain_fingerprint(self.fingerprint, operation)
+        self.fingerprint = advance_fingerprint(self.fingerprint, batch)
         self.applied += len(batch)
         self.stats["batches"] += 1
         self._replay.append(batch)

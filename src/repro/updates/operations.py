@@ -124,11 +124,12 @@ class UpdateOperation:
         return f"-e {self.edge}"
 
 
-# Module globals for the per-operation paths: the constructors below and
-# ``protocol._fingerprint_text``, which imports the kinds.  On CPython 3.11
-# an ``UpdateKind.X`` lookup costs about 0.1 us more than a global read, and
-# a bound slot setter skips the name lookup of ``object.__setattr__``;
-# PERFORMANCE.md ("Read path") has the end-to-end A/B.
+# Module globals for the per-operation paths: the constructors below, and
+# ``protocol._fingerprint_text`` and the service tenant's fingerprint chain,
+# which import the kinds.  On CPython 3.11 an ``UpdateKind.X`` lookup costs
+# about 0.1 us more than a global read, and a bound slot setter skips the
+# name lookup of ``object.__setattr__``; PERFORMANCE.md ("Read path") has
+# the end-to-end A/B.
 _INSERT_VERTEX = UpdateKind.INSERT_VERTEX
 _DELETE_VERTEX = UpdateKind.DELETE_VERTEX
 _INSERT_EDGE = UpdateKind.INSERT_EDGE

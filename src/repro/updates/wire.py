@@ -94,7 +94,10 @@ def operations_from_wire(entries: Sequence) -> List[UpdateOperation]:
     """Decode wire entries into operations, validating every one.
 
     A malformed entry names its batch index in the error, so a client can
-    fix exactly the operation the server rejected.
+    fix exactly the operation the server rejected.  So does an entry with a
+    vertex label that is not an int, str or bool: no checkpoint could hold
+    it (the rule of :meth:`~repro.graphs.dynamic_graph.DynamicGraph.to_payload`),
+    and an unhashable one could not even be applied.
     """
     if not isinstance(entries, (list, tuple)):
         raise WireError(
@@ -107,9 +110,17 @@ def operations_from_wire(entries: Sequence) -> List[UpdateOperation]:
                 f"operation #{index} must be a non-empty array, got {entry!r}"
             )
         try:
-            operations.append(decode_operation(entry))
+            operation = decode_operation(entry)
         except (ValueError, TypeError, IndexError, UpdateError) as exc:
             raise WireError(f"operation #{index} is malformed: {exc}") from exc
+        for label in operation.touched_vertices():
+            if not isinstance(label, (int, str)):
+                raise WireError(
+                    f"operation #{index} has vertex label {label!r} of type "
+                    f"{type(label).__name__}: only int, str and bool labels "
+                    "are accepted"
+                )
+        operations.append(operation)
     return operations
 
 

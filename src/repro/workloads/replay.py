@@ -37,7 +37,7 @@ from repro.resilience.faults import CHECKPOINT_WRITE
 from repro.resilience.integrity import verify_document, write_document
 from repro.workloads.snapshot import (
     algorithm_from_payload,
-    algorithm_to_payload,
+    algorithm_to_document,
     atomic_writer,
 )
 
@@ -258,7 +258,7 @@ def save_checkpoint(
         },
         "batch_size": batch_size,
         "metadata": dict(metadata or {}),
-        "algorithm": algorithm_to_payload(algorithm),
+        "algorithm": algorithm_to_document(algorithm),
     }
     # Atomic replace: a crash mid-write (the exact scenario checkpoints
     # exist for) must never leave a truncated newest checkpoint shadowing

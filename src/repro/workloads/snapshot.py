@@ -47,7 +47,7 @@ from typing import Callable, Dict, Optional, Union
 from repro.exceptions import GraphError, SnapshotError
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.resilience.faults import SNAPSHOT_WRITE
-from repro.resilience.integrity import verify_document, write_document
+from repro.resilience.integrity import Fragment, verify_document, write_document
 
 PathLike = Union[str, Path]
 
@@ -64,6 +64,10 @@ def atomic_writer(path: PathLike, *, mode: str = "w", encoding: Optional[str] = 
     this library relies on.  The fsync runs *before* the rename: without it
     a power loss can surface the rename with zero-length data, exactly the
     truncated-newest-checkpoint failure this helper exists to rule out.
+
+    The rename itself is made durable by an fsync of the parent directory
+    after it: until the directory entry reaches the disk, a power loss can
+    undo a rename this function already returned from.
 
     Pass ``mode="wb", encoding=None`` for binary payloads.
     """
@@ -83,6 +87,11 @@ def atomic_writer(path: PathLike, *, mode: str = "w", encoding: Optional[str] = 
         except OSError:
             pass
         raise
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 def atomic_write_text(path: PathLike, text: str) -> None:
@@ -131,6 +140,21 @@ def graph_to_payload(graph: DynamicGraph) -> Dict:
         raise SnapshotError(str(exc)) from exc
 
 
+def graph_to_document(graph: DynamicGraph) -> Dict:
+    """:func:`graph_to_payload` for the writers, at the cost of what changed.
+
+    The adjacency member is the graph's pre-encoded
+    :meth:`~repro.graphs.dynamic_graph.DynamicGraph.adjacency_json` text,
+    which re-sorts only the rows written since the previous encode, so
+    :func:`~repro.resilience.integrity.canonical_bytes` of this document
+    equals that of :func:`graph_to_payload` byte for byte.
+    """
+    try:
+        return graph.payload_around(Fragment(graph.adjacency_json()))
+    except GraphError as exc:
+        raise SnapshotError(str(exc)) from exc
+
+
 def graph_from_payload(payload: Dict) -> DynamicGraph:
     """Rebuild a graph from :func:`graph_to_payload` (bit-for-bit inverse).
 
@@ -156,6 +180,21 @@ def algorithm_to_payload(algorithm) -> Dict:
     snapshots are rejected because the drained-queue invariant is what makes
     the solution + graph a complete trajectory state).
     """
+    return _capture(algorithm, graph_to_payload)
+
+
+def algorithm_to_document(algorithm) -> Dict:
+    """:func:`algorithm_to_payload` for the writers (see :func:`graph_to_document`).
+
+    :func:`save_snapshot` and
+    :func:`~repro.workloads.replay.save_checkpoint` write this document; its
+    canonical bytes equal those of :func:`algorithm_to_payload`, which stays
+    the reference that restores, tests and digests compare against.
+    """
+    return _capture(algorithm, graph_to_document)
+
+
+def _capture(algorithm, graph_payload: Callable[[DynamicGraph], Dict]) -> Dict:
     required = ("has_pending_candidates", "state", "stats", "graph")
     for attribute in required:
         if not hasattr(algorithm, attribute):
@@ -176,7 +215,7 @@ def algorithm_to_payload(algorithm) -> Dict:
         "k": algorithm.k,
         "lazy": algorithm.lazy,
         "perturbation": algorithm.perturbation,
-        "graph": graph_to_payload(algorithm.graph),
+        "graph": graph_payload(algorithm.graph),
         "solution_slots": sorted(algorithm.state.solution_slots_view()),
         "stats": {
             **{name: getattr(stats, name) for name in _ALGORITHM_COUNTERS},
@@ -284,7 +323,7 @@ def _default_factory(class_name: str) -> Callable:
 # File-level convenience
 # --------------------------------------------------------------------- #
 def save_snapshot(algorithm, path: PathLike) -> None:
-    """Serialise :func:`algorithm_to_payload` to ``path`` as JSON (atomically).
+    """Serialise :func:`algorithm_to_document` to ``path`` as JSON (atomically).
 
     The document carries an embedded SHA-256 digest
     (:mod:`repro.resilience.integrity`) which :func:`load_snapshot` verifies,
@@ -297,7 +336,7 @@ def save_snapshot(algorithm, path: PathLike) -> None:
     parent directory is created.
     """
     path = Path(path)
-    payload = algorithm_to_payload(algorithm)
+    payload = algorithm_to_document(algorithm)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with atomic_writer(path, mode="wb", encoding=None) as stream:

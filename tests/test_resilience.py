@@ -62,7 +62,7 @@ from repro.resilience import (
     verify_document,
     write_document,
 )
-from repro.resilience.integrity import canonical_bytes
+from repro.resilience.integrity import Fragment, canonical_bytes
 from repro.resilience.supervisor import InvariantGuard
 from repro.workloads import (
     CheckpointConfig,
@@ -229,6 +229,21 @@ class TestFaultInjector:
         assert injector.hits[BULK_APPLY] == 1
 
 
+#: JSON values whose dicts have either all-str or all-int keys (the json
+#: module cannot sort mixed keys).
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    | st.dictionaries(st.integers(), inner, max_size=3),
+    max_leaves=12,
+)
+
+
 def _written(document, fault_point=CHECKPOINT_WRITE) -> bytes:
     stream = io.BytesIO()
     write_document(stream, document, fault_point=fault_point)
@@ -249,6 +264,24 @@ class TestIntegrity:
         digest = hashlib.sha256(body).hexdigest()
         assert _written(document) == body[:-1] + f',"sha256":"{digest}"}}'.encode()
         assert json.loads(_written({})) == {"sha256": document_digest({})}
+
+    @settings(max_examples=200, deadline=None)
+    @given(document=st.dictionaries(st.text(), _JSON_VALUES))
+    def test_canonical_bytes_are_the_json_module_rule(self, document):
+        assert canonical_bytes(document) == json.dumps(
+            document, sort_keys=True, separators=(",", ":")
+        ).encode("utf-8")
+
+    def test_fragments_are_emitted_verbatim(self):
+        rows = [[1, 2], [], [0]]
+        plain = {"z": {"rows": rows, "n": 3}, "a": [1.5, {"b": None}]}
+        spliced = {
+            "z": {"rows": Fragment(json.dumps(rows, separators=(",", ":"))), "n": 3},
+            "a": [1.5, {"b": None}],
+        }
+        assert canonical_bytes(spliced) == canonical_bytes(plain)
+        assert _written(spliced) == _written(plain)
+        assert document_digest(spliced) == document_digest(plain)
 
     def test_fault_point_fires_with_half_the_bytes_written(self):
         document = {"value": list(range(100))}

@@ -10,9 +10,12 @@ durability path.
 from __future__ import annotations
 
 import asyncio
+import gc
+import hashlib
 import json
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -36,9 +39,14 @@ from repro.service import (
     ServiceThread,
     TenantSpec,
 )
-from repro.service.tenant import FINGERPRINT_SEED, chain_fingerprint, engine_digest
+from repro.service.tenant import (
+    FINGERPRINT_SEED,
+    Tenant,
+    advance_fingerprint,
+    engine_digest,
+)
 from repro.updates.operations import UpdateOperation
-from repro.updates.protocol import chunked
+from repro.updates.protocol import chunked, encode_operation
 from repro.updates.streams import mixed_update_stream
 from repro.updates.wire import (
     MAX_LINE_BYTES,
@@ -128,6 +136,13 @@ class TestWire:
             operations_from_wire({"not": "a list"})
         with pytest.raises(WireError, match="#0"):
             operations_from_wire([[]])
+
+    def test_labels_must_be_int_str_or_bool(self):
+        good = [["+v", True, []], ["+v", "a", [True]], ["+e", -(2**70), "a"]]
+        assert len(operations_from_wire(good)) == 3
+        for bad in (["+v", 2.5, []], ["+e", 1, [2]], ["+v", 3, ["a", None]]):
+            with pytest.raises(WireError, match="operation #3 has vertex label"):
+                operations_from_wire(good + [bad])
 
     def test_wire_operation_stream_is_replayable(self):
         ops = build_ops(40)
@@ -262,6 +277,48 @@ class TestGateway:
                 assert client.ingest("t", ops, 1)["accepted"] == 1
                 assert client.flush("t")["applied"] == 1
                 assert client.health()["tenants"]["t"] == "serving"
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            ["+v", 2.5, [1]],
+            ["+e", 1, [2]],
+            ["+v", 9, [1, None]],
+            ["-e", {"v": 1}, 2],
+            ["-v", None],
+        ],
+        ids=["float-vertex", "list-endpoint", "null-neighbour", "dict-endpoint", "null-vertex"],
+    )
+    def test_labels_no_checkpoint_can_hold_are_refused_at_admission(
+        self, tmp_path, entry
+    ):
+        spec = TenantSpec(
+            name="t", batch_size=2, window_max=2, adaptive=False, checkpoint_every=2
+        )
+        with service(tmp_path, spec) as svc:
+            with svc.client() as client:
+                ops = [UpdateOperation.insert_vertex(1), UpdateOperation.insert_vertex(2)]
+                assert client.ingest("t", ops, 1)["accepted"] == 2
+                assert client.flush("t")["durable"] == 2
+                digest = client.digest("t")["digest"]
+                refused = client.request(
+                    {"cmd": "ingest", "tenant": "t", "seq": 3, "ops": [["+v", 3, []], entry]}
+                )
+                assert not refused["ok"]
+                assert "operation #1" in refused["error"]
+                assert "only int, str and bool labels" in refused["error"]
+                # Nothing was admitted, the digest is unchanged, and the
+                # tenant still serves and checkpoints.
+                assert client.offset("t")["accepted"] == 2
+                assert client.digest("t")["digest"] == digest
+                more = [
+                    UpdateOperation.insert_edge(1, 2),
+                    UpdateOperation.insert_vertex("x", [2]),
+                ]
+                assert client.ingest("t", more, 3)["accepted"] == 4
+                assert client.flush("t")["durable"] == 4
+                assert client.health()["tenants"]["t"] == "serving"
+                assert client.stats("t")["stats"]["crashes"] == 0
 
     def test_what_if_answers_without_perturbing_tenant(self, tmp_path):
         ops = build_ops(128)
@@ -774,6 +831,23 @@ class TestMain:
 
 
 # --------------------------------------------------------------------- #
+# Client
+# --------------------------------------------------------------------- #
+class TestClient:
+    def test_failed_connects_leave_no_open_socket(self, tmp_path):
+        from repro.service.client import connect_with_retry
+
+        missing = str(tmp_path / "nobody-listens.sock")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ServiceError, match="could not connect"):
+                connect_with_retry(unix_socket=missing, attempts=5, delay=0.0)
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert leaks == []
+
+
+# --------------------------------------------------------------------- #
 # Chaos drill
 # --------------------------------------------------------------------- #
 class TestSmoke:
@@ -789,30 +863,108 @@ class TestSmoke:
 # --------------------------------------------------------------------- #
 # Fingerprint chain
 # --------------------------------------------------------------------- #
+def reference_chain(fingerprint, operations):
+    """The chain by its definition: one hex round trip and one encoder call
+    per operation, ``fp = sha256(fp || compact JSON of the wire entry)``."""
+    for operation in operations:
+        entry = json.dumps(encode_operation(operation), separators=(",", ":"))
+        fingerprint = hashlib.sha256(
+            bytes.fromhex(fingerprint) + entry.encode("utf-8")
+        ).hexdigest()
+    return fingerprint
+
+
+def relabel(operations, mapping):
+    """``operations`` with every vertex label ``v`` replaced by ``mapping(v)``."""
+    out = []
+    for op in operations:
+        if op.is_vertex_operation:
+            if op.is_insertion:
+                out.append(
+                    UpdateOperation.insert_vertex(
+                        mapping(op.vertex), [mapping(w) for w in op.neighbors]
+                    )
+                )
+            else:
+                out.append(UpdateOperation.delete_vertex(mapping(op.vertex)))
+        else:
+            u, v = op.edge
+            build = UpdateOperation.insert_edge if op.is_insertion else UpdateOperation.delete_edge
+            out.append(build(mapping(u), mapping(v)))
+    return out
+
+
+def mixed_label(v):
+    """Distinct labels of every admitted kind: bools (0 and 1 only, so no
+    int collides with them), str with non-ASCII characters and escapes,
+    negative and big ints."""
+    if v in (0, 1):
+        return bool(v)
+    if v % 3 == 0:
+        return f'ü{v}"\\\n\t€'
+    if v % 3 == 1:
+        return -(10**20) - v
+    return v
+
+
 class TestFingerprint:
     def test_chain_is_order_sensitive_and_resumable(self):
         ops = build_ops(8)
-        forward = FINGERPRINT_SEED
-        for op in ops:
-            forward = chain_fingerprint(forward, op)
-        # Resuming the chain from an intermediate hex lands on the same tip.
-        middle = FINGERPRINT_SEED
-        for op in ops[:4]:
-            middle = chain_fingerprint(middle, op)
-        resumed = middle
-        for op in ops[4:]:
-            resumed = chain_fingerprint(resumed, op)
-        assert resumed == forward
+        forward = advance_fingerprint(FINGERPRINT_SEED, ops)
+        # Resuming the chain from an intermediate hex lands on the same tip,
+        # wherever the batch boundary falls.
+        for cut in range(len(ops) + 1):
+            middle = advance_fingerprint(FINGERPRINT_SEED, ops[:cut])
+            assert advance_fingerprint(middle, ops[cut:]) == forward
+        assert advance_fingerprint(FINGERPRINT_SEED, []) == FINGERPRINT_SEED
         # Different order, different tip.
-        swapped = FINGERPRINT_SEED
-        for op in reversed(ops):
-            swapped = chain_fingerprint(swapped, op)
-        assert swapped != forward
+        assert advance_fingerprint(FINGERPRINT_SEED, reversed(ops)) != forward
 
     def test_chain_value_is_pinned(self):
         # Checkpoints store the chain tip: resuming an older checkpoint
         # needs exactly the same bytes per operation.
-        tip = FINGERPRINT_SEED
-        for op in build_ops(8):
-            tip = chain_fingerprint(tip, op)
+        tip = advance_fingerprint(FINGERPRINT_SEED, build_ops(8))
         assert tip == "e34b876aa09b3dbeb43ad93199030600c63a52aee30602e4657ddefc631bc318"
+
+    def test_batch_chain_equals_the_per_operation_reference(self):
+        ops = relabel(build_ops(64), mixed_label)
+        ops += [
+            UpdateOperation.insert_vertex(7, [True, "é\u2028", -3, 2**70, False]),
+            UpdateOperation.insert_vertex("", []),
+            UpdateOperation.insert_edge(-(2**80), "tab\there"),
+            UpdateOperation.delete_edge(False, "\x00"),
+            UpdateOperation.delete_vertex(True),
+            # Types the wire refuses still chain exactly (encoder fallback).
+            UpdateOperation.insert_vertex(2.5, [None]),
+        ]
+        assert {type(v) for op in ops for v in op.touched_vertices()} >= {
+            int, str, bool, float, type(None)
+        }
+        assert advance_fingerprint(FINGERPRINT_SEED, ops) == reference_chain(
+            FINGERPRINT_SEED, ops
+        )
+        for cut in (1, 13, 40):
+            head = advance_fingerprint(FINGERPRINT_SEED, ops[:cut])
+            assert head == reference_chain(FINGERPRINT_SEED, ops[:cut])
+            assert advance_fingerprint(head, ops[cut:]) == reference_chain(
+                FINGERPRINT_SEED, ops
+            )
+
+    def test_recover_rechains_to_the_reference(self, tmp_path):
+        ops = relabel(build_ops(40), mixed_label)
+        spec = TenantSpec(
+            name="chain", batch_size=4, adaptive=False, checkpoint_every=16
+        )
+        tenant = Tenant(spec, tmp_path)
+        tenant._bootstrap()
+        for batch in chunked(iter(ops), 4):
+            tenant._apply_batch(list(batch))
+        assert tenant.fingerprint == reference_chain(FINGERPRINT_SEED, ops)
+        assert tenant.durable == 32 and len(tenant._replay) == 2
+        digest = tenant.digest()
+        # Crash: the rebuilt engine re-chains the replay buffer's batches
+        # from the durable checkpoint's fingerprint.
+        tenant.engine = None
+        tenant._recover()
+        assert tenant.fingerprint == reference_chain(FINGERPRINT_SEED, ops)
+        assert tenant.digest() == digest

@@ -25,7 +25,6 @@ from typing import (
     Dict,
     FrozenSet,
     Iterable,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -52,23 +51,23 @@ from repro.updates.protocol import (
 )
 from repro.updates.streams import UpdateStream
 from repro.workloads.replay import (
+    Checkpoint,
     CheckpointConfig,
     latest_valid_checkpoint,
     load_checkpoint,
     save_checkpoint,
 )
 
-#: Operations consumed between wall-clock checks when a
-#: :class:`~repro.workloads.replay.CheckpointConfig` carries only
-#: ``every_seconds`` (scaled by the batch size so chunk boundaries stay
-#: batch-aligned).
+#: Batches (operations, when unbatched) read between wall-clock checks of
+#: a :class:`~repro.workloads.replay.CheckpointConfig` with
+#: ``every_seconds``, within the ``CHECKPOINT_CHUNK`` cap.
 WALL_CLOCK_STRIDE = 64
 
-#: Residency cap on the chunk a checkpointed run materialises between
-#: stopwatch sessions: a huge ``CheckpointConfig.every`` must not turn into
-#: an equally huge in-RAM operation list, so chunks are bounded by this
-#: (rounded to the batch size) and the checkpoint is written once the
-#: operations since the last write reach the interval.
+#: Cap on the chunk the replay loop reads between stopwatch intervals,
+#: rounded down to whole batches: a long stream or a huge
+#: ``CheckpointConfig.every`` must not turn into an equally huge in-RAM
+#: operation list.  The time limit, the guard and the checkpoint schedule
+#: are consulted between chunks.
 CHECKPOINT_CHUNK = 1024
 
 #: Algorithm names in the order the paper's tables list them.
@@ -153,11 +152,6 @@ def supports_snapshots(name: str) -> bool:
     return name in SNAPSHOT_CAPABLE
 
 
-def _supports_snapshots(name: str, options: Dict) -> bool:
-    del options  # capability is a property of the registered class
-    return supports_snapshots(name)
-
-
 def available_algorithms() -> Tuple[str, ...]:
     """Names accepted by :func:`run_algorithm`."""
     return tuple(ALGORITHM_FACTORIES)
@@ -198,73 +192,168 @@ def create_algorithm(
     return ALGORITHM_FACTORIES[name](graph, initial_solution, **options)
 
 
-def _timed_stream_run(
-    algorithm,
-    stream: Iterable,
-    stopwatch: Stopwatch,
-    time_limit_seconds: Optional[float],
-    check_interval: int,
-    batch_size: int = 1,
-) -> Tuple[int, bool]:
-    """Apply ``stream`` to ``algorithm``; return ``(processed, finished)``.
+def _whole_batches(count: int, batch_size: int) -> int:
+    """``count`` operations rounded down to whole batches (at least one)."""
+    if batch_size <= 1:
+        return count
+    return max(batch_size, count // batch_size * batch_size)
 
-    With ``batch_size > 1`` and an algorithm exposing ``apply_batch`` (the
-    core maintenance algorithms and :class:`~repro.baselines.dyn_arw.DyARW`),
-    the stream is fed through the batched update engine — coalescing plus
-    one repair pass per batch; algorithms without batch support (the DGDIS
-    baselines) silently fall back to per-operation application so batched
-    competitions stay runnable across the whole registry.
 
-    The time-limit cutoff is kept off the per-update hot path: without a
-    limit the loop carries no bookkeeping at all, and with a limit the
-    stopwatch is only consulted once per ``check_interval`` operations
-    (stride-wise via ``islice``) instead of evaluating a modulo-and-compare
-    on every single update.
+class _Run:
+    """One algorithm in a replay: engine, stopwatch, time limit and offset.
+
+    Batches go through ``apply_batch`` where the algorithm has one; the
+    DGDIS baselines fall back to per-operation application, so batched
+    competitions run across the whole registry.  ``limit`` is in measured
+    seconds (``None``: no limit); ``finished`` turns false when the run is
+    cut off at it.
     """
-    apply_batch = getattr(algorithm, "apply_batch", None)
-    if batch_size > 1 and apply_batch is not None:
-        iterator = iter(stream)
-        processed = 0
-        batch = list(islice(iterator, batch_size))
-        while batch:
-            apply_batch(batch)
-            processed += len(batch)
-            # Prefetch before consulting the stopwatch so a limit elapsing
-            # during the final batch never flags a completed run.
-            batch = (
-                list(islice(iterator, batch_size))
-                if len(batch) == batch_size
-                else []
-            )
-            if (
-                batch
-                and time_limit_seconds is not None
-                and stopwatch.peek() > time_limit_seconds
-            ):
-                return processed, False
-        return processed, True
-    apply_update = algorithm.apply_update
-    if time_limit_seconds is None:
-        processed = 0
-        for operation in stream:
-            apply_update(operation)
-            processed += 1
-        return processed, True
-    stride = max(1, check_interval)
+
+    def __init__(self, name, algorithm, batch_size, initial_size, limit) -> None:
+        self.name = name
+        self.algorithm = algorithm
+        batched = batch_size > 1 and hasattr(algorithm, "apply_batch")
+        self.batch_size = batch_size if batched else 1
+        self.initial_size = initial_size
+        self.limit = limit
+        self.processed = 0
+        self.finished = True
+        self.stopwatch = Stopwatch()
+
+    def apply(self, chunk: List) -> None:
+        """Apply one chunk of whole batches under the run's stopwatch."""
+        step = self.batch_size
+        with self.stopwatch:
+            if step > 1:
+                apply_batch = self.algorithm.apply_batch
+                for start in range(0, len(chunk), step):
+                    apply_batch(chunk[start : start + step])
+            else:
+                apply_update = self.algorithm.apply_update
+                for operation in chunk:
+                    apply_update(operation)
+        self.processed += len(chunk)
+
+    def measurement(self, dataset: str) -> RunMeasurement:
+        algorithm = self.algorithm
+        return RunMeasurement(
+            algorithm=self.name,
+            dataset=dataset,
+            num_updates=self.processed,
+            initial_size=self.initial_size,
+            final_size=algorithm.solution_size,
+            elapsed_seconds=self.stopwatch.elapsed,
+            memory_footprint=algorithm.memory_footprint(),
+            finished=self.finished,
+            extra=_algorithm_extras(algorithm),
+        )
+
+
+def _reader(stream: Iterable) -> Callable[[int], List]:
+    """``read(size)``: the next at most ``size`` operations of ``stream``."""
     iterator = iter(stream)
-    processed = 0
-    batch = list(islice(iterator, stride))
-    while batch:
-        for operation in batch:
-            apply_update(operation)
-        processed += len(batch)
-        # Prefetch the next stride so a limit that elapses during the *final*
-        # batch never flags a fully completed run as timed out — the
-        # stopwatch is only consulted when more work actually remains.
-        batch = list(islice(iterator, stride)) if len(batch) == stride else []
-        if batch and stopwatch.peek() > time_limit_seconds:
-            return processed, False
-    return processed, True
+    return lambda size: list(islice(iterator, size))
+
+
+def _replay(
+    runs: Sequence[_Run],
+    read: Callable[[int], List],
+    batch_size: int,
+    hook: Optional[_CheckpointHook] = None,
+) -> int:
+    """Apply a stream to every run, chunk by chunk; return operations applied.
+
+    Chunks hold ``CHECKPOINT_CHUNK`` operations rounded down to whole
+    batches, or ``hook.stride()``, and ``read`` fetches each one outside
+    every stopwatch, so producing, decoding and fingerprinting the stream
+    are never measured.  Each chunk is applied to every run still inside
+    its time limit.  The limit is checked between chunks, once the next
+    chunk shows that work remains, so a limit that elapses during the final
+    chunk never cuts off a completed run.  After each chunk
+    ``hook.after_chunk()`` runs the guard and writes a checkpoint when one
+    is due.
+    """
+    size = _whole_batches(CHECKPOINT_CHUNK, batch_size)
+    applied = 0
+    while True:
+        if hook is not None:
+            size = hook.stride()
+        chunk = read(size)
+        if not chunk:
+            return applied
+        for run in runs:
+            if run.finished and run.limit is not None:
+                run.finished = run.stopwatch.elapsed < run.limit
+            if run.finished:
+                run.apply(chunk)
+        if not any(run.finished for run in runs):
+            return applied
+        applied += len(chunk)
+        if hook is not None:
+            hook.after_chunk()
+        if len(chunk) < size:
+            return applied
+
+
+class _CheckpointHook:
+    """The guard and checkpoint schedule of one checkpointed run.
+
+    A chunk ends at the next multiple of ``config.every`` operations since
+    the previous checkpoint, so operation-interval checkpoints land exactly
+    on it; with ``every_seconds`` set, the clock is also consulted after at
+    most ``WALL_CLOCK_STRIDE`` batches.  The guard and the write run between
+    chunks, outside the stopwatch.  ``record`` holds the run's fixed
+    :func:`~repro.workloads.replay.save_checkpoint` keywords.
+    """
+
+    def __init__(self, run, config, cursor, guard, guard_every, record) -> None:
+        self.run = run
+        self.config = config
+        self.cursor = cursor
+        self.guard = guard
+        self.guard_every = guard_every or 1
+        self.record = record
+        self.written = self.guarded = run.processed
+        self.written_at = time.monotonic()
+        batch_size = record["batch_size"]
+        self.cap = _whole_batches(CHECKPOINT_CHUNK, batch_size)
+        if config.every_seconds is not None:
+            self.cap = min(self.cap, WALL_CLOCK_STRIDE * max(1, batch_size))
+
+    def stride(self) -> int:
+        every = self.config.every
+        if every is None:
+            return self.cap
+        return min(every - (self.run.processed - self.written), self.cap)
+
+    def after_chunk(self, end: bool = False) -> None:
+        """Guard and checkpoint when due; at the ``end`` of the stream, guard
+        and persist whatever the last interval left, so a violation in the
+        last chunk cannot slip into the measurement and wall-clock-only
+        configs still leave a resumable checkpoint."""
+        run = self.run
+        processed = run.processed
+        if self.guard is not None and processed - self.guarded >= (
+            1 if end else self.guard_every
+        ):
+            self.guard(run.algorithm)
+            self.guarded = processed
+        pending = processed - self.written
+        if (end and pending) or self.config.due(
+            pending, time.monotonic() - self.written_at
+        ):
+            save_checkpoint(
+                run.algorithm,
+                self.config,
+                algorithm_name=run.name,
+                processed=processed,
+                initial_size=run.initial_size,
+                elapsed_seconds=run.stopwatch.elapsed,
+                stream_identity=self.cursor.fingerprint,
+                **self.record,
+            )
+            self.written = processed
+            self.written_at = time.monotonic()
 
 
 @dataclass(frozen=True)
@@ -306,6 +395,85 @@ def compute_reference(
     return ReferenceResult(size=best, kind="best-known")
 
 
+def _load_resume(
+    path: Union[str, Path],
+    name: str,
+    *,
+    dataset: str,
+    description: str,
+    stream_length: Optional[int],
+    batch_size: int,
+) -> Checkpoint:
+    """Load the checkpoint to resume from, refusing one of another run."""
+    restored = load_checkpoint(path)
+    if restored.algorithm_name != name:
+        raise ExperimentError(
+            f"checkpoint {restored.path} belongs to {restored.algorithm_name!r}, "
+            f"not {name!r}"
+        )
+    if (
+        restored.stream_length is not None
+        and stream_length is not None
+        and restored.stream_length != stream_length
+    ):
+        raise ExperimentError(
+            f"checkpoint {restored.path} was taken on a stream of "
+            f"{restored.stream_length} operations; got {stream_length}"
+        )
+    if (
+        restored.stream_description
+        and description
+        and restored.stream_description != description
+    ):
+        raise ExperimentError(
+            f"checkpoint {restored.path} was taken on stream "
+            f"{restored.stream_description!r}; resuming against "
+            f"{description!r} would silently mix two runs"
+        )
+    if restored.dataset and dataset and restored.dataset != dataset:
+        raise ExperimentError(
+            f"checkpoint {restored.path} was taken on dataset "
+            f"{restored.dataset!r}, not {dataset!r}"
+        )
+    if restored.batch_size != batch_size:
+        # Batch boundaries are part of the trajectory: resuming an
+        # unbatched checkpoint in batched mode (or vice versa) would
+        # shift every coalescing group relative to an uninterrupted run.
+        raise ExperimentError(
+            f"checkpoint {restored.path} was written by a "
+            f"batch_size={restored.batch_size} run; resuming with "
+            f"batch_size={batch_size} would shift every batch boundary"
+        )
+    if stream_length is not None and restored.processed > stream_length:
+        raise ExperimentError(
+            f"checkpoint {restored.path} consumed {restored.processed} "
+            f"operations but the stream only has {stream_length}"
+        )
+    return restored
+
+
+def _fast_forward(cursor: StreamCursor, restored: Checkpoint) -> None:
+    """Skip ``cursor`` to the checkpoint's offset, verifying the prefix."""
+    skip = restored.processed
+    skipped = cursor.skip(skip)
+    if skipped < skip:
+        raise ExperimentError(
+            f"checkpoint {restored.path} consumed {skip} operations but "
+            f"the stream only yielded {skipped}"
+        )
+    if (
+        restored.stream_identity is not None
+        and cursor.fingerprint != restored.stream_identity
+    ):
+        raise ExperimentError(
+            f"checkpoint {restored.path} was taken at offset {skip} of a "
+            f"stream whose prefix fingerprint is "
+            f"{restored.stream_identity[:16]}…, but the supplied stream's "
+            f"prefix hashes to {cursor.fingerprint[:16]}… — resuming "
+            "would silently mix two runs"
+        )
+
+
 def _run_single(
     name: str,
     graph: DynamicGraph,
@@ -314,7 +482,6 @@ def _run_single(
     dataset: str,
     initial_solution: Optional[Iterable[Vertex]],
     time_limit_seconds: Optional[float],
-    check_interval: int,
     batch_size: int,
     checkpoint: Optional[CheckpointConfig],
     resume_from: Optional[Union[str, Path]],
@@ -328,13 +495,13 @@ def _run_single(
     algorithm for its final graph/solution (the competition's shared
     reference).  The stream is consumed strictly as an iterator (``len()``
     is never called on it; a ``length_hint`` is recorded when the stream
-    offers one), so unbounded lazy streams run in O(batch window) memory.
+    offers one), so unbounded lazy streams run in O(chunk) memory.
     Handles the optional checkpoint/resume wiring:
 
-    * with ``checkpoint`` set, the stream is consumed through a hashing
-      :class:`~repro.updates.protocol.StreamCursor` in chunks and a
-      checkpoint recording ``(offset, prefix fingerprint)`` is written after
-      every ``checkpoint.every`` operations and/or every
+    * with ``checkpoint`` set, the stream is read through a hashing
+      :class:`~repro.updates.protocol.StreamCursor` and a checkpoint
+      recording ``(offset, prefix fingerprint)`` is written after every
+      ``checkpoint.every`` operations and/or every
       ``checkpoint.every_seconds`` of wall-clock time (checkpoint I/O and
       fingerprinting are excluded from the measured update time),
     * with ``resume_from`` set, the algorithm is restored bit-for-bit from
@@ -356,72 +523,30 @@ def _run_single(
         )
     if guard_every is not None and guard_every < 1:
         raise ExperimentError("guard_every must be at least 1 when given")
-    if checkpoint is not None:
-        if not _supports_snapshots(name, options):
-            # Fail before any stream work is done — discovering the missing
-            # capability at the first save_checkpoint would burn a full
-            # chunk of updates first.
-            raise ExperimentError(
-                f"algorithm {name!r} does not support engine snapshots; "
-                f"checkpointing is available for {SNAPSHOT_CAPABLE}"
-            )
-        if (
-            batch_size > 1
-            and checkpoint.every is not None
-            and checkpoint.every % batch_size
-        ):
-            raise ExperimentError(
-                f"checkpoint interval {checkpoint.every} must be a multiple of "
-                f"batch_size {batch_size} so checkpoints land on batch boundaries"
-            )
-    skip = 0
-    elapsed_offset = 0.0
+    if checkpoint is not None and not supports_snapshots(name):
+        # Fail before any stream work is done — discovering the missing
+        # capability at the first save_checkpoint would burn a full chunk of
+        # updates first.
+        raise ExperimentError(
+            f"algorithm {name!r} does not support engine snapshots; "
+            f"checkpointing is available for {SNAPSHOT_CAPABLE}"
+        )
+    every = None if checkpoint is None else checkpoint.every
+    if batch_size > 1 and every is not None and every % batch_size:
+        raise ExperimentError(
+            f"checkpoint interval {every} must be a multiple of "
+            f"batch_size {batch_size} so checkpoints land on batch boundaries"
+        )
     restored = None
     if resume_from is not None:
-        restored = load_checkpoint(resume_from)
-        if restored.algorithm_name != name:
-            raise ExperimentError(
-                f"checkpoint {restored.path} belongs to {restored.algorithm_name!r}, "
-                f"not {name!r}"
-            )
-        if (
-            restored.stream_length is not None
-            and stream_length is not None
-            and restored.stream_length != stream_length
-        ):
-            raise ExperimentError(
-                f"checkpoint {restored.path} was taken on a stream of "
-                f"{restored.stream_length} operations; got {stream_length}"
-            )
-        if (
-            restored.stream_description
-            and description
-            and restored.stream_description != description
-        ):
-            raise ExperimentError(
-                f"checkpoint {restored.path} was taken on stream "
-                f"{restored.stream_description!r}; resuming against "
-                f"{description!r} would silently mix two runs"
-            )
-        if restored.dataset and dataset and restored.dataset != dataset:
-            raise ExperimentError(
-                f"checkpoint {restored.path} was taken on dataset "
-                f"{restored.dataset!r}, not {dataset!r}"
-            )
-        if restored.batch_size != batch_size:
-            # Batch boundaries are part of the trajectory: resuming an
-            # unbatched checkpoint in batched mode (or vice versa) would
-            # shift every coalescing group relative to an uninterrupted run.
-            raise ExperimentError(
-                f"checkpoint {restored.path} was written by a "
-                f"batch_size={restored.batch_size} run; resuming with "
-                f"batch_size={batch_size} would shift every batch boundary"
-            )
-        if stream_length is not None and restored.processed > stream_length:
-            raise ExperimentError(
-                f"checkpoint {restored.path} consumed {restored.processed} "
-                f"operations but the stream only has {stream_length}"
-            )
+        restored = _load_resume(
+            resume_from,
+            name,
+            dataset=dataset,
+            description=description,
+            stream_length=stream_length,
+            batch_size=batch_size,
+        )
 
         def factory(restored_graph, solution, **snapshot_options):
             merged = dict(options)
@@ -429,175 +554,38 @@ def _run_single(
             return create_algorithm(name, restored_graph, solution, **merged)
 
         algorithm = restored.restore(factory)
-        skip = restored.processed
         initial_size = restored.initial_size
-        elapsed_offset = restored.elapsed_seconds
     else:
-        working_graph = graph.copy()
-        algorithm = create_algorithm(name, working_graph, initial_solution, **options)
+        algorithm = create_algorithm(name, graph.copy(), initial_solution, **options)
         initial_size = algorithm.solution_size
-    # The per-session cutoff accounts for update time already spent before
-    # the resume, mirroring the paper's per-run budget.
-    session_limit = (
-        None if time_limit_seconds is None else time_limit_seconds - elapsed_offset
-    )
-    stopwatch = Stopwatch()
+    run = _Run(name, algorithm, batch_size, initial_size, time_limit_seconds)
+    if restored is not None:
+        # Continue the checkpoint's offset and update time: the time limit
+        # budgets the whole run, and the measurement reports its totals.
+        run.processed = restored.processed
+        run.stopwatch.elapsed = restored.elapsed_seconds
     # A hashing cursor is only paid for when the run writes checkpoints or
-    # fast-forwards a resume; plain runs consume the raw iterator.
-    cursor: Optional[StreamCursor] = None
-    if checkpoint is not None or skip:
+    # fast-forwards a resume; plain runs read the raw iterator.
+    hook = None
+    if checkpoint is None and not run.processed:
+        read = _reader(stream)
+    else:
         cursor = StreamCursor(stream)
-        iterator: Iterator = cursor
-    else:
-        iterator = iter(stream)
-    if skip:
-        assert cursor is not None and restored is not None
-        skipped = cursor.skip(skip)
-        if skipped < skip:
-            raise ExperimentError(
-                f"checkpoint {restored.path} consumed {skip} operations but "
-                f"the stream only yielded {skipped}"
-            )
-        if (
-            restored.stream_identity is not None
-            and cursor.fingerprint != restored.stream_identity
-        ):
-            raise ExperimentError(
-                f"checkpoint {restored.path} was taken at offset {skip} of a "
-                f"stream whose prefix fingerprint is "
-                f"{restored.stream_identity[:16]}…, but the supplied stream's "
-                f"prefix hashes to {cursor.fingerprint[:16]}… — resuming "
-                "would silently mix two runs"
-            )
-        if checkpoint is None:
-            # No further fingerprints are needed: hand the raw iterator to
-            # the timed loop so hashing never taxes the measured time.
-            iterator = cursor.detach()
-            cursor = None
-    processed = skip
-    finished = True
-    if session_limit is not None and session_limit <= 0:
-        finished = stream_length is not None and processed >= stream_length
-    elif checkpoint is None:
-        with stopwatch:
-            done, finished = _timed_stream_run(
-                algorithm,
-                iterator,
-                stopwatch,
-                session_limit,
-                check_interval,
-                batch_size,
-            )
-        processed += done
-    else:
-        assert cursor is not None
-        # Chunking: each iteration materialises one bounded chunk (outside
-        # the stopwatch) and the checkpoint fires once the operations since
-        # the last write reach ``every`` and/or the wall clock passes
-        # ``every_seconds``.  The chunk is sized to the *remaining* distance
-        # to the next operation-interval checkpoint — so checkpoint offsets
-        # land exactly on multiples of ``every`` — but never beyond
-        # ``CHECKPOINT_CHUNK`` (residency stays O(chunk), not O(every)) nor,
-        # when a wall-clock interval is set, beyond the clock probe stride
-        # (a short ``every_seconds`` trips long before a huge ``every``
-        # chunk would complete: "whichever trips first").  All candidates
-        # are multiples of ``batch_size`` (``every`` is validated above),
-        # so chunk boundaries stay batch-aligned.
-        clock_stride = (
-            WALL_CLOCK_STRIDE * batch_size if batch_size > 1 else WALL_CLOCK_STRIDE
-        )
-        chunk_cap = (
-            max(batch_size, (CHECKPOINT_CHUNK // batch_size) * batch_size)
-            if batch_size > 1
-            else CHECKPOINT_CHUNK
-        )
-
-        def persist() -> None:
-            save_checkpoint(
-                algorithm,
-                checkpoint,
-                algorithm_name=name,
-                processed=processed,
-                initial_size=initial_size,
-                elapsed_seconds=elapsed_offset + stopwatch.elapsed,
+        if run.processed:
+            _fast_forward(cursor, restored)
+        read = cursor.take
+        if checkpoint is not None:
+            record = dict(
                 dataset=dataset,
                 stream_length=stream_length,
                 stream_description=description,
-                stream_identity=cursor.fingerprint,
                 batch_size=batch_size,
             )
-
-        pending = 0  # operations applied since the last checkpoint write
-        since_guard = 0  # operations applied since the last guard pass
-        last_write = time.monotonic()
-        while True:
-            if checkpoint.every is not None:
-                stride = min(checkpoint.every - pending, chunk_cap)
-                if checkpoint.every_seconds is not None:
-                    stride = min(stride, clock_stride)
-            else:
-                stride = clock_stride
-            chunk = cursor.take(stride)
-            if not chunk:
-                break
-            with stopwatch:
-                done, chunk_finished = _timed_stream_run(
-                    algorithm,
-                    chunk,
-                    stopwatch,
-                    session_limit,
-                    check_interval,
-                    batch_size,
-                )
-            processed += done
-            pending += done
-            since_guard += done
-            if not chunk_finished:
-                finished = False
-                break
-            if guard is not None and (
-                guard_every is None or since_guard >= guard_every
-            ):
-                # Outside the stopwatch: first-principles verification is
-                # supervision overhead, never measured update time.
-                guard(algorithm)
-                since_guard = 0
-            due = (
-                checkpoint.every is not None and pending >= checkpoint.every
-            ) or (
-                checkpoint.every_seconds is not None
-                and time.monotonic() - last_write >= checkpoint.every_seconds
-            )
-            if due:
-                # Checkpoint I/O happens outside the stopwatch: persisting
-                # state must not count as update time.
-                persist()
-                pending = 0
-                last_write = time.monotonic()
-            if len(chunk) < stride:
-                break
-        if guard is not None and finished and since_guard:
-            # End-of-stream guard pass: the final partial interval is
-            # verified too, so a violation in the last chunk cannot slip
-            # into the returned measurement unchecked.
-            guard(algorithm)
-        if finished and pending:
-            # Wall-clock-only configs still leave a resumable checkpoint
-            # at end of stream (operation-interval configs wrote it
-            # in-loop).
-            persist()
-    measurement = RunMeasurement(
-        algorithm=name,
-        dataset=dataset,
-        num_updates=processed,
-        initial_size=initial_size,
-        final_size=algorithm.solution_size,
-        elapsed_seconds=elapsed_offset + stopwatch.elapsed,
-        memory_footprint=algorithm.memory_footprint(),
-        finished=finished,
-        extra=_algorithm_extras(algorithm),
-    )
-    return measurement, algorithm
+            hook = _CheckpointHook(run, checkpoint, cursor, guard, guard_every, record)
+    _replay([run], read, batch_size, hook)
+    if hook is not None and run.finished:
+        hook.after_chunk(end=True)
+    return run.measurement(dataset), algorithm
 
 
 def run_algorithm(
@@ -608,7 +596,6 @@ def run_algorithm(
     dataset: str = "",
     initial_solution: Optional[Iterable[Vertex]] = None,
     time_limit_seconds: Optional[float] = None,
-    check_interval: int = 64,
     batch_size: int = 1,
     checkpoint: Optional[CheckpointConfig] = None,
     resume_from: Optional[Union[str, Path]] = None,
@@ -619,18 +606,19 @@ def run_algorithm(
     """Run one algorithm over one update stream and measure it.
 
     The graph is copied, so the same input graph and stream can be reused for
-    several algorithms.  Only the stream-processing phase is timed; building
-    the initial solution and indexes is excluded, as in the paper.
+    several algorithms.  The stream is read in chunks of at most
+    :data:`CHECKPOINT_CHUNK` operations (whole batches), and the stopwatch
+    covers only the calls that apply them: building the initial solution
+    and indexes is excluded, as in the paper, and so are producing and
+    reading the stream, the guard and checkpoint I/O.
 
     Parameters
     ----------
     time_limit_seconds:
         When set, the run is abandoned once this much time has been spent on
         updates; the measurement is returned with ``finished=False`` (the
-        paper reports such runs as "-").
-    check_interval:
-        How often (in updates) the time limit is checked.  The check runs
-        once per stride, so the cutoff adds no per-update overhead.
+        paper reports such runs as "-").  The limit is checked between
+        chunks, so a run may overshoot it by up to one chunk.
     batch_size:
         When greater than one, feed the stream through the batched update
         engine (coalescing plus one repair pass per batch); algorithms
@@ -668,7 +656,6 @@ def run_algorithm(
         dataset=dataset,
         initial_solution=initial_solution,
         time_limit_seconds=time_limit_seconds,
-        check_interval=check_interval,
         batch_size=batch_size,
         checkpoint=checkpoint,
         resume_from=resume_from,
@@ -687,7 +674,6 @@ def _run_sequential(
     algorithms: Sequence[str],
     initial_solution: Optional[Iterable[Vertex]],
     time_limit_seconds: Optional[float],
-    check_interval: int,
     batch_size: int,
     algorithm_options: Dict[str, Dict],
     checkpoint: Optional[CheckpointConfig],
@@ -702,7 +688,7 @@ def _run_sequential(
         algorithm_checkpoint = checkpoint
         resume_from = None
         if checkpoint is not None:
-            if not _supports_snapshots(name, options):
+            if not supports_snapshots(name):
                 algorithm_checkpoint = None
             elif resume:
                 # Validated discovery: a torn or rotted newest checkpoint is
@@ -716,7 +702,6 @@ def _run_sequential(
             dataset=dataset,
             initial_solution=initial_solution,
             time_limit_seconds=time_limit_seconds,
-            check_interval=check_interval,
             batch_size=batch_size,
             checkpoint=algorithm_checkpoint,
             resume_from=resume_from,
@@ -737,7 +722,6 @@ def _run_fanout(
     algorithms: Sequence[str],
     initial_solution: Optional[Iterable[Vertex]],
     time_limit_seconds: Optional[float],
-    check_interval: int,
     batch_size: int,
     algorithm_options: Dict[str, Dict],
 ) -> Tuple[Dict[str, RunMeasurement], List, Optional[DynamicGraph]]:
@@ -756,75 +740,27 @@ def _run_fanout(
     call ``iter(stream)`` a second time.
     """
     base = graph.copy()
-    names = list(algorithms)
-    engines: Dict[str, object] = {}
-    for name in names:
+    runs = []
+    for name in algorithms:
         options = algorithm_options.get(name, {})
-        engines[name] = create_algorithm(
-            name, base.fork(), initial_solution, **options
+        engine = create_algorithm(name, base.fork(), initial_solution, **options)
+        runs.append(
+            _Run(name, engine, batch_size, engine.solution_size, time_limit_seconds)
         )
-    initial_sizes = {name: engines[name].solution_size for name in names}
-    stopwatches = {name: Stopwatch() for name in names}
-    processed = {name: 0 for name in names}
-    running = {name: True for name in names}
-    chunk_size = (
-        max(batch_size, (CHECKPOINT_CHUNK // batch_size) * batch_size)
-        if batch_size > 1
-        else CHECKPOINT_CHUNK
-    )
-    iterator = iter(stream)
-    consumed = 0
-    while any(running.values()):
-        chunk = list(islice(iterator, chunk_size))
-        if not chunk:
-            break
-        consumed += len(chunk)
-        for name in names:
-            if not running[name]:
-                continue
-            stopwatch = stopwatches[name]
-            with stopwatch:
-                done, chunk_finished = _timed_stream_run(
-                    engines[name],
-                    chunk,
-                    stopwatch,
-                    time_limit_seconds,
-                    check_interval,
-                    batch_size,
-                )
-            processed[name] += done
-            if not chunk_finished:
-                running[name] = False
-        if len(chunk) < chunk_size:
-            break
+    applied = _replay(runs, _reader(stream), batch_size)
     # The single pass above is the whole consumption — a second
     # iteration of a one-shot stream would silently hand later work
     # empty chunks, so pin the contract: every algorithm that ran to
     # completion saw exactly the operations of the single pass.
     assert all(
-        processed[name] == consumed for name in names if running[name]
+        run.processed == applied for run in runs if run.finished
     ), "fan-out double-fed or starved an algorithm within the single pass"
-    measurements: Dict[str, RunMeasurement] = {}
-    final_solutions = []
-    final_graph: Optional[DynamicGraph] = None
-    for name in names:
-        engine = engines[name]
-        finished = running[name]
-        measurements[name] = RunMeasurement(
-            algorithm=name,
-            dataset=dataset,
-            num_updates=processed[name],
-            initial_size=initial_sizes[name],
-            final_size=engine.solution_size,
-            elapsed_seconds=stopwatches[name].elapsed,
-            memory_footprint=engine.memory_footprint(),
-            finished=finished,
-            extra=_algorithm_extras(engine),
-        )
-        if finished:
-            final_solutions.append(engine.solution())
-            final_graph = engine.graph
-    return measurements, final_solutions, final_graph
+    finished = [run.algorithm for run in runs if run.finished]
+    return (
+        {run.name: run.measurement(dataset) for run in runs},
+        [engine.solution() for engine in finished],
+        finished[-1].graph if finished else None,
+    )
 
 
 def run_competition(
@@ -835,7 +771,6 @@ def run_competition(
     algorithms: Sequence[str] = PAPER_ALGORITHMS,
     initial_solution: Optional[Iterable[Vertex]] = None,
     time_limit_seconds: Optional[float] = None,
-    check_interval: int = 64,
     batch_size: int = 1,
     reference_node_budget: int = 150_000,
     attach_reference: bool = True,
@@ -851,7 +786,9 @@ def run_competition(
     algorithm's final solution) and attached to each measurement.  With
     ``batch_size > 1`` every batch-capable algorithm processes the stream
     through the batched update engine (the DGDIS baselines fall back to
-    per-operation application).
+    per-operation application).  Timing follows :func:`run_algorithm`: each
+    algorithm's stopwatch covers only the calls that apply the stream's
+    chunks to it, and ``time_limit_seconds`` is checked between chunks.
 
     A replayable stream is replayed once per algorithm (the classic
     sequential protocol).  A **one-shot** stream — a bare iterator, or a
@@ -872,7 +809,14 @@ def run_competition(
     when it has none), which makes an interrupted competition restartable
     with the completed prefix priced in.
     """
-    algorithm_options = algorithm_options or {}
+    common = dict(
+        dataset=dataset,
+        algorithms=algorithms,
+        initial_solution=initial_solution,
+        time_limit_seconds=time_limit_seconds,
+        batch_size=batch_size,
+        algorithm_options=algorithm_options or {},
+    )
     replayable = getattr(stream, "replayable", None)
     one_shot = iter(stream) is stream or (
         callable(replayable) and not replayable()
@@ -897,29 +841,11 @@ def run_competition(
                 "to use checkpoint/resume"
             )
         measurements, final_solutions, final_graph = _run_fanout(
-            graph,
-            stream,
-            dataset=dataset,
-            algorithms=algorithms,
-            initial_solution=initial_solution,
-            time_limit_seconds=time_limit_seconds,
-            check_interval=check_interval,
-            batch_size=batch_size,
-            algorithm_options=algorithm_options,
+            graph, stream, **common
         )
     else:
         measurements, final_solutions, final_graph = _run_sequential(
-            graph,
-            stream,
-            dataset=dataset,
-            algorithms=algorithms,
-            initial_solution=initial_solution,
-            time_limit_seconds=time_limit_seconds,
-            check_interval=check_interval,
-            batch_size=batch_size,
-            algorithm_options=algorithm_options,
-            checkpoint=checkpoint,
-            resume=resume,
+            graph, stream, checkpoint=checkpoint, resume=resume, **common
         )
     if attach_reference and final_graph is not None:
         reference = compute_reference(
@@ -964,9 +890,3 @@ def _algorithm_extras(algorithm) -> Dict[str, float]:
         extra["batches_applied"] = float(batches)
     return extra
 
-
-def elapsed_time_of(callable_, *args, **kwargs) -> Tuple[float, object]:
-    """Utility: run a callable and return ``(elapsed_seconds, result)``."""
-    start = time.perf_counter()
-    result = callable_(*args, **kwargs)
-    return time.perf_counter() - start, result

@@ -57,6 +57,7 @@ from repro.updates.operations import (
     UpdateOperation,
 )
 from repro.workloads.replay import (
+    Checkpoint,
     latest_valid_checkpoint,
     load_checkpoint,
     save_checkpoint,
@@ -378,38 +379,44 @@ class Tenant:
     def _bootstrap(self) -> None:
         """Warm-start priority: newest valid checkpoint > snapshot > fresh."""
         spec = self.spec
-        checkpoint_path = latest_valid_checkpoint(
-            self.checkpoints.directory, spec.algorithm
-        )
-        if checkpoint_path is not None:
-            restored = load_checkpoint(checkpoint_path)
+        restored = self._newest_checkpoint()
+        if restored is not None:
             meta = restored.metadata
             if meta.get("service") != SERVICE_FORMAT or meta.get("tenant") != spec.name:
                 raise ServiceError(
-                    f"checkpoint {checkpoint_path} was not written by service "
+                    f"checkpoint {restored.path} was not written by service "
                     f"tenant {spec.name!r}; refusing to warm-start from it"
                 )
             if restored.batch_size != spec.batch_size:
                 raise ServiceError(
-                    f"checkpoint {checkpoint_path} was written with "
+                    f"checkpoint {restored.path} was written with "
                     f"batch_size={restored.batch_size}; tenant {spec.name!r} is "
                     f"configured with batch_size={spec.batch_size} — resuming "
                     "would shift every batch boundary"
                 )
-            self.engine = restored.restore(self._factory)
+        self._restore(restored)
+        if restored is not None:
             self.applied = self.accepted = self.durable = restored.processed
             self.fingerprint = restored.stream_identity or FINGERPRINT_SEED
             self._durable_fp = self.fingerprint
             self._initial_size = restored.initial_size
-        elif spec.snapshot is not None:
-            self.engine = load_snapshot(spec.snapshot, self._factory)
-            self._initial_size = self.engine.solution_size
         else:
-            self.engine = create_algorithm(
-                spec.algorithm, DynamicGraph(), None, **dict(spec.options)
-            )
             self._initial_size = self.engine.solution_size
         self._last_checkpoint_time = time.monotonic()
+
+    def _newest_checkpoint(self) -> Optional[Checkpoint]:
+        """The newest valid checkpoint (corrupt ones are quarantined)."""
+        path = latest_valid_checkpoint(self.checkpoints.directory, self.spec.algorithm)
+        return None if path is None else load_checkpoint(path)
+
+    def _restore(self, restored: Optional[Checkpoint]) -> None:
+        """Start the engine from ``restored``, else ``spec.snapshot``, else fresh."""
+        if restored is not None:
+            self.engine = restored.restore(self._factory)
+        elif self.spec.snapshot is not None:
+            self.engine = load_snapshot(self.spec.snapshot, self._factory)
+        else:
+            self.engine = self._factory(DynamicGraph(), None)
 
     def _factory(self, graph, solution, **snapshot_options):
         merged = dict(self.spec.options)
@@ -429,33 +436,19 @@ class Tenant:
         replayed = list(self._replay)
         before_applied = self.applied
         before_fingerprint = self.fingerprint
-        checkpoint_path = latest_valid_checkpoint(
-            self.checkpoints.directory, self.spec.algorithm
-        )
-        if checkpoint_path is not None:
-            restored = load_checkpoint(checkpoint_path)
-            if restored.processed != self.durable:
-                raise ServiceError(
-                    f"tenant {self.spec.name!r}: newest checkpoint covers "
-                    f"{restored.processed} ops but the replay buffer starts at "
-                    f"{self.durable} — cannot reconstruct the crashed state"
-                )
-            self.engine = restored.restore(self._factory)
-        elif self.durable == 0:
-            if self.spec.snapshot is not None:
-                self.engine = load_snapshot(self.spec.snapshot, self._factory)
-            else:
-                self.engine = create_algorithm(
-                    self.spec.algorithm,
-                    DynamicGraph(),
-                    None,
-                    **dict(self.spec.options),
-                )
-        else:
+        restored = self._newest_checkpoint()
+        if restored is not None and restored.processed != self.durable:
+            raise ServiceError(
+                f"tenant {self.spec.name!r}: newest checkpoint covers "
+                f"{restored.processed} ops but the replay buffer starts at "
+                f"{self.durable} — cannot reconstruct the crashed state"
+            )
+        if restored is None and self.durable:
             raise ServiceError(
                 f"tenant {self.spec.name!r}: no valid checkpoint survives but "
                 f"{self.durable} ops were durable — cannot recover"
             )
+        self._restore(restored)
         self.applied = self.durable
         self.fingerprint = self._durable_fp
         for batch in replayed:
@@ -531,7 +524,7 @@ class Tenant:
                     self._flush_requested = False
             if not self._pending:
                 self._idle.set()
-            if not progressed and self._wall_checkpoint_due():
+            if not progressed and self._checkpoint_due():
                 self._write_checkpoint()
 
     def _has_work(self) -> bool:
@@ -541,7 +534,7 @@ class Tenant:
             return False
         if len(self._pending) >= self.spec.batch_size:
             return True
-        return self._wall_checkpoint_due()
+        return self._checkpoint_due()
 
     def _take(self, count: int) -> List[UpdateOperation]:
         count = min(count, len(self._pending))
@@ -587,16 +580,10 @@ class Tenant:
         self._attempt = 0
 
     def _checkpoint_due(self) -> bool:
-        every = self.checkpoints.every
-        if every is not None and self.applied - self.durable >= every:
-            return True
-        return self._wall_checkpoint_due()
-
-    def _wall_checkpoint_due(self) -> bool:
-        seconds = self.checkpoints.every_seconds
-        if seconds is None or self.applied == self.durable:
-            return False
-        return time.monotonic() - self._last_checkpoint_time >= seconds
+        return self.checkpoints.due(
+            self.applied - self.durable,
+            time.monotonic() - self._last_checkpoint_time,
+        )
 
     def _write_checkpoint(self) -> Path:
         """Persist the engine at the current batch boundary (atomic write,

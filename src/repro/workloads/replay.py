@@ -76,17 +76,16 @@ class CheckpointConfig:
         first); ``None`` keeps every checkpoint.
     every_seconds:
         Wall-clock retention: additionally checkpoint once at least this
-        many seconds have passed since the previous checkpoint (checked at
-        operation-chunk granularity — see
-        :data:`~repro.experiments.runner.WALL_CLOCK_STRIDE`).  May be
-        combined with ``every`` (whichever trips first: the runner then
-        probes at the *smaller* of the two strides, so a short
-        ``every_seconds`` fires long before a huge ``every`` chunk would
-        complete, and the operation interval is honoured at probe
-        granularity — the first probe boundary at or after each ``every``
-        operations) or used alone for runs whose per-operation cost is
-        unpredictable.  At least one of ``every`` / ``every_seconds`` must
-        be set.
+        many seconds have passed since the previous checkpoint.  The
+        runner looks at the clock between chunks of at most
+        :data:`~repro.experiments.runner.WALL_CLOCK_STRIDE` batches, the
+        service tenant after each batch and when idle.  May be combined
+        with ``every`` (whichever comes first: a short ``every_seconds``
+        fires long before a huge ``every`` would, and operation-interval
+        checkpoints still land exactly on multiples of ``every`` since the
+        previous checkpoint) or used alone for runs whose per-operation
+        cost is unpredictable.  At least one of ``every`` /
+        ``every_seconds`` must be set.
     """
 
     directory: PathLike
@@ -106,6 +105,20 @@ class CheckpointConfig:
             raise CheckpointError("'every_seconds' must be positive when given")
         if self.keep is not None and self.keep < 1:
             raise CheckpointError("'keep' must be at least 1 when given")
+
+    def due(self, pending_ops: int, seconds_since_last: float) -> bool:
+        """Whether a checkpoint is due, ``pending_ops`` operations and
+        ``seconds_since_last`` seconds after the previous one: after
+        ``every`` operations or ``every_seconds`` seconds, whichever comes
+        first, and never with nothing new to write."""
+        if pending_ops < 1:
+            return False
+        if self.every is not None and pending_ops >= self.every:
+            return True
+        return (
+            self.every_seconds is not None
+            and seconds_since_last >= self.every_seconds
+        )
 
 
 @dataclass(frozen=True)

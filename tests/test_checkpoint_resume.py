@@ -20,6 +20,7 @@ from repro.experiments import (
     run_algorithm,
     run_competition,
 )
+from repro.experiments.runner import CHECKPOINT_CHUNK
 from repro.generators.random_graphs import gnm_random_graph
 from repro.resilience.faults import CHECKPOINT_WRITE, FaultPlan, inject_faults
 from repro.updates.streams import UpdateStream
@@ -347,15 +348,15 @@ class TestWallClockCheckpointing:
         config = CheckpointConfig(
             directory=tmp_path, every=100, every_seconds=3600.0
         )
-        run_algorithm("DyOneSwap", graph, stream, checkpoint=config)
+        measurement = run_algorithm("DyOneSwap", graph, stream, checkpoint=config)
         checkpoints = find_checkpoints(tmp_path, "DyOneSwap")
-        # In combined mode the runner probes at min(every, clock stride), so
-        # each operation-interval checkpoint lands on the first probe
-        # boundary at or after the 100-op mark (here: stride 64 → 128, 256).
-        offsets = [processed for processed, _ in checkpoints]
-        assert offsets[0] <= 100 + 64
-        gaps = [b - a for a, b in zip(offsets, offsets[1:])]
-        assert all(gap <= 100 + 64 for gap in gaps)
+        # The hour never elapses: every operation-interval checkpoint lands
+        # exactly on a multiple of 100, plus the end-of-stream checkpoint.
+        total = measurement.num_updates
+        assert [processed for processed, _ in checkpoints] == [
+            *range(100, total, 100),
+            total,
+        ]
 
     def test_combined_short_clock_beats_huge_operation_interval(
         self, temporal_workload, tmp_path
@@ -374,6 +375,22 @@ class TestWallClockCheckpointing:
         checkpoints = find_checkpoints(tmp_path, "DyOneSwap")
         assert len(checkpoints) >= 2  # periodic, not just end-of-stream
         assert checkpoints[0][0] < measurement.num_updates
+
+
+    def test_wall_clock_batched_chunks_respect_the_chunk_cap(self, tmp_path):
+        # Every chunk boundary is due under a 100 ns interval, so each gap
+        # between checkpoints is one chunk of whole 64-operation batches.
+        graph = gnm_random_graph(60, 90, seed=5)
+        stream = mixed_update_stream(graph.copy(), 2100, seed=6)
+        config = CheckpointConfig(directory=tmp_path, every_seconds=0.0000001)
+        measurement = run_algorithm(
+            "DyOneSwap", graph, stream, batch_size=64, checkpoint=config
+        )
+        checkpoints = find_checkpoints(tmp_path, "DyOneSwap")
+        offsets = [0] + [processed for processed, _ in checkpoints]
+        assert offsets[-1] == measurement.num_updates == 2100
+        gaps = [b - a for a, b in zip(offsets, offsets[1:])]
+        assert all(gap <= CHECKPOINT_CHUNK for gap in gaps), gaps
 
 
 class TestSynchronousCheckpoints:

@@ -25,7 +25,7 @@ import urllib.error
 import urllib.request
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import (
@@ -62,7 +62,7 @@ from repro.resilience import (
     verify_document,
     write_document,
 )
-from repro.resilience.integrity import Fragment, canonical_bytes
+from repro.resilience.integrity import DIGEST_KEY, Fragment, canonical_bytes
 from repro.resilience.supervisor import InvariantGuard
 from repro.workloads import (
     CheckpointConfig,
@@ -267,9 +267,12 @@ class TestIntegrity:
 
     @settings(max_examples=200, deadline=None)
     @given(document=st.dictionaries(st.text(), _JSON_VALUES))
+    @example(document={"sha256": 0, "a": {"sha256": 1}})
     def test_canonical_bytes_are_the_json_module_rule(self, document):
+        # The top-level digest member is dropped; a nested one is data.
+        body = {key: value for key, value in document.items() if key != DIGEST_KEY}
         assert canonical_bytes(document) == json.dumps(
-            document, sort_keys=True, separators=(",", ":")
+            body, sort_keys=True, separators=(",", ":")
         ).encode("utf-8")
 
     def test_fragments_are_emitted_verbatim(self):

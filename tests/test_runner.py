@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import inspect
 import re
+import time
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.experiments.runner import (
 from repro.generators.power_law import power_law_random_graph
 from repro.generators.random_graphs import erdos_renyi_graph
 from repro.updates.streams import mixed_update_stream
+from repro.workloads import CheckpointConfig
 
 
 @pytest.fixture
@@ -111,9 +113,7 @@ class TestRunAlgorithm:
 
     def test_time_limit_interrupts_run(self, graph_and_stream):
         graph, stream = graph_and_stream
-        measurement = run_algorithm(
-            "DyOneSwap", graph, stream, time_limit_seconds=0.0, check_interval=1
-        )
+        measurement = run_algorithm("DyOneSwap", graph, stream, time_limit_seconds=0.0)
         assert not measurement.finished
         assert measurement.num_updates < len(stream)
 
@@ -123,6 +123,42 @@ class TestRunAlgorithm:
             "DyOneSwap", path_graph, stream, initial_solution=[0, 2, 4]
         )
         assert measurement.initial_size == 3
+
+
+class TestMeasuredTime:
+    """Plain, checkpointed and fanned-out runs time the apply calls only."""
+
+    @staticmethod
+    def _slow(operations):
+        for operation in operations:
+            time.sleep(0.01)
+            yield operation
+
+    @pytest.mark.parametrize("mode", ["plain", "checkpointed", "fanout"])
+    def test_stream_producer_is_not_timed(self, mode, tmp_path):
+        graph = power_law_random_graph(60, 2.2, seed=3)
+        operations = list(mixed_update_stream(graph, 20, seed=4))
+        stream = self._slow(operations)  # sleeps 0.2 s in all
+        if mode == "fanout":
+            measurements = run_competition(
+                graph,
+                stream,
+                algorithms=("DyOneSwap", "DyTwoSwap"),
+                attach_reference=False,
+            )
+        else:
+            checkpoint = CheckpointConfig(directory=tmp_path, every=10)
+            measurements = {
+                "DyOneSwap": run_algorithm(
+                    "DyOneSwap",
+                    graph,
+                    stream,
+                    checkpoint=checkpoint if mode == "checkpointed" else None,
+                )
+            }
+        for measurement in measurements.values():
+            assert measurement.num_updates == 20
+            assert measurement.elapsed_seconds < 0.1
 
 
 class TestRunCompetition:

@@ -186,10 +186,7 @@ class DGOneDIS:
     # Update handling
     # ------------------------------------------------------------------ #
     def _handle_insert_vertex(self, vertex: Vertex, neighbors: Sequence[Vertex]) -> None:
-        graph = self.graph
-        slot = graph.add_vertex_slot(vertex)
-        for nbr in neighbors:
-            graph.add_edge_slots(slot, graph.slot_of(nbr))
+        slot = self.graph.add_vertex_slot(vertex, neighbors)
         owners = self._adj[slot] & self._solution
         if not owners:
             self._solution.add(slot)

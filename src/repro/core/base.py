@@ -47,6 +47,7 @@ from typing import (
 )
 
 from repro.core.lazy import LazyMISState
+from repro.core.perturbation import pick_perturbation_partner
 from repro.core.state import MISState
 from repro.exceptions import SolutionInvariantError, UpdateError, VertexNotFoundError
 from repro.graphs.dynamic_graph import _FREE, DynamicGraph, Vertex
@@ -336,12 +337,13 @@ class DynamicMISBase(abc.ABC):
         :data:`BULK_APPLY_THRESHOLD` operations, ``coalesce=True``) an
         invalid batch is rejected by the coalescer *before* any state is
         mutated.  Batches below the threshold dispatch per operation and
-        fail like :meth:`apply_stream` does: the valid prefix stays applied
-        and the deferred candidate drain is skipped, so the solution may be
-        maximal but not yet k-maximal when the exception propagates.
-        ``coalesce=False`` skips validation entirely and assumes a valid
-        sequence — an invalid one raises mid-apply and may leave the batch
-        partially applied with its repair pass not yet run.
+        fail like :meth:`apply_stream` does: the failing operation is
+        refused whole and leaves nothing, only the valid prefix before it
+        stays applied, and the deferred candidate drain is skipped, so the
+        solution may be maximal but not yet k-maximal when the exception
+        propagates.  ``coalesce=False`` skips validation entirely and
+        assumes a valid sequence — an invalid one raises mid-apply and may
+        leave the batch partially applied with its repair pass not yet run.
         """
         ops = operations if isinstance(operations, list) else list(operations)
         if not ops:
@@ -891,6 +893,35 @@ class DynamicMISBase(abc.ABC):
                 state.move_in_slot(s)
                 inserted.append(s)
         return inserted
+
+    def _has_nonneighbor_within(self, u: int, tight: Set[int]) -> bool:
+        """Return ``True`` when ``|N[u] ∩ ¯I_1(v)| < |¯I_1(v)|``."""
+        neighbors = self._adj[u]
+        return any(w != u and w not in neighbors for w in tight)
+
+    def _perform_one_swap(self, v: int, u: int, tight: Set[int]) -> None:
+        """Swap ``v`` out for ``u`` plus every tight neighbour that becomes free."""
+        self.state.move_out_slot(v)
+        self.state.move_in_slot(u)
+        self._extend_maximal_over(w for w in tight if w != u)
+        self.stats.record_swap(1)
+        # New candidates can only involve vertices around the removed vertex.
+        self._collect_candidates_around([v])
+
+    def _maybe_perturb(self, v: int, tight: Set[int]) -> None:
+        """Perturbation (optimization 2): trade ``v`` for a lower-degree tight neighbour.
+
+        ``tight`` is a snapshot of ``¯I_1(v)``, not a live view; see
+        :func:`~repro.core.perturbation.pick_perturbation_partner`.
+        """
+        partner = pick_perturbation_partner(self.graph, v, tight)
+        if partner is None:
+            return
+        self.state.move_out_slot(v)
+        self.state.move_in_slot(partner)
+        self._extend_maximal_over(w for w in tight if w != partner)
+        self.stats.perturbations += 1
+        self._collect_candidates_around([v])
 
     def _choose_eviction(self, su: int, sv: int) -> int:
         """Pick which endpoint (slot) of a newly conflicting edge leaves the solution.

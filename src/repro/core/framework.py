@@ -41,7 +41,6 @@ from __future__ import annotations
 from typing import FrozenSet, List, Optional, Sequence, Set
 
 from repro.core.base import DynamicMISBase
-from repro.core.perturbation import pick_perturbation_partner
 
 #: Safety cap on the number of nodes explored by the independent-set search
 #: inside one candidate pool.  Pools are tiny in practice (their size is the
@@ -147,14 +146,7 @@ class KSwapFramework(DynamicMISBase):
             self._promote(owners, valid_members, level)
         if self.perturbation and level == 1 and len(owners) == 1:
             (v,) = tuple(owners)
-            tight = set(state.tight_view(owners, 1))  # snapshot: mutated below
-            partner = pick_perturbation_partner(self.graph, v, tight)
-            if partner is not None:
-                state.move_out_slot(v)
-                state.move_in_slot(partner)
-                self._extend_maximal_over(w for w in tight if w != partner)
-                self.stats.perturbations += 1
-                self._collect_candidates_around([v])
+            self._maybe_perturb(v, set(state.tight_view(owners, 1)))
 
     def _is_valid_member(self, slot: int, owners: FrozenSet[int], level: int) -> bool:
         """A member is usable when it is outside the solution and dominated only by ``owners``."""

@@ -10,7 +10,7 @@ improves wall-clock time for small ``k``, at the price of losing the
 worst-case time bound (and getting slower as ``k`` grows) — exactly the
 trade-off evaluated in Fig 7.
 
-Everything structural (slot growth, forks, the single and bulk mutators,
+Everything shared (slot growth, forks, the single and bulk mutators,
 the invariant checker) is inherited; this module defines only the count
 hooks, the two solution moves and the recomputed views, so every
 maintenance algorithm can run on either state by passing ``lazy=True``.

@@ -21,10 +21,9 @@ see :mod:`repro.core.base`.
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import Set
 
 from repro.core.base import DynamicMISBase
-from repro.core.perturbation import pick_perturbation_partner
 
 
 class DyOneSwap(DynamicMISBase):
@@ -85,30 +84,3 @@ class DyOneSwap(DynamicMISBase):
                 return
         if self.perturbation:
             self._maybe_perturb(v, set(tight))
-
-    def _has_nonneighbor_within(self, u: int, tight: Set[int]) -> bool:
-        """Return ``True`` when ``|N[u] ∩ ¯I_1(v)| < |¯I_1(v)|``."""
-        neighbors = self._adj[u]
-        return any(w != u and w not in neighbors for w in tight)
-
-    def _perform_one_swap(self, v: int, u: int, tight: Set[int]) -> None:
-        """Swap ``v`` out for ``u`` plus every tight neighbour that becomes free."""
-        self.state.move_out_slot(v)
-        self.state.move_in_slot(u)
-        self._extend_maximal_over(w for w in tight if w != u)
-        self.stats.record_swap(1)
-        # New candidates can only involve vertices around the removed vertex.
-        self._collect_candidates_around([v])
-
-    # ------------------------------------------------------------------ #
-    # Perturbation (optimization 2)
-    # ------------------------------------------------------------------ #
-    def _maybe_perturb(self, v: int, tight: Set[int]) -> None:
-        partner: Optional[int] = pick_perturbation_partner(self.graph, v, tight)
-        if partner is None:
-            return
-        self.state.move_out_slot(v)
-        self.state.move_in_slot(partner)
-        self._extend_maximal_over(w for w in tight if w != partner)
-        self.stats.perturbations += 1
-        self._collect_candidates_around([v])

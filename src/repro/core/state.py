@@ -11,15 +11,19 @@ independent set ``I``:
   in constant time when a count changes.
 
 :class:`SlotState` holds what every variant of this bookkeeping shares: the
-membership and count arrays, slot growth, forks, the structural mutators
-(single and bulk, the bulk ones failure-atomic) and the membership half of
-the invariant checker.  :class:`MISState` is the eager variant, which stores
-``I(v)`` and the hierarchy; the lazy variant (Section III optimization 1,
-:mod:`repro.core.lazy`) recomputes both on demand.  The two differ only in
-that bookkeeping, which the base reaches through the count hooks
-``_add_solution_neighbor`` / ``_remove_solution_neighbor`` (one call per
-count change) and the slot hooks ``_init_slot`` / ``_reset_slot`` (one call
-per vertex insertion / deletion), so every algorithm can run on either.
+membership and count arrays, slot growth, forks, the mutators and the
+membership half of the invariant checker.  The graph is the only writer of
+its structure: each mutator here has
+:class:`~repro.graphs.dynamic_graph.DynamicGraph` apply the update
+(``G_t ← G_{t−1} ⊕ op``, validated there, the bulk ones failure-atomic)
+and then updates the counts.  :class:`MISState` is the eager variant,
+which stores ``I(v)`` and the hierarchy; the lazy variant (Section III
+optimization 1, :mod:`repro.core.lazy`) recomputes both on demand.  The
+two differ only in that bookkeeping, which the base reaches through the
+count hooks ``_add_solution_neighbor`` / ``_remove_solution_neighbor`` (one
+call per count change) and the slot hooks ``_init_slot`` / ``_reset_slot``
+(one call per vertex insertion / deletion), so every algorithm can run on
+either.
 
 Performance notes (the hot path of every maintenance algorithm):
 
@@ -41,41 +45,14 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from repro.exceptions import (
-    EdgeExistsError,
-    EdgeNotFoundError,
-    GraphError,
-    SelfLoopError,
-    SolutionInvariantError,
-)
+from repro.exceptions import SolutionInvariantError
 from repro.graphs.dynamic_graph import DynamicGraph, Vertex
 
 #: Shared immutable empty set returned by the view accessors when a bucket is
 #: absent, so callers can iterate/compare without a per-call allocation.
 _EMPTY: FrozenSet[int] = frozenset()
-
-
-def _privatize_adj_pairs(
-    graph: DynamicGraph, adj: List[Set[int]], pairs: Iterable[Tuple[int, int]]
-) -> None:
-    """CoW barrier for a bulk pass: privatise every adjacency set ``pairs`` touches.
-
-    Called once per bulk mutator when the graph has been forked (no-op check
-    otherwise), so the per-pair hot loops below run on owned sets with zero
-    extra branching.
-    """
-    gcow = graph._cow_adj
-    if gcow is None:
-        return
-    for su, sv in pairs:
-        if not gcow[su]:
-            adj[su] = set(adj[su])
-            gcow[su] = 1
-        if not gcow[sv]:
-            adj[sv] = set(adj[sv])
-            gcow[sv] = 1
 
 
 @dataclass
@@ -90,7 +67,7 @@ class StateStatistics:
 class SlotState:
     """Slot-indexed membership and counts over a dynamic graph.
 
-    The storage and structural layer shared by :class:`MISState` and
+    The storage layer shared by :class:`MISState` and
     :class:`~repro.core.lazy.LazyMISState`.  A subclass supplies
     ``move_in_slot`` / ``move_out_slot``, the ``I(v)`` / hierarchy views, and
     the count hooks ``_add_solution_neighbor(slot, solution_slot)`` /
@@ -104,9 +81,11 @@ class SlotState:
     Parameters
     ----------
     graph:
-        The dynamic graph; the state mutates it through its own
-        ``add_vertex_slot`` / ``add_edge_slots`` / … methods so graph and
-        bookkeeping never diverge.
+        The dynamic graph.  The state's mutators change it only through the
+        graph's own slot-level mutators (``add_vertex_slot``,
+        ``add_edge_slots``, ``remove_edges_slots``, …), which validate the
+        update and hold the copy-on-write barrier, and then update the
+        counts, so a refused update changes neither.
     k:
         Highest hierarchy level to maintain (the ``k`` of the k-maximal
         framework).
@@ -118,8 +97,10 @@ class SlotState:
         self.graph = graph
         self.k = k
         n = graph.num_slots
-        # Shared live view of the graph's slot-indexed adjacency.
+        # Shared live views of the graph's slot-indexed adjacency and its
+        # label -> slot map.
         self._adj = graph.adjacency_slots_view()
+        self._slot_map = graph.slot_map_view()
         # Membership: byte per slot (zero-hash probe) plus the slot set for
         # O(|I|) iteration.
         self._in_sol = bytearray(n)
@@ -146,6 +127,7 @@ class SlotState:
         clone.graph = graph_fork
         clone.k = self.k
         clone._adj = graph_fork.adjacency_slots_view()
+        clone._slot_map = graph_fork.slot_map_view()
         clone._in_sol = bytearray(self._in_sol)
         clone._sol_slots = set(self._sol_slots)
         clone._count = list(self._count)
@@ -190,41 +172,28 @@ class SlotState:
         return None
 
     # ------------------------------------------------------------------ #
-    # Structural mutation (keeps graph and bookkeeping in sync)
+    # Structural mutation: the graph writes, then the counts follow
     # ------------------------------------------------------------------ #
     def add_vertex_slot(
-        self, vertex: Vertex, neighbors: Iterable[Vertex]
+        self, vertex: Vertex, neighbors: Sequence[Vertex]
     ) -> Tuple[int, int]:
-        """Insert a vertex with its incident edges; return ``(slot, count)``."""
-        graph = self.graph
-        slot = graph.add_vertex_slot(vertex)
+        """Insert a vertex with its incident edges; return ``(slot, count)``.
+
+        A refused insertion (see :meth:`DynamicGraph.add_vertex_slot`)
+        leaves graph and state untouched.
+        """
+        slot = self.graph.add_vertex_slot(vertex, neighbors)
         self._ensure_slot(slot)
-        # Fused edge loop (inlines graph.add_edge_slots): a fresh vertex's
-        # adjacency starts empty, so the solution-neighbour set can be built
-        # while the edges go in instead of re-scanning adjacency afterwards.
+        # In neighbour order: the eager state stores this set as I(v), and
+        # its layout must not depend on the adjacency row's.
         own: Set[int] = set()
         if neighbors:
-            slot_of = graph.slot_of
-            adj = self._adj
-            adj_s = adj[slot]  # freshly allocated: _alloc made it private
             in_sol = self._in_sol
-            gcow = graph._cow_adj
-            n = 0
+            slot_map = self._slot_map
             for nbr in neighbors:
-                t = slot_of(nbr)
-                if t == slot:
-                    raise SelfLoopError(vertex)
-                if t in adj_s:
-                    raise EdgeExistsError(vertex, nbr)
-                adj_s.add(t)
-                if gcow is not None and not gcow[t]:
-                    adj[t] = set(adj[t])
-                    gcow[t] = 1
-                adj[t].add(slot)
-                n += 1
+                t = slot_map[nbr]
                 if in_sol[t]:
                     own.add(t)
-            graph._num_edges += n
         self._init_slot(slot, own)
         return slot, len(own)
 
@@ -254,25 +223,7 @@ class SlotState:
         When both endpoints are in the solution no bookkeeping changes here —
         the caller is responsible for evicting one of them afterwards.
         """
-        # Inlined graph.add_edge_slots — the single hottest structural
-        # operation of every stream workload.
-        if su == sv:
-            raise SelfLoopError(self.graph.vertex_of(su))
-        adj = self._adj
-        adj_u = adj[su]
-        if sv in adj_u:
-            raise EdgeExistsError(self.graph.vertex_of(su), self.graph.vertex_of(sv))
-        gcow = self.graph._cow_adj
-        if gcow is not None:
-            if not gcow[su]:
-                adj[su] = adj_u = set(adj_u)
-                gcow[su] = 1
-            if not gcow[sv]:
-                adj[sv] = set(adj[sv])
-                gcow[sv] = 1
-        adj_u.add(sv)
-        adj[sv].add(su)
-        self.graph._num_edges += 1
+        self.graph.add_edge_slots(su, sv)
         in_sol = self._in_sol
         if in_sol[su]:
             if not in_sol[sv]:
@@ -282,32 +233,11 @@ class SlotState:
 
     def remove_edge_structural(self, su: int, sv: int) -> None:
         """Delete an edge whose removal changes no count (neither or both endpoints in ``I``)."""
-        # Inlined graph.remove_edge_slots (see add_edge_slots for rationale).
-        adj = self._adj
-        adj_u = adj[su]
-        if sv not in adj_u:
-            raise EdgeNotFoundError(self.graph.vertex_of(su), self.graph.vertex_of(sv))
-        gcow = self.graph._cow_adj
-        if gcow is not None:
-            if not gcow[su]:
-                adj[su] = adj_u = set(adj_u)
-                gcow[su] = 1
-            if not gcow[sv]:
-                adj[sv] = set(adj[sv])
-                gcow[sv] = 1
-        adj_u.remove(sv)
-        try:
-            adj[sv].remove(su)
-        except KeyError:
-            raise GraphError(
-                f"asymmetric adjacency: edge ({su}, {sv}) present only as "
-                f"{su}->{sv}"
-            ) from None
-        self.graph._num_edges -= 1
+        self.graph.remove_edge_slots(su, sv)
 
     def remove_edge_one_sided(self, s_out: int, s_in: int) -> int:
         """Delete an edge with exactly ``s_in`` in the solution; return the new count of ``s_out``."""
-        self.remove_edge_structural(s_out, s_in)
+        self.graph.remove_edge_slots(s_out, s_in)
         self._remove_solution_neighbor(s_out, s_in)
         return self._count[s_out]
 
@@ -317,40 +247,23 @@ class SlotState:
     def add_edges_slots_bulk(
         self, pairs: List[Tuple[int, int]]
     ) -> Tuple[List[int], List[Tuple[int, int]]]:
-        """Insert a run of edges (slot pairs) in one pass over the slot arrays.
+        """Insert a run of edges (slot pairs), then update the counts.
 
         Returns ``(bumped, conflicts)``: the non-solution slots whose count
         rose, and the pairs whose endpoints are *both* in the solution.
         Conflicting edges are inserted structurally but their counts are left
         untouched — the caller must evict one endpoint of each conflict
         before the solution is observed (exactly as with
-        :meth:`add_edge_slots`, just batched).
-
-        **Failure-atomic:** the whole pair list is validated before any
-        mutation, and the error raised is the one the sequential
-        :meth:`add_edge_slots` loop would raise first — :class:`SelfLoopError`
-        for ``su == sv``, :class:`EdgeExistsError` for an edge already present
-        or repeated within the batch — so a refused batch leaves the state
-        byte-identical to the pre-call state.
+        :meth:`add_edge_slots`, just batched).  Failure-atomic like
+        :meth:`DynamicGraph.add_edges_slots`: a refused list leaves graph
+        and state untouched.
         """
-        adj = self._adj
-        graph = self.graph
-        seen: Set[Tuple[int, int]] = set()
-        for su, sv in pairs:
-            if su == sv:
-                raise SelfLoopError(graph.vertex_of(su))
-            key = (su, sv) if su < sv else (sv, su)
-            if sv in adj[su] or key in seen:
-                raise EdgeExistsError(graph.vertex_of(su), graph.vertex_of(sv))
-            seen.add(key)
-        _privatize_adj_pairs(graph, adj, pairs)
+        self.graph.add_edges_slots(pairs)
         in_sol = self._in_sol
         add_sn = self._add_solution_neighbor
         bumped: List[int] = []
         conflicts: List[Tuple[int, int]] = []
         for su, sv in pairs:
-            adj[su].add(sv)
-            adj[sv].add(su)
             if in_sol[su]:
                 if in_sol[sv]:
                     conflicts.append((su, sv))
@@ -360,48 +273,27 @@ class SlotState:
             elif in_sol[sv]:
                 add_sn(su, sv)
                 bumped.append(su)
-        graph._num_edges += len(pairs)
         return bumped, conflicts
 
     def remove_edges_slots_bulk(
         self, pairs: List[Tuple[int, int]]
     ) -> Tuple[List[int], List[Tuple[int, int]]]:
-        """Delete a run of edges (slot pairs) in one pass over the slot arrays.
+        """Delete a run of edges (slot pairs), then update the counts.
 
         Returns ``(dropped, outside)``: the non-solution slots whose count
         fell (one per one-sided deletion), and the pairs with both endpoints
         outside the solution (whose complement neighbourhood changed without
         any count change).  Pairs with both endpoints inside the solution —
         possible transiently while a batch's conflicts are pending — are
-        removed structurally with no count change.
-
-        **Failure-atomic:** the whole pair list is validated before any
-        mutation; :class:`EdgeNotFoundError` names the first pair whose edge
-        is absent or already deleted earlier in the batch, as the sequential
-        loop would, and leaves the state byte-identical to the pre-call state.
+        removed structurally with no count change.  Failure-atomic like
+        :meth:`DynamicGraph.remove_edges_slots`.
         """
-        adj = self._adj
-        graph = self.graph
-        seen: Set[Tuple[int, int]] = set()
-        for su, sv in pairs:
-            key = (su, sv) if su < sv else (sv, su)
-            if sv not in adj[su] or key in seen:
-                raise EdgeNotFoundError(graph.vertex_of(su), graph.vertex_of(sv))
-            seen.add(key)
-        _privatize_adj_pairs(graph, adj, pairs)
+        self.graph.remove_edges_slots(pairs)
         in_sol = self._in_sol
         remove_sn = self._remove_solution_neighbor
         dropped: List[int] = []
         outside: List[Tuple[int, int]] = []
         for su, sv in pairs:
-            adj[su].remove(sv)
-            try:
-                adj[sv].remove(su)
-            except KeyError:
-                raise GraphError(
-                    f"asymmetric adjacency: edge ({su}, {sv}) present only as "
-                    f"{su}->{sv}"
-                ) from None
             u_in = in_sol[su]
             if u_in != in_sol[sv]:
                 s_out, s_in = (sv, su) if u_in else (su, sv)
@@ -409,7 +301,6 @@ class SlotState:
                 dropped.append(s_out)
             elif not u_in:
                 outside.append((su, sv))
-        graph._num_edges -= len(pairs)
         return dropped, outside
 
     # ------------------------------------------------------------------ #

@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.base import DynamicMISBase
-from repro.core.perturbation import pick_perturbation_partner
 
 
 class DyTwoSwap(DynamicMISBase):
@@ -117,17 +116,6 @@ class DyTwoSwap(DynamicMISBase):
         if self.perturbation and tight:
             self._maybe_perturb(v, set(tight))
 
-    def _has_nonneighbor_within(self, u: int, tight: Set[int]) -> bool:
-        neighbors = self._adj[u]
-        return any(w != u and w not in neighbors for w in tight)
-
-    def _perform_one_swap(self, v: int, u: int, tight: Set[int]) -> None:
-        self.state.move_out_slot(v)
-        self.state.move_in_slot(u)
-        self._extend_maximal_over(w for w in tight if w != u)
-        self.stats.record_swap(1)
-        self._collect_candidates_around([v])
-
     def _promote_to_level2(self, v: int, new_tight: List[int]) -> None:
         """Register count-two neighbours of ``v`` that avoid some new tight vertex.
 
@@ -147,16 +135,6 @@ class DyTwoSwap(DynamicMISBase):
             if any(u != w and u not in w_neighbors for u in new_tight):
                 owners = frozenset(state.sn_slots_view(w))
                 self._add_candidate(owners, w)
-
-    def _maybe_perturb(self, v: int, tight: Set[int]) -> None:
-        partner: Optional[int] = pick_perturbation_partner(self.graph, v, tight)
-        if partner is None:
-            return
-        self.state.move_out_slot(v)
-        self.state.move_in_slot(partner)
-        self._extend_maximal_over(w for w in tight if w != partner)
-        self.stats.perturbations += 1
-        self._collect_candidates_around([v])
 
     # -------------------------- level 2 ------------------------------- #
     def _find_two_swap(self, owners: FrozenSet[int], members: Set[int]) -> None:

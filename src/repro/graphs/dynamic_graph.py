@@ -29,7 +29,7 @@ trajectories do not depend on slot recycling or set iteration order.
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import chain, compress
 from operator import is_not
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
@@ -62,6 +62,12 @@ def _row_json(row: Set[int]) -> str:
     dropping the spaces is cheaper than joining the items' strings.
     """
     return repr(sorted(row)).replace(" ", "")
+
+
+def _asymmetric(su: int, sv: int) -> GraphError:
+    return GraphError(
+        f"asymmetric adjacency: edge ({su}, {sv}) present only as {su}->{sv}"
+    )
 
 
 class DynamicGraph:
@@ -159,72 +165,67 @@ class DynamicGraph:
     def _alloc(self, vertex: Vertex) -> int:
         """Assign ``vertex`` a slot (recycling a free one when available)."""
         free = self._free
-        cow = self._cow_adj
         if free:
+            # A recycled slot keeps its empty row: should a fork share it,
+            # the first write passes the barrier like any other.
             s = free.pop()
             self._label[s] = vertex
             self._order[s] = self._next_order
-            # A recycled slot's (empty) adjacency set may still be shared
-            # with a fork; the new vertex must start on a private set.
-            if cow is not None and not cow[s]:
-                self._adj[s] = set()
-                cow[s] = 1
         else:
             s = len(self._label)
             self._label.append(vertex)
             self._adj.append(set())
             self._order.append(self._next_order)
-            if cow is not None:
-                cow.append(1)
+            if self._cow_adj is not None:
+                self._cow_adj.append(1)
         self._slot[vertex] = s
         self._next_order += 1
         return s
 
-    def _owned_adj(self, slot: int) -> Set[int]:
-        """Return ``adj[slot]`` privately owned (the CoW write barrier).
+    def _own(self, slots: Iterable[int]) -> None:
+        """The copy-on-write barrier, passed by every write into an existing row.
 
-        Mutators call this (or inline it on hot loops) before the first
-        write to a slot's adjacency set.  Never-forked graphs pay one
-        ``is None`` check; after a fork, the first write to a shared set
-        copies it and marks the slot owned.
+        After a :meth:`fork` or an :meth:`adjacency_json` encode a row's set
+        may be shared, so each listed row not yet owned is replaced by a
+        private copy before it is written.  A graph that was never forked
+        or encoded pays one ``is None`` check.
         """
-        adj = self._adj
         cow = self._cow_adj
-        if cow is not None and not cow[slot]:
-            adj[slot] = nbrs = set(adj[slot])
-            cow[slot] = 1
-            return nbrs
-        return adj[slot]
+        if cow is None:
+            return
+        adj = self._adj
+        for s in slots:
+            if not cow[s]:
+                adj[s] = set(adj[s])
+                cow[s] = 1
 
     def pop_vertex_slot(self, slot: int) -> Set[int]:
         """Delete the vertex at ``slot``; return its former neighbour slots.
 
         Slot-level twin of :meth:`remove_vertex` for callers that already
         resolved the label.  The returned set is handed over to the caller
-        (the graph replaces it internally), so no copy is needed.
+        (the graph replaces it internally); it is copied only when a fork
+        or an encode still shares it.
         """
         label = self._label[slot]
         if label is _FREE:
             raise VertexNotFoundError(slot)
         del self._slot[label]
         adj = self._adj
-        cow = self._cow_adj
         nbrs = adj[slot]
-        if cow is not None and not cow[slot]:
-            # The popped set is shared with a fork: hand the caller a
-            # private copy and leave the shared original untouched.
-            nbrs = set(nbrs)
-            cow[slot] = 1
         adj[slot] = set()
-        if cow is None:
-            for t in nbrs:
-                adj[t].discard(slot)
-        else:
-            for t in nbrs:
-                if not cow[t]:
-                    adj[t] = set(adj[t])
-                    cow[t] = 1
-                adj[t].discard(slot)
+        cow = self._cow_adj
+        if cow is not None:
+            # The caller may write the popped row, so a shared one is
+            # copied; the fresh row is owned; the neighbours' rows are
+            # written below.
+            if not cow[slot]:
+                nbrs = set(nbrs)
+            cow[slot] = 1
+            if nbrs:
+                self._own(nbrs)
+        for t in nbrs:
+            adj[t].discard(slot)
         self._num_edges -= len(nbrs)
         self._label[slot] = _FREE
         self._free.append(slot)
@@ -301,11 +302,42 @@ class DynamicGraph:
         """Return ``(degree, insertion index)`` for ``slot`` — the canonical greedy key."""
         return len(self._adj[slot]), self._order[slot]
 
-    def add_vertex_slot(self, vertex: Vertex) -> int:
-        """Insert an isolated vertex and return its assigned slot."""
-        if vertex in self._slot:
+    def add_vertex_slot(self, vertex: Vertex, neighbors: Iterable[Vertex] = ()) -> int:
+        """Insert ``vertex`` with edges to ``neighbors``; return its assigned slot.
+
+        Every neighbour is resolved and checked before anything is
+        allocated, so a refused insertion leaves the graph as it was.  Raises
+        :class:`VertexExistsError` if ``vertex`` is present, then, at the
+        first bad neighbour in order, :class:`SelfLoopError` for ``vertex``
+        itself, :class:`VertexNotFoundError` for a missing one and
+        :class:`EdgeExistsError` for a repeated one.
+        """
+        slot_map = self._slot
+        if vertex in slot_map:
             raise VertexExistsError(vertex)
-        return self._alloc(vertex)
+        if not neighbors:
+            return self._alloc(vertex)
+        targets: Set[int] = set()
+        for nbr in neighbors:
+            t = slot_map.get(nbr)
+            if t is None:
+                if nbr == vertex:
+                    raise SelfLoopError(vertex)
+                raise VertexNotFoundError(nbr)
+            if t in targets:
+                raise EdgeExistsError(vertex, nbr)
+            targets.add(t)
+        slot = self._alloc(vertex)
+        adj = self._adj
+        adj[slot] = targets
+        cow = self._cow_adj
+        if cow is not None:
+            cow[slot] = 1  # a new set: owned, not shared
+            self._own(targets)
+        for t in targets:
+            adj[t].add(slot)
+        self._num_edges += len(targets)
+        return slot
 
     def resolve_edge_slots(
         self, edges: Iterable[Edge]
@@ -332,42 +364,91 @@ class DynamicGraph:
         return pairs
 
     def add_edge_slots(self, su: int, sv: int) -> None:
-        """Insert the edge between two live slots (validates like :meth:`add_edge`).
+        """Insert the edge between two live slots.
 
-        NOTE: the state classes (``MISState.add_edge_slots`` and the lazy
-        twin) inline this exact logic — validation, symmetric adjacency
-        update, ``_num_edges`` — to save a call on the stream hot path.
-        Any change to the edge bookkeeping here must be mirrored there.
+        Raises :class:`SelfLoopError` for ``su == sv`` and
+        :class:`EdgeExistsError` for an edge already present.
         """
         if su == sv:
-            raise SelfLoopError(self._label[su])
+            raise SelfLoopError(self.vertex_of(su))
         adj = self._adj
         if sv in adj[su]:
-            raise EdgeExistsError(self._label[su], self._label[sv])
-        if self._cow_adj is None:
-            adj[su].add(sv)
-            adj[sv].add(su)
-        else:
-            self._owned_adj(su).add(sv)
-            self._owned_adj(sv).add(su)
+            raise EdgeExistsError(self.vertex_of(su), self.vertex_of(sv))
+        cow = self._cow_adj
+        # Per-edge hot path: call the barrier only while a row is shared.
+        if cow is not None and not (cow[su] and cow[sv]):
+            self._own((su, sv))
+        adj[su].add(sv)
+        adj[sv].add(su)
         self._num_edges += 1
 
     def remove_edge_slots(self, su: int, sv: int) -> None:
-        """Delete the edge between two live slots (validates like :meth:`remove_edge`).
+        """Delete the edge between two live slots.
 
-        NOTE: inlined by ``MISState.remove_edge_structural`` and the lazy
-        twin (see :meth:`add_edge_slots`) — keep the bookkeeping in sync.
+        Raises :class:`EdgeNotFoundError` for an absent edge, and
+        :class:`GraphError` when the edge is recorded on ``su``'s side only.
         """
         adj = self._adj
         if sv not in adj[su]:
-            raise EdgeNotFoundError(self._label[su], self._label[sv])
-        if self._cow_adj is None:
-            adj[su].discard(sv)
-            adj[sv].discard(su)
-        else:
-            self._owned_adj(su).discard(sv)
-            self._owned_adj(sv).discard(su)
+            raise EdgeNotFoundError(self.vertex_of(su), self.vertex_of(sv))
+        cow = self._cow_adj
+        if cow is not None and not (cow[su] and cow[sv]):
+            self._own((su, sv))
+        adj[su].remove(sv)
+        try:
+            adj[sv].remove(su)
+        except KeyError:
+            raise _asymmetric(su, sv) from None
         self._num_edges -= 1
+
+    def add_edges_slots(self, pairs: List[Tuple[int, int]]) -> None:
+        """Insert a run of edges (slot pairs) in one pass over the slot arrays.
+
+        **Failure-atomic:** the whole list is validated before any mutation,
+        and the error raised is the one a loop of :meth:`add_edge_slots`
+        would raise first — :class:`SelfLoopError` for ``su == sv``,
+        :class:`EdgeExistsError` for an edge already present or repeated
+        within the list — so a refused list leaves the graph untouched.
+        """
+        adj = self._adj
+        seen: Set[Tuple[int, int]] = set()
+        for su, sv in pairs:
+            if su == sv:
+                raise SelfLoopError(self.vertex_of(su))
+            key = (su, sv) if su < sv else (sv, su)
+            if sv in adj[su] or key in seen:
+                raise EdgeExistsError(self.vertex_of(su), self.vertex_of(sv))
+            seen.add(key)
+        self._own(chain.from_iterable(pairs))
+        for su, sv in pairs:
+            adj[su].add(sv)
+            adj[sv].add(su)
+        self._num_edges += len(pairs)
+
+    def remove_edges_slots(self, pairs: List[Tuple[int, int]]) -> None:
+        """Delete a run of edges (slot pairs) in one pass over the slot arrays.
+
+        **Failure-atomic:** the whole list is validated before any mutation;
+        :class:`EdgeNotFoundError` names the first pair whose edge is absent
+        or repeated within the list, as a loop of :meth:`remove_edge_slots`
+        would, and leaves the graph untouched.  An edge recorded on one side
+        only raises :class:`GraphError`.
+        """
+        adj = self._adj
+        seen: Set[Tuple[int, int]] = set()
+        for su, sv in pairs:
+            key = (su, sv) if su < sv else (sv, su)
+            if sv not in adj[su] or key in seen:
+                raise EdgeNotFoundError(self.vertex_of(su), self.vertex_of(sv))
+            seen.add(key)
+        self._own(chain.from_iterable(pairs))
+        for su, sv in pairs:
+            adj[su].remove(sv)
+            try:
+                adj[sv].remove(su)
+            except KeyError:
+                raise _asymmetric(su, sv) from None
+        self._num_edges -= len(pairs)
 
     # ------------------------------------------------------------------ #
     # Basic accessors (label boundary)
@@ -498,9 +579,7 @@ class DynamicGraph:
         VertexExistsError
             If the vertex is already present.
         """
-        if vertex in self._slot:
-            raise VertexExistsError(vertex)
-        self._alloc(vertex)
+        self.add_vertex_slot(vertex)
 
     def add_vertex_if_missing(self, vertex: Vertex) -> bool:
         """Insert ``vertex`` if absent.  Return ``True`` when it was inserted."""
@@ -559,16 +638,9 @@ class DynamicGraph:
             if not add_missing_vertices:
                 raise VertexNotFoundError(v)
             sv = self._alloc(v)
-        adj = self._adj
-        if sv in adj[su]:
+        if sv in self._adj[su]:
             raise EdgeExistsError(u, v)
-        if self._cow_adj is None:
-            adj[su].add(sv)
-            adj[sv].add(su)
-        else:
-            self._owned_adj(su).add(sv)
-            self._owned_adj(sv).add(su)
-        self._num_edges += 1
+        self.add_edge_slots(su, sv)
 
     def add_edge_if_missing(self, u: Vertex, v: Vertex) -> bool:
         """Insert edge ``(u, v)`` if absent (creating endpoints as needed).
@@ -585,16 +657,9 @@ class DynamicGraph:
         sv = slot_map.get(v)
         if sv is None:
             sv = self._alloc(v)
-        adj = self._adj
-        if sv in adj[su]:
+        if sv in self._adj[su]:
             return False
-        if self._cow_adj is None:
-            adj[su].add(sv)
-            adj[sv].add(su)
-        else:
-            self._owned_adj(su).add(sv)
-            self._owned_adj(sv).add(su)
-        self._num_edges += 1
+        self.add_edge_slots(su, sv)
         return True
 
     def remove_edge(self, u: Vertex, v: Vertex) -> None:
@@ -614,16 +679,9 @@ class DynamicGraph:
         sv = slot_map.get(v)
         if sv is None:
             raise VertexNotFoundError(v)
-        adj = self._adj
-        if sv not in adj[su]:
+        if sv not in self._adj[su]:
             raise EdgeNotFoundError(u, v)
-        if self._cow_adj is None:
-            adj[su].discard(sv)
-            adj[sv].discard(su)
-        else:
-            self._owned_adj(su).discard(sv)
-            self._owned_adj(sv).discard(su)
-        self._num_edges -= 1
+        self.remove_edge_slots(su, sv)
 
     # ------------------------------------------------------------------ #
     # Derived views
@@ -885,9 +943,7 @@ class DynamicGraph:
         ------
         GraphError
             On a version mismatch, a malformed document, or a structurally
-            inconsistent one.  Validation is raise-based on purpose (not
-            the assert-based :meth:`check_consistency`, which vanishes
-            under ``python -O``): restoring corrupt data must fail loudly.
+            inconsistent one (the checks of :meth:`check_consistency`).
         """
         if payload.get("format") != cls.PAYLOAD_FORMAT:
             raise GraphError(
@@ -915,20 +971,20 @@ class DynamicGraph:
             # Inside the envelope: type-corrupt fields (e.g. string order
             # indices) surface as TypeError from the comparisons below and
             # must become GraphError like every other malformation.
-            graph._validate_restored()
+            graph._validate()
         except (KeyError, TypeError, IndexError) as exc:
             raise GraphError(f"malformed graph payload: {exc}") from exc
         return graph
 
-    def _validate_restored(self) -> None:
-        """Raise :class:`GraphError` if the rebuilt structures are incoherent."""
+    def _validate(self) -> None:
+        """Raise :class:`GraphError` if the slot structures are incoherent."""
         labels = self._label
         adj = self._adj
         orders = self._order
         n = len(labels)
 
         def fail(reason: str) -> None:
-            raise GraphError(f"inconsistent graph payload: {reason}")
+            raise GraphError(f"inconsistent graph: {reason}")
 
         if len(adj) != n or len(orders) != n:
             fail("slot table sizes out of sync")
@@ -972,38 +1028,18 @@ class DynamicGraph:
     def check_consistency(self) -> None:
         """Verify the slot structures are coherent and the edge count matches.
 
-        Intended for tests and debugging; raises ``AssertionError`` on failure.
+        The checks :meth:`from_payload` runs on a restored graph, plus the
+        length of the copy-on-write bitmap.  Raise-based, so it also works
+        under ``python -O``; raises :class:`GraphError` on the first
+        violation.
         """
-        n_slots = len(self._label)
-        assert len(self._adj) == n_slots, "adjacency table size out of sync"
-        assert len(self._order) == n_slots, "order table size out of sync"
-        if self._cow_adj is not None:
-            assert len(self._cow_adj) == n_slots, "CoW bitmap size out of sync"
-        assert len(self._slot) + len(self._free) == n_slots, (
-            f"{len(self._slot)} live + {len(self._free)} free != {n_slots} slots"
-        )
-        assert len(set(self._free)) == len(self._free), "duplicate free slots"
-        for s in self._free:
-            assert self._label[s] is _FREE, f"free slot {s} still labelled"
-            assert not self._adj[s], f"free slot {s} has residual adjacency"
-        for v, s in self._slot.items():
-            assert 0 <= s < n_slots, f"slot {s} of {v!r} out of range"
-            assert self._label[s] == v, f"slot {s} label mismatch for {v!r}"
-            assert self._order[s] < self._next_order, "order index out of range"
-        total = 0
-        for s in self._slot.values():
-            nbrs = self._adj[s]
-            assert s not in nbrs, f"self loop on {self._label[s]!r}"
-            for t in nbrs:
-                assert self._label[t] is not _FREE, f"edge to free slot {t}"
-                assert s in self._adj[t], (
-                    f"asymmetric edge ({self._label[s]!r}, {self._label[t]!r})"
-                )
-            total += len(nbrs)
-        assert total % 2 == 0, "odd sum of degrees"
-        assert total // 2 == self._num_edges, (
-            f"edge counter {self._num_edges} does not match structure {total // 2}"
-        )
+        self._validate()
+        cow = self._cow_adj
+        if cow is not None and len(cow) != len(self._label):
+            raise GraphError(
+                f"inconsistent graph: copy-on-write bitmap covers {len(cow)} "
+                f"of {len(self._label)} slots"
+            )
 
 
 def complement_edges(graph: DynamicGraph, vertices: Iterable[Vertex]) -> List[Edge]:

@@ -23,6 +23,7 @@ depends on them):
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 from dataclasses import dataclass, field
@@ -44,6 +45,21 @@ _TENANT_NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]*$")
 #: interval at all — an always-on service must never run indefinitely
 #: without a resumable state on disk.
 DEFAULT_CHECKPOINT_SECONDS = 30.0
+
+
+def _build(cls, document, where: str):
+    """``cls(**document)``, refusing a key that is not a field of ``cls``."""
+    if not isinstance(document, dict):
+        raise ServiceError(
+            f"{where} must be a JSON object, got {type(document).__name__}"
+        )
+    known = [f.name for f in dataclasses.fields(cls)]
+    unknown = sorted(map(repr, set(document) - set(known)))
+    if unknown:
+        raise ServiceError(
+            f"{where}: unknown key(s) {', '.join(unknown)}; known: {', '.join(known)}"
+        )
+    return cls(**document)
 
 
 @dataclass(frozen=True)
@@ -155,19 +171,7 @@ class TenantSpec:
         )
 
     def to_dict(self) -> Dict:
-        return {
-            "name": self.name,
-            "algorithm": self.algorithm,
-            "batch_size": self.batch_size,
-            "queue_cap": self.queue_cap,
-            "window_max": self.window_max,
-            "adaptive": self.adaptive,
-            "checkpoint_every": self.checkpoint_every,
-            "checkpoint_every_seconds": self.checkpoint_every_seconds,
-            "checkpoint_keep": self.checkpoint_keep,
-            "snapshot": self.snapshot,
-            "options": dict(self.options),
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -204,62 +208,34 @@ class ServiceConfig:
         raise ServiceError(f"unknown tenant {name!r}")
 
     def to_dict(self) -> Dict:
-        return {
-            "data_dir": self.data_dir,
-            "host": self.host,
-            "port": self.port,
-            "unix_socket": self.unix_socket,
-            "query_timeout": self.query_timeout,
-            "drain_timeout": self.drain_timeout,
-            "retry": {
-                "max_attempts": self.retry.max_attempts,
-                "base_delay": self.retry.base_delay,
-                "cap": self.retry.cap,
-                "seed": self.retry.seed,
-            },
-            "tenants": [spec.to_dict() for spec in self.tenants],
-        }
+        document = dataclasses.asdict(self)
+        document["tenants"] = list(document["tenants"])
+        return document
 
     @classmethod
     def from_dict(cls, document: Dict) -> "ServiceConfig":
+        """Build a config from a JSON document, refusing keys it does not know.
+
+        Every key is a field of :class:`ServiceConfig`, :class:`TenantSpec`
+        (each ``tenants`` entry) or
+        :class:`~repro.resilience.supervisor.RetryPolicy` (``retry``); an
+        absent key takes the field's default.
+        """
         if not isinstance(document, dict):
             raise ServiceError(
                 f"service config must be a JSON object, got {type(document).__name__}"
             )
+        document = dict(document)
         try:
-            tenants = tuple(
-                TenantSpec(
-                    name=entry["name"],
-                    algorithm=entry.get("algorithm", "DyOneSwap"),
-                    batch_size=entry.get("batch_size", 64),
-                    queue_cap=entry.get("queue_cap", 4096),
-                    window_max=entry.get("window_max", 512),
-                    adaptive=entry.get("adaptive", True),
-                    checkpoint_every=entry.get("checkpoint_every"),
-                    checkpoint_every_seconds=entry.get("checkpoint_every_seconds"),
-                    checkpoint_keep=entry.get("checkpoint_keep", 3),
-                    snapshot=entry.get("snapshot"),
-                    options=dict(entry.get("options") or {}),
-                )
-                for entry in document.get("tenants", ())
-            )
-            retry_doc = document.get("retry") or {}
-            return cls(
-                data_dir=document["data_dir"],
-                tenants=tenants,
-                host=document.get("host", "127.0.0.1"),
-                port=document.get("port"),
-                unix_socket=document.get("unix_socket"),
-                query_timeout=document.get("query_timeout", 5.0),
-                drain_timeout=document.get("drain_timeout", 30.0),
-                retry=RetryPolicy(
-                    max_attempts=retry_doc.get("max_attempts", 5),
-                    base_delay=retry_doc.get("base_delay", 0.05),
-                    cap=retry_doc.get("cap", 2.0),
-                    seed=retry_doc.get("seed", 0),
-                ),
-            )
-        except (KeyError, TypeError) as exc:
+            tenants = []
+            for entry in document.get("tenants", ()):
+                name = entry.get("name") if isinstance(entry, dict) else None
+                tenants.append(_build(TenantSpec, entry, f"tenant {name!r}"))
+            document["tenants"] = tuple(tenants)
+            if "retry" in document:
+                document["retry"] = _build(RetryPolicy, document["retry"], "retry")
+            return _build(cls, document, "service config")
+        except TypeError as exc:
             raise ServiceError(f"invalid service config: {exc}") from exc
 
     @classmethod

@@ -42,7 +42,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence
 
-from repro.exceptions import OverloadedError, ServiceError
+from repro.exceptions import GraphError, OverloadedError, ServiceError, UpdateError
 from repro.experiments.runner import create_algorithm
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.resilience.faults import SERVICE_INGEST, SERVICE_SHUTDOWN, trip
@@ -276,14 +276,21 @@ class Tenant:
         membership delta; the fork is then discarded.  The live engine, its
         counters and its digest are byte-unchanged afterwards
         (regression-pinned by the service suite) — a ``what_if`` is
-        invisible to ingest, recovery and checkpointing.
+        invisible to ingest, recovery and checkpointing.  A hypothetical the
+        graph cannot take raises :class:`ServiceError` naming the cause.
         """
         if self.engine is None:
             raise ServiceError(f"tenant {self.spec.name!r} engine is down")
         before = set(self.engine.solution())
         fork = self.engine.fork()
         if operations:
-            fork.apply_batch(list(operations), coalesce=True)
+            try:
+                fork.apply_batch(list(operations), coalesce=True)
+            except (GraphError, UpdateError) as exc:
+                raise ServiceError(
+                    f"tenant {self.spec.name!r}: what_if cannot be applied: "
+                    f"{type(exc).__name__}: {exc}"
+                ) from exc
         after = set(fork.solution())
         return {
             "base_size": len(before),

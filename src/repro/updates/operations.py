@@ -172,9 +172,7 @@ def apply_update(graph: DynamicGraph, operation: UpdateOperation) -> None:
     """
     try:
         if operation.kind is UpdateKind.INSERT_VERTEX:
-            graph.add_vertex(operation.vertex)
-            for nbr in operation.neighbors:
-                graph.add_edge(operation.vertex, nbr)
+            graph.add_vertex_slot(operation.vertex, operation.neighbors)
         elif operation.kind is UpdateKind.DELETE_VERTEX:
             graph.remove_vertex(operation.vertex)
         elif operation.kind is UpdateKind.INSERT_EDGE:

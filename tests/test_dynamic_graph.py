@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.exceptions import (
     EdgeExistsError,
     EdgeNotFoundError,
+    GraphError,
     SelfLoopError,
     VertexExistsError,
     VertexNotFoundError,
@@ -211,3 +217,58 @@ class TestDerivedViews:
 
     def test_check_consistency_detects_nothing_on_valid_graph(self, cycle_graph):
         cycle_graph.check_consistency()
+
+
+def _corrupt_edge_counter(graph):
+    graph._num_edges += 1
+
+
+def _corrupt_symmetry(graph):
+    graph.adjacency_slots_view()[graph.slot_of(1)].discard(graph.slot_of(2))
+
+
+def _corrupt_free_slot(graph):
+    slot = graph.slot_of(3)
+    graph.pop_vertex_slot(slot)
+    graph.adjacency_slots_view()[slot].add(graph.slot_of(0))
+
+
+def _corrupt_cow_bitmap(graph):
+    graph.fork()
+    graph._cow_adj.pop()
+
+
+CORRUPTIONS = {
+    "edge-counter": (_corrupt_edge_counter, "edge counter"),
+    "one-sided-edge": (_corrupt_symmetry, "asymmetric edge"),
+    "free-slot-adjacency": (_corrupt_free_slot, "residual adjacency"),
+    "cow-bitmap-length": (_corrupt_cow_bitmap, "copy-on-write bitmap"),
+}
+
+
+@pytest.mark.parametrize("corrupt, reason", CORRUPTIONS.values(), ids=CORRUPTIONS)
+def test_check_consistency_raises_graph_error(corrupt, reason):
+    graph = DynamicGraph(edges=[(0, 1), (1, 2), (2, 3), (3, 0)])
+    corrupt(graph)
+    with pytest.raises(GraphError, match=reason):
+        graph.check_consistency()
+
+
+def test_check_consistency_survives_optimised_mode():
+    """The checks raise, so ``python -O`` (no ``assert``) keeps them."""
+    script = (
+        "from repro.exceptions import GraphError\n"
+        "from repro.graphs.dynamic_graph import DynamicGraph\n"
+        "graph = DynamicGraph(edges=[(0, 1)])\n"
+        "graph._num_edges = 5\n"
+        "try:\n"
+        "    graph.check_consistency()\n"
+        "except GraphError:\n"
+        "    print('refused')\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert result.stdout.strip() == "refused", result.stderr

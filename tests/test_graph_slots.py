@@ -16,6 +16,7 @@ import pytest
 from repro.exceptions import (
     EdgeExistsError,
     EdgeNotFoundError,
+    GraphError,
     SelfLoopError,
     VertexExistsError,
     VertexNotFoundError,
@@ -56,6 +57,18 @@ REFUSALS = {
     "resolve-missing-endpoint": (
         lambda g: g.resolve_edge_slots([("a", "b"), ("c", "zz")]), VertexNotFoundError, "zz"
     ),
+    "add-vertex-missing-neighbour": (
+        lambda g: g.add_vertex_slot("x", ["a", "zz", "x"]), VertexNotFoundError, "zz"
+    ),
+    "add-vertex-itself": (
+        lambda g: g.add_vertex_slot("x", ["a", "x", "zz"]), SelfLoopError, "x"
+    ),
+    "add-vertex-repeated-neighbour": (
+        lambda g: g.add_vertex_slot("x", ["a", "b", "a"]), EdgeExistsError, ("x", "a")
+    ),
+    "add-existing-vertex-wired": (
+        lambda g: g.add_vertex_slot("c", ["zz"]), VertexExistsError, "c"
+    ),
 }
 
 
@@ -69,7 +82,27 @@ def test_refusals_name_the_offender_and_keep_the_graph_consistent(call, error, n
     graph.check_consistency()
 
 
+@pytest.mark.parametrize("call", [REFUSALS[key][0] for key in REFUSALS if "vertex" in key])
+@pytest.mark.parametrize("forked", [False, True])
+def test_a_refused_insertion_allocates_nothing(call, forked):
+    graph = _path()
+    graph.pop_vertex_slot(graph.slot_of("e"))  # a free slot to recycle
+    if forked:
+        graph.fork()
+    payload = graph.to_payload()
+    with pytest.raises(GraphError):
+        call(graph)
+    assert graph.to_payload() == payload
+
+
 class TestVertexSlots:
+    def test_add_vertex_slot_wires_the_neighbours(self):
+        graph = _path()
+        slot = graph.add_vertex_slot("x", ["d", "a"])
+        assert graph.neighbors_slots_view(slot) == set(_pairs(graph, "d", "a"))
+        assert graph.neighbors("a") == {"b", "x"} and graph.num_edges == 5
+        graph.check_consistency()
+
     def test_add_vertex_slot_appends_when_no_slot_is_free(self):
         graph = _path()
         assert graph.add_vertex_slot("f") == graph.num_slots - 1 == 5
@@ -120,6 +153,29 @@ class TestEdgeSlots:
         graph.remove_edge_slots(*_pairs(graph, "c", "b"))
         assert not graph.has_edge("b", "c") and graph.num_edges == 2
         graph.check_consistency()
+
+    def test_bulk_mutators_match_the_single_ones(self):
+        graph, single = _path(), _path()
+        inserted = [tuple(_pairs(graph, "a", "e")), tuple(_pairs(graph, "d", "a"))]
+        graph.add_edges_slots(inserted)
+        for pair in inserted:
+            single.add_edge_slots(*pair)
+        assert graph.to_payload() == single.to_payload()
+        removed = [tuple(_pairs(graph, "b", "a")), tuple(_pairs(graph, "a", "e"))]
+        graph.remove_edges_slots(removed)
+        for pair in removed:
+            single.remove_edge_slots(*pair)
+        assert graph.to_payload() == single.to_payload()
+        graph.check_consistency()
+
+    @pytest.mark.parametrize("mutator", ["remove_edge_slots", "remove_edges_slots"])
+    def test_one_sided_edges_are_refused(self, mutator):
+        graph = _path()
+        b, c = _pairs(graph, "b", "c")
+        graph.adjacency_slots_view()[c].discard(b)  # corrupt: only b -> c is left
+        call = getattr(graph, mutator)
+        with pytest.raises(GraphError, match="asymmetric"):
+            call(b, c) if mutator == "remove_edge_slots" else call([(b, c)])
 
     def test_resolve_edge_slots_translates_every_pair(self):
         graph = _path()
@@ -174,6 +230,16 @@ SLOT_MUTATIONS = {
         g.pop_vertex_slot(g.slot_of(2)),
         g.add_vertex_slot("reborn"),
         g.add_edge_slots(g.slot_of("reborn"), g.slot_of(0)),
+    ),
+    "recycle_wired": lambda g: (
+        g.pop_vertex_slot(g.slot_of(2)),
+        g.add_vertex_slot("reborn", [0, 3, 5]),
+    ),
+    "add_edges_slots": lambda g: g.add_edges_slots(
+        [(g.slot_of(0), g.slot_of(5)), (g.slot_of(4), g.slot_of(1))]
+    ),
+    "remove_edges_slots": lambda g: g.remove_edges_slots(
+        [(g.slot_of(0), g.slot_of(1)), (g.slot_of(3), g.slot_of(2))]
     ),
 }
 

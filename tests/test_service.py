@@ -10,6 +10,7 @@ durability path.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import gc
 import hashlib
 import json
@@ -212,6 +213,40 @@ class TestConfig:
         loaded = ServiceConfig.from_file(path)
         assert loaded == config
 
+    @pytest.mark.parametrize(
+        "change, named",
+        [
+            ({"tenants": [{"name": "a", "batchsize": 16, "checkpoint_evry": 128}]},
+             r"tenant 'a'.*'batchsize', 'checkpoint_evry'"),
+            ({"drain_timout": 5.0}, r"service config.*'drain_timout'"),
+            ({"retry": {"max_attempt": 3}}, r"retry.*'max_attempt'"),
+            ({"retry": "fast"}, r"retry must be a JSON object, got str"),
+            ({"tenants": [["a"]]}, r"tenant None must be a JSON object, got list"),
+        ],
+        ids=["tenant-typos", "service-typo", "retry-typo", "retry-string", "tenant-list"],
+    )
+    def test_unknown_keys_are_refused(self, tmp_path, change, named):
+        document = {"data_dir": str(tmp_path), "port": 0, "tenants": [{"name": "a"}]}
+        document.update(change)
+        with pytest.raises(ServiceError, match=named):
+            ServiceConfig.from_dict(document)
+
+    def test_documents_hold_exactly_the_fields(self, tmp_path):
+        """Each key of a saved config is a field, and an absent one its default."""
+        loaded = ServiceConfig.from_dict(
+            {"data_dir": str(tmp_path), "port": 0, "tenants": [{"name": "a"}]}
+        )
+        assert loaded == ServiceConfig(
+            data_dir=str(tmp_path), tenants=(TenantSpec(name="a"),), port=0
+        )
+        document = loaded.to_dict()
+        assert list(document) == [f.name for f in dataclasses.fields(ServiceConfig)]
+        assert list(document["tenants"][0]) == [
+            f.name for f in dataclasses.fields(TenantSpec)
+        ]
+        assert document["retry"] == dataclasses.asdict(RetryPolicy())
+        assert json.loads(json.dumps(document)) == document
+
     def test_from_file_errors(self, tmp_path):
         with pytest.raises(ServiceError):
             ServiceConfig.from_file(tmp_path / "missing.json")
@@ -241,7 +276,10 @@ class TestGateway:
             with svc.client() as client:
                 assert client.health()["status"] == "serving"
                 assert client.ready()["ready"] is True
-                reply = client.ingest_stream("main", ops, chunk=32)
+                assert client.ingest_stream("main", ops, chunk=32)["accepted"] == len(ops)
+                # An ingest reply acknowledges admission, not application:
+                # flush so the serve loop has applied every admitted batch.
+                reply = client.flush("main")
                 assert reply["accepted"] == reply["applied"] == len(ops)
                 digest = client.digest("main")["digest"]
                 solution = client.solution("main")["solution"]
@@ -352,6 +390,31 @@ class TestGateway:
                 # question gets the same answer.
                 assert client.what_if("wi", hypothetical) == reply
                 assert client.digest("wi")["digest"] == before
+
+    @pytest.mark.parametrize("valid_prefix", [0, 40], ids=["short-batch", "bulk-batch"])
+    def test_refused_what_if_keeps_the_connection(self, tmp_path, valid_prefix):
+        """A hypothetical the graph cannot take degrades to a reply."""
+        spec = TenantSpec(name="t", batch_size=8, window_max=8, adaptive=False)
+        with service(tmp_path, spec) as svc:
+            with svc.client() as client:
+                ops = [UpdateOperation.insert_vertex(v) for v in range(8)]
+                ops += [UpdateOperation.insert_edge(5, 6)]
+                client.ingest_stream("t", ops, chunk=8)
+                before = client.digest("t")["digest"]
+                prefix = [["+v", f"n{i}", [5]] for i in range(valid_prefix)]
+                refused = client.request(
+                    {"cmd": "what_if", "tenant": "t", "ops": [*prefix, ["-e", 5, 99]]}
+                )
+                assert not refused["ok"]
+                assert "what_if cannot be applied" in refused["error"]
+                assert "99" in refused["error"]
+                # The same connection still answers; the tenant is untouched.
+                assert client.query("t", 5)["ok"]
+                assert client.digest("t")["digest"] == before
+                reply = client.what_if("t", [UpdateOperation.delete_edge(5, 6)])
+                assert reply["ok"] and reply["applied"] == len(ops)
+                assert client.digest("t")["digest"] == before
+                assert client.health()["tenants"]["t"] == "serving"
 
     def test_sequence_gap_duplicate_and_overlap(self, tmp_path):
         ops = build_ops(64)

@@ -2,8 +2,9 @@
 
 A Hypothesis rule-based state machine drives :class:`MISState` and
 :class:`LazyMISState` through the same slot-level operations — vertex
-insertion and deletion (with slot recycling), single and bulk edge insertion
-and deletion (including batches that must be refused), ``move_in_slot`` /
+insertion (including insertions that must be refused) and deletion (with
+slot recycling), single and bulk edge insertion and deletion (including
+batches that must be refused), ``move_in_slot`` /
 ``move_out_slot``, and forks that then diverge from their parent.  Each pair
 of states is shadowed by a plain model: a vertex set, an edge set and a
 solution set.  After every step every pair is checked against a brute-force
@@ -30,7 +31,13 @@ from hypothesis.stateful import (
 
 from repro.core.lazy import LazyMISState
 from repro.core.state import MISState
-from repro.exceptions import EdgeExistsError, EdgeNotFoundError, SelfLoopError
+from repro.exceptions import (
+    EdgeExistsError,
+    EdgeNotFoundError,
+    SelfLoopError,
+    VertexExistsError,
+    VertexNotFoundError,
+)
 from repro.graphs.dynamic_graph import DynamicGraph
 
 #: Forks beyond this many live state pairs are skipped, so runs stay small.
@@ -97,7 +104,13 @@ def _fingerprint(state):
 def _outcome(call, *args):
     try:
         return "ok", call(*args)
-    except (SelfLoopError, EdgeExistsError, EdgeNotFoundError) as exc:
+    except (
+        SelfLoopError,
+        EdgeExistsError,
+        EdgeNotFoundError,
+        VertexNotFoundError,
+        VertexExistsError,
+    ) as exc:
         return type(exc).__name__, exc.args
 
 
@@ -177,6 +190,41 @@ class StateCoreMachine(RuleBasedStateMachine):
         assert results[0][1] == len(set(neighbors) & model.solution)
         model.vertices.add(label)
         model.edges |= {frozenset((label, w)) for w in neighbors}
+
+    @rule(data=st.data(), kind=st.sampled_from(["missing", "repeated", "itself", "present"]))
+    def refused_vertex_insertion(self, data, kind):
+        """A refused insertion names the first bad neighbour and changes nothing."""
+        pair = self._pair(data)
+        model = pair.model
+        neighbors = data.draw(
+            st.lists(st.sampled_from(sorted(model.vertices)), unique=True, max_size=3)
+            if model.vertices
+            else st.just([]),
+            label="valid neighbours",
+        )
+        vertex = self.next_label
+        if kind == "present":
+            if not model.vertices:
+                return
+            vertex = self._vertex(data, model.vertices)
+        elif kind == "repeated":
+            if not neighbors:
+                return
+            neighbors.append(data.draw(st.sampled_from(neighbors), label="repeat"))
+        else:
+            position = data.draw(st.integers(0, len(neighbors)), label="position")
+            neighbors.insert(position, -1 if kind == "missing" else vertex)
+        expected = {
+            "missing": "VertexNotFoundError",
+            "repeated": "EdgeExistsError",
+            "itself": "SelfLoopError",
+            "present": "VertexExistsError",
+        }[kind]
+        before = [_fingerprint(state) for state in pair.states]
+        outcomes = [_outcome(state.add_vertex_slot, vertex, neighbors) for state in pair.states]
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == expected
+        assert [_fingerprint(state) for state in pair.states] == before
 
     @rule(data=st.data())
     def remove_vertex(self, data):

@@ -91,8 +91,8 @@ def bench_fork(rounds, num_vertices, num_edges):
     # Bit-identity under divergence: the cheap fork and the expensive deep
     # copy must walk the exact same trajectory.
     divergence = list(mixed_update_stream(engine.graph.copy(), 400, seed=7))
-    fork.apply_batch(divergence, coalesce=True)
-    oracle.apply_batch(divergence, coalesce=True)
+    fork.apply_batch(divergence)
+    oracle.apply_batch(divergence)
     identical = engine_digest(fork) == engine_digest(oracle)
     parent_clean = engine_digest(engine) != engine_digest(fork)
 
@@ -118,7 +118,7 @@ def bench_what_if(rounds, num_vertices, num_edges, batch=32):
 
     def what_if():
         fork = engine.fork()
-        fork.apply_batch(list(hypothetical), coalesce=True)
+        fork.apply_batch(list(hypothetical))
         after = set(fork.solution())
         return len(after), after - base, base - after
 
@@ -155,8 +155,8 @@ def checkpoint_after_what_if(engine, hypothetical) -> bool:
     and compare that file byte for byte with the same document encoded
     from ``algorithm_to_payload``.
     """
-    engine.fork().apply_batch(list(hypothetical), coalesce=True)
-    engine.apply_batch(list(hypothetical), coalesce=True)
+    engine.fork().apply_batch(list(hypothetical))
+    engine.apply_batch(list(hypothetical))
     graph = engine.graph
     undo = [
         UpdateOperation.delete_edge(*op.edge)
@@ -165,7 +165,7 @@ def checkpoint_after_what_if(engine, hypothetical) -> bool:
     ]
     with tempfile.TemporaryDirectory() as directory:
         save_checkpoint(engine, directory, algorithm_name="bench", processed=0, initial_size=0)
-        engine.apply_batch(undo, coalesce=True)
+        engine.apply_batch(undo)
         path = save_checkpoint(
             engine, directory, algorithm_name="bench", processed=1, initial_size=0
         )

@@ -97,7 +97,7 @@ def test_service_ingest_throughput(benchmark, show_rows):
     operations = _operations()
     engine = create_algorithm("DyOneSwap", DynamicGraph(), None)
     for group in chunked(iter(operations), BATCH):
-        engine.apply_batch(group, coalesce=True)
+        engine.apply_batch(group)
     expected = engine_digest(engine)[:16]
     for row in rows:
         assert row["updates"] == NUM_OPERATIONS

@@ -20,7 +20,7 @@ Like the core algorithms, all processing happens in slot space.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.base import DynamicMISBase
 
@@ -82,17 +82,7 @@ class DyARW(DynamicMISBase):
         return None
 
     def _perform_swap(self, slot: int, swap_in: Tuple[int, int]) -> None:
-        state = self.state
-        # Snapshot: move_out/move_in below dismantle the live bucket.
-        tight: Set[int] = set(state.tight1_view(slot))
-        state.move_out_slot(slot)
-        first, second = swap_in
-        counts = self._counts
-        in_sol = self._in_sol
-        if counts[first] == 0:
-            state.move_in_slot(first)
-        if not in_sol[second] and counts[second] == 0:
-            state.move_in_slot(second)
-        self._extend_maximal_over(w for w in tight if w not in swap_in)
+        # Snapshot: the swap's moves dismantle the live bucket.
+        tight = set(self.state.tight1_view(slot))
+        self._swap((slot,), swap_in, tight)
         self.stats.record_swap(1)
-        self._collect_candidates_around([slot])

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import abc
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     Any,
     Callable,
@@ -135,18 +135,7 @@ class DynamicMISBase(abc.ABC):
         self._candidates: List[Dict[Any, Set[int]]] = [
             {} for _ in range(k + 1)
         ]
-        # Cached live views.  Every one of these containers grows strictly
-        # in place (append / add), so the identities cached here stay valid
-        # for the lifetime of the algorithm — the cache removes a method
-        # call per probe from every handler and candidate routine.
-        self._in_sol = self.state.in_solution_view()
-        self._counts = self.state.counts_slots_view()
-        self._adj = graph.adjacency_slots_view()
-        self._slot_map = graph.slot_map_view()
-        self._orders = graph.orders_view()
-        self._labels = graph.labels_view()
-        # Eager-only direct index into the stored I(v) lists (None when lazy).
-        self._sn_list = self.state.sn_list_view()
+        self._bind_views()
         self._install_initial_solution(initial_solution)
         if stabilize:
             self._stabilize()
@@ -202,43 +191,34 @@ class DynamicMISBase(abc.ABC):
                 "cannot fork mid-repair: candidate queues are not drained"
             )
         clone = object.__new__(type(self))
-        # Plain attributes first (config flags plus any subclass counters
-        # like KSwapFramework.search_limit_hits — all immutable values);
-        # the stateful ones are rebuilt over the forked graph/state below.
-        rebuilt = {
-            "state",
-            "stats",
-            "_candidates",
-            "_in_sol",
-            "_counts",
-            "_adj",
-            "_slot_map",
-            "_orders",
-            "_labels",
-            "_sn_list",
-        }
-        for name, value in self.__dict__.items():
-            if name not in rebuilt:
-                clone.__dict__[name] = value
-        graph_fork = self.state.graph.fork()
-        clone.state = self.state.fork(graph_fork)
-        clone.stats = AlgorithmStatistics(
-            updates_processed=self.stats.updates_processed,
-            swaps_performed=Counter(self.stats.swaps_performed),
-            perturbations=self.stats.perturbations,
-            candidates_processed=self.stats.candidates_processed,
-            operations_coalesced=self.stats.operations_coalesced,
-            batches_applied=self.stats.batches_applied,
+        # Plain attributes (config flags plus any subclass counters like
+        # KSwapFramework.search_limit_hits — all immutable values) are
+        # shared; the stateful ones are rebuilt over the forked state.
+        clone.__dict__.update(self.__dict__)
+        clone.state = self.state.fork(self.state.graph.fork())
+        clone.stats = replace(
+            self.stats, swaps_performed=Counter(self.stats.swaps_performed)
         )
         clone._candidates = [{} for _ in range(self.k + 1)]
-        clone._in_sol = clone.state.in_solution_view()
-        clone._counts = clone.state.counts_slots_view()
-        clone._adj = graph_fork.adjacency_slots_view()
-        clone._slot_map = graph_fork.slot_map_view()
-        clone._orders = graph_fork.orders_view()
-        clone._labels = graph_fork.labels_view()
-        clone._sn_list = clone.state.sn_list_view()
+        clone._bind_views()
         return clone
+
+    def _bind_views(self) -> None:
+        """Cache the live views of the state and its graph.
+
+        Every one of these containers grows strictly in place (append /
+        add), so the identities cached here stay valid for the lifetime of
+        the algorithm — the cache removes a method call per probe from every
+        handler and candidate routine.
+        """
+        state = self.state
+        graph = state.graph
+        self._in_sol = state.in_solution_view()
+        self._counts = state.counts_slots_view()
+        self._adj = graph.adjacency_slots_view()
+        self._slot_map = graph.slot_map_view()
+        self._orders = graph.orders_view()
+        self._labels = graph.labels_view()
 
     def apply_update(self, operation: UpdateOperation) -> None:
         """Apply one structural update and restore k-maximality of the solution."""
@@ -313,18 +293,24 @@ class DynamicMISBase(abc.ABC):
     ) -> None:
         """Apply a batch of updates with one shared repair pass.
 
-        For batches of at least :data:`BULK_APPLY_THRESHOLD` operations, the
-        batch is first coalesced to its net effect (inverse pairs cancel,
-        toggles collapse — see :mod:`repro.updates.coalesce`; disable with
-        ``coalesce=False``), the remaining structural mutations are applied
-        in one pass that accumulates the *touched* slots (every slot whose
-        count dropped into the tracked range, plus new vertices, evicted
-        vertices and the endpoints of outside/outside edge deletions), and
-        maximality repair, candidate registration and the swap-searching
-        drain each run **once** at the end of the batch instead of once per
-        operation.  Shorter batches keep per-operation dispatch (whose
-        repair is immediate) and only defer the candidate drain — the bulk
-        machinery's fixed costs don't amortise below the threshold.
+        Two strategies, chosen by the batch length:
+
+        * **Bulk** (at least :data:`BULK_APPLY_THRESHOLD` operations): the
+          batch is coalesced to its net effect (inverse pairs cancel,
+          toggles collapse — see :mod:`repro.updates.coalesce`), the
+          remaining structural mutations are applied in one pass that
+          accumulates the *touched* slots (every slot whose count dropped
+          into the tracked range, plus new vertices, evicted vertices and
+          the endpoints of outside/outside edge deletions), and maximality
+          repair, candidate registration and the swap-searching drain each
+          run **once** at the end of the batch instead of once per
+          operation.
+        * **Short**: shorter batches keep per-operation dispatch (whose
+          repair is immediate) and only defer the candidate drain — the
+          bulk machinery's fixed costs don't amortise below the threshold.
+
+        ``coalesce`` must be ``True``; the uncoalesced bulk strategy was
+        removed, and ``coalesce=False`` raises :class:`ValueError`.
 
         Invariants: the solution stays independent throughout (conflicting
         edge insertions still evict immediately) and is k-maximal when the
@@ -333,18 +319,19 @@ class DynamicMISBase(abc.ABC):
         must use :meth:`apply_update`.  Batched and unbatched runs may pick
         different (equally valid) k-maximal solutions.
 
-        Failure atomicity: on the default *bulk* path (at least
-        :data:`BULK_APPLY_THRESHOLD` operations, ``coalesce=True``) an
-        invalid batch is rejected by the coalescer *before* any state is
-        mutated.  Batches below the threshold dispatch per operation and
-        fail like :meth:`apply_stream` does: the failing operation is
-        refused whole and leaves nothing, only the valid prefix before it
-        stays applied, and the deferred candidate drain is skipped, so the
-        solution may be maximal but not yet k-maximal when the exception
-        propagates.  ``coalesce=False`` skips validation entirely and
-        assumes a valid sequence — an invalid one raises mid-apply and may
-        leave the batch partially applied with its repair pass not yet run.
+        Failure atomicity: on the bulk path an invalid batch is rejected by
+        the coalescer *before* any state is mutated.  Batches below the
+        threshold dispatch per operation and fail like :meth:`apply_stream`
+        does: the failing operation is refused whole and leaves nothing,
+        only the valid prefix before it stays applied, and the deferred
+        candidate drain is skipped, so the solution may be maximal but not
+        yet k-maximal when the exception propagates.
         """
+        if not coalesce:
+            raise ValueError(
+                "apply_batch(coalesce=False) is not supported: the uncoalesced "
+                "batch strategy was removed"
+            )
         ops = operations if isinstance(operations, list) else list(operations)
         if not ops:
             return
@@ -360,12 +347,10 @@ class DynamicMISBase(abc.ABC):
                 dispatch(operation)
             self._requeue_risen()
             self._process_candidates()
-        elif coalesce:
+        else:
             net = coalesce_batch(self.graph, ops)
             stats.operations_coalesced += net.num_coalesced
             self._finalize_batch(self._apply_net_batch(net))
-        else:
-            self._finalize_batch(self._apply_batch_structural(ops))
         stats.updates_processed += len(ops)
         stats.batches_applied += 1
         if self.check_invariants:
@@ -376,9 +361,9 @@ class DynamicMISBase(abc.ABC):
     ) -> None:
         """Evict one endpoint of every still-standing both-in-solution pair.
 
-        Shared touched-slot admission policy of both batch strategies: the
-        evicted slot and its decreased neighbours enter ``touched`` only
-        while their count is within the tracked range (see
+        The bulk path's edge-insertion phase: the evicted slot and its
+        decreased neighbours enter ``touched`` only while their count is
+        within the tracked range (the admission filter of
         :meth:`_apply_net_batch`).
         """
         state = self.state
@@ -401,9 +386,10 @@ class DynamicMISBase(abc.ABC):
     def _touch_outside(self, outside: List, touched: Set[int]) -> None:
         """Admit the endpoints of outside/outside edge deletions.
 
-        The complement of the tight neighbourhood gained an edge: both
-        endpoints are re-registered at batch end (the batched analogue of
-        :meth:`_on_edge_deleted_outside`), subject to the count filter.
+        The bulk path's edge-deletion phase: the complement of the tight
+        neighbourhood gained an edge, so both endpoints are re-registered at
+        batch end (the batched analogue of :meth:`_on_edge_deleted_outside`),
+        subject to the count filter of :meth:`_apply_net_batch`.
         """
         counts = self._counts
         k = self.k
@@ -471,115 +457,38 @@ class DynamicMISBase(abc.ABC):
             self._evict_conflicts(conflicts, touched)
         return touched
 
-    def _apply_batch_structural(
-        self, operations: Sequence[UpdateOperation]
-    ) -> Set[int]:
-        """Apply the structural part of a raw (uncoalesced) batch; return the touched slots.
-
-        Mirrors the four per-operation handlers but defers all maximality
-        repair and candidate registration: instead of repairing after each
-        operation, every slot whose count changed (or, for outside/outside
-        edge deletions, whose complement neighbourhood changed) is collected
-        into the returned set for :meth:`_finalize_batch`.  Conflicting edge
-        insertions still evict immediately so the solution never stops being
-        independent.
-        """
-        state = self.state
-        graph = self.graph
-        slot_map = self._slot_map
-        in_sol = self._in_sol
-        counts = self._counts
-        k = self.k
-        touched: Set[int] = set()
-        touched_add = touched.add
-        ops = operations
-        n = len(ops)
-        i = 0
-        while i < n:
-            kind = ops[i].kind
-            if kind is UpdateKind.INSERT_EDGE or kind is UpdateKind.DELETE_EDGE:
-                # Maximal run of same-kind edge operations (the coalescer
-                # emits them phase-grouped, so runs are long): translate the
-                # labels in one pass, mutate the slot arrays in one pass.
-                j = i + 1
-                while j < n and ops[j].kind is kind:
-                    j += 1
-                pairs = graph.resolve_edge_slots(
-                    ops[t].edge for t in range(i, j)
-                )
-                if kind is UpdateKind.INSERT_EDGE:
-                    # Count increases need neither repair nor registration
-                    # (see _apply_net_batch).
-                    _bumped, conflicts = state.add_edges_slots_bulk(pairs)
-                    self._evict_conflicts(conflicts, touched)
-                else:
-                    dropped, outside = state.remove_edges_slots_bulk(pairs)
-                    touched.update(s for s in dropped if counts[s] <= k)
-                    self._touch_outside(outside, touched)
-                i = j
-                continue
-            operation = ops[i]
-            i += 1
-            if kind is UpdateKind.INSERT_VERTEX:
-                slot, count = state.add_vertex_slot(
-                    operation.vertex, operation.neighbors
-                )
-                if count <= k:
-                    touched_add(slot)
-            elif kind is UpdateKind.DELETE_VERTEX:
-                try:
-                    slot = slot_map[operation.vertex]
-                except KeyError:
-                    raise VertexNotFoundError(operation.vertex) from None
-                was_in, neighbor_slots = state.remove_vertex_slot(slot)
-                if was_in:
-                    touched.update(
-                        t
-                        for t in neighbor_slots
-                        if not in_sol[t] and counts[t] <= k
-                    )
-            else:  # pragma: no cover - exhaustive enum
-                raise UpdateError(f"unknown update kind {kind!r}")
-        return touched
-
-    def _finalize_batch(self, touched: Iterable[int]) -> None:
+    def _finalize_batch(self, touched: Set[int]) -> None:
         """One shared repair pass: restore maximality, register, drain.
 
-        Every touched slot with count zero is moved into the solution
-        (smallest greedy key first, re-checking the count before each move),
-        then every touched slot whose final count lies in ``[1, k]`` is
-        registered under its current owner set, and the candidate queues are
-        drained once.  Soundness: counts only change at touched slots, the
-        solution was maximal at the previous batch boundary, and any vertex
-        newly entering some ``¯I_j(S)`` during the batch had a count change —
-        so registering touched slots by *final* count covers every swap
-        opportunity the per-operation path would have registered eventually.
+        Every touched slot with count zero is moved into the solution by the
+        greedy fill (:meth:`_extend_maximal_over`), then every touched slot
+        whose final count lies in ``[1, k]`` is registered under its current
+        owner set, and the candidate queues are drained once.  Soundness:
+        counts only change at touched slots, the solution was maximal at the
+        previous batch boundary, and any vertex newly entering some
+        ``¯I_j(S)`` during the batch had a count change — so registering
+        touched slots by *final* count covers every swap opportunity the
+        per-operation path would have registered eventually.
         """
-        graph = self.graph
         labels = self._labels
         in_sol = self._in_sol
         counts = self._counts
-        live = [s for s in touched if labels[s] is not _FREE]
-        if live:
-            zero = [s for s in live if not in_sol[s] and counts[s] == 0]
-            if zero:
-                if len(zero) > 1:
-                    zero.sort(key=graph.slot_order_key)
-                move_in = self.state.move_in_slot
-                for s in zero:
-                    if not in_sol[s] and counts[s] == 0:
-                        move_in(s)
-            # Registration order follows the interned insertion order so the
-            # candidate-queue insertion (hence drain) order is identical for
-            # the eager and the lazy state.  The count filter runs first
-            # (most touched slots carry counts beyond k and register
-            # nothing); registration itself changes no membership byte or
-            # count, so filtering up front matches the inline check.
-            live.sort(key=self._orders.__getitem__)
-            register = self._register_slot
-            k = self.k
-            for s in [s for s in live if not in_sol[s] and 1 <= counts[s] <= k]:
-                register(s)
+        k = self.k
+        self._extend_maximal_over(touched)
+        # Registration follows the interned insertion order so the
+        # candidate-queue insertion (hence drain) order is identical for the
+        # eager and the lazy state.  Registering changes no membership byte
+        # or count, so the filter can run before the sort (most touched
+        # slots carry counts beyond k and register nothing).
+        pending = [
+            s
+            for s in touched
+            if labels[s] is not _FREE and not in_sol[s] and 1 <= counts[s] <= k
+        ]
+        pending.sort(key=self._orders.__getitem__)
+        register = self._register_slot
+        for s in pending:
+            register(s)
         self._process_candidates()
 
     def _requeue_risen(self) -> None:
@@ -748,14 +657,10 @@ class DynamicMISBase(abc.ABC):
             return
         count = self._counts[slot]
         if count == 1:
-            sn = self._sn_list
-            (owner,) = sn[slot] if sn is not None else self.state.sn_slots_view(slot)
+            (owner,) = self.state.sn_slots_view(slot)
             self._candidates[1].setdefault(owner, set()).add(slot)
         elif 2 <= count <= self.k:
-            sn = self._sn_list
-            owners = frozenset(
-                sn[slot] if sn is not None else self.state.sn_slots_view(slot)
-            )
+            owners = frozenset(self.state.sn_slots_view(slot))
             self._candidates[count].setdefault(owners, set()).add(slot)
 
     def _collect_candidates_around(self, slots: Iterable[int]) -> None:
@@ -861,52 +766,77 @@ class DynamicMISBase(abc.ABC):
         # Inlined _register_slot: register every decreased slot that is
         # still outside the solution with count in [1, k].
         k = self.k
-        sn = self._sn_list
+        sn_view = state.sn_slots_view
         candidates1 = self._candidates[1]
         for s in decreased:
             if in_sol[s]:
                 continue
             c = counts[s]
             if c == 1:
-                (owner,) = sn[s] if sn is not None else state.sn_slots_view(s)
+                (owner,) = sn_view(s)
                 candidates1.setdefault(owner, set()).add(s)
             elif 2 <= c <= k:
-                owners = frozenset(
-                    sn[s] if sn is not None else state.sn_slots_view(s)
-                )
+                owners = frozenset(sn_view(s))
                 self._candidates[c].setdefault(owners, set()).add(s)
 
-    def _extend_maximal_over(self, slots: Iterable[int]) -> List[int]:
-        """Move every listed slot whose count is zero into the solution.
+    def _extend_maximal_over(self, slots: Iterable[int]) -> None:
+        """Greedy fill: move every free slot among ``slots`` into the solution.
 
-        Returns the slots that were actually inserted.
+        A slot is free when it is live, outside the solution and has count
+        zero.  The free slots move in by :meth:`DynamicGraph.slot_order_key`
+        (smallest degree first, the usual greedy tie-break), each count
+        re-checked right before its move because an earlier move may have
+        raised it.  Filtering before the sort is safe because a fill only
+        raises counts: a slot that is not free when the fill starts never
+        becomes free during it.
         """
-        state, graph = self.state, self.graph
         in_sol = self._in_sol
         counts = self._counts
         labels = self._labels
-        inserted: List[int] = []
-        for s in sorted(
-            (w for w in slots if labels[w] is not _FREE), key=graph.slot_order_key
-        ):
-            if not in_sol[s] and counts[s] == 0:
-                state.move_in_slot(s)
-                inserted.append(s)
-        return inserted
+        free = [
+            s
+            for s in slots
+            if labels[s] is not _FREE and not in_sol[s] and counts[s] == 0
+        ]
+        if free:
+            if len(free) > 1:
+                free.sort(key=self.graph.slot_order_key)
+            move_in = self.state.move_in_slot
+            for s in free:
+                if not in_sol[s] and counts[s] == 0:
+                    move_in(s)
 
     def _has_nonneighbor_within(self, u: int, tight: Set[int]) -> bool:
         """Return ``True`` when ``|N[u] ∩ ¯I_1(v)| < |¯I_1(v)|``."""
         neighbors = self._adj[u]
         return any(w != u and w not in neighbors for w in tight)
 
+    def _swap(
+        self, out: Sequence[int], into: Sequence[int], pool: Iterable[int]
+    ) -> None:
+        """The step every swap ends with (Algorithm 3, lines 25–27).
+
+        Moves each slot of ``out`` out of the solution, then each slot of
+        ``into`` in (:meth:`~repro.core.state.SlotState.move_in_slot` raises
+        :class:`SolutionInvariantError` for a slot that is still dominated),
+        extends the solution to a maximal set over ``pool`` minus ``into``,
+        and registers the candidates around ``out`` — new candidates can only
+        involve vertices around the removed set.  ``pool`` must be a
+        snapshot taken before the call: the moves change the live tight
+        views.
+        """
+        state = self.state
+        for s in out:
+            state.move_out_slot(s)
+        for s in into:
+            state.move_in_slot(s)
+        self._extend_maximal_over(w for w in pool if w not in into)
+        self._collect_candidates_around(out)
+
     def _perform_one_swap(self, v: int, u: int, tight: Set[int]) -> None:
         """Swap ``v`` out for ``u`` plus every tight neighbour that becomes free."""
-        self.state.move_out_slot(v)
-        self.state.move_in_slot(u)
-        self._extend_maximal_over(w for w in tight if w != u)
+        self._swap((v,), (u,), tight)
         self.stats.record_swap(1)
-        # New candidates can only involve vertices around the removed vertex.
-        self._collect_candidates_around([v])
 
     def _maybe_perturb(self, v: int, tight: Set[int]) -> None:
         """Perturbation (optimization 2): trade ``v`` for a lower-degree tight neighbour.
@@ -917,11 +847,8 @@ class DynamicMISBase(abc.ABC):
         partner = pick_perturbation_partner(self.graph, v, tight)
         if partner is None:
             return
-        self.state.move_out_slot(v)
-        self.state.move_in_slot(partner)
-        self._extend_maximal_over(w for w in tight if w != partner)
+        self._swap((v,), (partner,), tight)
         self.stats.perturbations += 1
-        self._collect_candidates_around([v])
 
     def _choose_eviction(self, su: int, sv: int) -> int:
         """Pick which endpoint (slot) of a newly conflicting edge leaves the solution.

@@ -215,19 +215,8 @@ class KSwapFramework(DynamicMISBase):
         swap_in: Sequence[int],
         pool: Set[int],
     ) -> None:
-        state = self.state
-        for owner in owners:
-            state.move_out_slot(owner)
-        in_sol = self._in_sol
-        counts = self._counts
-        if counts[slot] == 0 and not in_sol[slot]:
-            state.move_in_slot(slot)
-        for w in swap_in:
-            if not in_sol[w] and counts[w] == 0:
-                state.move_in_slot(w)
-        self._extend_maximal_over(w for w in pool if w != slot and w not in swap_in)
+        self._swap(tuple(owners), (slot, *swap_in), pool)
         self.stats.record_swap(len(owners))
-        self._collect_candidates_around(list(owners))
 
     # ------------------------------------------------------------------ #
     # Promotion to the next level

@@ -163,14 +163,6 @@ class SlotState:
         """Return ``count(v)`` for the vertex at ``slot`` (0 for solution vertices)."""
         return self._count[slot]
 
-    def sn_list_view(self) -> Optional[List[Set[int]]]:
-        """Live slot-indexed list of stored ``I(v)`` sets, or ``None``.
-
-        Lets hot loops index the eager storage directly while falling back to
-        ``sn_slots_view`` on a state that recomputes ``I(v)``.
-        """
-        return None
-
     # ------------------------------------------------------------------ #
     # Structural mutation: the graph writes, then the counts follow
     # ------------------------------------------------------------------ #
@@ -491,10 +483,6 @@ class MISState(SlotState):
         across a state mutation.
         """
         return self._sn[slot]
-
-    def sn_list_view(self) -> List[Set[int]]:
-        """Live slot-indexed list of ``I(v)`` sets (see :meth:`SlotState.sn_list_view`)."""
-        return self._sn
 
     def tight1_view(self, owner_slot: int) -> Set[int]:
         """Live ``¯I_1({owner})`` bucket by owner slot (shared empty set if absent).

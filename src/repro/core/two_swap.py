@@ -221,17 +221,9 @@ class DyTwoSwap(DynamicMISBase):
         solution neighbour) is inserted by the maximality extension, matching
         lines 25-27 of Algorithm 3.
         """
-        state = self.state
-        pool = state.tight_up_to_slots(owners, 2)
-        u, v = tuple(owners)
-        state.move_out_slot(u)
-        state.move_out_slot(v)
-        state.move_in_slot(x)
-        if not self._in_sol[y] and self._counts[y] == 0:
-            state.move_in_slot(y)
-        self._extend_maximal_over(w for w in pool if w not in (x, y))
+        pool = self.state.tight_up_to_slots(owners, 2)
+        self._swap(tuple(owners), (x, y), pool)
         self.stats.record_swap(2)
-        self._collect_candidates_around([u, v])
 
     # ------------------------------------------------------------------ #
     # Edge deletion between two non-solution vertices (update case ii)

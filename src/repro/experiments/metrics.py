@@ -124,12 +124,6 @@ class Stopwatch:
             self.elapsed += time.perf_counter() - self._start
             self._start = None
 
-    def peek(self) -> float:
-        """Elapsed time so far, including the currently running interval."""
-        if self._start is None:
-            return self.elapsed
-        return self.elapsed + (time.perf_counter() - self._start)
-
 
 def speedup(baseline_seconds: float, contender_seconds: float) -> float:
     """How many times faster the contender is than the baseline (inf when instant)."""

@@ -124,7 +124,7 @@ def _service_scenario(name, operations, workdir) -> "str | None":
     # Reference first, outside the injector: uninterrupted, same boundaries.
     reference_engine = create_algorithm("DyOneSwap", DynamicGraph(), None)
     for group in chunked(iter(operations), batch):
-        reference_engine.apply_batch(group, coalesce=True)
+        reference_engine.apply_batch(group)
     expected_digest = engine_digest(reference_engine)
     plan = FaultPlan.union(
         FaultPlan.at(SERVICE_INGEST, 2),

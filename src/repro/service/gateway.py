@@ -262,6 +262,8 @@ class MISGateway:
 
     def _tenant(self, request: Dict) -> Tenant:
         name = request.get("tenant")
+        if not isinstance(name, str):
+            raise ServiceError(f"'tenant' must be a name string, got {name!r}")
         tenant = self.tenants.get(name)
         if tenant is None:
             raise ServiceError(f"unknown tenant {name!r}")
@@ -271,9 +273,12 @@ class MISGateway:
         """Wait for the tenant's engine (it may be mid-recovery), bounded by
         the request deadline."""
         timeout = request.get("timeout_ms")
-        timeout = (
-            self.config.query_timeout if timeout is None else float(timeout) / 1000.0
-        )
+        if timeout is None:
+            timeout = self.config.query_timeout
+        elif isinstance(timeout, (int, float)) and not isinstance(timeout, bool):
+            timeout = timeout / 1000.0
+        else:
+            raise ServiceError(f"'timeout_ms' must be a number, got {timeout!r}")
         await asyncio.wait_for(tenant.ready.wait(), timeout)
 
     # ------------------------------------------------------------------ #
@@ -284,7 +289,7 @@ class MISGateway:
             raise ServiceError("draining")
         tenant = self._tenant(request)
         seq = request.get("seq")
-        if not isinstance(seq, int):
+        if not isinstance(seq, int) or isinstance(seq, bool):
             raise ServiceError("ingest needs an integer 'seq' (1-based)")
         operations = operations_from_wire(request.get("ops", []))
         return dict(tenant.offer(operations, seq))
@@ -296,6 +301,12 @@ class MISGateway:
         vertex = request.get("vertex")
         if vertex is None:
             raise ServiceError("query needs a 'vertex'")
+        # The label rule of operations_from_wire: bool is an int.
+        if not isinstance(vertex, (int, str)):
+            raise ServiceError(
+                f"query 'vertex' must be an int, str or bool label, got "
+                f"{type(vertex).__name__}"
+            )
         return {
             "vertex": vertex,
             "in_solution": tenant.in_solution(vertex),

@@ -124,7 +124,7 @@ def _reference_digest(initial_graph, operations: Sequence, batch: int) -> str:
     """Uninterrupted run with the service's exact batch boundaries."""
     engine = create_algorithm("DyOneSwap", initial_graph.copy(), None)
     for group in chunked(iter(operations), batch):
-        engine.apply_batch(group, coalesce=True)
+        engine.apply_batch(group)
     return engine_digest(engine)
 
 

@@ -285,7 +285,7 @@ class Tenant:
         fork = self.engine.fork()
         if operations:
             try:
-                fork.apply_batch(list(operations), coalesce=True)
+                fork.apply_batch(list(operations))
             except (GraphError, UpdateError) as exc:
                 raise ServiceError(
                     f"tenant {self.spec.name!r}: what_if cannot be applied: "
@@ -459,7 +459,7 @@ class Tenant:
         self.applied = self.durable
         self.fingerprint = self._durable_fp
         for batch in replayed:
-            self.engine.apply_batch(batch, coalesce=True)
+            self.engine.apply_batch(batch)
             self.fingerprint = advance_fingerprint(self.fingerprint, batch)
             self.applied += len(batch)
         if self.applied != before_applied or self.fingerprint != before_fingerprint:
@@ -553,7 +553,7 @@ class Tenant:
         self.stats["peak_window"] = max(self.stats["peak_window"], len(batch))
         before = self.engine.solution() if self._subscribers else None
         try:
-            self.engine.apply_batch(batch, coalesce=True)
+            self.engine.apply_batch(batch)
         except BaseException:
             # The batch is not yet in the replay buffer: put it back at the
             # front of the queue so the recovered engine re-applies it with

@@ -156,18 +156,6 @@ class StreamCursor:
         """Hex SHA-256 of the canonical encoding of the consumed prefix."""
         return self._digest.hexdigest()
 
-    def detach(self) -> Iterator[UpdateOperation]:
-        """Hand back the underlying iterator and retire the cursor.
-
-        Used when fingerprinting is only needed for a prefix (a resume
-        fast-forward): the remaining operations flow through the raw
-        iterator with zero hashing overhead.  The cursor yields nothing
-        afterwards.
-        """
-        iterator = self._iterator
-        self._iterator = iter(())
-        return iterator
-
     def take(self, count: int) -> List[UpdateOperation]:
         """Consume and return up to ``count`` operations (fewer at the end).
 

@@ -94,11 +94,6 @@ def atomic_writer(path: PathLike, *, mode: str = "w", encoding: Optional[str] = 
         os.close(directory)
 
 
-def atomic_write_text(path: PathLike, text: str) -> None:
-    """Write ``text`` to ``path`` atomically (see :func:`atomic_writer`)."""
-    with atomic_writer(path) as stream:
-        stream.write(text)
-
 GRAPH_FORMAT = DynamicGraph.PAYLOAD_FORMAT
 ALGORITHM_FORMAT = "repro-algorithm/1"
 

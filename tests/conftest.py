@@ -2,12 +2,49 @@
 
 from __future__ import annotations
 
+import logging
+
 import pytest
 
 from repro.generators.power_law import power_law_random_graph
 from repro.generators.random_graphs import erdos_renyi_graph
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.updates.streams import mixed_update_stream
+
+
+class _ErrorRecords(logging.Handler):
+    """Keep every ERROR-or-worse record emitted while installed."""
+
+    def __init__(self) -> None:
+        super().__init__(level=logging.ERROR)
+        self.records = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.records.append(record)
+
+
+@pytest.fixture(autouse=True)
+def fail_on_asyncio_errors():
+    """Fail the test during which the ``asyncio`` logger recorded an ERROR.
+
+    asyncio logs, rather than raises, an exception that escapes a
+    connection handler ("Unhandled exception in client_connected_cb"), and
+    the client only sees its connection close.  Logging handlers are
+    process-wide, so this also covers a gateway running in another thread.
+    """
+    handler = _ErrorRecords()
+    logger = logging.getLogger("asyncio")
+    logger.addHandler(handler)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+    if handler.records:
+        pytest.fail(
+            "asyncio logged an error during the test:\n"
+            + "\n".join(handler.format(record) for record in handler.records),
+            pytrace=False,
+        )
 
 
 @pytest.fixture

@@ -209,17 +209,16 @@ class TestApplyBatchDirect:
         assert one.solution() == other.solution()
         assert other.stats.batches_applied == 10
 
-    def test_coalesce_false_skips_cancellation_but_matches_graph(self):
+    @pytest.mark.parametrize("length", [4, 40], ids=["short-batch", "bulk-batch"])
+    def test_coalesce_false_is_refused_before_any_change(self, length):
         graph = gnm_random_graph(14, 22, seed=6)
-        stream = mixed_update_stream(graph, 40, seed=7, edge_fraction=0.7)
-        raw = DyOneSwap(graph.copy(), check_invariants=True)
-        raw.apply_batch(list(stream), coalesce=False)
-        net = DyOneSwap(graph.copy(), check_invariants=True)
-        net.apply_batch(list(stream))
-        assert raw.stats.operations_coalesced == 0
-        assert raw.graph == net.graph
-        assert is_maximal_independent_set(raw.graph, raw.solution())
-        assert find_j_swap(raw.graph, raw.solution(), 1) is None
+        stream = mixed_update_stream(graph, length, seed=7, edge_fraction=0.7)
+        algo = DyOneSwap(graph.copy())
+        before = algo.graph.to_payload(), algo.solution()
+        with pytest.raises(ValueError, match="uncoalesced batch strategy was removed"):
+            algo.apply_batch(list(stream), coalesce=False)
+        assert (algo.graph.to_payload(), algo.solution()) == before
+        assert algo.stats.batches_applied == 0
 
 
 SWAP_ALGORITHMS = pytest.mark.parametrize(

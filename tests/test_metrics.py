@@ -79,12 +79,6 @@ class TestStopwatchAndSpeedup:
         with watch:
             time.sleep(0.01)
         assert watch.elapsed >= 0.005
-        assert watch.peek() == watch.elapsed
-
-    def test_stopwatch_peek_inside_interval(self):
-        watch = Stopwatch()
-        with watch:
-            assert watch.peek() >= 0.0
 
     def test_speedup(self):
         assert speedup(2.0, 1.0) == pytest.approx(2.0)

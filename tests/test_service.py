@@ -90,7 +90,7 @@ def reference_digest(operations, batch, initial_graph=None):
         "DyOneSwap", (initial_graph or DynamicGraph()).copy(), None
     )
     for group in chunked(iter(operations), batch):
-        engine.apply_batch(group, coalesce=True)
+        engine.apply_batch(group)
     return engine_digest(engine)
 
 
@@ -378,10 +378,10 @@ class TestGateway:
                 # what-if operations as one coalesced batch).
                 engine = create_algorithm("DyOneSwap", DynamicGraph(), None)
                 for group in chunked(iter(ops), 32):
-                    engine.apply_batch(group, coalesce=True)
+                    engine.apply_batch(group)
                 assert reply["base_size"] == len(engine.solution())
                 base = set(engine.solution())
-                engine.apply_batch(list(hypothetical), coalesce=True)
+                engine.apply_batch(list(hypothetical))
                 expected = set(engine.solution())
                 assert reply["size"] == len(expected)
                 assert set(reply["added"]) == expected - base
@@ -415,6 +415,41 @@ class TestGateway:
                 assert reply["ok"] and reply["applied"] == len(ops)
                 assert client.digest("t")["digest"] == before
                 assert client.health()["tenants"]["t"] == "serving"
+
+    @pytest.mark.parametrize(
+        "message, field",
+        [
+            ({"cmd": "query", "tenant": "t", "vertex": [1, 2]}, "'vertex'"),
+            ({"cmd": "query", "tenant": "t", "vertex": {"v": 1}}, "'vertex'"),
+            ({"cmd": "query", "tenant": "t", "vertex": 1.5}, "'vertex'"),
+            (
+                {"cmd": "query", "tenant": "t", "vertex": 1, "timeout_ms": "soon"},
+                "'timeout_ms'",
+            ),
+            ({"cmd": "offset", "tenant": ["t"]}, "'tenant'"),
+            ({"cmd": "ingest", "tenant": "t", "seq": True, "ops": []}, "'seq'"),
+        ],
+        ids=[
+            "list-vertex",
+            "dict-vertex",
+            "float-vertex",
+            "string-timeout",
+            "list-tenant",
+            "bool-seq",
+        ],
+    )
+    def test_wrongly_typed_fields_keep_the_connection(self, tmp_path, message, field):
+        """A request field of the wrong type degrades to a reply naming it."""
+        spec = TenantSpec(name="t", batch_size=2, window_max=2, adaptive=False)
+        with service(tmp_path, spec) as svc:
+            with svc.client() as client:
+                assert client.ingest("t", [UpdateOperation.insert_vertex(1)], 1)["ok"]
+                refused = client.request(message)
+                assert not refused["ok"]
+                assert field in refused["error"]
+                # The same connection still answers; nothing was admitted.
+                assert client.health()["tenants"]["t"] == "serving"
+                assert client.offset("t")["accepted"] == 1
 
     def test_sequence_gap_duplicate_and_overlap(self, tmp_path):
         ops = build_ops(64)

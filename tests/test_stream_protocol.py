@@ -100,14 +100,6 @@ class TestStreamCursor:
         assert skipping.fingerprint == straight.fingerprint
         assert skipping.offset == straight.offset
 
-    def test_detach_hands_over_remaining_operations(self, operations):
-        cursor = StreamCursor(operations)
-        cursor.skip(5)
-        rest = list(cursor.detach())
-        assert [str(o) for o in rest] == [str(o) for o in operations[5:]]
-        assert list(cursor) == []  # cursor is retired
-        assert cursor.offset == 5
-
     def test_fingerprint_prefix_helper(self, operations):
         consumed, fp = fingerprint_prefix(operations, 10)
         cursor = StreamCursor(operations)

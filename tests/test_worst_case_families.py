@@ -133,7 +133,7 @@ class TestFlickerStream:
 
         graph, stream = flicker_update_stream(6, rounds=15, seed=1)
         engine = create_algorithm("DyOneSwap", graph.copy(), None)
-        engine.apply_batch(list(stream), coalesce=True)
+        engine.apply_batch(list(stream))
         assert is_k_maximal_independent_set(
             engine.graph, engine.solution(), 1
         )

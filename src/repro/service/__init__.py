@@ -30,13 +30,7 @@ from repro.service.config import (
 )
 from repro.service.gateway import MISGateway, ShutdownReport, TenantReport
 from repro.service.client import ServiceClient, ServiceThread, connect_with_retry
-from repro.service.tenant import (
-    FINGERPRINT_SEED,
-    SERVICE_FORMAT,
-    Tenant,
-    advance_fingerprint,
-    engine_digest,
-)
+from repro.service.tenant import SERVICE_FORMAT, Tenant, engine_digest
 
 __all__ = [
     "DEFAULT_CHECKPOINT_SECONDS",
@@ -49,8 +43,6 @@ __all__ = [
     "ServiceThread",
     "connect_with_retry",
     "Tenant",
-    "FINGERPRINT_SEED",
     "SERVICE_FORMAT",
-    "advance_fingerprint",
     "engine_digest",
 ]

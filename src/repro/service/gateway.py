@@ -339,7 +339,7 @@ class MISGateway:
         tenant = self._tenant(request)
         await self._await_ready(tenant, request)
         await asyncio.wait_for(tenant.flush(), self.config.drain_timeout)
-        path = tenant._write_checkpoint() if tenant.applied else None
+        path = tenant.checkpoint()
         return {"checkpoint": str(path) if path else None, **tenant.offsets()}
 
     async def _cmd_digest(self, request: Dict, writer, subscriptions) -> Dict:

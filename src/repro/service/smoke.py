@@ -19,7 +19,8 @@ scenarios — here the *whole server process* dies, uncleanly:
 
 Both tenants run in deterministic batching mode (``adaptive=False``), so
 "recovered equals uninterrupted" is exact state equality, not just equal
-solution sizes.
+solution sizes.  Each server writes its output to a log in the drill's work
+directory, and a failing drill prints the end of every log.
 """
 
 from __future__ import annotations
@@ -96,16 +97,25 @@ def _write_config(workdir: Path, snapshot_path: str) -> Path:
     return path
 
 
-def _spawn_server(config_path: Path) -> subprocess.Popen:
+def _spawn_server(config_path: Path, log_path: Path) -> subprocess.Popen:
+    """Start a gateway whose stdout and stderr go to ``log_path``."""
     env = dict(os.environ)
     src_root = str(Path(repro.__file__).parents[1])
     env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro.service", "--config", str(config_path)],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        env=env,
-    )
+    with open(log_path, "wb") as log:
+        return subprocess.Popen(
+            [sys.executable, "-m", "repro.service", "--config", str(config_path)],
+            stdout=log,
+            stderr=subprocess.STDOUT,
+            env=env,
+        )
+
+
+def _print_server_logs(workdir: Path, lines: int = 20) -> None:
+    """Print the last ``lines`` lines of each server's log."""
+    for log_path in sorted(workdir.glob("server-*.log")):
+        print(f"[service-smoke] end of {log_path.name}:")
+        print(*log_path.read_text(errors="replace").splitlines()[-lines:], sep="\n")
 
 
 def _wait_until_durable(
@@ -128,121 +138,131 @@ def _reference_digest(initial_graph, operations: Sequence, batch: int) -> str:
     return engine_digest(engine)
 
 
-def main() -> int:
+def _drill(workdir: Path) -> List[str]:
+    """Run both phases in ``workdir``; return the failures found."""
     failures: List[str] = []
+    workloads = _build_workloads(workdir)
+    config_path = _write_config(workdir, workloads["snapshot"])
+    socket_path = str(workdir / "service.sock")
+
+    # ---- phase 1: serve, partially ingest, SIGKILL mid-stream ---- #
+    server = _spawn_server(config_path, workdir / "server-1.log")
+    try:
+        client = connect_with_retry(unix_socket=socket_path)
+        with client:
+            client.ingest_stream(
+                "temporal",
+                workloads["temporal"][: TEMPORAL_BATCH * 5],
+                chunk=TEMPORAL_BATCH,
+            )
+            client.ingest_stream(
+                "flicker",
+                workloads["flicker"][: FLICKER_BATCH * 3],
+                chunk=FLICKER_BATCH,
+            )
+            durable_temporal = _wait_until_durable(
+                client, "temporal", TEMPORAL_BATCH * 2
+            )
+            durable_flicker = _wait_until_durable(
+                client, "flicker", FLICKER_BATCH * 2
+            )
+        print(
+            "[service-smoke] phase 1: ingested prefixes, durable="
+            f"{{'temporal': {durable_temporal}, 'flicker': {durable_flicker}}}; "
+            "sending SIGKILL"
+        )
+        server.send_signal(signal.SIGKILL)
+        server.wait(timeout=30)
+    finally:
+        if server.poll() is None:  # pragma: no cover - cleanup on failure
+            server.kill()
+            server.wait(timeout=30)
+
+    # ---- phase 2: restart, resume from offsets, drain, compare ---- #
+    server = _spawn_server(config_path, workdir / "server-2.log")
+    try:
+        client = connect_with_retry(unix_socket=socket_path)
+        with client:
+            recovered = {
+                name: client.offset(name) for name in ("temporal", "flicker")
+            }
+            for name, reply in recovered.items():
+                if not reply.get("ok") or reply["applied"] != reply["durable"]:
+                    failures.append(
+                        f"{name}: warm start did not resume from the "
+                        f"checkpointed offset: {reply}"
+                    )
+                if reply["applied"] == 0:
+                    failures.append(
+                        f"{name}: warm start lost all durable progress"
+                    )
+            client.ingest_stream(
+                "temporal", workloads["temporal"], chunk=TEMPORAL_BATCH
+            )
+            client.ingest_stream(
+                "flicker", workloads["flicker"], chunk=FLICKER_BATCH
+            )
+            digests = {
+                "temporal": client.digest("temporal"),
+                "flicker": client.digest("flicker"),
+            }
+            client.shutdown()
+        server.wait(timeout=60)
+    finally:
+        if server.poll() is None:  # pragma: no cover - cleanup on failure
+            server.kill()
+            server.wait(timeout=30)
+
+    expected = {
+        "temporal": _reference_digest(
+            DynamicGraph(), workloads["temporal"], TEMPORAL_BATCH
+        ),
+        "flicker": _reference_digest(
+            workloads["flicker_graph"], workloads["flicker"], FLICKER_BATCH
+        ),
+    }
+    for name, reply in digests.items():
+        if not reply.get("ok"):
+            failures.append(f"{name}: digest request failed: {reply}")
+        elif reply["digest"] != expected[name]:
+            failures.append(
+                f"{name}: recovered digest {reply['digest'][:16]}… differs "
+                f"from uninterrupted reference {expected[name][:16]}…"
+            )
+        else:
+            print(
+                f"[service-smoke] {name}: SIGKILL + restart recovered "
+                f"bit-identically ({reply['applied']} ops, "
+                f"digest {reply['digest'][:16]}…)"
+            )
+
+    # Final checkpoints from the graceful drain must load and verify.
+    for name in ("temporal", "flicker"):
+        directory = workdir / "data" / name
+        newest = sorted(directory.glob("*.ckpt.json"))
+        if not newest:
+            failures.append(f"{name}: drain left no final checkpoint")
+            continue
+        try:
+            load_checkpoint(newest[-1])
+        except Exception as exc:  # pragma: no cover - failure reporting
+            failures.append(f"{name}: final checkpoint corrupt: {exc}")
+    return failures
+
+
+def main() -> int:
     with tempfile.TemporaryDirectory(prefix="repro-service-smoke-") as tmp:
         workdir = Path(tmp)
-        workloads = _build_workloads(workdir)
-        config_path = _write_config(workdir, workloads["snapshot"])
-        socket_path = str(workdir / "service.sock")
-
-        # ---- phase 1: serve, partially ingest, SIGKILL mid-stream ---- #
-        server = _spawn_server(config_path)
         try:
-            client = connect_with_retry(unix_socket=socket_path)
-            with client:
-                client.ingest_stream(
-                    "temporal",
-                    workloads["temporal"][: TEMPORAL_BATCH * 5],
-                    chunk=TEMPORAL_BATCH,
-                )
-                client.ingest_stream(
-                    "flicker",
-                    workloads["flicker"][: FLICKER_BATCH * 3],
-                    chunk=FLICKER_BATCH,
-                )
-                durable_temporal = _wait_until_durable(
-                    client, "temporal", TEMPORAL_BATCH * 2
-                )
-                durable_flicker = _wait_until_durable(
-                    client, "flicker", FLICKER_BATCH * 2
-                )
-            print(
-                "[service-smoke] phase 1: ingested prefixes, durable="
-                f"{{'temporal': {durable_temporal}, 'flicker': {durable_flicker}}}; "
-                "sending SIGKILL"
-            )
-            server.send_signal(signal.SIGKILL)
-            server.wait(timeout=30)
-        finally:
-            if server.poll() is None:  # pragma: no cover - cleanup on failure
-                server.kill()
-                server.wait(timeout=30)
-
-        # ---- phase 2: restart, resume from offsets, drain, compare ---- #
-        server = _spawn_server(config_path)
-        try:
-            client = connect_with_retry(unix_socket=socket_path)
-            with client:
-                recovered = {
-                    name: client.offset(name) for name in ("temporal", "flicker")
-                }
-                for name, reply in recovered.items():
-                    if not reply.get("ok") or reply["applied"] != reply["durable"]:
-                        failures.append(
-                            f"{name}: warm start did not resume from the "
-                            f"checkpointed offset: {reply}"
-                        )
-                    if reply["applied"] == 0:
-                        failures.append(
-                            f"{name}: warm start lost all durable progress"
-                        )
-                client.ingest_stream(
-                    "temporal", workloads["temporal"], chunk=TEMPORAL_BATCH
-                )
-                client.ingest_stream(
-                    "flicker", workloads["flicker"], chunk=FLICKER_BATCH
-                )
-                digests = {
-                    "temporal": client.digest("temporal"),
-                    "flicker": client.digest("flicker"),
-                }
-                client.shutdown()
-            server.wait(timeout=60)
-        finally:
-            if server.poll() is None:  # pragma: no cover - cleanup on failure
-                server.kill()
-                server.wait(timeout=30)
-
-        expected = {
-            "temporal": _reference_digest(
-                DynamicGraph(), workloads["temporal"], TEMPORAL_BATCH
-            ),
-            "flicker": _reference_digest(
-                workloads["flicker_graph"], workloads["flicker"], FLICKER_BATCH
-            ),
-        }
-        for name, reply in digests.items():
-            if not reply.get("ok"):
-                failures.append(f"{name}: digest request failed: {reply}")
-            elif reply["digest"] != expected[name]:
-                failures.append(
-                    f"{name}: recovered digest {reply['digest'][:16]}… differs "
-                    f"from uninterrupted reference {expected[name][:16]}…"
-                )
-            else:
-                print(
-                    f"[service-smoke] {name}: SIGKILL + restart recovered "
-                    f"bit-identically ({reply['applied']} ops, "
-                    f"digest {reply['digest'][:16]}…)"
-                )
-
-        # Final checkpoints from the graceful drain must load and verify.
-        for name in ("temporal", "flicker"):
-            directory = workdir / "data" / name
-            newest = sorted(directory.glob("*.ckpt.json"))
-            if not newest:
-                failures.append(f"{name}: drain left no final checkpoint")
-                continue
-            try:
-                load_checkpoint(newest[-1])
-            except Exception as exc:  # pragma: no cover - failure reporting
-                failures.append(f"{name}: final checkpoint corrupt: {exc}")
-
-    if failures:
-        for failure in failures:
-            print(f"[service-smoke] FAIL: {failure}")
-        return 1
+            failures = _drill(workdir)
+        except Exception:
+            _print_server_logs(workdir)
+            raise
+        if failures:
+            for failure in failures:
+                print(f"[service-smoke] FAIL: {failure}")
+            _print_server_logs(workdir)
+            return 1
     print("[service-smoke] PASS: bit-identical recovery across SIGKILL")
     return 0
 

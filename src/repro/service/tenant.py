@@ -20,27 +20,28 @@ Responsibilities, and how they compose:
   "coalesce harder, then refuse loudly", never silent loss.
 * **Durability**: checkpoints on the operation-interval and/or wall-clock
   policy of :class:`~repro.workloads.replay.CheckpointConfig`, written at
-  batch boundaries, carrying a chained stream fingerprint (resumable across
-  process death, unlike a hashing cursor's in-memory state) and service
-  metadata so a warm start can refuse a config-mismatched checkpoint.
+  batch boundaries, carrying the tenant's stream identity
+  (:func:`~repro.updates.protocol.advance_identity`, advanced once per
+  applied batch and resumable across process death, unlike a hashing
+  cursor's in-memory state) and service metadata so a warm start can refuse
+  a config-mismatched checkpoint.
 * **Supervision** (:meth:`run`): a crashed engine (injected fault, I/O
   error, integrity violation) is dropped, restored from the
   newest *valid* checkpoint and brought back to the exact pre-crash state
   by replaying the in-memory replay buffer with the **original batch
   boundaries** — recovery is bit-identical and invisible to clients, while
-  other tenants keep serving.
+  other tenants keep serving.  The restored checkpoint must carry the
+  offset and identity the tenant last made durable; any other checkpoint
+  is refused rather than replayed onto.
 """
 
 from __future__ import annotations
 
 import asyncio
-import hashlib
-import json
 import time
 from collections import deque
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.exceptions import GraphError, OverloadedError, ServiceError, UpdateError
 from repro.experiments.runner import create_algorithm
@@ -49,13 +50,8 @@ from repro.resilience.faults import SERVICE_INGEST, SERVICE_SHUTDOWN, trip
 from repro.resilience.integrity import document_digest
 from repro.resilience.supervisor import RECOVERABLE, RetryPolicy
 from repro.service.config import TenantSpec
-from repro.updates.operations import (
-    _DELETE_EDGE,
-    _DELETE_VERTEX,
-    _INSERT_EDGE,
-    _INSERT_VERTEX,
-    UpdateOperation,
-)
+from repro.updates.operations import UpdateOperation
+from repro.updates.protocol import EMPTY_FINGERPRINT, advance_identity
 from repro.workloads.replay import (
     Checkpoint,
     latest_valid_checkpoint,
@@ -64,61 +60,9 @@ from repro.workloads.replay import (
 )
 from repro.workloads.snapshot import algorithm_to_payload, load_snapshot
 
-#: Anchor of the chained stream fingerprint.  Unlike the experiment
-#: runner's :class:`~repro.updates.protocol.StreamCursor` (whose incremental
-#: hash object dies with the process), the chain ``fp_n = sha256(fp_{n-1}
-#: || op_n)`` is resumable from the hex digest stored in any checkpoint.
-FINGERPRINT_SEED = hashlib.sha256(b"repro-service/1").hexdigest()
-
 #: Marker stored in checkpoint metadata so foreign checkpoints (e.g. an
 #: experiment run sharing a directory) are never warm-started from.
 SERVICE_FORMAT = "repro-service/1"
-
-
-#: Labels render to JSON text by exact type, with no encoder call; any other
-#: type (an int or str subclass, a float, ...) goes through the compact
-#: encoder, which yields the same bytes.
-_COMPACT = json.JSONEncoder(separators=(",", ":"))
-_LABEL_TEXT = {
-    int: int.__repr__,
-    str: encode_basestring_ascii,
-    bool: {True: "true", False: "false"}.__getitem__,
-}
-
-
-def _label_text(label) -> str:
-    render = _LABEL_TEXT.get(type(label))
-    return _COMPACT.encode(label) if render is None else render(label)
-
-
-def advance_fingerprint(fingerprint: str, operations: Iterable[UpdateOperation]) -> str:
-    """Advance the chained fingerprint over ``operations``, in order.
-
-    Each step is ``fp = sha256(fp || text)``, where ``text`` is the compact
-    JSON of the operation's :func:`~repro.updates.protocol.encode_operation`
-    entry.  The digest stays raw bytes between operations and is converted
-    from and to hex once per call.
-    """
-    digest = bytes.fromhex(fingerprint)
-    sha256 = hashlib.sha256
-    label = _label_text
-    for operation in operations:
-        kind = operation.kind
-        if kind is _INSERT_EDGE:
-            u, v = operation.edge
-            text = '["+e",%s,%s]' % (label(u), label(v))
-        elif kind is _DELETE_EDGE:
-            u, v = operation.edge
-            text = '["-e",%s,%s]' % (label(u), label(v))
-        elif kind is _INSERT_VERTEX:
-            text = '["+v",%s,[%s]]' % (
-                label(operation.vertex),
-                ",".join(map(label, operation.neighbors)),
-            )
-        else:
-            text = '["-v",%s]' % label(operation.vertex)
-        digest = sha256(digest + text.encode("utf-8")).digest()
-    return digest.hex()
 
 
 def engine_digest(algorithm) -> str:
@@ -156,8 +100,8 @@ class Tenant:
         self.accepted = 0
         self.applied = 0
         self.durable = 0
-        self.fingerprint = FINGERPRINT_SEED
-        self._durable_fp = FINGERPRINT_SEED
+        self.fingerprint = EMPTY_FINGERPRINT
+        self._durable_fp = EMPTY_FINGERPRINT
         self._attempt = 0
         self.final_checkpoint: Optional[Path] = None
         self.stats: Dict[str, int] = {
@@ -389,7 +333,8 @@ class Tenant:
         restored = self._newest_checkpoint()
         if restored is not None:
             meta = restored.metadata
-            if meta.get("service") != SERVICE_FORMAT or meta.get("tenant") != spec.name:
+            writer = (meta.get("service"), meta.get("tenant"))
+            if writer != (SERVICE_FORMAT, spec.name) or restored.stream_identity is None:
                 raise ServiceError(
                     f"checkpoint {restored.path} was not written by service "
                     f"tenant {spec.name!r}; refusing to warm-start from it"
@@ -404,7 +349,7 @@ class Tenant:
         self._restore(restored)
         if restored is not None:
             self.applied = self.accepted = self.durable = restored.processed
-            self.fingerprint = restored.stream_identity or FINGERPRINT_SEED
+            self.fingerprint = restored.stream_identity
             self._durable_fp = self.fingerprint
             self._initial_size = restored.initial_size
         else:
@@ -433,40 +378,33 @@ class Tenant:
     def _recover(self) -> None:
         """Rebuild the exact pre-crash engine state.
 
-        Restore from the newest valid checkpoint (corrupt ones are
-        quarantined by discovery), then re-apply the replay buffer with its
-        original batch boundaries.  The buffer covers precisely the applied
-        suffix past ``durable``, so the rebuilt engine matches the crashed
-        one bit for bit; queued-but-unapplied operations are still in
-        ``_pending`` and flow through the normal serve loop afterwards.
+        Restore the newest valid checkpoint (corrupt ones are quarantined by
+        discovery), which must be the durable one: same offset, same stream
+        identity.  Then re-apply the replay buffer, which covers precisely
+        the applied suffix past ``durable``, with its original batch
+        boundaries, so the rebuilt engine matches the crashed one bit for
+        bit; queued-but-unapplied operations are still in ``_pending``.
         """
-        replayed = list(self._replay)
-        before_applied = self.applied
-        before_fingerprint = self.fingerprint
         restored = self._newest_checkpoint()
-        if restored is not None and restored.processed != self.durable:
+        if restored is None:
+            found, source = (0, EMPTY_FINGERPRINT), "no valid checkpoint"
+        else:
+            found = (restored.processed, restored.stream_identity)
+            source = f"checkpoint {restored.path}"
+        if found != (self.durable, self._durable_fp):
             raise ServiceError(
-                f"tenant {self.spec.name!r}: newest checkpoint covers "
-                f"{restored.processed} ops but the replay buffer starts at "
-                f"{self.durable} — cannot reconstruct the crashed state"
-            )
-        if restored is None and self.durable:
-            raise ServiceError(
-                f"tenant {self.spec.name!r}: no valid checkpoint survives but "
-                f"{self.durable} ops were durable — cannot recover"
+                f"tenant {self.spec.name!r}: the replay buffer starts at "
+                f"offset {self.durable} with identity {self._durable_fp}, but "
+                f"{source} is at offset {found[0]} with identity {found[1]} "
+                "— cannot reconstruct the crashed state"
             )
         self._restore(restored)
         self.applied = self.durable
         self.fingerprint = self._durable_fp
-        for batch in replayed:
+        for batch in self._replay:
             self.engine.apply_batch(batch)
-            self.fingerprint = advance_fingerprint(self.fingerprint, batch)
+            self.fingerprint = advance_identity(self.fingerprint, batch)
             self.applied += len(batch)
-        if self.applied != before_applied or self.fingerprint != before_fingerprint:
-            raise ServiceError(
-                f"tenant {self.spec.name!r}: replayed state diverged "
-                f"(applied {self.applied} vs {before_applied})"
-            )
         self._last_checkpoint_time = time.monotonic()
 
     # ------------------------------------------------------------------ #
@@ -560,7 +498,7 @@ class Tenant:
             # the same boundary (nothing admitted is ever lost to a crash).
             self._pending.extendleft(reversed(batch))
             raise
-        self.fingerprint = advance_fingerprint(self.fingerprint, batch)
+        self.fingerprint = advance_identity(self.fingerprint, batch)
         self.applied += len(batch)
         self.stats["batches"] += 1
         self._replay.append(batch)
@@ -591,6 +529,24 @@ class Tenant:
             self.applied - self.durable,
             time.monotonic() - self._last_checkpoint_time,
         )
+
+    def checkpoint(self) -> Optional[Path]:
+        """Write a checkpoint on request; ``None`` when nothing was applied.
+
+        Raises :class:`ServiceError` when the engine is down or the write
+        fails; the tenant keeps serving from its previous durable point.
+        """
+        if self.engine is None:
+            raise ServiceError(f"tenant {self.spec.name!r} engine is down")
+        if not self.applied:
+            return None
+        try:
+            return self._write_checkpoint()
+        except OSError as exc:
+            raise ServiceError(
+                f"tenant {self.spec.name!r}: checkpoint write failed: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
 
     def _write_checkpoint(self) -> Path:
         """Persist the engine at the current batch boundary (atomic write,

@@ -12,7 +12,6 @@ from repro.updates.protocol import (
     chunked,
     decode_operation,
     encode_operation,
-    fingerprint_prefix,
     stream_description,
     stream_length_hint,
     stream_metadata,
@@ -52,7 +51,6 @@ __all__ = [
     "chunked",
     "encode_operation",
     "decode_operation",
-    "fingerprint_prefix",
     "stream_description",
     "stream_length_hint",
     "stream_metadata",

@@ -24,6 +24,11 @@ small contract every producer and consumer speaks:
   of the skipped prefix, so a resumed run provably replays the same stream
   without either side ever materialising it.
 
+* :func:`advance_identity` chains an identity that a service tenant resumes
+  from the hex digest its checkpoint stores: one SHA-256 per applied batch.
+  It and the cursor render operations with :func:`_fingerprint_text`, the
+  one text rule for stream identities.
+
 * :func:`chunked` is the one sanctioned way to batch a stream: it yields
   lists of at most ``size`` operations via :func:`itertools.islice`, so no
   consumer ever holds more than one batch window resident.
@@ -45,7 +50,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Tuple,
 )
 
 from repro.resilience.faults import STREAM_READ, trip
@@ -116,6 +120,21 @@ EMPTY_FINGERPRINT = hashlib.sha256().hexdigest()
 
 _END = object()
 
+#: Most operations :meth:`StreamCursor.skip` holds resident per window.
+_SKIP_WINDOW = 1024
+
+
+def advance_identity(identity: str, operations: Iterable[UpdateOperation]) -> str:
+    """``sha256(bytes.fromhex(identity) || joined texts of the batch)``, in hex.
+
+    An empty batch leaves ``identity`` unchanged.  The value depends on the
+    batch boundaries, as the engine state it identifies does.
+    """
+    text = "".join(map(_fingerprint_text, operations))
+    if not text:
+        return identity
+    return hashlib.sha256(bytes.fromhex(identity) + text.encode("utf-8")).hexdigest()
+
 
 class StreamCursor:
     """One hashing pass over an operation stream.
@@ -129,9 +148,10 @@ class StreamCursor:
     what makes offset-based checkpoint/resume sound without a materialised
     list on either side.
 
-    :meth:`take` hashes once per window, over the joined texts of the
-    window's operations; because SHA-256 is incremental, the digest equals
-    the one per-operation iteration produces.
+    :meth:`take` is the one read path: it hashes once per window, over the
+    joined texts of the window's operations, and :meth:`skip` reads through
+    it.  Because SHA-256 is incremental, the digest does not depend on how
+    the stream is split into windows.
     """
 
     __slots__ = ("_iterator", "_digest", "offset")
@@ -140,16 +160,6 @@ class StreamCursor:
         self._iterator = iter(operations)
         self._digest = hashlib.sha256()
         self.offset = 0
-
-    def __iter__(self) -> "StreamCursor":
-        return self
-
-    def __next__(self) -> UpdateOperation:
-        trip(STREAM_READ)
-        operation = next(self._iterator)
-        self._digest.update(_fingerprint_text(operation).encode("utf-8"))
-        self.offset += 1
-        return operation
 
     @property
     def fingerprint(self) -> str:
@@ -186,11 +196,16 @@ class StreamCursor:
 
         The discarded operations still flow through the fingerprint — this is
         the resume fast-forward: afterwards ``(offset, fingerprint)`` matches
-        a checkpoint taken at the same position of the same stream.
+        a checkpoint taken at the same position of the same stream.  Reads go
+        through :meth:`take`, at most ``_SKIP_WINDOW`` operations at a time.
         """
         skipped = 0
-        for _ in islice(self, count):
-            skipped += 1
+        while skipped < count:
+            wanted = min(count - skipped, _SKIP_WINDOW)
+            read = len(self.take(wanted))
+            skipped += read
+            if read < wanted:
+                break
         return skipped
 
 
@@ -249,10 +264,6 @@ class OperationStream:
         exhausted iterator as a silent empty run.
         """
         return True
-
-    def cursor(self) -> StreamCursor:
-        """Start a fingerprinting pass over the stream."""
-        return StreamCursor(self)
 
     # Conveniences shared by every rich stream (one pass over self each).
     def apply_all(self, graph) -> None:
@@ -365,20 +376,3 @@ def stream_metadata(stream: Iterable[UpdateOperation]) -> Dict:
         return metadata
     metadata = getattr(stream, "metadata", None)
     return metadata if isinstance(metadata, dict) else {}
-
-
-def fingerprint_prefix(
-    stream: Iterable[UpdateOperation], offset: Optional[int] = None
-) -> Tuple[int, str]:
-    """Consume (up to) ``offset`` operations and return ``(consumed, fingerprint)``.
-
-    With ``offset=None`` the whole stream is consumed — the stream's full
-    identity.  Purely a convenience over :class:`StreamCursor`.
-    """
-    cursor = StreamCursor(stream)
-    if offset is None:
-        for _ in cursor:
-            pass
-    else:
-        cursor.skip(offset)
-    return cursor.offset, cursor.fingerprint

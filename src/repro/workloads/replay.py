@@ -16,17 +16,16 @@ each is discoverable by filename alone.
 
 Checkpoints are written synchronously, on the caller's thread: a checkpoint
 is durable once :func:`save_checkpoint` returns, and keep-N pruning runs
-only after that commit, from an incrementally maintained listing of each
-directory.
+only after that commit, from a fresh listing of the directory, so files
+moved or deleted by anyone else (a quarantine, another process) are
+counted as they are on disk.
 """
 
 from __future__ import annotations
 
-import bisect
 import json
 import os
 import re
-import threading
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -126,10 +125,11 @@ class Checkpoint:
     """A loaded checkpoint document.
 
     ``processed`` is the resume *offset* into the stream;
-    ``stream_identity`` is the incremental fingerprint
-    (:class:`~repro.updates.protocol.StreamCursor`) of exactly that prefix,
-    so a resume can verify it is skipping through the same stream without
-    either side materialising it.  ``stream_length`` is only a hint — lazy
+    ``stream_identity`` identifies exactly that prefix (the runner's
+    :class:`~repro.updates.protocol.StreamCursor` fingerprint, or a service
+    tenant's :func:`~repro.updates.protocol.advance_identity` chain), so a
+    resume can verify it continues the same stream without either side
+    materialising it.  ``stream_length`` is only a hint — lazy
     streams legitimately record ``None``.
     """
 
@@ -159,70 +159,6 @@ def checkpoint_path(directory: PathLike, algorithm_name: str, processed: int) ->
     return Path(directory) / f"{safe}-{processed:010d}.ckpt.json"
 
 
-#: Known checkpoints per (resolved directory, algorithm name), kept sorted by
-#: offset.  Maintained incrementally by :func:`save_checkpoint` so keep-N
-#: pruning does not re-list the directory on every write; a directory scan
-#: happens only on first use of a key or when the ledger disagrees with disk
-#: (a file it expected to prune is already gone — some other process owns the
-#: directory too, so the cached view is rebuilt from a fresh scan).
-_PRUNE_LEDGER: Dict[Tuple[str, str], List[Tuple[int, Path]]] = {}
-_PRUNE_LOCK = threading.Lock()
-
-
-def invalidate_prune_ledger(directory: Optional[PathLike] = None) -> None:
-    """Drop cached checkpoint listings (all of them, or one directory's).
-
-    For callers that mutate a checkpoint directory behind
-    :func:`save_checkpoint`'s back (tests, manual cleanup): the next write
-    falls back to a directory scan instead of trusting the stale ledger.
-    """
-    with _PRUNE_LOCK:
-        if directory is None:
-            _PRUNE_LEDGER.clear()
-            return
-        resolved = str(Path(directory).resolve())
-        for key in [k for k in _PRUNE_LEDGER if k[0] == resolved]:
-            del _PRUNE_LEDGER[key]
-
-
-def _record_and_prune(
-    directory: Path, algorithm_name: str, processed: int, path: Path, keep: int
-) -> None:
-    """Register a just-committed checkpoint and prune beyond the keep limit.
-
-    Runs strictly *after* the durable commit (see :func:`save_checkpoint`).
-    Pruning is best-effort — a file another process already removed
-    invalidates the ledger (rescan next write), and a file we lack
-    permission to unlink degrades to a warning; neither may fail the run
-    that just checkpointed successfully.
-    """
-    key = (str(directory.resolve()), _SAFE.sub("_", algorithm_name))
-    with _PRUNE_LOCK:
-        known = _PRUNE_LEDGER.get(key)
-        if known is None:
-            known = _PRUNE_LEDGER[key] = find_checkpoints(directory, algorithm_name)
-        entry = (processed, path)
-        index = bisect.bisect_left(known, entry)
-        if index >= len(known) or known[index] != entry:
-            known.insert(index, entry)
-        stale = known[: max(0, len(known) - keep)]
-        del known[: len(stale)]
-        for _, victim in stale:
-            try:
-                victim.unlink()
-            except FileNotFoundError:
-                # Disk disagrees with the ledger: another writer pruned (or a
-                # test cleaned up) behind our back.  Rebuild from a scan next
-                # time instead of trusting any other cached entry.
-                _PRUNE_LEDGER.pop(key, None)
-            except OSError as exc:
-                warnings.warn(
-                    f"could not prune stale checkpoint {victim}: {exc}",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-
-
 def save_checkpoint(
     algorithm,
     config_or_directory: Union[CheckpointConfig, PathLike],
@@ -240,9 +176,8 @@ def save_checkpoint(
 ) -> Path:
     """Write a checkpoint for ``algorithm`` after ``processed`` operations.
 
-    ``stream_identity`` should be the
-    :class:`~repro.updates.protocol.StreamCursor` fingerprint of the
-    consumed prefix; resumes verify it after skipping ahead.  ``metadata``
+    ``stream_identity`` should identify the consumed prefix (see
+    :class:`Checkpoint`); resumes verify it.  ``metadata``
     is an optional JSON-serialisable dict stored verbatim for the writer's
     own provenance (the runner leaves it empty; the service layer records
     tenant identity and batching policy).  Returns the path written.  With
@@ -284,11 +219,21 @@ def save_checkpoint(
         write_document(stream, document, fault_point=CHECKPOINT_WRITE)
     # Prune strictly *after* the new checkpoint is durably committed: a
     # crash between write and prune leaves extra files (harmless), never
-    # fewer resumable states than promised.  The known-checkpoint list is
-    # maintained incrementally (the directory is scanned only on first use
-    # of this directory/algorithm pair, or after a disk/ledger mismatch).
+    # fewer resumable states than promised.  Pruning is best-effort: a file
+    # someone else already removed is skipped, and one we cannot unlink
+    # degrades to a warning; neither may fail the write that just committed.
     if keep is not None:
-        _record_and_prune(directory, algorithm_name, processed, path, keep)
+        for _, stale in find_checkpoints(directory, algorithm_name)[:-keep]:
+            try:
+                stale.unlink()
+            except FileNotFoundError:
+                pass
+            except OSError as exc:
+                warnings.warn(
+                    f"could not prune stale checkpoint {stale}: {exc}",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
     return path
 
 
@@ -431,30 +376,20 @@ def quarantine_checkpoint(path: PathLike, *, reason: str = "") -> Optional[Path]
     return target
 
 
-def latest_valid_checkpoint(
-    directory: PathLike, algorithm_name: str, *, quarantine: bool = True
-) -> Optional[Path]:
+def latest_valid_checkpoint(directory: PathLike, algorithm_name: str) -> Optional[Path]:
     """Path of the newest checkpoint that loads and passes its integrity check.
 
     Walks the discovered checkpoints newest-first, fully validating each
     (parse, format, embedded SHA-256 digest, structural completeness); a
-    candidate that fails is quarantined (unless ``quarantine=False``, which
-    leaves it in place but still skips it) and the walk falls back to the
-    next older one.  Returns ``None`` when no valid checkpoint survives —
-    the caller starts fresh, which is always safe, merely slower.
+    candidate that fails is quarantined and the walk falls back to the next
+    older one.  Returns ``None`` when no valid checkpoint survives — the
+    caller starts fresh, which is always safe, merely slower.
     """
     for _, path in reversed(find_checkpoints(directory, algorithm_name)):
         try:
             load_checkpoint(path)
         except (CheckpointError, IntegrityError) as exc:
-            if quarantine:
-                quarantine_checkpoint(path, reason=str(exc))
-            else:
-                warnings.warn(
-                    f"skipping corrupt checkpoint {path}: {exc}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+            quarantine_checkpoint(path, reason=str(exc))
             continue
         return path
     return None

@@ -6,7 +6,7 @@ final solution, graph and per-algorithm statistics are identical to an
 uninterrupted run's.
 
 Also pins that checkpoints are committed synchronously by the writing
-thread, and the incremental keep-N prune ledger.
+thread, and keep-N pruning from a fresh listing of the directory.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from repro.workloads import (
     save_checkpoint,
 )
 from repro.updates.streams import mixed_update_stream
-from repro.workloads.replay import invalidate_prune_ledger
+from repro.workloads.replay import latest_valid_checkpoint
 from repro.workloads.snapshot import algorithm_to_payload, graph_to_payload
 
 
@@ -469,7 +469,7 @@ class TestSynchronousCheckpoints:
         assert _measurement_fingerprint(resumed) == _measurement_fingerprint(reference)
 
 
-class TestPruneLedger:
+class TestKeepN:
     def _save(self, engine, config, processed):
         return save_checkpoint(
             engine,
@@ -479,7 +479,7 @@ class TestPruneLedger:
             initial_size=0,
         )
 
-    def test_incremental_keep_matches_a_fresh_scan(self, tmp_path):
+    def test_keep_n_after_every_write(self, tmp_path):
         engine = DyOneSwap(gnm_random_graph(12, 18, seed=1))
         config = CheckpointConfig(directory=tmp_path, every=1, keep=2)
         for step in range(1, 7):
@@ -493,12 +493,11 @@ class TestPruneLedger:
         config = CheckpointConfig(directory=tmp_path, every=1, keep=2)
         for step in (1, 2, 3):
             self._save(engine, config, step)
-        # Another process empties the directory behind the ledger's back.
+        # Another process empties the directory behind the writer's back.
         for _, path in find_checkpoints(tmp_path, "DyOneSwap"):
             path.unlink()
-        # The next pruning write notices its victim is gone, drops the
-        # stale ledger entry and rebuilds from disk — no crash, and the
-        # retention invariant holds against reality, not the cached view.
+        # Each pruning write lists the directory afresh — no crash, and the
+        # retention invariant holds against what is on disk.
         self._save(engine, config, 4)
         self._save(engine, config, 5)
         self._save(engine, config, 6)
@@ -530,18 +529,19 @@ class TestPruneLedger:
         assert [p for p, _ in find_checkpoints(tmp_path, "DyOneSwap")] == [3, 4]
         assert [p for p, _ in find_checkpoints(tmp_path, "DyOneSwap+lazy")] == [30, 40]
 
-    def test_invalidate_prune_ledger(self, tmp_path):
+    def test_a_quarantined_checkpoint_no_longer_counts(self, tmp_path):
         engine = DyOneSwap(gnm_random_graph(12, 18, seed=3))
-        config = CheckpointConfig(directory=tmp_path, every=1, keep=3)
-        for step in (1, 2, 3):
-            self._save(engine, config, step)
-        invalidate_prune_ledger(tmp_path)  # forget one directory
-        self._save(engine, config, 4)
+        config = CheckpointConfig(directory=tmp_path, every=1, keep=2)
+        for step in (100, 200, 300):
+            torn = self._save(engine, config, step)
+        torn.write_text(torn.read_text(encoding="utf-8")[:50], encoding="utf-8")
+        with pytest.warns(RuntimeWarning, match="quarantined corrupt checkpoint"):
+            assert latest_valid_checkpoint(tmp_path, "DyOneSwap") == checkpoint_path(
+                tmp_path, "DyOneSwap", 200
+            )
+        # The next write keeps two checkpoints: the quarantined one is gone
+        # from disk, so it no longer takes a place among the newest two.
+        self._save(engine, config, 348)
         assert [
             processed for processed, _ in find_checkpoints(tmp_path, "DyOneSwap")
-        ] == [2, 3, 4]
-        invalidate_prune_ledger()  # forget everything
-        self._save(engine, config, 5)
-        assert [
-            processed for processed, _ in find_checkpoints(tmp_path, "DyOneSwap")
-        ] == [3, 4, 5]
+        ] == [200, 348]

@@ -381,26 +381,6 @@ class TestCheckpointDurability:
         # Discovery never offers the quarantined file again.
         assert find_checkpoints(tmp_path, "DyOneSwap")[-1][1] == fallback
 
-    def test_truncated_checkpoint_is_skipped_without_quarantine_on_request(
-        self, tmp_path
-    ):
-        algorithm = _small_algorithm()
-        first = save_checkpoint(
-            algorithm, tmp_path, algorithm_name="DyOneSwap", processed=10,
-            initial_size=0,
-        )
-        torn = save_checkpoint(
-            algorithm, tmp_path, algorithm_name="DyOneSwap", processed=20,
-            initial_size=0,
-        )
-        torn.write_text(torn.read_text(encoding="utf-8")[:50], encoding="utf-8")
-        with pytest.warns(RuntimeWarning, match="skipping corrupt checkpoint"):
-            assert (
-                latest_valid_checkpoint(tmp_path, "DyOneSwap", quarantine=False)
-                == first
-            )
-        assert torn.exists()  # left in place, merely skipped
-
     def test_no_valid_checkpoint_returns_none(self, tmp_path):
         algorithm = _small_algorithm()
         path = save_checkpoint(

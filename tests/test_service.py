@@ -14,6 +14,7 @@ import dataclasses
 import gc
 import hashlib
 import json
+import shutil
 import threading
 import time
 import warnings
@@ -35,19 +36,20 @@ from repro.resilience.faults import (
 )
 from repro.resilience.supervisor import RetryPolicy
 from repro.service import (
+    SERVICE_FORMAT,
     MISGateway,
     ServiceConfig,
     ServiceThread,
     TenantSpec,
 )
-from repro.service.tenant import (
-    FINGERPRINT_SEED,
-    Tenant,
-    advance_fingerprint,
-    engine_digest,
-)
+from repro.service.tenant import Tenant, engine_digest
 from repro.updates.operations import UpdateOperation
-from repro.updates.protocol import chunked, encode_operation
+from repro.updates.protocol import (
+    EMPTY_FINGERPRINT,
+    advance_identity,
+    chunked,
+    encode_operation,
+)
 from repro.updates.streams import mixed_update_stream
 from repro.updates.wire import (
     MAX_LINE_BYTES,
@@ -835,6 +837,50 @@ class TestDurability:
         )
         assert load_checkpoint(bare).metadata == {}
 
+    def test_failed_checkpoint_command_keeps_the_connection(self, tmp_path):
+        ops = build_ops(16)
+        spec = TenantSpec(
+            name="t",
+            batch_size=4,
+            window_max=4,
+            adaptive=False,
+            checkpoint_every_seconds=3600,
+        )
+        directory = tmp_path / "data" / "t"
+        with service(tmp_path, spec) as svc:
+            with svc.client() as client:
+                client.ingest_stream("t", ops[:8], chunk=4)
+                assert client.flush("t")["applied"] == 8
+                # A regular file where the checkpoint directory should be:
+                # every write fails.
+                shutil.rmtree(directory, ignore_errors=True)
+                directory.write_text("not a directory")
+                failed = client.checkpoint("t")
+                assert not failed["ok"]
+                assert "checkpoint write failed" in failed["error"]
+                # The same connection answers, and the tenant keeps serving.
+                assert client.health()["tenants"]["t"] == "serving"
+                client.ingest_stream("t", ops, chunk=4)
+                assert client.flush("t")["applied"] == 16
+                directory.unlink()
+                written = client.checkpoint("t")
+                assert written["ok"] and written["durable"] == 16
+                assert load_checkpoint(written["checkpoint"]).processed == 16
+        assert svc.report.clean
+
+    def test_checkpoint_on_request(self, tmp_path):
+        spec = TenantSpec(name="t", batch_size=4, adaptive=False)
+        tenant = Tenant(spec, tmp_path)
+        tenant._bootstrap()
+        assert tenant.checkpoint() is None  # nothing applied yet
+        tenant._apply_batch(build_ops(4))
+        path = tenant.checkpoint()
+        assert load_checkpoint(path).stream_identity == tenant.fingerprint
+        assert tenant.durable == 4
+        tenant.engine = None
+        with pytest.raises(ServiceError, match="engine is down"):
+            tenant.checkpoint()
+
 
 # --------------------------------------------------------------------- #
 # Degraded replies and deadlines
@@ -959,17 +1005,25 @@ class TestSmoke:
 
 
 # --------------------------------------------------------------------- #
-# Fingerprint chain
+# Stream identity chain
 # --------------------------------------------------------------------- #
-def reference_chain(fingerprint, operations):
-    """The chain by its definition: one hex round trip and one encoder call
-    per operation, ``fp = sha256(fp || compact JSON of the wire entry)``."""
-    for operation in operations:
-        entry = json.dumps(encode_operation(operation), separators=(",", ":"))
-        fingerprint = hashlib.sha256(
-            bytes.fromhex(fingerprint) + entry.encode("utf-8")
-        ).hexdigest()
-    return fingerprint
+def reference_chain(identity, batches):
+    """The chain by its definition: per non-empty batch,
+    ``identity = sha256(identity || joined repr(encode_operation(op)))``."""
+    for batch in batches:
+        if batch:
+            text = "".join(repr(encode_operation(op)) for op in batch)
+            identity = hashlib.sha256(
+                bytes.fromhex(identity) + text.encode("utf-8")
+            ).hexdigest()
+    return identity
+
+
+def chain(identity, batches):
+    """Fold :func:`advance_identity` over ``batches``, in order."""
+    for batch in batches:
+        identity = advance_identity(identity, batch)
+    return identity
 
 
 def relabel(operations, mapping):
@@ -1008,23 +1062,27 @@ def mixed_label(v):
 class TestFingerprint:
     def test_chain_is_order_sensitive_and_resumable(self):
         ops = build_ops(8)
-        forward = advance_fingerprint(FINGERPRINT_SEED, ops)
-        # Resuming the chain from an intermediate hex lands on the same tip,
-        # wherever the batch boundary falls.
-        for cut in range(len(ops) + 1):
-            middle = advance_fingerprint(FINGERPRINT_SEED, ops[:cut])
-            assert advance_fingerprint(middle, ops[cut:]) == forward
-        assert advance_fingerprint(FINGERPRINT_SEED, []) == FINGERPRINT_SEED
-        # Different order, different tip.
-        assert advance_fingerprint(FINGERPRINT_SEED, reversed(ops)) != forward
+        batches = list(chunked(ops, 3))
+        forward = chain(EMPTY_FINGERPRINT, batches)
+        # Resuming the chain from the hex digest at any batch boundary lands
+        # on the same tip.
+        for cut in range(len(batches) + 1):
+            middle = chain(EMPTY_FINGERPRINT, batches[:cut])
+            assert chain(middle, batches[cut:]) == forward
+        assert advance_identity(forward, []) == forward
+        # Different order, different tip; different boundaries too, as the
+        # engine state the identity stands for depends on them.
+        whole = advance_identity(EMPTY_FINGERPRINT, ops)
+        assert advance_identity(EMPTY_FINGERPRINT, reversed(ops)) != whole
+        assert whole != forward
 
     def test_chain_value_is_pinned(self):
         # Checkpoints store the chain tip: resuming an older checkpoint
-        # needs exactly the same bytes per operation.
-        tip = advance_fingerprint(FINGERPRINT_SEED, build_ops(8))
-        assert tip == "e34b876aa09b3dbeb43ad93199030600c63a52aee30602e4657ddefc631bc318"
+        # needs exactly the same bytes per batch.
+        tip = chain(EMPTY_FINGERPRINT, chunked(build_ops(8), 4))
+        assert tip == "7d5c9ab43fa7cc84a0b418b79f68033b885ba76e8604d7aa5e063b6576fb40a3"
 
-    def test_batch_chain_equals_the_per_operation_reference(self):
+    def test_chain_equals_the_definition_over_mixed_labels(self):
         ops = relabel(build_ops(64), mixed_label)
         ops += [
             UpdateOperation.insert_vertex(7, [True, "é\u2028", -3, 2**70, False]),
@@ -1032,20 +1090,16 @@ class TestFingerprint:
             UpdateOperation.insert_edge(-(2**80), "tab\there"),
             UpdateOperation.delete_edge(False, "\x00"),
             UpdateOperation.delete_vertex(True),
-            # Types the wire refuses still chain exactly (encoder fallback).
+            # Types the wire refuses still chain exactly.
             UpdateOperation.insert_vertex(2.5, [None]),
         ]
         assert {type(v) for op in ops for v in op.touched_vertices()} >= {
             int, str, bool, float, type(None)
         }
-        assert advance_fingerprint(FINGERPRINT_SEED, ops) == reference_chain(
-            FINGERPRINT_SEED, ops
-        )
-        for cut in (1, 13, 40):
-            head = advance_fingerprint(FINGERPRINT_SEED, ops[:cut])
-            assert head == reference_chain(FINGERPRINT_SEED, ops[:cut])
-            assert advance_fingerprint(head, ops[cut:]) == reference_chain(
-                FINGERPRINT_SEED, ops
+        for size in (1, 7, 64, len(ops)):
+            batches = list(chunked(ops, size))
+            assert chain(EMPTY_FINGERPRINT, batches) == reference_chain(
+                EMPTY_FINGERPRINT, batches
             )
 
     def test_recover_rechains_to_the_reference(self, tmp_path):
@@ -1055,14 +1109,63 @@ class TestFingerprint:
         )
         tenant = Tenant(spec, tmp_path)
         tenant._bootstrap()
-        for batch in chunked(iter(ops), 4):
-            tenant._apply_batch(list(batch))
-        assert tenant.fingerprint == reference_chain(FINGERPRINT_SEED, ops)
+        batches = [list(batch) for batch in chunked(ops, 4)]
+        for batch in batches:
+            tenant._apply_batch(batch)
+        assert tenant.fingerprint == reference_chain(EMPTY_FINGERPRINT, batches)
         assert tenant.durable == 32 and len(tenant._replay) == 2
         digest = tenant.digest()
         # Crash: the rebuilt engine re-chains the replay buffer's batches
-        # from the durable checkpoint's fingerprint.
+        # from the durable checkpoint's identity.
         tenant.engine = None
         tenant._recover()
-        assert tenant.fingerprint == reference_chain(FINGERPRINT_SEED, ops)
+        assert tenant.fingerprint == reference_chain(EMPTY_FINGERPRINT, batches)
         assert tenant.digest() == digest
+
+    def test_recover_refuses_a_foreign_checkpoint(self, tmp_path):
+        # Two tenants with one spec checkpoint different operations at the
+        # same offset, so their checkpoint files share a name.
+        spec = TenantSpec(name="t", batch_size=4, adaptive=False, checkpoint_every=8)
+        ours, theirs = Tenant(spec, tmp_path / "a"), Tenant(spec, tmp_path / "b")
+        for tenant, seed in ((ours, 3), (theirs, 4)):
+            tenant._bootstrap()
+            for batch in chunked(build_ops(8, seed=seed), 4):
+                tenant._apply_batch(list(batch))
+            assert tenant.durable == 8
+        assert ours.fingerprint != theirs.fingerprint
+        (path,) = (tmp_path / "a" / "t").glob("*.ckpt.json")
+        shutil.copyfile(next((tmp_path / "b" / "t").glob("*.ckpt.json")), path)
+        ours.engine = None
+        with pytest.raises(ServiceError, match="cannot reconstruct") as refused:
+            ours._recover()
+        assert ours.fingerprint in str(refused.value)
+        assert theirs.fingerprint in str(refused.value)
+        assert ours.engine is None
+
+    def test_a_stored_identity_is_where_the_chain_resumes(self, tmp_path):
+        spec = TenantSpec(name="t", batch_size=4, adaptive=False, checkpoint_every=8)
+        tenant = Tenant(spec, tmp_path)
+        tenant._bootstrap()
+        ops = build_ops(16)
+        for batch in chunked(ops[:8], 4):
+            tenant._apply_batch(list(batch))
+        # A checkpoint written by an older chain stores a digest this chain
+        # never produces; it warm-starts, and the chain continues from it.
+        foreign = hashlib.sha256(b"an older chain").hexdigest()
+        save_checkpoint(
+            tenant.engine,
+            tenant.checkpoints,
+            algorithm_name=spec.algorithm,
+            processed=8,
+            initial_size=0,
+            stream_identity=foreign,
+            batch_size=4,
+            metadata={"service": SERVICE_FORMAT, "tenant": "t"},
+        )
+        restarted = Tenant(spec, tmp_path)
+        restarted._bootstrap()
+        assert (restarted.durable, restarted.fingerprint) == (8, foreign)
+        batches = [list(batch) for batch in chunked(ops[8:], 4)]
+        for batch in batches:
+            restarted._apply_batch(batch)
+        assert restarted.fingerprint == reference_chain(foreign, batches)

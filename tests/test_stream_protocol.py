@@ -21,7 +21,6 @@ from repro.updates.protocol import (
     chunked,
     decode_operation,
     encode_operation,
-    fingerprint_prefix,
     stream_description,
     stream_length_hint,
     stream_metadata,
@@ -91,23 +90,32 @@ class TestStreamCursor:
 
     def test_skip_then_continue_matches_straight_pass(self, operations):
         straight = StreamCursor(operations)
-        for _ in straight:
-            pass
+        assert straight.take(len(operations) + 1) == operations
         skipping = StreamCursor(operations)
         skipping.skip(11)
-        for _ in skipping:
-            pass
+        assert skipping.take(len(operations)) == operations[11:]
         assert skipping.fingerprint == straight.fingerprint
         assert skipping.offset == straight.offset
 
-    def test_fingerprint_prefix_helper(self, operations):
-        consumed, fp = fingerprint_prefix(operations, 10)
-        cursor = StreamCursor(operations)
-        cursor.skip(10)
-        assert (consumed, fp) == (10, cursor.fingerprint)
-        total, full = fingerprint_prefix(operations)
-        assert total == len(operations)
-        assert full != fp
+    def test_skip_reads_through_take_in_bounded_windows(self):
+        class Recording(StreamCursor):
+            __slots__ = ("windows",)
+
+            def take(self, count):
+                self.windows.append(count)
+                return super().take(count)
+
+        operations = [UpdateOperation.insert_vertex(i) for i in range(2500)]
+        cursor = Recording(operations)
+        cursor.windows = []
+        assert cursor.skip(2049) == 2049
+        assert cursor.windows == [1024, 1024, 1]
+        assert cursor.fingerprint == _definition_fingerprint(operations[:2049])
+        assert cursor.skip(1000) == 451
+        assert (cursor.offset, cursor.fingerprint) == (
+            2500,
+            _definition_fingerprint(operations),
+        )
 
 
 def _definition_fingerprint(operations):
@@ -153,7 +161,7 @@ class TestFingerprintStability:
 
     def test_golden_fingerprint(self):
         straight = StreamCursor(GOLDEN_OPERATIONS)
-        for _ in straight:
+        while straight.take(1):
             pass
         windowed = StreamCursor(iter(GOLDEN_OPERATIONS))
         assert windowed.take(3) == GOLDEN_OPERATIONS[:3]
@@ -180,7 +188,7 @@ class TestFingerprintStability:
                 assert cursor.skip(size) == len(operations[start : start + size])
             stepped = StreamCursor(operations)
             for _ in range(cursor.offset):
-                next(stepped)
+                stepped.take(1)
             assert (cursor.offset, cursor.fingerprint) == (
                 stepped.offset,
                 stepped.fingerprint,

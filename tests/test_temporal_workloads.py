@@ -19,6 +19,7 @@ from repro.exceptions import ExperimentError
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.resilience.faults import CACHE_READ, FaultPlan, inject_faults
 from repro.updates.operations import UpdateKind
+from repro.updates.protocol import StreamCursor
 from repro.workloads import CheckpointConfig, find_checkpoints, load_checkpoint
 from repro.workloads.temporal import (
     CACHE_CHUNK,
@@ -134,7 +135,7 @@ class TestWindowingPolicies:
         assert stream.prefix(10_000).length_hint() == total
         # The compat escape hatch materialises; a cursor pass fingerprints.
         assert len(stream.operations) == total
-        cursor = stream.cursor()
+        cursor = StreamCursor(stream)
         assert cursor.skip(total + 1) == total
 
     def test_one_shot_event_iterator_gives_one_shot_stream(self):

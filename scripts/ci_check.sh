@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# CI-style smoke check: tier-1 tests plus the quick benchmark gated against
-# the committed BENCH_core.json, so correctness *and* per-update performance
-# regressions fail fast — locally and in the GitHub Actions workflow.  Ends
+# CI-style smoke check: tier-1 tests, the smokes and the long crash-state
+# enumeration, plus the quick benchmark gated against the committed
+# BENCH_core.json, so correctness *and* per-update performance regressions
+# fail fast — locally and in the GitHub Actions workflow.  Ends
 # with traced runs of two repository-benchmark workloads (perfbench/), which
 # fail only on their output checks, never on timings.
 #
@@ -52,6 +53,11 @@ python -m repro.resilience.smoke
 echo
 echo "== service smoke: SIGKILL a live gateway, restart, verify bit-identical =="
 python -m repro.service.smoke
+
+echo
+echo "== crash-state enumeration: recovery from every power-loss state of"
+echo "   the durable writers, long traces =="
+python -m pytest -q tests/crash_states_full.py
 
 echo
 echo "== quick benchmark vs committed BENCH_core.json (per-update regression"

@@ -42,13 +42,25 @@ from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.exceptions import DatasetError, InjectedFault
+from repro.resilience.durable import (
+    append_writer,
+    atomic_writer,
+    makedirs,
+    remove,
+    replace,
+)
 from repro.resilience.faults import FETCH, trip
+from repro.resilience.supervisor import RetryPolicy
 
 PathLike = Union[str, Path]
 
 #: Default directory for downloaded datasets (overridable per call and via
 #: the ``REPRO_DATASET_DIR`` environment variable).
 DEFAULT_DATASET_DIR = Path("datasets/snap")
+
+#: :func:`fetch_file`'s default retries: 4 attempts, backing off from 0.25 s
+#: up to at most 8 s between them.
+FETCH_RETRY = RetryPolicy(max_attempts=4, base_delay=0.25, cap=8.0)
 
 
 @dataclass(frozen=True)
@@ -124,6 +136,13 @@ def _sidecar(path: Path) -> Path:
     return path.with_name(path.name + ".sha256")
 
 
+def _record_digest(path: Path, digest: str) -> None:
+    """Write ``path``'s checksum sidecar atomically: a crash never leaves a
+    torn digest that would later read as on-disk corruption."""
+    with atomic_writer(_sidecar(path)) as stream:
+        stream.write(f"{digest}\n".encode("ascii"))
+
+
 def verify_checksum(path: PathLike, expected: Optional[str] = None) -> str:
     """Verify ``path`` against ``expected`` and/or its recorded sidecar digest.
 
@@ -149,7 +168,7 @@ def verify_checksum(path: PathLike, expected: Optional[str] = None) -> str:
                 "the file was modified or corrupted on disk"
             )
     else:
-        sidecar.write_text(digest + "\n", encoding="utf-8")
+        _record_digest(path, digest)
     return digest
 
 
@@ -169,7 +188,8 @@ def _transfer_once(
     plus the resume offset), else ``None``.  Transient errors — including
     injected ``fetch`` faults, which model the connection dying mid-body —
     propagate to the caller's retry loop with the bytes received so far
-    durably appended, so the next attempt resumes instead of restarting.
+    appended, so the next attempt resumes instead of restarting (its clean
+    close fsyncs them with its own).
     """
     offset = part.stat().st_size if part.exists() else 0
     request = urllib.request.Request(url)
@@ -188,11 +208,11 @@ def _transfer_once(
         if offset and status != 206:
             # The server ignored the range request; the body is the whole
             # file again, so the partial bytes must be discarded.
-            part.unlink(missing_ok=True)
+            remove(part)
             offset = 0
         declared = response.headers.get("Content-Length")
         expected = offset + int(declared) if declared is not None else None
-        with part.open("ab") as out:
+        with append_writer(part) as out:
             while True:
                 # The ``fetch`` fault point fires once per chunk, before
                 # the read — an injected fault is indistinguishable from
@@ -202,8 +222,6 @@ def _transfer_once(
                 if not block:
                     break
                 out.write(block)
-            out.flush()
-            os.fsync(out.fileno())
     return expected
 
 
@@ -214,18 +232,16 @@ def fetch_file(
     sha256: Optional[str] = None,
     timeout: float = 60.0,
     chunk_size: int = 1 << 20,
-    max_attempts: int = 4,
-    base_delay: float = 0.25,
-    backoff_cap: float = 8.0,
+    retry: RetryPolicy = FETCH_RETRY,
     sleep: Callable[[float], None] = time.sleep,
 ) -> Path:
     """Download ``url`` to ``dest``, resumably, verifying ``sha256`` when given.
 
     The payload accumulates in a ``<dest>.part`` sibling; transient failures
     (connection resets, timeouts, truncated bodies) are retried up to
-    ``max_attempts`` times with capped exponential backoff
-    (``base_delay * 2^attempt``, at most ``backoff_cap`` seconds, via the
-    injectable ``sleep``), and every retry resumes with an HTTP ``Range``
+    ``retry.max_attempts`` times, waiting :meth:`RetryPolicy.delay
+    <repro.resilience.supervisor.RetryPolicy.delay>` between attempts (via
+    the injectable ``sleep``), and every retry resumes with an HTTP ``Range``
     request from the bytes already on disk — a multi-GB dataset never
     restarts from zero because the connection dropped at 99%.  Completion is
     strict: a zero-byte download is a hard failure, a body shorter than the
@@ -233,16 +249,17 @@ def fetch_file(
     and a checksum mismatch **deletes the partial file** (nothing poisoned
     is left to be resumed into a future download) and raises.  Only a fully
     verified payload is atomically renamed to ``dest``, so no partial file
-    ever sits at the destination path.
+    ever sits at the destination path.  The rename and the ``.sha256``
+    sidecar written after it are durable once this function returns.
     """
     dest = Path(dest)
-    dest.parent.mkdir(parents=True, exist_ok=True)
+    makedirs(dest.parent)
     part = _partial_path(dest)
     expected: Optional[int] = None
     failure: Optional[BaseException] = None
-    for attempt in range(max_attempts):
+    for attempt in range(retry.max_attempts):
         if attempt:
-            sleep(min(backoff_cap, base_delay * (2 ** (attempt - 1))))
+            sleep(retry.delay(attempt))
         failure = None
         try:
             expected = _transfer_once(
@@ -269,7 +286,7 @@ def fetch_file(
         raise DatasetError(f"cannot download {url}: {failure}") from failure
     size = part.stat().st_size if part.exists() else 0
     if size == 0:
-        part.unlink(missing_ok=True)
+        remove(part)
         raise DatasetError(
             f"download of {url} is empty (zero bytes) — refusing to install "
             "an empty dataset file"
@@ -278,13 +295,13 @@ def fetch_file(
     if sha256 is not None and digest != sha256:
         # A poisoned partial file must not survive: resuming a future
         # download on top of corrupt bytes could never converge.
-        part.unlink(missing_ok=True)
+        remove(part)
         raise DatasetError(
             f"download of {url} does not match the pinned SHA-256 "
             f"(expected {sha256}, got {digest})"
         )
-    os.replace(part, dest)
-    _sidecar(dest).write_text(digest + "\n", encoding="utf-8")
+    replace(part, dest)
+    _record_digest(dest, digest)
     return dest
 
 

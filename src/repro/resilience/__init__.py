@@ -1,11 +1,14 @@
-"""Resilience subsystem: fault injection, artifact integrity, supervised recovery.
+"""Resilience subsystem: fault injection, durable writes, artifact integrity, recovery.
 
-Three pillars (see the per-module docstrings):
+Four pillars (see the per-module docstrings):
 
 * :mod:`repro.resilience.faults` — deterministic, seedable fault injection
   at named points threaded through the whole pipeline (stream read,
   coalesce, bulk apply, checkpoint/snapshot write, cache read, fetch);
   zero-overhead no-ops when disabled.
+* :mod:`repro.resilience.durable` — the only code that creates, writes,
+  renames, unlinks or fsyncs a persistent file, with a test-only trace of
+  its calls for crash-state enumeration.
 * :mod:`repro.resilience.integrity` — embedded SHA-256 digests for durable
   artifacts, verified on load.
 * :mod:`repro.resilience.supervisor` — :func:`supervised_replay`: crash
@@ -13,13 +16,14 @@ Three pillars (see the per-module docstrings):
   quarantined) → capped jittered backoff → a measurement bit-identical to
   an uninterrupted run.
 
-Layering: ``faults`` and ``integrity`` sit *below* the pipeline (only
-:mod:`repro.exceptions` beneath them; ``integrity`` trips the torn-write
-points of ``faults``) so every layer can import its fault hook; the
-supervisor sits *above* the experiment runner and is therefore loaded
-lazily via module ``__getattr__`` — ``from repro.resilience import
-supervised_replay`` works, but merely importing a fault point never drags
-the runner in (which would cycle).
+Layering: ``faults``, ``durable`` and ``integrity`` sit *below* the
+pipeline (only :mod:`repro.exceptions` and the standard library beneath
+them; ``integrity`` trips the torn-write points of ``faults``) so every
+layer can import its fault hook and its writers; the supervisor drives the
+experiment runner, imports it lazily and is itself loaded lazily via module
+``__getattr__`` — ``from repro.resilience import supervised_replay`` works,
+but merely importing a fault point never drags the runner in (which would
+cycle).
 """
 
 from __future__ import annotations

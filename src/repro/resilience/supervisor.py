@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 from repro.exceptions import (
     ExperimentError,
@@ -36,7 +36,9 @@ from repro.exceptions import (
     RecoveryExhaustedError,
     SolutionInvariantError,
 )
-from repro.experiments.metrics import RunMeasurement
+
+if TYPE_CHECKING:  # the runner's layer imports this module (fetch's retries)
+    from repro.experiments.metrics import RunMeasurement
 
 #: Exception types the supervisor treats as recoverable crashes by default:
 #: injected faults (the crash simulation), raw I/O failures, and artifact

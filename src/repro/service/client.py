@@ -158,12 +158,6 @@ class ServiceClient:
             message["tenant"] = tenant
         return self.request(message)
 
-    def pause(self, tenant: str) -> Dict:
-        return self.request({"cmd": "pause", "tenant": tenant})
-
-    def resume(self, tenant: str) -> Dict:
-        return self.request({"cmd": "resume", "tenant": tenant})
-
     def shutdown(self) -> Dict:
         return self.request({"cmd": "shutdown"})
 

@@ -32,6 +32,7 @@ from typing import Dict, Optional, Tuple, Union
 
 from repro.exceptions import ExperimentError, ServiceError
 from repro.experiments.runner import check_algorithm_options, supports_snapshots
+from repro.resilience.durable import atomic_writer
 from repro.resilience.supervisor import RetryPolicy
 from repro.workloads.replay import CheckpointConfig
 
@@ -248,6 +249,6 @@ class ServiceConfig:
         return cls.from_dict(document)
 
     def save(self, path: PathLike) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2) + "\n", encoding="utf-8"
-        )
+        """Write the config as JSON, atomically (the old file or the new one)."""
+        with atomic_writer(path) as stream:
+            stream.write((json.dumps(self.to_dict(), indent=2) + "\n").encode("utf-8"))

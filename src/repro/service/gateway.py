@@ -34,6 +34,7 @@ from repro.exceptions import (
     ServiceError,
     WireError,
 )
+from repro.resilience.durable import makedirs
 from repro.resilience.faults import SERVICE_QUERY, trip
 from repro.service.config import ServiceConfig
 from repro.service.tenant import Tenant
@@ -84,8 +85,7 @@ class MISGateway:
     # ------------------------------------------------------------------ #
     async def start(self) -> None:
         """Create tenants, launch their supervision tasks, bind listeners."""
-        data_dir = Path(self.config.data_dir)
-        data_dir.mkdir(parents=True, exist_ok=True)
+        data_dir = makedirs(self.config.data_dir)
         for spec in self.config.tenants:
             tenant = Tenant(spec, data_dir, retry=self.config.retry)
             self.tenants[spec.name] = tenant
@@ -103,7 +103,7 @@ class MISGateway:
             self.port = server.sockets[0].getsockname()[1]
         if self.config.unix_socket is not None:
             path = Path(self.config.unix_socket)
-            path.parent.mkdir(parents=True, exist_ok=True)
+            makedirs(path.parent)
             if path.exists():
                 path.unlink()
             server = await asyncio.start_unix_server(
@@ -410,14 +410,6 @@ class MISGateway:
                 for name, tenant in self.tenants.items()
             }
         }
-
-    async def _cmd_pause(self, request: Dict, writer, subscriptions) -> Dict:
-        self._tenant(request).pause()
-        return {"paused": request.get("tenant")}
-
-    async def _cmd_resume(self, request: Dict, writer, subscriptions) -> Dict:
-        self._tenant(request).resume()
-        return {"resumed": request.get("tenant")}
 
     async def _cmd_shutdown(self, request: Dict, writer, subscriptions) -> Dict:
         # Reply first, then drain: the requester gets an acknowledgement

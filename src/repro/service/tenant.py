@@ -128,7 +128,6 @@ class Tenant:
         self.ready = asyncio.Event()
         self._drain_requested = False
         self._flush_requested = False
-        self._paused = False
         self._last_checkpoint_time = time.monotonic()
 
     # ------------------------------------------------------------------ #
@@ -252,7 +251,7 @@ class Tenant:
             self._subscribers.remove(callback)
 
     # ------------------------------------------------------------------ #
-    # Control (gateway / tests)
+    # Control (gateway)
     # ------------------------------------------------------------------ #
     async def flush(self) -> None:
         """Apply everything admitted so far, including a partial tail batch."""
@@ -264,24 +263,17 @@ class Tenant:
         self._drain_requested = True
         self._work.set()
 
-    def pause(self) -> None:
-        """Test hook: stop applying batches (admission continues) — the
-        deterministic way to fill the bounded queue in backpressure tests."""
-        self._paused = True
-
-    def resume(self) -> None:
-        self._paused = False
-        self._work.set()
-
     # ------------------------------------------------------------------ #
     # Supervision loop
     # ------------------------------------------------------------------ #
     async def run(self) -> None:
         """Bootstrap, serve, and absorb recoverable crashes until drained.
 
-        The attempt counter resets whenever a batch lands successfully
-        (:meth:`_apply_batch`), so ``max_attempts`` bounds *consecutive*
-        failures, not lifetime crashes of a long-lived tenant.
+        The attempt counter resets whenever a batch lands together with the
+        checkpoint it made due (:meth:`_apply_batch`), so ``max_attempts``
+        bounds *consecutive* failures, not lifetime crashes of a long-lived
+        tenant, and a checkpoint write that keeps failing fails the tenant
+        instead of crashing it once per batch.
         """
         bootstrapped = False
         while True:
@@ -444,15 +436,11 @@ class Tenant:
                         await asyncio.wait_for(self._work.wait(), timeout + 0.01)
                 except asyncio.TimeoutError:
                     pass
-            if self._paused and not self._drain_requested:
-                self._work.clear()
-                await self._work.wait()
-                continue
             if self._drain_requested:
                 self._drain()
                 return
             progressed = False
-            while len(self._pending) >= self.spec.batch_size and not self._paused:
+            while len(self._pending) >= self.spec.batch_size:
                 self._apply_batch(self._take(self._window()))
                 progressed = True
                 # Yield between batches: queries interleave at batch
@@ -462,7 +450,7 @@ class Tenant:
                     self._drain()
                     return
             if self._flush_requested:
-                if self._pending and not self._paused:
+                if self._pending:
                     self._apply_batch(self._take(len(self._pending)))
                     progressed = True
                 if not self._pending:
@@ -475,8 +463,6 @@ class Tenant:
     def _has_work(self) -> bool:
         if self._drain_requested or self._flush_requested:
             return True
-        if self._paused:
-            return False
         if len(self._pending) >= self.spec.batch_size:
             return True
         return self._checkpoint_due()
@@ -502,7 +488,6 @@ class Tenant:
         self.applied += len(batch)
         self.stats["batches"] += 1
         self._replay.append(batch)
-        self._on_progress()
         if before is not None:
             after = self.engine.solution()
             added = sorted(after - before, key=repr)
@@ -519,9 +504,8 @@ class Tenant:
                     callback(event)
         if self._checkpoint_due():
             self._write_checkpoint()
-
-    def _on_progress(self) -> None:
-        """A batch landed: consecutive-failure accounting starts over."""
+        # The batch and the checkpoint it made due have both landed:
+        # consecutive-failure accounting starts over.
         self._attempt = 0
 
     def _checkpoint_due(self) -> bool:

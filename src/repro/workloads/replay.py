@@ -14,8 +14,9 @@ Checkpoint files are JSON documents named
 so several algorithms can share one directory and the newest checkpoint of
 each is discoverable by filename alone.
 
-Checkpoints are written synchronously, on the caller's thread: a checkpoint
-is durable once :func:`save_checkpoint` returns, and keep-N pruning runs
+Checkpoints are written synchronously, on the caller's thread, through
+:mod:`repro.resilience.durable`: a checkpoint is durable, even across a
+power loss, once :func:`save_checkpoint` returns, and keep-N pruning runs
 only after that commit, from a fresh listing of the directory, so files
 moved or deleted by anyone else (a quarantine, another process) are
 counted as they are on disk.
@@ -24,7 +25,6 @@ counted as they are on disk.
 from __future__ import annotations
 
 import json
-import os
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -32,13 +32,10 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.exceptions import CheckpointError, IntegrityError
+from repro.resilience.durable import atomic_writer, makedirs, remove, replace
 from repro.resilience.faults import CHECKPOINT_WRITE
 from repro.resilience.integrity import verify_document, write_document
-from repro.workloads.snapshot import (
-    algorithm_from_payload,
-    algorithm_to_document,
-    atomic_writer,
-)
+from repro.workloads.snapshot import algorithm_from_payload, algorithm_to_document
 
 PathLike = Union[str, Path]
 
@@ -71,8 +68,13 @@ class CheckpointConfig:
         boundaries coincide with batch boundaries (where the solution is
         k-maximal and the candidate queues are drained).
     keep:
-        Retain at most this many checkpoints per algorithm (oldest pruned
-        first); ``None`` keeps every checkpoint.
+        Retain at most this many checkpoint *files* per algorithm (oldest
+        pruned first, from a fresh listing after each commit); ``None``
+        keeps every checkpoint.  Keep-N counts files by name and does not
+        open them: a file damaged after its commit still holds one of the
+        places until discovery (:func:`latest_valid_checkpoint`)
+        quarantines it, so with ``keep=2`` a torn newest file and a single
+        valid older one can be all that is left.
     every_seconds:
         Wall-clock retention: additionally checkpoint once at least this
         many seconds have passed since the previous checkpoint.  The
@@ -190,7 +192,7 @@ def save_checkpoint(
     else:
         directory = Path(config_or_directory)
         keep = None
-    directory.mkdir(parents=True, exist_ok=True)
+    makedirs(directory)
     path = checkpoint_path(directory, algorithm_name, processed)
     document = {
         "format": CHECKPOINT_FORMAT,
@@ -215,19 +217,19 @@ def save_checkpoint(
     # written — the torn-write scenario — and aborting there discards the
     # temp file, so even a planned crash mid-write leaves the directory
     # exactly as it was.
-    with atomic_writer(path, mode="wb", encoding=None) as stream:
+    with atomic_writer(path) as stream:
         write_document(stream, document, fault_point=CHECKPOINT_WRITE)
     # Prune strictly *after* the new checkpoint is durably committed: a
     # crash between write and prune leaves extra files (harmless), never
-    # fewer resumable states than promised.  Pruning is best-effort: a file
-    # someone else already removed is skipped, and one we cannot unlink
-    # degrades to a warning; neither may fail the write that just committed.
+    # fewer resumable states than promised.  Pruning is best-effort and adds
+    # no fsync (a power loss may bring a pruned file back, which the next
+    # prune removes): a file someone else already removed is skipped, and
+    # one we cannot unlink degrades to a warning; neither may fail the write
+    # that just committed.
     if keep is not None:
         for _, stale in find_checkpoints(directory, algorithm_name)[:-keep]:
             try:
-                stale.unlink()
-            except FileNotFoundError:
-                pass
+                remove(stale)
             except OSError as exc:
                 warnings.warn(
                     f"could not prune stale checkpoint {stale}: {exc}",
@@ -353,13 +355,13 @@ def quarantine_checkpoint(path: PathLike, *, reason: str = "") -> Optional[Path]
     path = Path(path)
     target_dir = path.parent / QUARANTINE_DIRNAME
     try:
-        target_dir.mkdir(parents=True, exist_ok=True)
+        makedirs(target_dir)
         target = target_dir / path.name
         suffix = 0
         while target.exists():
             suffix += 1
             target = target_dir / f"{path.name}.{suffix}"
-        os.replace(path, target)
+        replace(path, target)
     except OSError as exc:
         warnings.warn(
             f"could not quarantine corrupt checkpoint {path}: {exc}",

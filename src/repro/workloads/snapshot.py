@@ -37,61 +37,17 @@ Payload mismatches raise :class:`~repro.exceptions.SnapshotError`.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from collections import Counter
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Dict, Optional, Union
 
 from repro.exceptions import GraphError, SnapshotError
 from repro.graphs.dynamic_graph import DynamicGraph
+from repro.resilience.durable import atomic_writer, makedirs
 from repro.resilience.faults import SNAPSHOT_WRITE
 from repro.resilience.integrity import Fragment, verify_document, write_document
 
 PathLike = Union[str, Path]
-
-
-@contextmanager
-def atomic_writer(path: PathLike, *, mode: str = "w", encoding: Optional[str] = "utf-8"):
-    """Stream into ``path`` via a same-directory temp file + fsync + rename.
-
-    Yields the open temp-file handle; on clean exit the data is fsynced and
-    the rename commits atomically, on any exception the temp file is
-    removed and ``path`` is untouched.  A crash mid-write therefore leaves
-    either the old file or the new one, never a truncated hybrid — the
-    durability contract every snapshot/checkpoint/cache/download writer in
-    this library relies on.  The fsync runs *before* the rename: without it
-    a power loss can surface the rename with zero-length data, exactly the
-    truncated-newest-checkpoint failure this helper exists to rule out.
-
-    The rename itself is made durable by an fsync of the parent directory
-    after it: until the directory entry reaches the disk, a power loss can
-    undo a rename this function already returned from.
-
-    Pass ``mode="wb", encoding=None`` for binary payloads.
-    """
-    path = Path(path)
-    handle, temp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(handle, mode, encoding=encoding) as stream:
-            yield stream
-            stream.flush()
-            os.fsync(stream.fileno())
-        os.replace(temp_name, path)
-    except BaseException:
-        try:
-            os.unlink(temp_name)
-        except OSError:
-            pass
-        raise
-    directory = os.open(path.parent, os.O_RDONLY)
-    try:
-        os.fsync(directory)
-    finally:
-        os.close(directory)
 
 
 GRAPH_FORMAT = DynamicGraph.PAYLOAD_FORMAT
@@ -333,8 +289,8 @@ def save_snapshot(algorithm, path: PathLike) -> None:
     path = Path(path)
     payload = algorithm_to_document(algorithm)
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with atomic_writer(path, mode="wb", encoding=None) as stream:
+        makedirs(path.parent)
+        with atomic_writer(path) as stream:
             write_document(stream, payload, fault_point=SNAPSHOT_WRITE)
     except OSError as exc:
         raise SnapshotError(f"cannot write snapshot {path}: {exc}") from exc

@@ -42,9 +42,6 @@ from __future__ import annotations
 import gzip
 import hashlib
 import json
-import os
-import shutil
-import tempfile
 from collections import OrderedDict
 from itertools import islice
 from dataclasses import dataclass
@@ -62,6 +59,7 @@ from typing import (
 
 from repro.exceptions import GraphError, IntegrityError, UpdateError
 from repro.graphs.dynamic_graph import DynamicGraph
+from repro.resilience.durable import atomic_writer, makedirs
 from repro.resilience.faults import CACHE_READ, trip
 from repro.updates.operations import UpdateKind, UpdateOperation, apply_update
 from repro.updates.protocol import (
@@ -69,7 +67,6 @@ from repro.updates.protocol import (
     decode_operation,
     encode_operation,
 )
-from repro.workloads.snapshot import atomic_writer
 
 PathLike = Union[str, Path]
 
@@ -86,6 +83,11 @@ CACHE_FORMAT = "repro-temporal-stream/3"
 #: the JSON framing, small enough that a reader holds only a sliver of the
 #: stream resident.
 CACHE_CHUNK = 512
+
+#: Bytes of the first line that the cache writer reserves for the header
+#: (newline included).  The header is written into it last, padded with
+#: spaces, which JSON ignores.
+_HEADER_WIDTH = 4096
 
 
 @dataclass(frozen=True)
@@ -653,7 +655,8 @@ class CachedOperationStream(OperationStream):
     """Lazy reader over a chunked stream-cache file (JSONL).
 
     Line 1 is the header document (format, key, description, metadata,
-    operation count); every further line is a JSON array of up to
+    operation count, body digest), padded with spaces to a fixed width by
+    the writer; every further line is a JSON array of up to
     :data:`CACHE_CHUNK` encoded operations.  Iteration decodes one line at a
     time — O(chunk) resident, replayable, and cheap to skip through.
 
@@ -756,40 +759,37 @@ def _write_cache_streaming(
 ) -> Dict:
     """Write ``stream`` into the chunked cache layout, one pass, atomically.
 
-    Operations flow straight from the generator to a temp *body* file in
-    :data:`CACHE_CHUNK`-sized lines.  The header needs the operation count
-    and the replay summary, which only exist after that pass, so the final
-    file is assembled by streaming the body after the freshly written header
-    and committed with fsync + atomic rename — memory stays O(chunk) and a
-    crash never leaves a partial entry under the cache path.
+    Operations flow straight from the generator into the atomic writer's
+    temp file in :data:`CACHE_CHUNK`-sized lines, behind a blank first line
+    of :data:`_HEADER_WIDTH` bytes.  The header needs the operation count,
+    the replay summary and the body digest, which only exist after that
+    pass, so the writer then seeks back and writes the header into the
+    reserved line.  Memory stays O(chunk), every body byte is written once,
+    and a crash never leaves a partial entry under the cache path.
     """
-    directory = cache_path.parent
-    directory.mkdir(parents=True, exist_ok=True)
-    body_handle, body_name = tempfile.mkstemp(
-        dir=directory, prefix=f".{cache_path.name}.", suffix=".body.tmp"
-    )
+    makedirs(cache_path.parent)
     num_operations = 0
     # The body digest is accumulated line-by-line as the chunks are
     # written — the read side replays the same incremental hash, so neither
     # direction ever needs the body resident to verify it.
     body_digest = hashlib.sha256()
-    try:
-        with os.fdopen(body_handle, "w", encoding="utf-8") as body:
-            chunk: List = []
+    with atomic_writer(cache_path) as out:
+        out.write(b" " * (_HEADER_WIDTH - 1) + b"\n")
+        chunk: List = []
 
-            def emit(entries: List) -> None:
-                data = json.dumps(entries, separators=(",", ":")) + "\n"
-                body_digest.update(data.encode("utf-8"))
-                body.write(data)
+        def emit(entries: List) -> None:
+            data = (json.dumps(entries, separators=(",", ":")) + "\n").encode("utf-8")
+            body_digest.update(data)
+            out.write(data)
 
-            for operation in stream:
-                chunk.append(encode_operation(operation))
-                num_operations += 1
-                if len(chunk) >= CACHE_CHUNK:
-                    emit(chunk)
-                    chunk = []
-            if chunk:
+        for operation in stream:
+            chunk.append(encode_operation(operation))
+            num_operations += 1
+            if len(chunk) >= CACHE_CHUNK:
                 emit(chunk)
+                chunk = []
+        if chunk:
+            emit(chunk)
         # The pass above completed, so the stream's summary metadata is set.
         header = {
             "format": CACHE_FORMAT,
@@ -801,16 +801,15 @@ def _write_cache_streaming(
             "num_operations": num_operations,
             "body_sha256": body_digest.hexdigest(),
         }
-        with atomic_writer(cache_path) as final:
-            final.write(json.dumps(header) + "\n")
-            with open(body_name, "r", encoding="utf-8") as body:
-                shutil.copyfileobj(body, final)
-        return header
-    finally:
-        try:
-            os.unlink(body_name)
-        except OSError:
-            pass
+        line = json.dumps(header).encode("utf-8")
+        if len(line) >= _HEADER_WIDTH:
+            raise GraphError(
+                f"stream cache header of {len(line)} bytes does not fit the "
+                f"{_HEADER_WIDTH - 1} bytes reserved for it"
+            )
+        out.seek(0)
+        out.write(line.ljust(_HEADER_WIDTH - 1) + b"\n")
+    return header
 
 
 def cached_temporal_stream(
@@ -892,11 +891,6 @@ def cached_temporal_stream(
         description=path.stem,
     )
     header = _write_cache_streaming(cache_path, key, stream)
-    # Sweep legacy monolithic-JSON entries (cache format /1) for this stem:
-    # nothing can read them anymore, and leaving them would accumulate
-    # orphaned dataset-sized files next to the fresh chunked entry.
-    for stale in directory.glob(f"{path.stem}-*.json"):
-        stale.unlink(missing_ok=True)
     reader = CachedOperationStream(cache_path, header)
     reader.metadata["cache"] = "miss"
     return reader

@@ -9,6 +9,7 @@ import pytest
 
 from repro.exceptions import DatasetError
 from repro.experiments.fetch import (
+    FETCH_RETRY,
     SNAP_TEMPORAL_DATASETS,
     available_snap_datasets,
     dataset_dir,
@@ -19,6 +20,7 @@ from repro.experiments.fetch import (
     snap_temporal_stream,
     verify_checksum,
 )
+from repro.resilience.supervisor import RetryPolicy
 
 EVENTS_TEXT = "# demo\n1 2 10\n2 3 11\n1 3 14\n3 3 15\n2 4 20\n"
 
@@ -73,6 +75,22 @@ class TestFetchFile:
         missing = tmp_path / "no-such-file.txt"
         with pytest.raises(DatasetError, match="cannot download"):
             fetch_file(missing.as_uri(), tmp_path / "out.txt")
+
+    def test_retries_wait_by_the_retry_policy(self, tmp_path):
+        missing = tmp_path / "no-such-file.txt"
+        policy = RetryPolicy(max_attempts=3, base_delay=0.5, cap=0.75, seed=4)
+        slept = []
+        with pytest.raises(DatasetError, match="cannot download"):
+            fetch_file(
+                missing.as_uri(), tmp_path / "out.txt", retry=policy,
+                sleep=slept.append,
+            )
+        assert slept == [policy.delay(1), policy.delay(2)]
+
+    def test_default_retry_policy(self):
+        assert (FETCH_RETRY.max_attempts, FETCH_RETRY.base_delay, FETCH_RETRY.cap) == (
+            4, 0.25, 8.0,
+        )
 
 
 class TestFetchDataset:

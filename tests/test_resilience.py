@@ -880,8 +880,8 @@ class TestResumableFetch:
         dest = tmp_path / "data.bin"
         with pytest.raises(DatasetError, match="truncated"):
             fetch_file(
-                "http://example.test/data.bin", dest, max_attempts=2,
-                sleep=no_sleep,
+                "http://example.test/data.bin", dest,
+                retry=RetryPolicy(max_attempts=2), sleep=no_sleep,
             )
         assert not dest.exists()
         # The partial bytes survive for a future resume — only a checksum

@@ -518,6 +518,10 @@ class TestGateway:
 # Backpressure and load shedding
 # --------------------------------------------------------------------- #
 class TestBackpressure:
+    # Tenant.offer admits a whole ingest request inside the gateway's
+    # handler, before the serve task next runs, so one request builds a
+    # queue as deep as itself.
+
     def test_bounded_queue_sheds_with_explicit_reply(self, tmp_path):
         ops = build_ops(96)
         spec = TenantSpec(
@@ -525,25 +529,28 @@ class TestBackpressure:
         )
         with service(tmp_path, spec) as svc:
             with svc.client() as client:
-                client.pause("busy")  # engine stops draining; admission continues
-                assert client.ingest("busy", ops[:32], 1)["ok"]
-                shed = client.ingest("busy", ops[32:40], 33)
+                assert client.ingest("busy", ops[:8], 1)["ok"]
+                assert client.flush("busy")["applied"] == 8
+                # One request of queue_cap + 1 operations is shed whole,
+                # with the exact resume position.
+                shed = client.ingest("busy", ops[8:41], 9)
                 assert not shed["ok"]
                 assert shed["error"] == "overloaded"
-                assert shed["accepted"] == 32  # resume position, explicitly
-                # Shedding is all-or-nothing: nothing of the batch went in.
-                assert client.offset("busy")["accepted"] == 32
-                assert client.offset("busy")["queue_depth"] <= 32
+                assert shed["accepted"] == 8
+                offsets = client.offset("busy")
+                assert (offsets["accepted"], offsets["queue_depth"]) == (8, 0)
                 stats = client.stats("busy")["stats"]
                 assert stats["sheds"] == 1
-                assert stats["peak_queue"] <= 32
-                client.resume("busy")
-                # Once drained, the shed batch is accepted on retry.
+                assert stats["peak_queue"] == 8
+                # A request of exactly queue_cap fits, and its deep queue
+                # widens the window to window_max.
+                assert client.ingest("busy", ops[8:40], 9)["ok"]
                 client.ingest_stream("busy", ops, chunk=8)
                 final = client.flush("busy")
                 assert final["applied"] == len(ops)
-                # Backpressure widened the window beyond one batch.
-                assert client.stats("busy")["stats"]["peak_window"] > 8
+                stats = client.stats("busy")["stats"]
+                assert stats["peak_queue"] == 32
+                assert stats["peak_window"] == 32
 
     def test_deterministic_mode_keeps_fixed_windows(self, tmp_path):
         ops = build_ops(128)
@@ -552,11 +559,11 @@ class TestBackpressure:
         )
         with service(tmp_path, spec) as svc:
             with svc.client() as client:
-                client.pause("det")
                 client.ingest("det", ops, 1)  # deep queue before any apply
-                client.resume("det")
                 client.flush("det")
-                assert client.stats("det")["stats"]["peak_window"] == 16
+                stats = client.stats("det")["stats"]
+                assert stats["peak_queue"] == 128
+                assert stats["peak_window"] == 16
 
 
 # --------------------------------------------------------------------- #
@@ -643,6 +650,34 @@ class TestSupervision:
                     client.ingest_stream("healthy", ops[:32], chunk=8)
                     assert client.flush("healthy")["applied"] == 32
                     assert client.health()["tenants"]["doomed"] == "failed"
+
+    def test_failing_checkpoint_writes_exhaust_the_retries(self, tmp_path):
+        # Every checkpoint write after the first fails (a full disk).  A
+        # batch that lands but whose due checkpoint does not is no progress,
+        # so max_attempts binds: exactly three crashes, and the replay
+        # buffer never holds more than the batches since the durable one.
+        ops = build_ops(400)
+        spec = TenantSpec(
+            name="full", batch_size=8, window_max=8, adaptive=False,
+            checkpoint_every=8,
+        )
+        retry = RetryPolicy(max_attempts=3, base_delay=0.0, cap=0.0)
+
+        async def scenario():
+            tenant = Tenant(spec, tmp_path, retry=retry)
+            task = asyncio.get_running_loop().create_task(tenant.run())
+            await tenant.ready.wait()
+            tenant.offer(ops, 1)
+            await asyncio.wait_for(task, 30)
+            return tenant
+
+        with inject_faults(FaultPlan.at(CHECKPOINT_WRITE, *range(2, 400))):
+            tenant = asyncio.run(scenario())
+        assert tenant.status == "failed"
+        assert tenant.stats["crashes"] == retry.max_attempts
+        assert tenant.stats["restarts"] == retry.max_attempts - 1
+        assert tenant.durable == 8
+        assert len(tenant._replay) == retry.max_attempts
 
     def test_terminal_failure_names_its_cause_in_stats(self, tmp_path):
         # Admission checks an operation's shape, not whether the graph can

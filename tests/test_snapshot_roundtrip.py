@@ -11,8 +11,6 @@ are covered explicitly so slot recycling crosses the snapshot boundary.
 from __future__ import annotations
 
 import json
-import os
-import stat
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -29,7 +27,6 @@ from repro.updates.streams import flash_crowd_stream, mixed_update_stream
 from repro.workloads.snapshot import (
     algorithm_from_payload,
     algorithm_to_payload,
-    atomic_writer,
     graph_from_payload,
     graph_to_payload,
     load_snapshot,
@@ -312,72 +309,6 @@ class TestContinuationEquivalence:
         assert graph_to_payload(resumed.graph) == graph_to_payload(
             uninterrupted.graph
         )
-
-
-class TestAtomicWriter:
-    def test_failed_overwrite_keeps_the_old_file_and_leaves_no_temp(self, tmp_path):
-        path = tmp_path / "doc.json"
-        with atomic_writer(path) as stream:
-            stream.write("intact\n")
-
-        class WriterCrashed(RuntimeError):
-            pass
-
-        with pytest.raises(WriterCrashed):
-            with atomic_writer(path) as stream:
-                stream.write("half of a new doc")
-                raise WriterCrashed
-        assert path.read_text(encoding="utf-8") == "intact\n"
-        assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
-
-
-    def test_rename_is_made_durable_by_a_directory_fsync(self, tmp_path, monkeypatch):
-        calls = []
-        fsync, replace, close = os.fsync, os.replace, os.close
-
-        def is_directory(fd):
-            return stat.S_ISDIR(os.fstat(fd).st_mode)
-
-        def spy_fsync(fd):
-            calls.append("fsync directory" if is_directory(fd) else "fsync file")
-            fsync(fd)
-
-        def spy_replace(source, target):
-            calls.append("replace")
-            replace(source, target)
-
-        def spy_close(fd):
-            if is_directory(fd):
-                calls.append("close directory")
-            close(fd)
-
-        monkeypatch.setattr(os, "fsync", spy_fsync)
-        monkeypatch.setattr(os, "replace", spy_replace)
-        monkeypatch.setattr(os, "close", spy_close)
-        with atomic_writer(tmp_path / "doc.json") as stream:
-            stream.write("durable\n")
-        assert calls == ["fsync file", "replace", "fsync directory", "close directory"]
-        assert (tmp_path / "doc.json").read_text(encoding="utf-8") == "durable\n"
-
-    def test_directory_fd_is_closed_when_its_fsync_fails(self, tmp_path, monkeypatch):
-        closed = []
-        fsync, close = os.fsync, os.close
-
-        def failing_fsync(fd):
-            if stat.S_ISDIR(os.fstat(fd).st_mode):
-                raise OSError("directory fsync failed")
-            fsync(fd)
-
-        def spy_close(fd):
-            closed.append(stat.S_ISDIR(os.fstat(fd).st_mode))
-            close(fd)
-
-        monkeypatch.setattr(os, "fsync", failing_fsync)
-        monkeypatch.setattr(os, "close", spy_close)
-        with pytest.raises(OSError, match="directory fsync failed"):
-            with atomic_writer(tmp_path / "doc.json") as stream:
-                stream.write("written, not yet durable\n")
-        assert closed == [True]
 
 
 class TestForkPayload:

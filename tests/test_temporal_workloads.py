@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import pathlib
 import tracemalloc
 
@@ -17,6 +19,7 @@ from repro.experiments import (
 )
 from repro.exceptions import ExperimentError
 from repro.graphs.dynamic_graph import DynamicGraph
+from repro.resilience.durable import recording
 from repro.resilience.faults import CACHE_READ, FaultPlan, inject_faults
 from repro.updates.operations import UpdateKind
 from repro.updates.protocol import StreamCursor
@@ -253,8 +256,6 @@ class TestStreamCache:
     def test_file_change_invalidates(self, tmp_path):
         path = self._events_file(tmp_path)
         cached_temporal_stream(path, window=8.0)
-        import os
-
         with path.open("a", encoding="utf-8") as handle:
             handle.write("998 999 1000000\n")
         os.utime(path, ns=(0, 0))  # force a distinct identity even on coarse clocks
@@ -266,8 +267,6 @@ class TestStreamCache:
         )
 
     def test_source_edit_overwrites_entry_instead_of_accumulating(self, tmp_path):
-        import os
-
         path = self._events_file(tmp_path)
         cached_temporal_stream(path, window=8.0)
         cache_dir = tmp_path / ".stream-cache"
@@ -340,18 +339,51 @@ class TestStreamCache:
         with pytest.raises(GraphError, match="corrupt mid-body"):
             list(stream)
 
-    def test_rebuild_sweeps_legacy_monolithic_entries(self, tmp_path):
-        # PR4-era caches were single .json documents; nothing reads that
-        # format anymore, so a rebuild for the same source stem must remove
-        # them instead of leaving dataset-sized orphans forever.
+    def test_rebuild_leaves_foreign_files_in_the_cache_dir(self, tmp_path):
+        # The cache owns exactly one file per (source, policy): a user file
+        # that merely shares the source's stem in an explicit cache_dir
+        # survives every build and rebuild.
         path = self._events_file(tmp_path)
-        cache_dir = tmp_path / ".stream-cache"
+        cache_dir = tmp_path / "shared"
         cache_dir.mkdir()
-        legacy = cache_dir / f"{path.stem}-0123456789abcdef.json"
-        legacy.write_text('{"format": "repro-temporal-stream/1"}', encoding="utf-8")
-        cached_temporal_stream(path, window=8.0)
-        assert not legacy.exists()
-        assert len(list(cache_dir.iterdir())) == 1
+        foreign = cache_dir / f"{path.stem}-notes.json"
+        foreign.write_text('{"mine": true}', encoding="utf-8")
+        cached_temporal_stream(path, cache_dir=cache_dir, window=8.0)
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write("998 999 1000000\n")
+        os.utime(path, ns=(0, 0))
+        rebuilt = cached_temporal_stream(path, cache_dir=cache_dir, window=8.0)
+        assert rebuilt.metadata["cache"] == "miss"
+        assert foreign.read_text(encoding="utf-8") == '{"mine": true}'
+        assert len(list(cache_dir.iterdir())) == 2
+
+    def test_build_writes_the_body_once_into_one_atomic_file(self, tmp_path):
+        path = self._events_file(tmp_path)
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        with recording() as trace:
+            stream = cached_temporal_stream(path, cache_dir=cache_dir, window=8.0)
+        temp = trace[0][1]
+        assert [event[0] for event in trace] == ["create", "fsync", "rename", "fsync_dir"]
+        assert trace[2] == ("rename", temp, str(stream.path))
+        # The header sits in a fixed-width first line, padded with spaces.
+        data = trace[1][2]
+        assert data == stream.path.read_bytes()
+        header, _, body = data.partition(b"\n")
+        assert len(header) == 4095 and header.endswith(b" ")
+        assert json.loads(header)["num_operations"] == len(stream)
+        assert hashlib.sha256(body).hexdigest() == json.loads(header)["body_sha256"]
+
+    def test_header_that_outgrows_its_reserved_line_aborts_the_build(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.workloads import temporal
+
+        path = self._events_file(tmp_path)
+        monkeypatch.setattr(temporal, "_HEADER_WIDTH", 64)
+        with pytest.raises(GraphError, match="does not fit"):
+            cached_temporal_stream(path, window=8.0)
+        assert list((tmp_path / ".stream-cache").iterdir()) == []
 
     def test_truncated_cache_body_raises_clearly_during_replay(self, tmp_path):
         path = self._events_file(tmp_path)

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# CI-style smoke check: tier-1 tests, the smokes and the long crash-state
-# enumeration, plus the quick benchmark gated against the committed
-# BENCH_core.json, so correctness *and* per-update performance regressions
-# fail fast — locally and in the GitHub Actions workflow.  Ends
+# CI-style smoke check: tier-1 tests in Python's dev mode, the smokes and the
+# long crash-state enumeration, plus the quick benchmark gated against the
+# committed BENCH_core.json, so correctness *and* per-update performance
+# regressions fail fast — locally and in the GitHub Actions workflow.  Ends
 # with traced runs of two repository-benchmark workloads (perfbench/), which
 # fail only on their output checks, never on timings.
 #
@@ -33,16 +33,24 @@ cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
+# Tier-1 runs under python -X dev with two warnings made errors: a file or
+# socket left for the garbage collector to close raises ResourceWarning, and
+# one raised inside a finaliser reaches pytest as an unraisable exception.
+# Plain pytest lets both pass.
+PYTEST=(python -X dev -m pytest -x -q
+    -W error::ResourceWarning
+    -W error::pytest.PytestUnraisableExceptionWarning)
+
 if [[ "${COVERAGE:-0}" == "1" ]]; then
-    echo "== tier-1 tests (with coverage floor ${COVERAGE_MIN:-85}%) =="
-    python -m pytest -x -q \
+    echo "== tier-1 tests, dev mode (with coverage floor ${COVERAGE_MIN:-85}%) =="
+    "${PYTEST[@]}" \
         --cov=repro \
         --cov-report=term \
         --cov-report="xml:${COVERAGE_XML:-coverage.xml}" \
         --cov-fail-under="${COVERAGE_MIN:-85}"
 else
-    echo "== tier-1 tests =="
-    python -m pytest -x -q
+    echo "== tier-1 tests, dev mode =="
+    "${PYTEST[@]}"
 fi
 
 

@@ -64,8 +64,10 @@ class KSwapFramework(DynamicMISBase):
     """
 
     def __init__(self, graph, *, k: int = 1, **kwargs) -> None:
-        super().__init__(graph, k=k, **kwargs)
+        # Before the base constructor: its stabilising pass already runs
+        # the bounded search, which counts every hit of the cap.
         self.search_limit_hits = 0
+        super().__init__(graph, k=k, **kwargs)
 
     # ------------------------------------------------------------------ #
     # Bottom-up candidate processing

@@ -5,16 +5,13 @@ from repro.updates.coalesce import CoalescedBatch, coalesce_batch
 from repro.updates.operations import UpdateKind, UpdateOperation, apply_update, invert_update
 from repro.updates.protocol import (
     EMPTY_FINGERPRINT,
-    LazyOperationStream,
     OperationStream,
     StreamCursor,
-    as_operation_stream,
     chunked,
     decode_operation,
     encode_operation,
     stream_description,
     stream_length_hint,
-    stream_metadata,
 )
 from repro.updates.wire import (
     MAX_LINE_BYTES,
@@ -22,14 +19,12 @@ from repro.updates.wire import (
     encode_line,
     operations_from_wire,
     operations_to_wire,
-    wire_operation_stream,
 )
 from repro.updates.streams import (
     UpdateStream,
     burst_stream,
     bursty_churn_stream,
     flash_crowd_stream,
-    insertion_only_stream,
     mixed_update_stream,
     random_edge_stream,
     random_vertex_stream,
@@ -44,22 +39,18 @@ __all__ = [
     "CoalescedBatch",
     "coalesce_batch",
     "OperationStream",
-    "LazyOperationStream",
     "StreamCursor",
     "EMPTY_FINGERPRINT",
-    "as_operation_stream",
     "chunked",
     "encode_operation",
     "decode_operation",
     "stream_description",
     "stream_length_hint",
-    "stream_metadata",
     "MAX_LINE_BYTES",
     "encode_line",
     "decode_line",
     "operations_to_wire",
     "operations_from_wire",
-    "wire_operation_stream",
     "UpdateStream",
     "random_edge_stream",
     "random_vertex_stream",
@@ -68,5 +59,4 @@ __all__ = [
     "burst_stream",
     "bursty_churn_stream",
     "flash_crowd_stream",
-    "insertion_only_stream",
 ]

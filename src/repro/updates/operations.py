@@ -125,8 +125,8 @@ class UpdateOperation:
 
 
 # Module globals for the per-operation paths: the constructors below, and
-# ``protocol._fingerprint_text`` and the service tenant's fingerprint chain,
-# which import the kinds.  On CPython 3.11 an ``UpdateKind.X`` lookup costs
+# ``protocol._fingerprint_text`` and ``wire.operations_from_wire``, which
+# import the kinds.  On CPython 3.11 an ``UpdateKind.X`` lookup costs
 # about 0.1 us more than a global read, and a bound slot setter skips the
 # name lookup of ``object.__setattr__``; PERFORMANCE.md ("Read path") has
 # the end-to-end A/B.

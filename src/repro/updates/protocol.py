@@ -5,12 +5,12 @@ pipeline may assume the whole stream fits in RAM.  This module defines the
 small contract every producer and consumer speaks:
 
 * an **operation stream** is any iterable of
-  :class:`~repro.updates.operations.UpdateOperation`.  Rich streams
-  additionally carry a ``description`` string, a ``metadata`` dict and a
-  ``length_hint()`` method returning the number of operations *when it is
-  known without consuming the stream* (``None`` otherwise).  The materialised
-  :class:`~repro.updates.streams.UpdateStream` satisfies the protocol as-is;
-  :class:`LazyOperationStream` wraps a replayable iterator factory.
+  :class:`~repro.updates.operations.UpdateOperation`.  The library's own
+  streams are :class:`OperationStream` subclasses, which additionally carry
+  a ``description`` string, a ``metadata`` dict and a ``length_hint()``
+  method returning the number of operations *when it is known without
+  consuming the stream* (``None`` otherwise).  The list-backed
+  :class:`~repro.updates.streams.UpdateStream` is one of them.
 
 * a :class:`StreamCursor` wraps one pass over a stream and maintains an
   **incremental identity fingerprint**: a running SHA-256 over the canonical
@@ -33,9 +33,8 @@ small contract every producer and consumer speaks:
   lists of at most ``size`` operations via :func:`itertools.islice`, so no
   consumer ever holds more than one batch window resident.
 
-Helper functions (:func:`stream_length_hint`, :func:`stream_description`,
-:func:`stream_metadata`) read the optional attributes duck-typed, so plain
-lists and generators remain valid streams.
+:func:`stream_length_hint` and :func:`stream_description` read the optional
+attributes duck-typed, so plain lists and generators remain valid streams.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from __future__ import annotations
 import hashlib
 from itertools import islice
 from typing import (
-    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -228,13 +226,14 @@ def chunked(
 
 
 class OperationStream:
-    """Base class for rich lazy streams (iterable + provenance metadata).
+    """Base class of every stream the library returns (iterable + provenance).
 
-    Subclasses implement :meth:`__iter__`.  ``description`` and ``metadata``
-    mirror :class:`~repro.updates.streams.UpdateStream`; ``length_hint``
-    returns the operation count only when it is already known — it must
-    never consume the stream.  Deliberately **no** ``__len__``: sized
-    consumers must go through :func:`stream_length_hint` and handle ``None``.
+    Subclasses implement :meth:`__iter__`: the list-backed
+    :class:`~repro.updates.streams.UpdateStream`, the lazy temporal replay
+    and the on-disk stream cache.  ``length_hint`` returns the operation
+    count only when it is already known — it must never consume the stream.
+    Deliberately **no** ``__len__`` here: sized consumers must go through
+    :func:`stream_length_hint` and handle ``None``.
     """
 
     description: str = ""
@@ -278,64 +277,40 @@ class OperationStream:
             counts[operation.kind] = counts.get(operation.kind, 0) + 1
         return counts
 
+    def prefix(self, length: int) -> "OperationStream":
+        """A lazy stream of only the first ``length`` operations."""
+        return _PrefixStream(self, length)
 
-class LazyOperationStream(OperationStream):
-    """Wrap a replayable iterator factory as an :class:`OperationStream`.
 
-    ``factory`` is called once per :meth:`__iter__`; pass a generator
-    *function* (not a generator object) to get a replayable stream.  A
-    one-shot iterable also works but supports only a single pass.
-    """
+class _PrefixStream(OperationStream):
+    """First ``length`` operations of another stream, still lazy/replayable."""
 
-    def __init__(
-        self,
-        factory: Callable[[], Iterable[UpdateOperation]],
-        *,
-        description: str = "",
-        metadata: Optional[Dict] = None,
-        length: Optional[int] = None,
-        replay: bool = True,
-    ) -> None:
-        super().__init__(description=description, metadata=metadata)
-        self._factory = factory
-        self._length = length
-        self._replay = replay
+    def __init__(self, base: OperationStream, length: int) -> None:
+        # The raw dict, not the ``metadata`` property: a lazy base may
+        # compute its summary keys with a full pass, and taking a prefix
+        # must stay O(1).
+        super().__init__(
+            description=f"{base.description}[:{length}]",
+            metadata=base._metadata,
+        )
+        self._base = base
+        self._limit = length
 
     def __iter__(self) -> Iterator[UpdateOperation]:
-        return iter(self._factory())
+        return islice(iter(self._base), self._limit)
 
     def length_hint(self) -> Optional[int]:
-        return self._length
+        base_hint = self._base.length_hint()
+        if base_hint is None:
+            return None
+        return min(base_hint, self._limit)
 
     def replayable(self) -> bool:
-        return self._replay
-
-
-def as_operation_stream(
-    operations: Iterable[UpdateOperation], *, description: str = ""
-) -> OperationStream:
-    """Adapt any iterable of operations to the rich protocol.
-
-    Streams that already carry ``description``/``length_hint`` (an
-    :class:`OperationStream` or an
-    :class:`~repro.updates.streams.UpdateStream`) pass through unchanged —
-    the thin adapter that lets list-based streams keep working everywhere
-    the pipeline now expects the protocol.
-    """
-    if isinstance(operations, OperationStream) or hasattr(operations, "length_hint"):
-        return operations  # type: ignore[return-value]
-    if isinstance(operations, (list, tuple)):
-        sized: Sequence[UpdateOperation] = operations
-        return LazyOperationStream(
-            lambda: sized, description=description, length=len(sized)
-        )
-    # A bare iterator/generator is one-shot: wrapping must not launder that
-    # away (multi-pass consumers check replayable() to refuse such streams
-    # instead of silently measuring empty re-runs).
-    one_shot = iter(operations) is operations
-    return LazyOperationStream(
-        lambda: operations, description=description, replay=not one_shot
-    )
+        # A prefix is exactly as replayable as its base: a prefix of a
+        # one-shot stream yields *different* operations on a second pass
+        # (the drained source continues), which multi-pass consumers must
+        # be able to detect.
+        return self._base.replayable()
 
 
 # --------------------------------------------------------------------- #
@@ -360,19 +335,3 @@ def stream_length_hint(stream: Iterable[UpdateOperation]) -> Optional[int]:
 def stream_description(stream: Iterable[UpdateOperation]) -> str:
     """The stream's provenance description ('' when it carries none)."""
     return getattr(stream, "description", "") or ""
-
-
-def stream_metadata(stream: Iterable[UpdateOperation]) -> Dict:
-    """The stream's metadata dict ({} when it carries none) — always O(1).
-
-    Rich streams may compute summary metadata lazily behind their
-    ``metadata`` property (a full pass over a replayable source); this
-    helper must stay cheap, so for :class:`OperationStream` subclasses it
-    reads the base class's raw dict directly — whatever is *currently*
-    known — and never triggers that pass.
-    """
-    metadata = getattr(stream, "_metadata", None)
-    if isinstance(metadata, dict):
-        return metadata
-    metadata = getattr(stream, "metadata", None)
-    return metadata if isinstance(metadata, dict) else {}

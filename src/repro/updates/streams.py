@@ -29,35 +29,43 @@ The main entry points are:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional
 
 from repro.exceptions import UpdateError
 from repro.graphs.dynamic_graph import DynamicGraph
-from repro.updates.operations import UpdateKind, UpdateOperation, apply_update
+from repro.updates.operations import UpdateOperation, apply_update
+from repro.updates.protocol import OperationStream
 
 
-@dataclass
-class UpdateStream:
-    """A materialised sequence of update operations plus provenance metadata."""
+class UpdateStream(OperationStream):
+    """A materialised sequence of update operations plus provenance metadata.
 
-    operations: List[UpdateOperation]
-    description: str = ""
-    seed: Optional[int] = None
-    metadata: dict = field(default_factory=dict)
+    The list-backed :class:`~repro.updates.protocol.OperationStream`: sized,
+    indexable and replayable; ``seed`` records the generator's seed.
+    """
 
-    def __len__(self) -> int:
-        return len(self.operations)
-
-    def length_hint(self) -> int:
-        """Operation count (the lazy stream protocol; free for a list)."""
-        return len(self.operations)
+    def __init__(
+        self,
+        operations: List[UpdateOperation],
+        description: str = "",
+        seed: Optional[int] = None,
+        metadata: Optional[dict] = None,
+    ) -> None:
+        super().__init__(description=description, metadata=metadata)
+        self.operations = operations
+        self.seed = seed
 
     def __iter__(self) -> Iterator[UpdateOperation]:
         return iter(self.operations)
 
+    def __len__(self) -> int:
+        return len(self.operations)
+
     def __getitem__(self, index):
         return self.operations[index]
+
+    def length_hint(self) -> int:
+        return len(self.operations)
 
     def prefix(self, length: int) -> "UpdateStream":
         """Return a stream containing only the first ``length`` operations."""
@@ -65,20 +73,8 @@ class UpdateStream:
             operations=self.operations[:length],
             description=f"{self.description}[:{length}]",
             seed=self.seed,
-            metadata=dict(self.metadata),
+            metadata=self._metadata,
         )
-
-    def counts_by_kind(self) -> dict:
-        """Return ``{UpdateKind: count}`` for the operations in the stream."""
-        counts: dict = {}
-        for op in self.operations:
-            counts[op.kind] = counts.get(op.kind, 0) + 1
-        return counts
-
-    def apply_all(self, graph: DynamicGraph) -> None:
-        """Apply every operation in order to ``graph`` (mutates it in place)."""
-        for op in self.operations:
-            apply_update(graph, op)
 
 
 class _StreamBuilder:
@@ -499,9 +495,3 @@ def flash_crowd_stream(
             "churn": churn,
         },
     )
-
-
-def insertion_only_stream(edges: Sequence, *, description: str = "insertion_only") -> UpdateStream:
-    """Wrap a fixed edge list as a pure insertion stream (used by Theorem 1's reduction)."""
-    operations = [UpdateOperation.insert_edge(u, v) for u, v in edges]
-    return UpdateStream(operations=operations, description=description)

@@ -14,10 +14,6 @@ protocol of :mod:`repro.updates.protocol`:
   batches with validation errors reported as
   :class:`~repro.exceptions.WireError` (never a bare ``KeyError`` from a
   hostile payload);
-* :func:`wire_operation_stream` adapts a decoded wire batch back into a
-  rich :class:`~repro.updates.protocol.OperationStream`, so server-side
-  consumers (coalescer, engines) see exactly the protocol they already
-  speak;
 * :func:`encode_line` / :func:`decode_line` are the framing layer: compact
   JSON, one object per line, with a hard line-size cap — a client cannot
   make the server buffer an unbounded line.
@@ -29,13 +25,8 @@ import json
 from typing import Dict, Iterable, List, Sequence, Union
 
 from repro.exceptions import UpdateError, WireError
-from repro.updates.operations import UpdateOperation
-from repro.updates.protocol import (
-    LazyOperationStream,
-    OperationStream,
-    decode_operation,
-    encode_operation,
-)
+from repro.updates.operations import _DELETE_VERTEX, _INSERT_VERTEX, UpdateOperation
+from repro.updates.protocol import decode_operation, encode_operation
 
 #: Hard cap on one NDJSON line (requests *and* replies).  Large ingests are
 #: expected to arrive as many lines of bounded batches, not one giant line —
@@ -97,7 +88,13 @@ def operations_from_wire(entries: Sequence) -> List[UpdateOperation]:
     fix exactly the operation the server rejected.  So does an entry with a
     vertex label that is not an int, str or bool: no checkpoint could hold
     it (the rule of :meth:`~repro.graphs.dynamic_graph.DynamicGraph.to_payload`),
-    and an unhashable one could not even be applied.
+    and an unhashable one could not even be applied.  An entry with more
+    fields than its tag takes, and a vertex insertion whose neighbours are
+    not an array or name the vertex itself or one vertex twice, are refused
+    too: no graph could apply them, so admitting one would fail the batch
+    that holds it.  These checks live here, not in
+    :func:`~repro.updates.protocol.decode_operation`, which the stream-cache
+    reader calls once per operation on trusted input.
     """
     if not isinstance(entries, (list, tuple)):
         raise WireError(
@@ -113,6 +110,13 @@ def operations_from_wire(entries: Sequence) -> List[UpdateOperation]:
             operation = decode_operation(entry)
         except (ValueError, TypeError, IndexError, UpdateError) as exc:
             raise WireError(f"operation #{index} is malformed: {exc}") from exc
+        kind = operation.kind
+        fields = 2 if kind is _DELETE_VERTEX else 3
+        if len(entry) > fields:
+            raise WireError(
+                f"operation #{index} has {len(entry)} fields, but "
+                f"{entry[0]!r} takes {fields}: {entry!r}"
+            )
         for label in operation.touched_vertices():
             if not isinstance(label, (int, str)):
                 raise WireError(
@@ -120,23 +124,21 @@ def operations_from_wire(entries: Sequence) -> List[UpdateOperation]:
                     f"{type(label).__name__}: only int, str and bool labels "
                     "are accepted"
                 )
+        if kind is _INSERT_VERTEX:
+            neighbors = operation.neighbors
+            if not isinstance(entry[2], (list, tuple)):
+                raise WireError(
+                    f"operation #{index} must list its neighbours in an array, "
+                    f"got {entry[2]!r}"
+                )
+            if operation.vertex in neighbors:
+                raise WireError(
+                    f"operation #{index} lists vertex {operation.vertex!r} as "
+                    "its own neighbour (a self loop)"
+                )
+            if len(set(neighbors)) != len(neighbors):
+                raise WireError(
+                    f"operation #{index} repeats a neighbour in {entry[2]!r}"
+                )
         operations.append(operation)
     return operations
-
-
-def wire_operation_stream(
-    entries: Sequence, *, description: str = "wire"
-) -> OperationStream:
-    """Adapt a decoded wire batch to the rich stream protocol.
-
-    The returned stream is replayable (it is backed by the materialised
-    batch) and sized, so it flows through the coalescer, ``apply_batch``
-    and any multi-pass consumer unchanged.
-    """
-    operations = operations_from_wire(entries)
-    return LazyOperationStream(
-        lambda: operations,
-        description=description,
-        length=len(operations),
-        metadata={"transport": "ndjson"},
-    )

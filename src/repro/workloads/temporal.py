@@ -43,7 +43,6 @@ import gzip
 import hashlib
 import json
 from collections import OrderedDict
-from itertools import islice
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -526,44 +525,6 @@ class TemporalUpdateStream(OperationStream):
     def _summary_pass(self) -> None:
         for _ in self._generate():
             pass
-
-    # Conveniences mirroring UpdateStream ------------------------------- #
-    @property
-    def operations(self) -> List[UpdateOperation]:
-        """Materialise the whole stream (compat escape hatch — O(stream) RAM)."""
-        return list(self)
-
-    def prefix(self, length: int) -> OperationStream:
-        """A lazy stream of only the first ``length`` operations."""
-        return _PrefixStream(self, length)
-
-
-class _PrefixStream(OperationStream):
-    """First ``length`` operations of another stream, still lazy/replayable."""
-
-    def __init__(self, base: OperationStream, length: int) -> None:
-        super().__init__(
-            description=f"{base.description}[:{length}]",
-            metadata=dict(base._metadata),
-        )
-        self._base = base
-        self._limit = length
-
-    def __iter__(self) -> Iterator[UpdateOperation]:
-        return islice(iter(self._base), self._limit)
-
-    def length_hint(self) -> Optional[int]:
-        base_hint = self._base.length_hint()
-        if base_hint is None:
-            return None
-        return min(base_hint, self._limit)
-
-    def replayable(self) -> bool:
-        # A prefix is exactly as replayable as its base: a prefix of a
-        # one-shot stream yields *different* operations on a second pass
-        # (the drained source continues), which multi-pass consumers must
-        # be able to refuse.
-        return self._base.replayable()
 
 
 def temporal_update_stream(

@@ -190,7 +190,7 @@ class TestRunAlgorithmCheckpointing:
         # Same length, different provenance: the length check alone would
         # let this through and silently mix two runs.
         other = UpdateStream(
-            operations=list(stream.operations), description="some-other-workload"
+            operations=list(stream), description="some-other-workload"
         )
         with pytest.raises(ExperimentError, match="mix two runs"):
             run_algorithm("DyOneSwap", graph, other, resume_from=path)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import framework
 from repro.core.framework import KSwapFramework
 from repro.core.one_swap import DyOneSwap
 from repro.core.two_swap import DyTwoSwap
@@ -105,6 +106,33 @@ class TestDeepSwaps:
     def test_search_limit_counter_exists(self, small_random_graph):
         algo = KSwapFramework(small_random_graph, k=2)
         assert algo.search_limit_hits == 0
+
+    @pytest.mark.parametrize(
+        "cap, kept, hits",
+        [(3, {"a", "b", "c"}, 4), (4, {"p", "q", "r", "s"}, 0)],
+        ids=["cap-below-search", "cap-at-search"],
+    )
+    def test_search_budget_is_exact_and_counted(self, monkeypatch, cap, kept, hits):
+        # Each swap-in search of the 3-swap {a, b, c} -> {p, q, r, s} on
+        # K_{3,4} visits three nodes, and a search gives up once it has
+        # spent its whole budget: a cap of 3 stops all four searches on
+        # their last node and counts each hit; a cap of 4 finds the swap.
+        from repro.graphs.dynamic_graph import DynamicGraph
+
+        monkeypatch.setattr(framework, "_SEARCH_NODE_LIMIT", cap)
+
+        def build(**options):
+            graph = DynamicGraph(edges=[(o, w) for o in "abc" for w in "pqrs"])
+            return KSwapFramework(graph, k=3, initial_solution=["a", "b", "c"], **options)
+
+        algo = build(stabilize=False)
+        algo._stabilize()
+        assert algo.solution() == kept
+        assert algo.search_limit_hits == hits
+        # The constructor's own stabilising pass counts the same hits.
+        algo = build()
+        assert algo.solution() == kept
+        assert algo.search_limit_hits == hits
 
 
 class TestPromotionGapRegression:

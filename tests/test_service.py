@@ -57,7 +57,6 @@ from repro.updates.wire import (
     encode_line,
     operations_from_wire,
     operations_to_wire,
-    wire_operation_stream,
 )
 from repro.workloads.replay import (
     latest_valid_checkpoint,
@@ -140,19 +139,45 @@ class TestWire:
         with pytest.raises(WireError, match="#0"):
             operations_from_wire([[]])
 
+    @pytest.mark.parametrize(
+        "entry, reason",
+        [
+            (["+v", 7, [7]], "as its own neighbour"),
+            (["+v", 1, [True]], "as its own neighbour"),
+            (["+v", 9, [1, 1]], "repeats a neighbour"),
+            (["+v", 9, [1, True]], "repeats a neighbour"),
+            (["+v", 9, "12"], "neighbours in an array"),
+            (["+v", 9, {"1": 2}], "neighbours in an array"),
+            (["+e", 1, 2, 3], "has 4 fields, but '\\+e' takes 3"),
+            (["-e", 1, 2, 3], "has 4 fields, but '-e' takes 3"),
+            (["+v", 9, [], 0], "has 4 fields, but '\\+v' takes 3"),
+            (["-v", 9, []], "has 3 fields, but '-v' takes 2"),
+        ],
+        ids=[
+            "self-neighbour",
+            "bool-self-neighbour",
+            "repeated-neighbour",
+            "bool-repeated-neighbour",
+            "string-neighbours",
+            "object-neighbours",
+            "insert-edge-extra-field",
+            "delete-edge-extra-field",
+            "insert-vertex-extra-field",
+            "delete-vertex-extra-field",
+        ],
+    )
+    def test_shapes_no_graph_can_apply_name_index(self, entry, reason):
+        good = [["+v", 1, []], ["+v", 2, [1]], ["+e", 1, 3], ["-v", 2]]
+        assert len(operations_from_wire(good)) == 4
+        with pytest.raises(WireError, match=f"operation #4 .*{reason}"):
+            operations_from_wire(good + [entry])
+
     def test_labels_must_be_int_str_or_bool(self):
         good = [["+v", True, []], ["+v", "a", [True]], ["+e", -(2**70), "a"]]
         assert len(operations_from_wire(good)) == 3
         for bad in (["+v", 2.5, []], ["+e", 1, [2]], ["+v", 3, ["a", None]]):
             with pytest.raises(WireError, match="operation #3 has vertex label"):
                 operations_from_wire(good + [bad])
-
-    def test_wire_operation_stream_is_replayable(self):
-        ops = build_ops(40)
-        stream = wire_operation_stream(operations_to_wire(ops))
-        assert len(list(stream)) == 40
-        assert list(stream) == ops  # second pass: replayable
-        assert stream.length_hint() == 40
 
 
 # --------------------------------------------------------------------- #
@@ -319,19 +344,33 @@ class TestGateway:
                 assert client.health()["tenants"]["t"] == "serving"
 
     @pytest.mark.parametrize(
-        "entry",
+        "entry, reason",
         [
-            ["+v", 2.5, [1]],
-            ["+e", 1, [2]],
-            ["+v", 9, [1, None]],
-            ["-e", {"v": 1}, 2],
-            ["-v", None],
+            (["+v", 2.5, [1]], "only int, str and bool labels"),
+            (["+e", 1, [2]], "only int, str and bool labels"),
+            (["+v", 9, [1, None]], "only int, str and bool labels"),
+            (["-e", {"v": 1}, 2], "only int, str and bool labels"),
+            (["-v", None], "only int, str and bool labels"),
+            (["+v", 7, [7]], "as its own neighbour"),
+            (["+v", 9, [1, 1]], "repeats a neighbour"),
+            (["+v", 9, "12"], "neighbours in an array"),
+            (["+e", 1, 2, 3], "has 4 fields"),
         ],
-        ids=["float-vertex", "list-endpoint", "null-neighbour", "dict-endpoint", "null-vertex"],
+        ids=[
+            "float-vertex",
+            "list-endpoint",
+            "null-neighbour",
+            "dict-endpoint",
+            "null-vertex",
+            "self-neighbour",
+            "repeated-neighbour",
+            "string-neighbours",
+            "extra-field",
+        ],
     )
-    def test_labels_no_checkpoint_can_hold_are_refused_at_admission(
-        self, tmp_path, entry
-    ):
+    def test_malformed_entries_are_refused_at_admission(self, tmp_path, entry, reason):
+        """Labels no checkpoint can hold and shapes no graph can apply are
+        refused before admission; the tenant keeps serving."""
         spec = TenantSpec(
             name="t", batch_size=2, window_max=2, adaptive=False, checkpoint_every=2
         )
@@ -346,7 +385,7 @@ class TestGateway:
                 )
                 assert not refused["ok"]
                 assert "operation #1" in refused["error"]
-                assert "only int, str and bool labels" in refused["error"]
+                assert reason in refused["error"]
                 # Nothing was admitted, the digest is unchanged, and the
                 # tenant still serves and checkpoints.
                 assert client.offset("t")["accepted"] == 2

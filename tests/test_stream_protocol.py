@@ -3,29 +3,36 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import InjectedFault, UpdateError
+from repro.generators.worst_case import flicker_update_stream
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.resilience.faults import STREAM_READ, FaultPlan, inject_faults
+from repro.updates import streams as stream_generators
 from repro.updates.operations import UpdateOperation
 from repro.updates.protocol import (
     EMPTY_FINGERPRINT,
-    LazyOperationStream,
+    OperationStream,
     StreamCursor,
     _fingerprint_text,
-    as_operation_stream,
     chunked,
     decode_operation,
     encode_operation,
     stream_description,
     stream_length_hint,
-    stream_metadata,
 )
 from repro.updates.streams import UpdateStream, mixed_update_stream
+from repro.workloads.temporal import (
+    cached_temporal_stream,
+    synthetic_temporal_events,
+    temporal_update_stream,
+    write_temporal_edge_list,
+)
 
 
 @pytest.fixture()
@@ -239,38 +246,6 @@ class TestChunked:
         assert len(pulled) == 4
 
 
-class TestAdapters:
-    def test_update_stream_passes_through(self, operations):
-        stream = UpdateStream(operations=operations, description="d")
-        assert as_operation_stream(stream) is stream
-
-    def test_list_adapter_is_replayable_and_sized(self, operations):
-        adapted = as_operation_stream(operations, description="wrapped")
-        assert adapted.length_hint() == len(operations)
-        assert stream_description(adapted) == "wrapped"
-        assert [str(o) for o in adapted] == [str(o) for o in adapted]
-
-    def test_generator_adapter_has_no_length(self, operations):
-        adapted = as_operation_stream(iter(operations))
-        assert adapted.length_hint() is None
-
-    def test_adapter_does_not_launder_one_shotness(self, operations):
-        # Wrapping a bare iterator must keep it marked one-shot, or
-        # multi-pass consumers (run_competition) would silently measure
-        # empty re-runs instead of refusing the stream.
-        one_shot = as_operation_stream(iter(operations))
-        assert not one_shot.replayable()
-        sized = as_operation_stream(list(operations))
-        assert sized.replayable()
-
-    def test_lazy_stream_replayable_via_factory(self, operations):
-        stream = LazyOperationStream(
-            lambda: iter(operations), description="factory", length=len(operations)
-        )
-        assert stream.length_hint() == len(operations)
-        assert [str(o) for o in stream] == [str(o) for o in stream]
-
-
 class TestDuckTypedReaders:
     def test_length_hint_prefers_protocol_over_len(self, operations):
         class Hinted:
@@ -289,24 +264,86 @@ class TestDuckTypedReaders:
 
     def test_description_and_metadata_defaults(self, operations):
         assert stream_description(operations) == ""
-        assert stream_metadata(operations) == {}
         stream = UpdateStream(operations=operations, description="d", metadata={"a": 1})
         assert stream_description(stream) == "d"
-        assert stream_metadata(stream)["a"] == 1
+        assert stream.metadata["a"] == 1
 
 
 class TestPrefixReplayability:
     def test_prefix_inherits_one_shotness(self):
-        from repro.workloads.temporal import (
-            synthetic_temporal_events,
-            temporal_update_stream,
-        )
-
         events = synthetic_temporal_events(60, num_vertices=20, seed=3)
         replayable_prefix = temporal_update_stream(events, window=9.0).prefix(10)
         assert replayable_prefix.replayable()
         one_shot_prefix = temporal_update_stream(iter(events), window=9.0).prefix(10)
         # A prefix of a one-shot stream yields DIFFERENT operations on a
         # second pass (the drained source continues), so it must report
-        # itself non-replayable for run_competition's guard to refuse it.
+        # itself non-replayable: run_competition then consumes it once and
+        # fans it out to every algorithm instead of replaying it per
+        # algorithm.
         assert not one_shot_prefix.replayable()
+
+
+_GRAPH = DynamicGraph(edges=[(i, (i + 1) % 12) for i in range(12)] + [(0, 6)])
+_EVENTS = synthetic_temporal_events(60, num_vertices=20, seed=3)
+
+#: Every public function of ``repro.updates.streams``: each generates a stream.
+_GENERATORS = sorted(
+    name
+    for name, function in inspect.getmembers(stream_generators, inspect.isfunction)
+    if function.__module__ == stream_generators.__name__ and not name.startswith("_")
+)
+
+#: Every function of the library that returns a stream.
+LIBRARY_STREAMS = [
+    *_GENERATORS,
+    "flicker_update_stream",
+    "temporal_update_stream",
+    "temporal_update_stream/one-shot",
+    "cached_temporal_stream",
+]
+
+
+def _library_stream(name, tmp_path):
+    """The stream that the library function ``name`` returns."""
+    if name in _GENERATORS:
+        return getattr(stream_generators, name)(_GRAPH, 40, seed=5)
+    if name == "flicker_update_stream":
+        return flicker_update_stream(4, rounds=3)[1]
+    if name == "temporal_update_stream":
+        return temporal_update_stream(_EVENTS, window=9.0)
+    if name == "temporal_update_stream/one-shot":
+        return temporal_update_stream(iter(_EVENTS), window=9.0)
+    source = tmp_path / "events.txt"
+    write_temporal_edge_list(_EVENTS, source)
+    return cached_temporal_stream(source, cache_dir=tmp_path / "cache", window=9.0)
+
+
+class TestOneStreamType:
+    def test_every_generator_is_listed(self):
+        assert len(_GENERATORS) == 7
+
+    @pytest.mark.parametrize("length", [0, 7, 10_000])
+    @pytest.mark.parametrize("name", LIBRARY_STREAMS)
+    def test_streams_and_their_prefixes_are_operation_streams(
+        self, name, length, tmp_path
+    ):
+        stream = _library_stream(name, tmp_path)
+        prefix = stream.prefix(length)
+        assert isinstance(stream, OperationStream)
+        assert isinstance(prefix, OperationStream)
+        assert prefix.replayable() == stream.replayable()
+        assert prefix.description == f"{stream.description}[:{length}]"
+
+        def expected_hint():
+            hint = stream.length_hint()
+            return None if hint is None else min(hint, length)
+
+        assert prefix.length_hint() == expected_hint()
+        operations = list(stream)
+        # A lazy base learns its length from the completed pass; the
+        # prefix reads it from the base.
+        assert stream.length_hint() == len(operations)
+        assert prefix.length_hint() == expected_hint()
+        if stream.replayable():
+            # Two passes: a prefix of a replayable stream replays too.
+            assert [list(prefix), list(prefix)] == [operations[:length]] * 2

@@ -321,16 +321,16 @@ class TestCompetitionReplayability:
 
 
 class TestStreamMetadataStaysCheap:
-    def test_helper_never_triggers_a_summary_pass(self, temporal_events):
-        from repro.updates.protocol import stream_metadata
-
+    def test_prefix_never_triggers_a_summary_pass(self, temporal_events):
         stream = temporal_update_stream(temporal_events, window=25.0)
-        # The duck-typed helper reads what is currently known, O(1) — unlike
-        # the property, it must not burn a full replay of a large source.
-        assert "final_vertices" not in stream_metadata(stream)
-        assert stream_metadata(stream)["window"] == 25.0
+        # A prefix copies what is currently known, O(1) — unlike the
+        # metadata property, it must not burn a full replay of a large source.
+        prefix = stream.prefix(10)
+        assert stream.length_hint() is None
+        assert "final_vertices" not in prefix.metadata
+        assert prefix.metadata["window"] == 25.0
         list(stream)
-        assert "final_vertices" in stream_metadata(stream)
+        assert "final_vertices" in stream.prefix(10).metadata
 
 
 class TestConstantMemoryPipeline:

@@ -136,8 +136,8 @@ class TestWindowingPolicies:
         assert prefix.description.endswith("[:5]")
         assert len(list(prefix)) == 5
         assert stream.prefix(10_000).length_hint() == total
-        # The compat escape hatch materialises; a cursor pass fingerprints.
-        assert len(stream.operations) == total
+        # Materialising takes one pass; a cursor pass fingerprints.
+        assert len(list(stream)) == total
         cursor = StreamCursor(stream)
         assert cursor.skip(total + 1) == total
 

@@ -16,7 +16,6 @@ from repro.updates.streams import (
     burst_stream,
     bursty_churn_stream,
     flash_crowd_stream,
-    insertion_only_stream,
     mixed_update_stream,
     random_edge_stream,
     random_vertex_stream,
@@ -131,11 +130,6 @@ class TestOtherWorkloads:
         assert len(stream) <= 120
         assert len(stream) > 0
         _assert_valid(base_graph, stream)
-
-    def test_insertion_only_stream(self, base_graph):
-        stream = insertion_only_stream([(0, 5), (1, 7)])
-        assert len(stream) == 2
-        assert all(op.kind is UpdateKind.INSERT_EDGE for op in stream)
 
     def test_sliding_window_flicker_valid_and_coalescible(self, base_graph):
         stream = sliding_window_stream(

@@ -9,7 +9,7 @@ A from-scratch Python reproduction of the ICDE 2022 paper by Gao, Li and Miao
 * :mod:`repro.updates` — update operations and update-stream workloads,
 * :mod:`repro.core` — the k-maximal maintenance framework, DyOneSwap,
   DyTwoSwap and the theoretical bounds,
-* :mod:`repro.baselines` — the exact solver, greedy/reduction heuristics,
+* :mod:`repro.baselines` — the exact solver, greedy heuristics,
   ARW local search, DyARW, and the DGOneDIS/DGTwoDIS competitors,
 * :mod:`repro.workloads` — temporal-graph ingestion (timestamped edge lists
   → update streams), engine snapshot/restore and resumable replay,

@@ -17,12 +17,6 @@ from repro.baselines.greedy import (
     randomized_greedy,
     static_degree_greedy,
 )
-from repro.baselines.reductions import (
-    ReductionResult,
-    ReductionTraceEntry,
-    apply_reductions,
-    degree_one_dependencies,
-)
 
 __all__ = [
     "BranchAndReduceSolver",
@@ -42,8 +36,4 @@ __all__ = [
     "static_degree_greedy",
     "randomized_greedy",
     "extend_to_maximal",
-    "apply_reductions",
-    "ReductionResult",
-    "ReductionTraceEntry",
-    "degree_one_dependencies",
 ]

@@ -22,7 +22,6 @@ from repro.core.two_swap import DyTwoSwap
 from repro.core.verification import (
     find_j_swap,
     find_one_swap,
-    greedy_independent_set,
     independence_violations,
     is_independent_set,
     is_k_maximal_independent_set,
@@ -44,7 +43,6 @@ __all__ = [
     "find_j_swap",
     "find_one_swap",
     "independence_violations",
-    "greedy_independent_set",
     "theorem2_ratio_bound",
     "theorem2_size_lower_bound",
     "theorem3_worst_case_ratio",

@@ -33,7 +33,11 @@ class guarantees 2-maximality for every ``k >= 2`` and finds deeper swaps
 best-effort (no completeness proof for ``k >= 3``), which is how the Fig 9
 k-sweep experiment uses it (solution quality improves monotonically with
 ``k`` in practice, and randomized probing across seeds finds no residual
-gaps — see the regression test).
+gaps — see the regression test).  At ``k = 3`` the solution has been
+checked 3-maximal exhaustively up to six vertices: after every single
+update of every graph with at most six vertices (seven once a vertex is
+inserted), and after every batch of two updates of every graph with at
+most four (``tests/test_exhaustive_small_graphs.py``).
 """
 
 from __future__ import annotations

@@ -128,21 +128,6 @@ def independence_violations(graph: DynamicGraph, vertices: Iterable[Vertex]) -> 
     return violations
 
 
-def greedy_independent_set(graph: DynamicGraph) -> Set[Vertex]:
-    """Smallest-degree-first greedy maximal independent set (reference heuristic)."""
-    adj = graph.adjacency_slots_view()
-    label = graph.labels_view()
-    solution: Set[int] = set()
-    blocked: Set[int] = set()
-    for s in sorted(graph.slots(), key=graph.slot_order_key):
-        if s in blocked:
-            continue
-        solution.add(s)
-        blocked.add(s)
-        blocked.update(adj[s])
-    return {label[s] for s in solution}
-
-
 def _greedy_then_exact_independent_subset(
     graph: DynamicGraph, candidates: List[int], size: int
 ) -> Optional[List[int]]:

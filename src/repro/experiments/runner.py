@@ -53,7 +53,6 @@ from repro.updates.streams import UpdateStream
 from repro.workloads.replay import (
     Checkpoint,
     CheckpointConfig,
-    latest_valid_checkpoint,
     load_checkpoint,
     save_checkpoint,
 )
@@ -256,43 +255,37 @@ def _reader(stream: Iterable) -> Callable[[int], List]:
 
 
 def _replay(
-    runs: Sequence[_Run],
+    run: _Run,
     read: Callable[[int], List],
     batch_size: int,
     hook: Optional[_CheckpointHook] = None,
-) -> int:
-    """Apply a stream to every run, chunk by chunk; return operations applied.
+) -> None:
+    """Apply a stream to ``run``, chunk by chunk.
 
     Chunks hold ``CHECKPOINT_CHUNK`` operations rounded down to whole
     batches, or ``hook.stride()``, and ``read`` fetches each one outside
-    every stopwatch, so producing, decoding and fingerprinting the stream
-    are never measured.  Each chunk is applied to every run still inside
-    its time limit.  The limit is checked between chunks, once the next
-    chunk shows that work remains, so a limit that elapses during the final
-    chunk never cuts off a completed run.  After each chunk
+    the stopwatch, so producing, decoding and fingerprinting the stream
+    are never measured.  The time limit is checked between chunks, once the
+    next chunk shows that work remains, so a limit that elapses during the
+    final chunk never cuts off a completed run.  After each chunk
     ``hook.after_chunk()`` runs the guard and writes a checkpoint when one
     is due.
     """
     size = _whole_batches(CHECKPOINT_CHUNK, batch_size)
-    applied = 0
     while True:
         if hook is not None:
             size = hook.stride()
         chunk = read(size)
         if not chunk:
-            return applied
-        for run in runs:
-            if run.finished and run.limit is not None:
-                run.finished = run.stopwatch.elapsed < run.limit
-            if run.finished:
-                run.apply(chunk)
-        if not any(run.finished for run in runs):
-            return applied
-        applied += len(chunk)
+            return
+        if run.limit is not None and run.stopwatch.elapsed >= run.limit:
+            run.finished = False
+            return
+        run.apply(chunk)
         if hook is not None:
             hook.after_chunk()
         if len(chunk) < size:
-            return applied
+            return
 
 
 class _CheckpointHook:
@@ -396,7 +389,7 @@ def compute_reference(
 
 
 def _load_resume(
-    path: Union[str, Path],
+    resume_from: Union[str, Path, Checkpoint],
     name: str,
     *,
     dataset: str,
@@ -404,8 +397,15 @@ def _load_resume(
     stream_length: Optional[int],
     batch_size: int,
 ) -> Checkpoint:
-    """Load the checkpoint to resume from, refusing one of another run."""
-    restored = load_checkpoint(path)
+    """Load the checkpoint to resume from, refusing one of another run.
+
+    A :class:`~repro.workloads.replay.Checkpoint` is taken as loaded: it
+    was verified when it was read.
+    """
+    if isinstance(resume_from, Checkpoint):
+        restored = resume_from
+    else:
+        restored = load_checkpoint(resume_from)
     if restored.algorithm_name != name:
         raise ExperimentError(
             f"checkpoint {restored.path} belongs to {restored.algorithm_name!r}, "
@@ -483,9 +483,9 @@ def _run_single(
     initial_solution: Optional[Iterable[Vertex]],
     time_limit_seconds: Optional[float],
     batch_size: int,
-    checkpoint: Optional[CheckpointConfig],
-    resume_from: Optional[Union[str, Path]],
     options: Dict,
+    checkpoint: Optional[CheckpointConfig] = None,
+    resume_from: Optional[Union[str, Path, Checkpoint]] = None,
     guard: Optional[Callable] = None,
     guard_every: Optional[int] = None,
 ) -> Tuple[RunMeasurement, object]:
@@ -582,7 +582,7 @@ def _run_single(
                 batch_size=batch_size,
             )
             hook = _CheckpointHook(run, checkpoint, cursor, guard, guard_every, record)
-    _replay([run], read, batch_size, hook)
+    _replay(run, read, batch_size, hook)
     if hook is not None and run.finished:
         hook.after_chunk(end=True)
     return run.measurement(dataset), algorithm
@@ -598,7 +598,7 @@ def run_algorithm(
     time_limit_seconds: Optional[float] = None,
     batch_size: int = 1,
     checkpoint: Optional[CheckpointConfig] = None,
-    resume_from: Optional[Union[str, Path]] = None,
+    resume_from: Optional[Union[str, Path, Checkpoint]] = None,
     guard: Optional[Callable] = None,
     guard_every: Optional[int] = None,
     **options,
@@ -635,7 +635,10 @@ def run_algorithm(
         :class:`~repro.core.base.DynamicMISBase` algorithm (the core
         maintainers); the index-based baselines are not snapshot-capable.
     resume_from:
-        Path of a checkpoint to resume from; the run skips ahead by
+        Path of a checkpoint to resume from, or a
+        :class:`~repro.workloads.replay.Checkpoint` already loaded (as
+        :func:`~repro.workloads.replay.latest_valid_checkpoint` returns
+        it, so recovery reads the file once); the run skips ahead by
         consuming the stream iterator (verifying the prefix fingerprint)
         and its measurement reports cumulative totals, so the result is
         identical to an uninterrupted run (asserted by the test suite).
@@ -666,103 +669,6 @@ def run_algorithm(
     return measurement
 
 
-def _run_sequential(
-    graph: DynamicGraph,
-    stream: Iterable,
-    *,
-    dataset: str,
-    algorithms: Sequence[str],
-    initial_solution: Optional[Iterable[Vertex]],
-    time_limit_seconds: Optional[float],
-    batch_size: int,
-    algorithm_options: Dict[str, Dict],
-    checkpoint: Optional[CheckpointConfig],
-    resume: bool,
-) -> Tuple[Dict[str, RunMeasurement], List, Optional[DynamicGraph]]:
-    """Classic competition: one full (re)play of the stream per algorithm."""
-    measurements: Dict[str, RunMeasurement] = {}
-    final_solutions = []
-    final_graph: Optional[DynamicGraph] = None
-    for name in algorithms:
-        options = algorithm_options.get(name, {})
-        algorithm_checkpoint = checkpoint
-        resume_from = None
-        if checkpoint is not None:
-            if not supports_snapshots(name):
-                algorithm_checkpoint = None
-            elif resume:
-                # Validated discovery: a torn or rotted newest checkpoint is
-                # quarantined and the resume falls back to the next older
-                # one (or a fresh start) instead of dying on restore.
-                resume_from = latest_valid_checkpoint(checkpoint.directory, name)
-        measurement, algorithm = _run_single(
-            name,
-            graph,
-            stream,
-            dataset=dataset,
-            initial_solution=initial_solution,
-            time_limit_seconds=time_limit_seconds,
-            batch_size=batch_size,
-            checkpoint=algorithm_checkpoint,
-            resume_from=resume_from,
-            options=options,
-        )
-        measurements[name] = measurement
-        if measurement.finished:
-            final_solutions.append(algorithm.solution())
-            final_graph = algorithm.graph
-    return measurements, final_solutions, final_graph
-
-
-def _run_fanout(
-    graph: DynamicGraph,
-    stream: Iterable,
-    *,
-    dataset: str,
-    algorithms: Sequence[str],
-    initial_solution: Optional[Iterable[Vertex]],
-    time_limit_seconds: Optional[float],
-    batch_size: int,
-    algorithm_options: Dict[str, Dict],
-) -> Tuple[Dict[str, RunMeasurement], List, Optional[DynamicGraph]]:
-    """One ingest pass fanned out to every algorithm over engine forks.
-
-    The input graph is deep-copied once; each algorithm is constructed over
-    a :meth:`~repro.graphs.dynamic_graph.DynamicGraph.fork` of that copy, so
-    per-algorithm isolation costs O(slots) spine copies instead of a full
-    deep copy each, and the engines diverge at O(touched slots) as they
-    mutate.  The stream is consumed through a single iterator in
-    batch-aligned chunks (every chunk is a multiple of ``batch_size``, so
-    coalescing groups land exactly where a sequential full-stream replay
-    would put them) and each chunk is applied to every still-running
-    algorithm under its own stopwatch.  A one-shot stream is therefore
-    consumed exactly once per competition run — nothing in this function may
-    call ``iter(stream)`` a second time.
-    """
-    base = graph.copy()
-    runs = []
-    for name in algorithms:
-        options = algorithm_options.get(name, {})
-        engine = create_algorithm(name, base.fork(), initial_solution, **options)
-        runs.append(
-            _Run(name, engine, batch_size, engine.solution_size, time_limit_seconds)
-        )
-    applied = _replay(runs, _reader(stream), batch_size)
-    # The single pass above is the whole consumption — a second
-    # iteration of a one-shot stream would silently hand later work
-    # empty chunks, so pin the contract: every algorithm that ran to
-    # completion saw exactly the operations of the single pass.
-    assert all(
-        run.processed == applied for run in runs if run.finished
-    ), "fan-out double-fed or starved an algorithm within the single pass"
-    finished = [run.algorithm for run in runs if run.finished]
-    return (
-        {run.name: run.measurement(dataset) for run in runs},
-        [engine.solution() for engine in finished],
-        finished[-1].graph if finished else None,
-    )
-
-
 def run_competition(
     graph: DynamicGraph,
     stream: Iterable,
@@ -775,78 +681,57 @@ def run_competition(
     reference_node_budget: int = 150_000,
     attach_reference: bool = True,
     algorithm_options: Optional[Dict[str, Dict]] = None,
-    checkpoint: Optional[CheckpointConfig] = None,
-    resume: bool = False,
 ) -> Dict[str, RunMeasurement]:
     """Run several algorithms on the same dataset/stream and attach a shared reference.
 
-    Returns a mapping ``algorithm name -> RunMeasurement``.  When
-    ``attach_reference`` is true, the reference size of the *final* graph is
-    computed once (exact if possible, best-known otherwise, seeded with every
-    algorithm's final solution) and attached to each measurement.  With
-    ``batch_size > 1`` every batch-capable algorithm processes the stream
-    through the batched update engine (the DGDIS baselines fall back to
-    per-operation application).  Timing follows :func:`run_algorithm`: each
-    algorithm's stopwatch covers only the calls that apply the stream's
-    chunks to it, and ``time_limit_seconds`` is checked between chunks.
+    The stream is replayed once per algorithm, one algorithm after another,
+    as in the paper.  Returns a mapping ``algorithm name -> RunMeasurement``.
+    When ``attach_reference`` is true, the reference size of the *final*
+    graph is computed once (exact if possible, best-known otherwise, seeded
+    with every algorithm's final solution) and attached to each
+    measurement.  With ``batch_size > 1`` every batch-capable algorithm
+    processes the stream through the batched update engine (the DGDIS
+    baselines fall back to per-operation application).  Timing follows
+    :func:`run_algorithm`: each algorithm's stopwatch covers only the calls
+    that apply the stream's chunks to it, and ``time_limit_seconds`` is
+    checked between chunks.
 
-    A replayable stream is replayed once per algorithm (the classic
-    sequential protocol).  A **one-shot** stream — a bare iterator, or a
-    lazy stream over a non-replayable source — is instead consumed exactly
-    once and fanned out to every algorithm through copy-on-write engine
-    forks: the input graph is copied once, each algorithm starts on a fork
-    of that copy, and every batch-aligned chunk of the single pass is
-    applied to all algorithms.  Results are identical to the sequential
-    protocol; only checkpoint/resume requires a replayable stream (the
-    fan-out has no per-algorithm stream cursor).
-
-    With ``checkpoint`` set, every snapshot-capable algorithm (the
-    :class:`~repro.core.base.DynamicMISBase` maintainers) writes resumable
-    checkpoints into the shared directory — filenames embed the algorithm
-    name, so one directory serves the whole competition; algorithms without
-    snapshot support run straight through.  With ``resume=True`` each
-    algorithm restarts from its newest checkpoint in that directory (fresh
-    when it has none), which makes an interrupted competition restartable
-    with the completed prefix priced in.
+    A **one-shot** stream (an iterator, or a lazy stream over a one-shot
+    source) cannot be replayed: with two or more algorithms it raises
+    :class:`ExperimentError` before any operation is read.
     """
-    common = dict(
-        dataset=dataset,
-        algorithms=algorithms,
-        initial_solution=initial_solution,
-        time_limit_seconds=time_limit_seconds,
-        batch_size=batch_size,
-        algorithm_options=algorithm_options or {},
-    )
     replayable = getattr(stream, "replayable", None)
-    one_shot = iter(stream) is stream or (
-        callable(replayable) and not replayable()
-    )
-    if resume and checkpoint is None:
+    if len(algorithms) > 1 and (
+        iter(stream) is stream or (callable(replayable) and not replayable())
+    ):
         raise ExperimentError(
-            "resume=True requires checkpoint=CheckpointConfig(...): without a "
-            "checkpoint directory there is nothing to resume from"
+            f"run_competition replays the stream once for each of its "
+            f"{len(algorithms)} algorithms, but this stream is one-shot and "
+            "can be read only once: pass a list, an UpdateStream, or a "
+            "stream over a list or a file"
         )
-    if one_shot and len(algorithms) > 1:
-        # A one-shot stream cannot be replayed once per algorithm, so the
-        # competition takes the fork fan-out path instead: the input graph
-        # is copied once, every algorithm starts on a cheap copy-on-write
-        # fork of that copy, and the single pass over the stream feeds each
-        # chunk to all algorithms — results are identical to sequential
-        # replays of a replayable stream (regression-pinned).
-        if checkpoint is not None:
-            raise ExperimentError(
-                "run_competition cannot checkpoint a one-shot stream: the "
-                "fork fan-out consumes the stream once for all algorithms "
-                "with no per-algorithm cursor — pass a replayable stream "
-                "to use checkpoint/resume"
-            )
-        measurements, final_solutions, final_graph = _run_fanout(
-            graph, stream, **common
+    if initial_solution is not None:
+        # Read once, so every algorithm starts from the same set.
+        initial_solution = list(initial_solution)
+    algorithm_options = algorithm_options or {}
+    measurements: Dict[str, RunMeasurement] = {}
+    final_solutions = []
+    final_graph: Optional[DynamicGraph] = None
+    for name in algorithms:
+        measurement, algorithm = _run_single(
+            name,
+            graph,
+            stream,
+            dataset=dataset,
+            initial_solution=initial_solution,
+            time_limit_seconds=time_limit_seconds,
+            batch_size=batch_size,
+            options=algorithm_options.get(name, {}),
         )
-    else:
-        measurements, final_solutions, final_graph = _run_sequential(
-            graph, stream, checkpoint=checkpoint, resume=resume, **common
-        )
+        measurements[name] = measurement
+        if measurement.finished:
+            final_solutions.append(algorithm.solution())
+            final_graph = algorithm.graph
     if attach_reference and final_graph is not None:
         reference = compute_reference(
             final_graph,

@@ -7,14 +7,6 @@ from repro.generators.datasets import (
     dataset_names,
     get_dataset_spec,
     load_dataset,
-    load_datasets,
-    table1_rows,
-)
-from repro.generators.planted import (
-    caterpillar_graph,
-    disjoint_cliques_graph,
-    planted_independent_set_graph,
-    planted_partition_graph,
 )
 from repro.generators.power_law import (
     erased_configuration_model,
@@ -48,12 +40,6 @@ __all__ = [
     "dataset_names",
     "get_dataset_spec",
     "load_dataset",
-    "load_datasets",
-    "table1_rows",
-    "planted_independent_set_graph",
-    "planted_partition_graph",
-    "disjoint_cliques_graph",
-    "caterpillar_graph",
     "power_law_degree_sequence",
     "erased_configuration_model",
     "power_law_random_graph",

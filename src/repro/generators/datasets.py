@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.exceptions import DatasetError
 from repro.generators.power_law import power_law_degree_sequence, erased_configuration_model
@@ -205,41 +205,3 @@ def _degree_sequence_matching_average(
     if sum(scaled) % 2 == 1:
         scaled[-1] += 1
     return scaled
-
-
-def load_datasets(
-    names: Iterable[str],
-    *,
-    scaled_vertices: Optional[int] = None,
-    seed: Optional[int] = None,
-) -> Dict[str, DynamicGraph]:
-    """Load several datasets at once; returns ``{name: graph}`` in input order."""
-    return {
-        name: load_dataset(name, scaled_vertices=scaled_vertices, seed=seed) for name in names
-    }
-
-
-def table1_rows(*, scaled_vertices: Optional[int] = None) -> List[Dict[str, object]]:
-    """Return Table I rows for both the original and the synthetic stand-ins.
-
-    Each row records the paper's statistics alongside the stand-in's actual
-    ``n``, ``m`` and average degree so EXPERIMENTS.md can show them side by
-    side.
-    """
-    rows: List[Dict[str, object]] = []
-    for spec in TABLE1_DATASETS:
-        graph = load_dataset(spec.name, scaled_vertices=scaled_vertices)
-        rows.append(
-            {
-                "name": spec.name,
-                "category": spec.category,
-                "paper_n": spec.paper_vertices,
-                "paper_m": spec.paper_edges,
-                "paper_avg_degree": spec.paper_average_degree,
-                "repro_n": graph.num_vertices,
-                "repro_m": graph.num_edges,
-                "repro_avg_degree": round(graph.average_degree(), 2),
-                "scale_factor": round(spec.paper_vertices / graph.num_vertices, 1),
-            }
-        )
-    return rows

@@ -1,13 +1,6 @@
-"""Dynamic graph substrate: structure, I/O, and structural properties."""
+"""Dynamic graph substrate: structure and structural properties."""
 
 from repro.graphs.dynamic_graph import DynamicGraph, complement_edges
-from repro.graphs.io import (
-    edges_from_pairs,
-    read_edge_list,
-    read_json_graph,
-    write_edge_list,
-    write_json_graph,
-)
 from repro.graphs.properties import (
     GraphStatistics,
     PowerLawBoundedFit,
@@ -22,11 +15,6 @@ from repro.graphs.properties import (
 __all__ = [
     "DynamicGraph",
     "complement_edges",
-    "read_edge_list",
-    "write_edge_list",
-    "read_json_graph",
-    "write_json_graph",
-    "edges_from_pairs",
     "GraphStatistics",
     "graph_statistics",
     "degree_buckets",

@@ -118,7 +118,7 @@ def _service_scenario(name, operations, workdir) -> "str | None":
     from repro.service import ServiceConfig, ServiceThread, TenantSpec
     from repro.service.tenant import engine_digest
     from repro.updates.protocol import chunked
-    from repro.workloads.replay import latest_valid_checkpoint, load_checkpoint
+    from repro.workloads.replay import latest_valid_checkpoint
 
     batch = 64
     # Reference first, outside the injector: uninterrupted, same boundaries.
@@ -189,7 +189,7 @@ def _service_scenario(name, operations, workdir) -> "str | None":
     final = latest_valid_checkpoint(workdir / "data" / "svc", "DyOneSwap")
     if final is None:
         return f"{name}: drain left no valid final checkpoint"
-    if load_checkpoint(final).processed != len(operations):
+    if final.processed != len(operations):
         return f"{name}: final checkpoint does not cover the whole stream"
     return None
 

@@ -230,7 +230,7 @@ def supervised_replay(
     guard = InvariantGuard(on_violation) if verify_every is not None else None
     crashes = []
     for attempt in range(1, policy.max_attempts + 1):
-        resume_from = latest_valid_checkpoint(checkpoint.directory, name)
+        restored = latest_valid_checkpoint(checkpoint.directory, name)
         try:
             measurement = run_algorithm(
                 name,
@@ -238,7 +238,7 @@ def supervised_replay(
                 stream,
                 dataset=dataset,
                 checkpoint=checkpoint,
-                resume_from=resume_from,
+                resume_from=restored,
                 guard=guard,
                 guard_every=verify_every,
                 **run_options,
@@ -248,7 +248,7 @@ def supervised_replay(
                 CrashRecord(
                     attempt=attempt,
                     error=repr(exc),
-                    resumed_from=None if resume_from is None else str(resume_from),
+                    resumed_from=None if restored is None else str(restored.path),
                 )
             )
             if attempt >= policy.max_attempts:

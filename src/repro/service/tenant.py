@@ -322,7 +322,7 @@ class Tenant:
     def _bootstrap(self) -> None:
         """Warm-start priority: newest valid checkpoint > snapshot > fresh."""
         spec = self.spec
-        restored = self._newest_checkpoint()
+        restored = latest_valid_checkpoint(self.checkpoints.directory, spec.algorithm)
         if restored is not None:
             meta = restored.metadata
             writer = (meta.get("service"), meta.get("tenant"))
@@ -348,11 +348,6 @@ class Tenant:
             self._initial_size = self.engine.solution_size
         self._last_checkpoint_time = time.monotonic()
 
-    def _newest_checkpoint(self) -> Optional[Checkpoint]:
-        """The newest valid checkpoint (corrupt ones are quarantined)."""
-        path = latest_valid_checkpoint(self.checkpoints.directory, self.spec.algorithm)
-        return None if path is None else load_checkpoint(path)
-
     def _restore(self, restored: Optional[Checkpoint]) -> None:
         """Start the engine from ``restored``, else ``spec.snapshot``, else fresh."""
         if restored is not None:
@@ -377,7 +372,9 @@ class Tenant:
         boundaries, so the rebuilt engine matches the crashed one bit for
         bit; queued-but-unapplied operations are still in ``_pending``.
         """
-        restored = self._newest_checkpoint()
+        restored = latest_valid_checkpoint(
+            self.checkpoints.directory, self.spec.algorithm
+        )
         if restored is None:
             found, source = (0, EMPTY_FINGERPRINT), "no valid checkpoint"
         else:

@@ -5,9 +5,8 @@ stream provenance: how many operations of which stream were consumed, how
 much update time had elapsed, and the initial solution size of the run (so a
 resumed run reports the same :class:`~repro.experiments.metrics.RunMeasurement`
 fields as an uninterrupted one).  The experiment runner
-(:func:`repro.experiments.runner.run_algorithm` /
-:func:`~repro.experiments.runner.run_competition`) writes one every
-``CheckpointConfig.every`` operations and resumes from the newest on request.
+(:func:`repro.experiments.runner.run_algorithm`) writes one every
+``CheckpointConfig.every`` operations and resumes from one on request.
 
 Checkpoint files are JSON documents named
 ``<algorithm>-<processed>.ckpt.json`` inside ``CheckpointConfig.directory``,
@@ -378,20 +377,22 @@ def quarantine_checkpoint(path: PathLike, *, reason: str = "") -> Optional[Path]
     return target
 
 
-def latest_valid_checkpoint(directory: PathLike, algorithm_name: str) -> Optional[Path]:
-    """Path of the newest checkpoint that loads and passes its integrity check.
+def latest_valid_checkpoint(
+    directory: PathLike, algorithm_name: str
+) -> Optional[Checkpoint]:
+    """The newest checkpoint that loads and passes its integrity check.
 
     Walks the discovered checkpoints newest-first, fully validating each
     (parse, format, embedded SHA-256 digest, structural completeness); a
     candidate that fails is quarantined and the walk falls back to the next
-    older one.  Returns ``None`` when no valid checkpoint survives — the
-    caller starts fresh, which is always safe, merely slower.
+    older one.  Returns the loaded :class:`Checkpoint` (its ``path`` says
+    which file), so recovery reads the file once, or ``None`` when no valid
+    checkpoint survives — the caller starts fresh, which is always safe,
+    merely slower.
     """
     for _, path in reversed(find_checkpoints(directory, algorithm_name)):
         try:
-            load_checkpoint(path)
+            return load_checkpoint(path)
         except (CheckpointError, IntegrityError) as exc:
             quarantine_checkpoint(path, reason=str(exc))
-            continue
-        return path
     return None

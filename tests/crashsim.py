@@ -56,11 +56,7 @@ from repro.service.config import ServiceConfig, TenantSpec
 from repro.service.tenant import Tenant, engine_digest
 from repro.updates.protocol import EMPTY_FINGERPRINT, advance_identity, encode_operation
 from repro.updates.streams import mixed_update_stream
-from repro.workloads.replay import (
-    CheckpointConfig,
-    latest_valid_checkpoint,
-    load_checkpoint,
-)
+from repro.workloads.replay import CheckpointConfig, latest_valid_checkpoint
 from repro.workloads.snapshot import load_snapshot, save_snapshot
 from repro.workloads.temporal import (
     cached_temporal_stream,
@@ -343,20 +339,19 @@ def _runner_reference(name, graph, stream, batch_size, offsets):
 
 
 def _check_runner(trace, config, name, graph, stream, batch_size, durable, digests, final):
-    """Recovery is ``latest_valid_checkpoint`` → ``load_checkpoint`` →
+    """Recovery is ``latest_valid_checkpoint`` →
     ``run_algorithm(resume_from=...)``; each crash state must restore a
     checkpoint at or past the durable one, bit-identical to the
     uninterrupted run there, and finish the stream exactly like it."""
 
     def recover():
-        path = latest_valid_checkpoint(config.directory, name)
-        if path is None:
+        restored = latest_valid_checkpoint(config.directory, name)
+        if restored is None:
             return 0, digests[0], _comparable(
                 run_algorithm(name, graph, stream, batch_size=batch_size)
             )
-        restored = load_checkpoint(path)
         measurement = run_algorithm(
-            name, graph, stream, batch_size=batch_size, resume_from=path
+            name, graph, stream, batch_size=batch_size, resume_from=restored
         )
         return restored.processed, engine_digest(restored.restore()), _comparable(measurement)
 
@@ -407,7 +402,7 @@ def quarantine_torn_checkpoint(tmp_path: Path, *, operations, batch_size, every,
     with record(root) as trace, warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the quarantine's notice
         resume = latest_valid_checkpoint(config.directory, name)
-        assert load_checkpoint(resume).processed == cut - every
+        assert resume.processed == cut - every
         run_algorithm(
             name, graph, stream, batch_size=batch_size, checkpoint=config,
             resume_from=resume,

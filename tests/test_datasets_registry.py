@@ -11,8 +11,6 @@ from repro.generators.datasets import (
     dataset_names,
     get_dataset_spec,
     load_dataset,
-    load_datasets,
-    table1_rows,
 )
 
 
@@ -87,21 +85,6 @@ class TestLoading:
         epinions = load_dataset("Epinions", scaled_vertices=800)
         assert email.average_degree() < epinions.average_degree()
 
-    def test_load_datasets_bulk(self):
-        graphs = load_datasets(["Email", "WikiTalk"], scaled_vertices=300)
-        assert set(graphs) == {"Email", "WikiTalk"}
-        assert all(g.num_vertices == 300 for g in graphs.values())
-
     def test_graphs_are_simple(self):
         graph = load_dataset("as-skitter", scaled_vertices=400)
         graph.check_consistency()
-
-
-class TestTable1Rows:
-    def test_rows_cover_every_dataset(self):
-        rows = table1_rows(scaled_vertices=200)
-        assert len(rows) == 22
-        for row in rows:
-            assert row["repro_n"] == 200
-            assert row["scale_factor"] > 1
-            assert row["paper_n"] > row["repro_n"]

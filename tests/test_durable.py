@@ -191,8 +191,6 @@ SEAM = "resilience/durable.py"
 #: Writers that are not durable by design, as (module, function, call),
 #: each with its reason.  Everything else must go through the seam.
 NON_DURABLE = {
-    ("graphs/io.py", "write_edge_list", "open"): "a graph export for the user, not recovery state",
-    ("graphs/io.py", "write_json_graph", "write_text"): "a graph export for the user, not recovery state",
     ("workloads/temporal.py", "write_temporal_edge_list", "open"): "writes a source dataset, not recovery state",
     ("service/smoke.py", "_spawn_server", "open"): "a server log of the smoke run",
     ("service/gateway.py", "start", "unlink"): "a stale socket left by a dead gateway",

@@ -12,7 +12,6 @@ from repro.baselines.exact import (
     independence_numbers,
 )
 from repro.exceptions import SolverTimeoutError
-from repro.generators.planted import disjoint_cliques_graph
 from repro.generators.random_graphs import erdos_renyi_graph, random_bipartite_graph
 from repro.generators.worst_case import complete_graph, hypercube_graph
 from repro.graphs.dynamic_graph import DynamicGraph
@@ -42,8 +41,11 @@ class TestKnownOptima:
         assert exact_independence_number(hypercube_graph(4)) == 8
 
     def test_disjoint_cliques(self):
-        graph, alpha = disjoint_cliques_graph(6, 5)
-        assert exact_independence_number(graph) == alpha
+        # Six disjoint K5s: α is one vertex per clique.
+        graph = DynamicGraph(
+            edges=[((c, i), (c, j)) for c in range(6) for j in range(5) for i in range(j)]
+        )
+        assert exact_independence_number(graph) == 6
 
     def test_bipartite_left_side(self):
         graph = random_bipartite_graph(8, 6, 0.9, seed=1)

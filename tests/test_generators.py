@@ -4,12 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.generators.planted import (
-    caterpillar_graph,
-    disjoint_cliques_graph,
-    planted_independent_set_graph,
-    planted_partition_graph,
-)
 from repro.generators.power_law import (
     average_degree_for_beta,
     erased_configuration_model,
@@ -163,38 +157,3 @@ class TestPowerLaw:
         low = average_degree_for_beta(2.0, 1, 40)
         high = average_degree_for_beta(3.0, 1, 40)
         assert low > high >= 1.0
-
-
-class TestPlantedFamilies:
-    def test_planted_independent_set_is_independent_and_maximal(self):
-        graph, planted = planted_independent_set_graph(60, 20, 0.4, seed=3)
-        assert graph.is_independent_set(planted)
-        for v in set(graph.vertices()) - planted:
-            assert graph.neighbors(v) & planted
-
-    def test_planted_parameters_validated(self):
-        with pytest.raises(ValueError):
-            planted_independent_set_graph(10, 11, 0.5)
-        with pytest.raises(ValueError):
-            planted_independent_set_graph(10, 5, 1.5)
-
-    def test_disjoint_cliques_independence_number(self):
-        graph, alpha = disjoint_cliques_graph(5, 4)
-        assert alpha == 5
-        assert graph.num_vertices == 20
-        assert graph.num_edges == 5 * 6
-
-    def test_caterpillar_independence_number(self):
-        graph, alpha = caterpillar_graph(6, 3)
-        assert alpha == 18
-        assert graph.num_vertices == 6 + 18
-
-    def test_caterpillar_without_legs(self):
-        graph, alpha = caterpillar_graph(5, 0)
-        assert alpha == 3
-        assert graph.num_edges == 4
-
-    def test_planted_partition_graph_shape(self):
-        graph = planted_partition_graph(4, 10, 0.5, 0.02, seed=9)
-        assert graph.num_vertices == 40
-        graph.check_consistency()

@@ -1,9 +1,9 @@
 """Property-based tests (Hypothesis) for the core invariants.
 
 These tests generate random graphs and random update sequences and assert the
-library's central guarantees: structural consistency of the dynamic graph,
-exactness of the reduction rules, and k-maximality of the maintained
-solutions after arbitrary valid update streams.
+library's central guarantees: structural consistency of the dynamic graph
+and k-maximality of the maintained solutions after arbitrary valid update
+streams.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.exact import brute_force_maximum_independent_set
-from repro.baselines.reductions import apply_reductions
 from repro.core.one_swap import DyOneSwap
 from repro.core.two_swap import DyTwoSwap
 from repro.core.verification import (
@@ -119,26 +118,6 @@ class TestUpdateProperties:
         for inverse in reversed(inverses):
             apply_update(working, inverse)
         assert working == graph
-
-
-# --------------------------------------------------------------------------- #
-# Reduction exactness
-# --------------------------------------------------------------------------- #
-class TestReductionProperties:
-    @given(small_graphs(max_vertices=11))
-    @settings(max_examples=40, deadline=None)
-    def test_reductions_preserve_independence_number(self, graph):
-        optimum = len(brute_force_maximum_independent_set(graph))
-        result = apply_reductions(graph)
-        reduced = result.reduced_graph
-        reduced_solution = (
-            brute_force_maximum_independent_set(reduced)
-            if reduced.num_vertices <= 20
-            else set()
-        )
-        lifted = result.reconstruct(reduced_solution)
-        assert graph.is_independent_set(lifted)
-        assert len(lifted) == optimum
 
 
 # --------------------------------------------------------------------------- #

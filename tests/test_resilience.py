@@ -74,6 +74,7 @@ from repro.workloads import (
     synthetic_temporal_events,
     write_temporal_edge_list,
 )
+from repro.workloads import replay as replay_module
 from repro.workloads.replay import (
     QUARANTINE_DIRNAME,
     load_checkpoint,
@@ -332,7 +333,7 @@ class TestCheckpointDurability:
         # checkpoint, no leftover temp file, and the intact older
         # checkpoint still recovers.
         assert [p.name for p in sorted(tmp_path.iterdir())] == [first.name]
-        assert latest_valid_checkpoint(tmp_path, "DyOneSwap") == first
+        assert latest_valid_checkpoint(tmp_path, "DyOneSwap").path == first
 
     def test_torn_write_never_prunes_retained_checkpoints(self, tmp_path):
         algorithm = _small_algorithm()
@@ -374,7 +375,7 @@ class TestCheckpointDurability:
         newest.write_text(json.dumps(document), encoding="utf-8")
         assert latest_checkpoint(tmp_path, "DyOneSwap") == newest
         with pytest.warns(RuntimeWarning, match="quarantined corrupt checkpoint"):
-            assert latest_valid_checkpoint(tmp_path, "DyOneSwap") == fallback
+            assert latest_valid_checkpoint(tmp_path, "DyOneSwap").path == fallback
         quarantine = tmp_path / QUARANTINE_DIRNAME
         assert (quarantine / newest.name).exists()
         assert not newest.exists()
@@ -503,6 +504,32 @@ class TestSupervisedRecovery:
         assert crash.attempt == 1
         assert "stream.read" in crash.error
         assert crash.resumed_from is None  # the first attempt started fresh
+
+    def test_a_retry_reads_the_newest_checkpoint_once(
+        self, temporal_workload, references, tmp_path, monkeypatch
+    ):
+        """Discovery loads and verifies the checkpoint it returns, and the
+        resumed run starts from that load instead of reading the file again."""
+        graph, stream = temporal_workload
+        verified = []
+        real = replay_module.verify_document
+
+        def counting(document, **kwargs):
+            verified.append(kwargs.get("source"))
+            return real(document, **kwargs)
+
+        monkeypatch.setattr(replay_module, "verify_document", counting)
+        with inject_faults(FaultPlan.at(STREAM_READ, 100)):
+            result = supervised_replay(
+                "DyOneSwap", graph, stream, dataset="t", retry=NO_BACKOFF,
+                checkpoint=CheckpointConfig(directory=tmp_path, every=64),
+            )
+        assert result.attempts == 2
+        assert verified == [tmp_path / "DyOneSwap-0000000064.ckpt.json"]
+        assert result.crashes[0].resumed_from is None
+        assert _fingerprint(result.measurement) == _fingerprint(
+            references["unbatched"]
+        )
 
     def test_retry_exhaustion_raises_with_full_history(
         self, temporal_workload, tmp_path

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from repro.baselines.greedy import randomized_greedy
 from repro.core.verification import is_maximal_independent_set
 from repro.exceptions import ExperimentError
 from repro.experiments.runner import (
@@ -126,20 +127,25 @@ class TestRunAlgorithm:
 
 
 class TestMeasuredTime:
-    """Plain, checkpointed and fanned-out runs time the apply calls only."""
+    """Plain, checkpointed and competition runs time the apply calls only."""
 
-    @staticmethod
-    def _slow(operations):
-        for operation in operations:
-            time.sleep(0.01)
-            yield operation
+    class _Slow:
+        """A replayable stream that sleeps 10 ms before each operation."""
 
-    @pytest.mark.parametrize("mode", ["plain", "checkpointed", "fanout"])
+        def __init__(self, operations):
+            self.operations = operations
+
+        def __iter__(self):
+            for operation in self.operations:
+                time.sleep(0.01)
+                yield operation
+
+    @pytest.mark.parametrize("mode", ["plain", "checkpointed", "competition"])
     def test_stream_producer_is_not_timed(self, mode, tmp_path):
         graph = power_law_random_graph(60, 2.2, seed=3)
         operations = list(mixed_update_stream(graph, 20, seed=4))
-        stream = self._slow(operations)  # sleeps 0.2 s in all
-        if mode == "fanout":
+        stream = self._Slow(operations)  # sleeps 0.2 s per pass
+        if mode == "competition":
             measurements = run_competition(
                 graph,
                 stream,
@@ -156,6 +162,7 @@ class TestMeasuredTime:
                     checkpoint=checkpoint if mode == "checkpointed" else None,
                 )
             }
+        assert len(measurements) == (2 if mode == "competition" else 1)
         for measurement in measurements.values():
             assert measurement.num_updates == 20
             assert measurement.elapsed_seconds < 0.1
@@ -173,6 +180,23 @@ class TestRunCompetition:
         for measurement in results.values():
             assert measurement.quality is not None
             assert 0 < measurement.quality.accuracy <= 1.05
+
+    def test_one_shot_initial_solution_reaches_every_algorithm(
+        self, graph_and_stream
+    ):
+        graph, stream = graph_and_stream
+        solution = sorted(randomized_greedy(graph, seed=14))
+        initial_sizes = {}
+        for make in (list, iter):
+            results = run_competition(
+                graph,
+                stream,
+                algorithms=("DyOneSwap", "DyTwoSwap", "DGOneDIS"),
+                initial_solution=make(solution),
+                attach_reference=False,
+            )
+            initial_sizes[make] = {n: m.initial_size for n, m in results.items()}
+        assert initial_sizes[iter] == initial_sizes[list]
 
     def test_competition_without_reference(self, graph_and_stream):
         graph, stream = graph_and_stream

@@ -58,11 +58,8 @@ from repro.updates.wire import (
     operations_from_wire,
     operations_to_wire,
 )
-from repro.workloads.replay import (
-    latest_valid_checkpoint,
-    load_checkpoint,
-    save_checkpoint,
-)
+from repro.workloads import replay
+from repro.workloads.replay import load_checkpoint, save_checkpoint
 from repro.workloads.snapshot import save_snapshot
 
 #: Zero-backoff supervision for tests (determinism needs no sleeping).
@@ -954,6 +951,32 @@ class TestDurability:
         tenant.engine = None
         with pytest.raises(ServiceError, match="engine is down"):
             tenant.checkpoint()
+
+    def test_recovery_and_warm_start_read_the_newest_checkpoint_once(
+        self, tmp_path, monkeypatch
+    ):
+        spec = TenantSpec(name="t", batch_size=4, adaptive=False)
+        tenant = Tenant(spec, tmp_path)
+        tenant._bootstrap()
+        tenant._apply_batch(build_ops(4))
+        path = tenant.checkpoint()
+        verified = []
+        real = replay.verify_document
+
+        def counting(document, **kwargs):
+            verified.append(kwargs.get("source"))
+            return real(document, **kwargs)
+
+        monkeypatch.setattr(replay, "verify_document", counting)
+        digest = tenant.digest()
+        tenant.engine = None
+        tenant._recover()
+        assert verified == [path]
+        assert tenant.digest() == digest
+        restarted = Tenant(spec, tmp_path)
+        restarted._bootstrap()
+        assert verified == [path, path]
+        assert restarted.digest() == digest
 
 
 # --------------------------------------------------------------------- #

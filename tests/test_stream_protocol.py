@@ -277,9 +277,8 @@ class TestPrefixReplayability:
         one_shot_prefix = temporal_update_stream(iter(events), window=9.0).prefix(10)
         # A prefix of a one-shot stream yields DIFFERENT operations on a
         # second pass (the drained source continues), so it must report
-        # itself non-replayable: run_competition then consumes it once and
-        # fans it out to every algorithm instead of replaying it per
-        # algorithm.
+        # itself non-replayable: run_competition refuses it for two or more
+        # algorithms instead of replaying it per algorithm.
         assert not one_shot_prefix.replayable()
 
 

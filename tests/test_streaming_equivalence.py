@@ -240,72 +240,34 @@ class TestResumeFromOffsetOverGenerator:
 
 
 class TestCompetitionReplayability:
-    def test_one_shot_fanout_matches_sequential_replays(self, temporal_events):
-        """A one-shot stream is fanned out via forks, bit-identical to the
-        sequential protocol on a replayable stream."""
-        from repro.experiments.runner import run_competition
-
-        algorithms = ("DyOneSwap", "DyTwoSwap", "DyARW")
-        replayable = temporal_update_stream(temporal_events, window=25.0)
-        sequential = run_competition(
-            DynamicGraph(),
-            replayable,
-            algorithms=algorithms,
-            attach_reference=False,
-        )
-        fanned = run_competition(
-            DynamicGraph(),
-            iter(temporal_update_stream(temporal_events, window=25.0)),
-            algorithms=algorithms,
-            attach_reference=False,
-        )
-        assert set(fanned) == set(sequential)
-        for name in algorithms:
-            assert fanned[name].num_updates == sequential[name].num_updates
-            assert fanned[name].final_size == sequential[name].final_size
-            assert fanned[name].initial_size == sequential[name].initial_size
-            assert fanned[name].finished
-
-    def test_one_shot_stream_consumed_exactly_once(self, temporal_events):
-        """Regression pin for the fan-out contract: the single pass is the
-        whole consumption — no per-algorithm re-iteration."""
-        from repro.experiments.runner import run_competition
-
-        reference = temporal_update_stream(temporal_events, window=25.0)
-        total = sum(1 for _ in reference)
-        pulls = {"count": 0}
-
-        def counting():
-            for operation in temporal_update_stream(
-                iter(temporal_events), window=25.0
-            ):
-                pulls["count"] += 1
-                yield operation
-
-        results = run_competition(
-            DynamicGraph(),
-            counting(),
-            algorithms=("DyOneSwap", "DyTwoSwap"),
-            attach_reference=False,
-        )
-        # One pass over the stream, every algorithm fed all of it.
-        assert pulls["count"] == total
-        for measurement in results.values():
-            assert measurement.num_updates == total
-
-    def test_one_shot_fanout_rejects_checkpointing(self, temporal_events, tmp_path):
+    @pytest.mark.parametrize("kind", ["iterator", "one-shot-source"])
+    def test_one_shot_stream_with_two_algorithms_is_refused_unread(
+        self, temporal_events, kind
+    ):
+        """A one-shot stream cannot be replayed once per algorithm: the
+        competition refuses it before reading a single operation."""
         from repro.exceptions import ExperimentError
         from repro.experiments.runner import run_competition
-        from repro.workloads.replay import CheckpointConfig
 
-        with pytest.raises(ExperimentError, match="one-shot"):
+        pulls = {"count": 0}
+
+        def counting(items):
+            for item in items:
+                pulls["count"] += 1
+                yield item
+
+        if kind == "iterator":
+            stream = counting(temporal_update_stream(temporal_events, window=25.0))
+        else:
+            stream = temporal_update_stream(counting(temporal_events), window=25.0)
+        with pytest.raises(ExperimentError, match="pass a list, an UpdateStream"):
             run_competition(
                 DynamicGraph(),
-                iter(temporal_update_stream(temporal_events, window=25.0)),
+                stream,
                 algorithms=("DyOneSwap", "DyTwoSwap"),
                 attach_reference=False,
-                checkpoint=CheckpointConfig(directory=tmp_path, every=64),
             )
+        assert pulls["count"] == 0
 
     def test_single_algorithm_one_shot_still_allowed(self, temporal_events):
         from repro.experiments.runner import run_competition

@@ -16,6 +16,7 @@ from repro.experiments.tables import (
     table3_many_updates,
     table4_hard_quality,
 )
+from repro.generators.datasets import dataset_names
 from repro.generators.power_law import power_law_random_graph
 from repro.generators.random_graphs import erdos_renyi_graph
 
@@ -48,6 +49,14 @@ class TestTable1:
     def test_explicit_dataset_selection(self):
         rows = table1_dataset_statistics(TINY_PROFILE, datasets=["Email"])
         assert len(rows) == 1
+
+    def test_rows_cover_every_dataset(self):
+        rows = table1_dataset_statistics(TINY_PROFILE, datasets=dataset_names())
+        assert [row["dataset"] for row in rows] == dataset_names()
+        for row in rows:
+            assert row["repro_n"] in (TINY_PROFILE.easy_vertices, TINY_PROFILE.hard_vertices)
+            assert row["scale_factor"] > 1
+            assert row["paper_n"] > row["repro_n"]
 
 
 class TestTable2:

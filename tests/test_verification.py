@@ -7,7 +7,6 @@ import pytest
 from repro.core.verification import (
     find_j_swap,
     find_one_swap,
-    greedy_independent_set,
     independence_violations,
     is_independent_set,
     is_k_maximal_independent_set,
@@ -77,15 +76,3 @@ class TestSwapSearch:
         graph, originals, subdivisions = subdivided_complete_graph(4)
         assert is_k_maximal_independent_set(graph, originals, 3)
         assert len(subdivisions) > len(originals)
-
-
-class TestGreedyReference:
-    def test_greedy_is_maximal(self, small_random_graph):
-        solution = greedy_independent_set(small_random_graph)
-        assert is_maximal_independent_set(small_random_graph, solution)
-
-    def test_greedy_on_star_picks_leaves(self, star_graph):
-        assert greedy_independent_set(star_graph) == {1, 2, 3, 4, 5, 6}
-
-    def test_greedy_on_empty_graph(self):
-        assert greedy_independent_set(DynamicGraph()) == set()

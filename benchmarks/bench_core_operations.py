@@ -153,7 +153,7 @@ def _state_hot_op_rates(*, cycles: int = 2000, k: int = 2) -> dict:
     Each pair of inverse operations (``move_out_slot``/``move_in_slot`` and
     ``remove_edge_one_sided``/``add_edge_slots``) is cycled on a fixed
     prepared state so every timed call exercises the complete bookkeeping
-    (counts, hierarchy buckets, footprint counters) without growing the
+    (counts, ``I(v)`` sets, hierarchy buckets) without growing the
     structures.
     """
     graph = power_law_random_graph(600, 2.2, seed=7)

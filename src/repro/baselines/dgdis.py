@@ -323,7 +323,9 @@ class DGOneDIS:
             for v in initial_solution:
                 s = slot_map.get(v)
                 if s is None:
-                    raise SolutionInvariantError("initial solution is not independent")
+                    raise SolutionInvariantError(
+                        f"initial solution vertex {v!r} is not in the graph"
+                    )
                 members.add(s)
             adj = self._adj
             for s in members:

@@ -36,8 +36,8 @@ Performance notes (the hot path of every maintenance algorithm):
   slots); DyOneSwap never allocates a frozenset on a count change.
 * The API is slot-level throughout; labels are translated once, at the
   algorithms' operation boundary.
-* :meth:`MISState.structure_size` is O(1): the footprint is a counter
-  maintained at every mutation instead of an O(n) sweep per call.
+* :meth:`MISState.structure_size` sums the stored sets when it is read,
+  once per run, so the count-maintenance loop keeps no footprint counter.
 """
 
 from __future__ import annotations
@@ -367,9 +367,8 @@ class MISState(SlotState):
     """Eager bookkeeping: stored ``I(v)`` sets and the ``¯I_j(S)`` hierarchy.
 
     Adds to :class:`SlotState` the per-slot ``I(v)`` sets, the level-1
-    buckets keyed by owner slot, the frozenset-keyed levels ≥ 2, their
-    footprint counters and the copy-on-write ownership bitmaps that let a
-    fork share them.
+    buckets keyed by owner slot, the frozenset-keyed levels ≥ 2 and the
+    copy-on-write ownership bitmaps that let a fork share them.
     """
 
     def __init__(self, graph: DynamicGraph, k: int = 1) -> None:
@@ -385,12 +384,6 @@ class MISState(SlotState):
         self._tight: List[Dict[FrozenSet[int], Set[int]]] = [
             {} for _ in range(k + 1)
         ]
-        # Incrementally maintained parts of structure_size(): total entries
-        # stored in _sn values, and keys/entries across the hierarchy
-        # (including _tight1).
-        self._sn_total = 0
-        self._tight_keys = 0
-        self._tight_total = 0
         # Copy-on-write ownership bitmaps for the inner ``I(v)`` sets and the
         # level-1 hierarchy buckets (``None`` until the first fork — mutators
         # then pay a single ``is None`` check).  See :meth:`fork`.
@@ -429,9 +422,6 @@ class MISState(SlotState):
         clone._cow_t1 = bytearray(n)
         self._cow_sn = bytearray(n)
         self._cow_t1 = bytearray(n)
-        clone._sn_total = self._sn_total
-        clone._tight_keys = self._tight_keys
-        clone._tight_total = self._tight_total
         return clone
 
     def _owned_sn(self, slot: int) -> Set[int]:
@@ -464,16 +454,19 @@ class MISState(SlotState):
 
         Used by the experiment harness as the deterministic stand-in for the
         paper's ``/usr/bin/time`` heap measurements: it counts the membership
-        entries, the per-vertex count/I(v) storage and the hierarchy.  O(1):
-        the counters are maintained incrementally by every mutation.
+        entries, the per-vertex count/I(v) storage and the hierarchy's keys
+        and entries.  It sums the stored sets when read (O(n), once per run).
         """
-        n = self.graph.num_vertices
+        tight1 = self._tight1
+        levels = self._tight[2:]
         return (
             len(self._sol_slots)
-            + 2 * n
-            + self._sn_total
-            + self._tight_keys
-            + self._tight_total
+            + 2 * self.graph.num_vertices
+            + sum(map(len, self._sn))
+            + sum(1 for bucket in tight1 if bucket is not None)
+            + sum(len(bucket) for bucket in tight1 if bucket)
+            + sum(len(level) for level in levels)
+            + sum(len(b) for level in levels for b in level.values())
         )
 
     def sn_slots_view(self, slot: int) -> Set[int]:
@@ -568,10 +561,9 @@ class MISState(SlotState):
         cow_sn = self._cow_sn
         cow_t1 = self._cow_t1
         k = self.k
-        touched = 0
-        total_delta = 0
+        row = self._adj[slot]
         bucket_new: Optional[Set[int]] = None
-        for t in self._adj[slot]:
+        for t in row:
             # No neighbour can be in the solution (count was zero), so every
             # neighbour gains a solution neighbour.
             nbrs = sn[t]
@@ -586,15 +578,12 @@ class MISState(SlotState):
                     bucket_new = tight1[slot]
                     if bucket_new is None:
                         bucket_new = tight1[slot] = set()
-                        self._tight_keys += 1
                         if cow_t1 is not None:
                             cow_t1[slot] = 1
                     elif cow_t1 is not None and not cow_t1[slot]:
                         tight1[slot] = bucket_new = set(bucket_new)
                         cow_t1[slot] = 1
                 bucket_new.add(t)
-                total_delta += 1
-                touched += 1
                 continue
             if old <= k:
                 if old == 1:
@@ -605,10 +594,8 @@ class MISState(SlotState):
                             tight1[owner] = bucket = set(bucket)
                             cow_t1[owner] = 1
                         bucket.discard(t)
-                        total_delta -= 1
                         if not bucket:
                             tight1[owner] = None
-                            self._tight_keys -= 1
                 else:
                     self._unposition_level(t, nbrs, old)
             nbrs.add(slot)
@@ -616,10 +603,7 @@ class MISState(SlotState):
             counts[t] = new
             if new <= k:
                 self._position_level(t, nbrs, new)
-            touched += 1
-        self._sn_total += touched
-        self._tight_total += total_delta
-        self.stats.count_updates += touched
+        self.stats.count_updates += len(row)
 
     def move_out_slot(self, slot: int) -> None:
         """Remove the vertex at ``slot`` from the solution.
@@ -644,13 +628,12 @@ class MISState(SlotState):
         cow_sn = self._cow_sn
         cow_t1 = self._cow_t1
         k = self.k
-        touched = 0
-        total_delta = 0
+        row = self._adj[slot]
         # Neighbours leaving count 1 all leave ¯I_1({slot}); fetch the
         # bucket once (it only shrinks below: nothing repositions under an
         # owner that just left the solution).  _owned_t1 is the CoW barrier.
         bucket_old = self._owned_t1(slot)
-        for t in self._adj[slot]:
+        for t in row:
             if in_sol[t]:
                 own_neighbors.add(t)
                 continue
@@ -663,7 +646,6 @@ class MISState(SlotState):
                 if old == 1:
                     if bucket_old is not None:
                         bucket_old.discard(t)
-                        total_delta -= 1
                 else:
                     self._unposition_level(t, nbrs, old)
             nbrs.discard(slot)
@@ -676,29 +658,21 @@ class MISState(SlotState):
                         bucket = tight1[owner]
                         if bucket is None:
                             bucket = tight1[owner] = set()
-                            self._tight_keys += 1
                             if cow_t1 is not None:
                                 cow_t1[owner] = 1
                         elif cow_t1 is not None and not cow_t1[owner]:
                             tight1[owner] = bucket = set(bucket)
                             cow_t1[owner] = 1
                         bucket.add(t)
-                        total_delta += 1
                     else:
                         self._position_level(t, nbrs, new)
-            touched += 1
         if bucket_old is not None and not bucket_old:
             tight1[slot] = None
-            self._tight_keys -= 1
-        self._sn_total -= touched
-        self._tight_total += total_delta
-        self.stats.count_updates += touched
-        # The stored set of a solution vertex is always empty, so the new
-        # entries are exactly len(own_neighbors).
+        # Every neighbour outside the solution lost one from its count.
+        self.stats.count_updates += len(row) - len(own_neighbors)
         self._sn[slot] = own_neighbors
         if cow_sn is not None:
             cow_sn[slot] = 1
-        self._sn_total += len(own_neighbors)
         self._count[slot] = len(own_neighbors)
         self._position(slot)
 
@@ -709,7 +683,6 @@ class MISState(SlotState):
         self._sn[slot] = own
         if self._cow_sn is not None:
             self._cow_sn[slot] = 1
-        self._sn_total += len(own)
         self._count[slot] = len(own)
         self._position(slot)
 
@@ -720,7 +693,6 @@ class MISState(SlotState):
         level = len(stored)
         if 1 <= level <= self.k:
             self._unposition_level(slot, stored, level)
-        self._sn_total -= level
         self._sn[slot] = set()
         if self._cow_sn is not None:
             self._cow_sn[slot] = 1
@@ -735,7 +707,6 @@ class MISState(SlotState):
         nbrs.add(solution_slot)
         new = old + 1
         self._count[slot] = new
-        self._sn_total += 1
         if new <= self.k:
             self._position_level(slot, nbrs, new)
 
@@ -748,7 +719,6 @@ class MISState(SlotState):
         nbrs.discard(solution_slot)
         new = old - 1
         self._count[slot] = new
-        self._sn_total -= 1
         if 0 < new <= self.k:
             self._position_level(slot, nbrs, new)
 
@@ -756,7 +726,7 @@ class MISState(SlotState):
     # Invariant checking
     # ------------------------------------------------------------------ #
     def check_invariants(self) -> None:
-        """Verify :meth:`SlotState.check_invariants`, then ``I(v)``, hierarchy and footprint.
+        """Verify :meth:`SlotState.check_invariants`, then ``I(v)`` and the hierarchy.
 
         A solution slot must store an empty ``I(v)``; every other live slot
         must store exactly its solution neighbours, and sit in the bucket of
@@ -779,6 +749,11 @@ class MISState(SlotState):
             if stored != expected:
                 raise SolutionInvariantError(
                     f"I({label[s]!r}) is {stored!r} but the graph says {expected!r}"
+                )
+            level = len(stored)
+            if 1 <= level <= self.k and s not in self.tight_view(frozenset(stored), level):
+                raise SolutionInvariantError(
+                    f"{label[s]!r} is missing from ¯I_{level} of its solution neighbours"
                 )
         for owner, bucket in enumerate(self._tight1):
             if not bucket:
@@ -807,27 +782,6 @@ class MISState(SlotState):
                             f"{label[s]!r} recorded in ¯I_{level}({set(owners)!r}) "
                             f"but I(v) = {self._sn[s]!r}"
                         )
-        self._check_footprint_counters()
-
-    def _check_footprint_counters(self) -> None:
-        live = set(self.graph.slots())
-        sn_total = sum(len(self._sn[s]) for s in live)
-        tight_keys = sum(1 for b in self._tight1 if b is not None) + sum(
-            len(level) for level in self._tight[2:]
-        )
-        tight_total = sum(len(b) for b in self._tight1 if b) + sum(
-            len(b) for level in self._tight[2:] for b in level.values()
-        )
-        if (sn_total, tight_keys, tight_total) != (
-            self._sn_total,
-            self._tight_keys,
-            self._tight_total,
-        ):
-            raise SolutionInvariantError(
-                "footprint counters out of sync: "
-                f"stored ({self._sn_total}, {self._tight_keys}, {self._tight_total}) "
-                f"vs actual ({sn_total}, {tight_keys}, {tight_total})"
-            )
 
     # ------------------------------------------------------------------ #
     # Hierarchy positioning
@@ -848,15 +802,12 @@ class MISState(SlotState):
             bucket = self._owned_t1(owner)
             if bucket is None:
                 bucket = self._tight1[owner] = set()
-                self._tight_keys += 1
         else:
             key = frozenset(nbrs)
             bucket = self._tight[level].get(key)
             if bucket is None:
                 bucket = self._tight[level][key] = set()
-                self._tight_keys += 1
         bucket.add(slot)
-        self._tight_total += 1
 
     def _unposition_level(self, slot: int, nbrs: Set[int], level: int) -> None:
         """Remove from the level bucket; ``level == len(nbrs)`` in ``[1, k]``."""
@@ -866,17 +817,13 @@ class MISState(SlotState):
             if bucket is None:
                 return
             bucket.discard(slot)
-            self._tight_total -= 1
             if not bucket:
                 self._tight1[owner] = None
-                self._tight_keys -= 1
         else:
             key = frozenset(nbrs)
             bucket = self._tight[level].get(key)
             if bucket is None:
                 return
             bucket.discard(slot)
-            self._tight_total -= 1
             if not bucket:
                 del self._tight[level][key]
-                self._tight_keys -= 1

@@ -149,9 +149,8 @@ def _greedy_then_exact_independent_subset(
         chosen_set.add(s)
         if len(chosen) == size:
             return chosen
-    # Exhaustive fallback (candidate pools in tests are tiny).
-    if len(candidates) > 22:
-        candidates = sorted(candidates, key=graph.slot_order_key)[:22]
+    # Exhaustive fallback over the whole pool (candidate pools in tests
+    # are small).
     for combo in combinations(candidates, size):
         combo_set = set(combo)
         if all(not (adj[s] & combo_set) for s in combo):

@@ -24,13 +24,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.framework import KSwapFramework
 from repro.experiments.datasets import (
     ExperimentProfile,
-    build_update_stream,
     dataset_and_stream,
     get_profile,
-    load_profile_dataset,
 )
 from repro.experiments.metrics import RunMeasurement
 from repro.experiments.runner import (

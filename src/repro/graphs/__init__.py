@@ -1,6 +1,6 @@
 """Dynamic graph substrate: structure and structural properties."""
 
-from repro.graphs.dynamic_graph import DynamicGraph, complement_edges
+from repro.graphs.dynamic_graph import DynamicGraph
 from repro.graphs.properties import (
     GraphStatistics,
     PowerLawBoundedFit,
@@ -14,7 +14,6 @@ from repro.graphs.properties import (
 
 __all__ = [
     "DynamicGraph",
-    "complement_edges",
     "GraphStatistics",
     "graph_statistics",
     "degree_buckets",

@@ -1001,6 +1001,8 @@ class DynamicGraph:
             if adj[s]:
                 fail(f"free slot {s} has residual adjacency")
         for v, s in self._slot.items():
+            if v is _FREE:
+                fail(f"live slot {s} has no label")
             if not (0 <= s < n) or labels[s] != v:
                 fail(f"slot {s} label mismatch for {v!r}")
             if orders[s] >= self._next_order:
@@ -1040,23 +1042,3 @@ class DynamicGraph:
                 f"inconsistent graph: copy-on-write bitmap covers {len(cow)} "
                 f"of {len(self._label)} slots"
             )
-
-
-def complement_edges(graph: DynamicGraph, vertices: Iterable[Vertex]) -> List[Edge]:
-    """Return the edges of the complement of the subgraph induced by ``vertices``.
-
-    Used by the two-swap search, which looks for triangles in the complement of
-    ``G[¯I≤2(S)]``.
-    """
-    slot_map = graph.slot_map_view()
-    label = graph.labels_view()
-    adj = graph.adjacency_slots_view()
-    members = [slot_map[v] for v in vertices if v in slot_map]
-    result: List[Edge] = []
-    for i, su in enumerate(members):
-        nbrs = adj[su]
-        u = label[su]
-        for sv in members[i + 1 :]:
-            if sv not in nbrs:
-                result.append((u, label[sv]))
-    return result

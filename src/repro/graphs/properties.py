@@ -125,24 +125,6 @@ class PowerLawBoundedFit:
         """Return ``True`` when a valid (c1, c2) envelope exists."""
         return self.c2 > 0 and self.c1 >= self.c2
 
-    def approximation_constant(self) -> float:
-        """Return the Theorem 4 constant ``min{2(t+1)/c2, 2 c1 (t+1)^β / (c2 (β-1)(t+2)^(β-1)) + 1}``.
-
-        Only meaningful when :attr:`is_power_law_bounded` holds and ``beta > 2``.
-        """
-        if not self.is_power_law_bounded:
-            return float("inf")
-        t = self.shift
-        first = 2.0 * (t + 1.0) / self.c2
-        if self.beta <= 1.0:
-            return first
-        second = (
-            2.0 * self.c1 * (t + 1.0) ** self.beta
-            / (self.c2 * (self.beta - 1.0) * (t + 2.0) ** (self.beta - 1.0))
-            + 1.0
-        )
-        return min(first, second)
-
 
 def check_power_law_bounded(
     graph: DynamicGraph,

@@ -25,7 +25,6 @@ directory, and a failing drill prints the end of every log.
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import subprocess

@@ -136,12 +136,10 @@ def coalesce_batch(
     e_state: Dict[Hashable, list] = {}
     v_get = v_state.get
     e_get = e_state.get
-    # Incidence index label -> touched-edge entries, activated lazily by the
-    # first vertex operation: edge-only batches never pay for it, while
-    # vertex-churn batches avoid an O(|e_state|) scan per deletion.  On
-    # activation the entries created so far are indexed retroactively.
+    # Incidence index label -> touched-edge entries, each entry indexed
+    # under both endpoints when it is created, so a vertex deletion finds
+    # the batch's edges at it without scanning e_state.
     incident: Dict[Vertex, List[list]] = {}
-    indexing = False
     # Inlined graph probes: one pass over dense views, no method calls on
     # the per-operation path.  Edge keys are normalised endpoint pairs
     # (ordered tuples when the labels compare, a frozenset otherwise), built
@@ -153,17 +151,6 @@ def coalesce_batch(
     INSERT_EDGE = UpdateKind.INSERT_EDGE
     DELETE_EDGE = UpdateKind.DELETE_EDGE
     INSERT_VERTEX = UpdateKind.INSERT_VERTEX
-
-    def _index_all() -> None:
-        """Retroactively index every touched edge under both endpoints."""
-        inc_get = incident.get
-        for e_entry in e_state.values():
-            for end in (e_entry[0], e_entry[1]):
-                bucket = inc_get(end)
-                if bucket is None:
-                    incident[end] = [e_entry]
-                else:
-                    bucket.append(e_entry)
 
     num_input = 0
     for op in operations:
@@ -193,7 +180,7 @@ def coalesce_batch(
                 # and guarantees a coalesced net effect can never fail
                 # mid-apply: the operations the coalescer emits are fully
                 # validated before any state is mutated.
-                v_entry = v_get(u) if v_state else None
+                v_entry = v_get(u)
                 if (
                     (not v_entry[1])
                     if v_entry is not None
@@ -202,7 +189,7 @@ def coalesce_batch(
                     raise UpdateError(
                         f"batch inserts edge with missing endpoint {u!r}"
                     )
-                v_entry = v_get(v) if v_state else None
+                v_entry = v_get(v)
                 if (
                     (not v_entry[1])
                     if v_entry is not None
@@ -220,9 +207,8 @@ def coalesce_batch(
                                 f"batch inserts duplicate edge ({u!r}, {v!r})"
                             )
                     entry = e_state[key] = [u, v, False, True]
-                    if indexing:
-                        incident.setdefault(u, []).append(entry)
-                        incident.setdefault(v, []).append(entry)
+                    incident.setdefault(u, []).append(entry)
+                    incident.setdefault(v, []).append(entry)
                 elif entry[3]:
                     raise UpdateError(
                         f"batch inserts duplicate edge ({u!r}, {v!r})"
@@ -238,9 +224,8 @@ def coalesce_batch(
                             f"batch deletes missing edge ({u!r}, {v!r})"
                         )
                     entry = e_state[key] = [u, v, True, False]
-                    if indexing:
-                        incident.setdefault(u, []).append(entry)
-                        incident.setdefault(v, []).append(entry)
+                    incident.setdefault(u, []).append(entry)
+                    incident.setdefault(v, []).append(entry)
                 elif not entry[3]:
                     raise UpdateError(
                         f"batch deletes missing edge ({u!r}, {v!r})"
@@ -248,9 +233,6 @@ def coalesce_batch(
                 else:
                     entry[3] = False
         elif kind is INSERT_VERTEX:
-            if not indexing:
-                indexing = True
-                _index_all()
             label = op.vertex
             entry = v_get(label)
             if entry is None:
@@ -315,9 +297,6 @@ def coalesce_batch(
         else:  # DELETE_VERTEX (any unknown kind falls through to UpdateError)
             if kind is not UpdateKind.DELETE_VERTEX:  # pragma: no cover
                 raise UpdateError(f"unknown update kind {kind!r}")
-            if not indexing:
-                indexing = True
-                _index_all()
             label = op.vertex
             slot = slot_get(label)
             entry = v_get(label)
@@ -367,34 +346,25 @@ def coalesce_batch(
     # ------------------------------------------------------------------ #
     edge_deletions: List[Tuple[Vertex, Vertex]] = []
     new_edges: List[Tuple[Vertex, Vertex]] = []
-    if v_state:
-        for u, v, before, now in e_state.values():
-            if before:
-                if not now:
-                    eu = v_get(u)
-                    ev = v_get(v)
-                    if (eu is None or eu[1]) and (ev is None or ev[1]):
-                        edge_deletions.append((u, v))
-            elif now:
-                new_edges.append((u, v))
-    else:
-        for u, v, before, now in e_state.values():
-            if before:
-                if not now:
+    for u, v, before, now in e_state.values():
+        if before:
+            if not now:
+                eu = v_get(u)
+                ev = v_get(v)
+                if (eu is None or eu[1]) and (ev is None or ev[1]):
                     edge_deletions.append((u, v))
-            elif now:
-                new_edges.append((u, v))
+        elif now:
+            new_edges.append((u, v))
 
     vertex_deletions: List[Vertex] = []
     vertex_insertions: List[Tuple[Vertex, Tuple[Vertex, ...]]] = []
     edge_insertions: List[Tuple[Vertex, Vertex]]
     pending: Dict[Vertex, int] = {}
-    if v_state:
-        for label, (before, now) in v_state.items():
-            if before and not now:
-                vertex_deletions.append(label)
-            elif now and not before:
-                pending[label] = len(pending)  # first-touch emission order
+    for label, (before, now) in v_state.items():
+        if before and not now:
+            vertex_deletions.append(label)
+        elif now and not before:
+            pending[label] = len(pending)  # first-touch emission order
     if pending:
         # Attach each new edge with a brand-new endpoint to whichever of its
         # new endpoints is inserted later, so the other side always exists.

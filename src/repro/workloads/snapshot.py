@@ -18,7 +18,7 @@ operation boundary the engine state is exactly
   order as the original,
 * the solution membership (a set of slots) — everything else the slot
   state keeps (the counts of :class:`~repro.core.state.SlotState`, plus the
-  ``I(v)`` sets, level hierarchy and footprint counters of the eager
+  ``I(v)`` sets and level hierarchy of the eager
   :class:`~repro.core.state.MISState`) is a pure function of graph +
   membership and is rebuilt on restore,
 * the statistics counters of the algorithm and its state (so a resumed

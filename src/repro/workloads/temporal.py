@@ -60,7 +60,7 @@ from repro.exceptions import GraphError, IntegrityError, UpdateError
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.resilience.durable import atomic_writer, makedirs
 from repro.resilience.faults import CACHE_READ, trip
-from repro.updates.operations import UpdateKind, UpdateOperation, apply_update
+from repro.updates.operations import UpdateOperation, apply_update
 from repro.updates.protocol import (
     OperationStream,
     decode_operation,

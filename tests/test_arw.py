@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.baselines.arw import ArwLocalSearch, arw_best_result
 from repro.baselines.exact import exact_independence_number
 from repro.baselines.greedy import static_degree_greedy

@@ -10,6 +10,7 @@ from repro.core.verification import is_maximal_independent_set
 from repro.exceptions import SolutionInvariantError
 from repro.generators.power_law import power_law_random_graph
 from repro.generators.random_graphs import erdos_renyi_graph
+from repro.graphs.dynamic_graph import DynamicGraph
 from repro.updates.operations import UpdateOperation
 from repro.updates.streams import mixed_update_stream
 
@@ -27,6 +28,14 @@ class TestBothVariants:
     def test_rejects_dependent_initial_solution(self, algorithm_class, path_graph):
         with pytest.raises(SolutionInvariantError):
             algorithm_class(path_graph, initial_solution=[0, 1])
+
+    def test_names_initial_vertex_missing_from_graph(self, algorithm_class):
+        graph = DynamicGraph(edges=[(0, 1), (1, 2)])
+        with pytest.raises(
+            SolutionInvariantError,
+            match="initial solution vertex 99 is not in the graph",
+        ):
+            algorithm_class(graph, initial_solution=[0, 99])
 
     def test_maximality_preserved_over_random_streams(self, algorithm_class):
         graph = erdos_renyi_graph(60, 0.08, seed=5)

@@ -17,7 +17,7 @@ from repro.exceptions import (
     VertexExistsError,
     VertexNotFoundError,
 )
-from repro.graphs.dynamic_graph import DynamicGraph, complement_edges
+from repro.graphs.dynamic_graph import DynamicGraph
 
 
 class TestConstruction:
@@ -210,10 +210,6 @@ class TestDerivedViews:
         graph = DynamicGraph(edges=[(0, 1), (2, 3)], vertices=[4])
         components = sorted(graph.connected_components(), key=lambda c: min(c))
         assert components == [{0, 1}, {2, 3}, {4}]
-
-    def test_complement_edges(self, path_graph):
-        edges = complement_edges(path_graph, [0, 1, 2])
-        assert {frozenset(e) for e in edges} == {frozenset((0, 2))}
 
     def test_check_consistency_detects_nothing_on_valid_graph(self, cycle_graph):
         cycle_graph.check_consistency()

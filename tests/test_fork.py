@@ -30,7 +30,6 @@ from repro.exceptions import SolutionInvariantError
 from repro.experiments.runner import create_algorithm
 from repro.generators.random_graphs import gnm_random_graph
 from repro.graphs import dynamic_graph
-from repro.graphs.dynamic_graph import DynamicGraph
 from repro.updates.operations import UpdateOperation
 from repro.updates.streams import mixed_update_stream
 from repro.workloads.snapshot import algorithm_to_payload

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from repro.core.bounds import theorem4_constant
 from repro.generators.power_law import power_law_random_graph
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.graphs.properties import (
@@ -76,12 +77,14 @@ class TestPowerLawEstimation:
         fit = check_power_law_bounded(graph, beta=2.4)
         assert fit.is_power_law_bounded
         assert fit.c1 >= fit.c2 > 0
-        assert fit.approximation_constant() > 1.0
+        assert theorem4_constant(c1=fit.c1, c2=fit.c2, beta=fit.beta, shift=fit.shift) > 1.0
 
     def test_plb_fit_on_empty_graph(self):
         fit = check_power_law_bounded(DynamicGraph(), beta=2.5)
         assert not fit.is_power_law_bounded
-        assert fit.approximation_constant() == float("inf")
+        assert theorem4_constant(
+            c1=fit.c1, c2=fit.c2, beta=fit.beta, shift=fit.shift
+        ) == float("inf")
 
     def test_plb_fit_regular_graph_has_degenerate_envelope(self):
         # A cycle has every vertex of degree 2: a single non-empty bucket.

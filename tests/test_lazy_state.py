@@ -12,7 +12,6 @@ from repro.core.lazy import LazyMISState
 from repro.core.state import MISState
 from repro.exceptions import SolutionInvariantError
 from repro.generators.random_graphs import erdos_renyi_graph
-from repro.graphs.dynamic_graph import DynamicGraph
 
 
 class TestLazyBasics:

@@ -19,7 +19,7 @@ from repro.core.verification import (
     is_maximal_independent_set,
 )
 from repro.graphs.dynamic_graph import DynamicGraph
-from repro.updates.operations import UpdateOperation, apply_update, invert_update
+from repro.updates.operations import apply_update, invert_update
 from repro.updates.streams import mixed_update_stream
 
 # --------------------------------------------------------------------------- #

@@ -37,7 +37,6 @@ from repro.resilience.faults import (
 from repro.resilience.supervisor import RetryPolicy
 from repro.service import (
     SERVICE_FORMAT,
-    MISGateway,
     ServiceConfig,
     ServiceThread,
     TenantSpec,

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core.one_swap import DyOneSwap
 from repro.core.two_swap import DyTwoSwap
-from repro.exceptions import SnapshotError
+from repro.exceptions import GraphError, SnapshotError
 from repro.generators.random_graphs import gnm_random_graph
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.resilience.faults import SNAPSHOT_WRITE
@@ -110,6 +110,24 @@ class TestGraphPayload:
         payload2["free"] = ["0"]
         with pytest.raises(SnapshotError):
             graph_from_payload(payload2)
+
+    def test_unlabelled_live_slot_rejected(self):
+        # A null label marks a free slot; a live slot carrying one would
+        # restore a vertex that no later snapshot could write.
+        payload = {
+            "format": DynamicGraph.PAYLOAD_FORMAT,
+            "labels": [None, 2, 3],
+            "adjacency": [[], [], []],
+            "orders": [0, 1, 2],
+            "free": [],
+            "live": [0, 1, 2],
+            "num_edges": 0,
+            "next_order": 3,
+        }
+        with pytest.raises(GraphError, match="live slot 0 has no label"):
+            DynamicGraph.from_payload(payload)
+        with pytest.raises(SnapshotError, match="live slot 0 has no label"):
+            graph_from_payload(payload)
 
     def test_edge_to_free_slot_rejected(self):
         graph = DynamicGraph(edges=[(0, 1), (1, 2)])

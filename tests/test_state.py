@@ -213,6 +213,19 @@ class TestInvariantChecking:
         with pytest.raises(SolutionInvariantError):
             state.check_invariants()
 
+    @pytest.mark.parametrize("k, vertex, level", [(1, 3, 1), (2, 1, 2)])
+    def test_check_invariants_detects_a_vertex_missing_from_its_bucket(
+        self, path_graph, k, vertex, level
+    ):
+        state = make_state(MISState, path_graph, k=k, solution=[0, 2])
+        slot = path_graph.slot_of(vertex)
+        owners = frozenset(state.sn_slots_view(slot))
+        state.tight_view(owners, level).discard(slot)  # the stored bucket itself
+        with pytest.raises(
+            SolutionInvariantError, match=f"{vertex} is missing from ¯I_{level}"
+        ):
+            state.check_invariants()
+
 
 class TestMemberBookkeeping:
     """A solution vertex stores count 0 (and, eagerly, an empty ``I(v)``)."""

@@ -96,7 +96,7 @@ def _fingerprint(state):
             [sorted(nbrs) for nbrs in state._sn],
             [None if bucket is None else sorted(bucket) for bucket in state._tight1],
             [sorted((sorted(key), sorted(b)) for key, b in lvl.items()) for lvl in state._tight],
-            (state._sn_total, state._tight_keys, state._tight_total),
+            state.structure_size(),
         ]
     return facts
 

@@ -8,7 +8,6 @@ import dataclasses
 import pytest
 
 from repro.exceptions import UpdateError
-from repro.graphs.dynamic_graph import DynamicGraph
 from repro.updates.operations import UpdateKind, UpdateOperation, apply_update, invert_update
 
 

@@ -72,6 +72,25 @@ class TestSwapSearch:
     def test_is_k_maximal_requires_maximality(self, cycle_graph):
         assert not is_k_maximal_independent_set(cycle_graph, {0, 3}, 1)
 
+    def test_swap_search_reaches_every_candidate(self):
+        # Removing 0 frees the clique 1..30, whose only non-edge 29-30 is a
+        # 1-swap.  The clique 200..205 lifts 29 and 30 above every other
+        # candidate by degree, so a search over a cut of the lowest-degree
+        # candidates misses the swap.
+        clique = range(1, 31)
+        edges = [(0, v) for v in clique]
+        edges += [
+            (a, b) for a in clique for b in clique if a < b and (a, b) != (29, 30)
+        ]
+        outer = range(200, 206)
+        edges += [(a, b) for a in outer for b in outer if a < b]
+        edges += [(a, b) for a in outer for b in (100, 29, 30)]
+        graph = DynamicGraph(edges=edges)
+        assert is_maximal_independent_set(graph, {0, 100})
+        assert find_one_swap(graph, {0, 100}) == (0, (29, 30))
+        assert find_j_swap(graph, {0, 100}, 1) == ((0,), (29, 30))
+        assert not is_k_maximal_independent_set(graph, {0, 100}, 1)
+
     def test_worst_case_family_is_k_maximal_but_not_optimal(self):
         graph, originals, subdivisions = subdivided_complete_graph(4)
         assert is_k_maximal_independent_set(graph, originals, 3)

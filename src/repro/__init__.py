@@ -38,13 +38,11 @@ from repro.core import (
     theorem2_ratio_bound,
     theorem4_constant_for_graph,
 )
-from repro.graphs import DynamicGraph, graph_statistics
+from repro.graphs import DynamicGraph
 from repro.updates import (
     UpdateOperation,
     UpdateStream,
     mixed_update_stream,
-    random_edge_stream,
-    random_vertex_stream,
 )
 from repro.workloads import (
     TemporalEdge,
@@ -59,14 +57,11 @@ __version__ = "1.0.0"
 
 __all__ = [
     "DynamicGraph",
-    "graph_statistics",
     "DyOneSwap",
     "DyTwoSwap",
     "KSwapFramework",
     "UpdateOperation",
     "UpdateStream",
-    "random_edge_stream",
-    "random_vertex_stream",
     "mixed_update_stream",
     "TemporalEdge",
     "read_temporal_edge_list",

@@ -9,20 +9,16 @@ from repro.baselines.exact import (
     brute_force_maximum_independent_set,
     clique_cover_bound,
     exact_independence_number,
-    independence_numbers,
 )
 from repro.baselines.greedy import (
-    extend_to_maximal,
     min_degree_greedy,
     randomized_greedy,
-    static_degree_greedy,
 )
 
 __all__ = [
     "BranchAndReduceSolver",
     "SolverReport",
     "exact_independence_number",
-    "independence_numbers",
     "brute_force_maximum_independent_set",
     "clique_cover_bound",
     "ArwLocalSearch",
@@ -33,7 +29,5 @@ __all__ = [
     "DGTwoDIS",
     "DgdisStatistics",
     "min_degree_greedy",
-    "static_degree_greedy",
     "randomized_greedy",
-    "extend_to_maximal",
 ]

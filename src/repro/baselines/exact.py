@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.baselines.greedy import min_degree_greedy
+from repro.core.verification import is_independent_set
 from repro.exceptions import SolverTimeoutError
 from repro.graphs.dynamic_graph import DynamicGraph, Vertex
 
@@ -361,14 +362,6 @@ def brute_force_maximum_independent_set(graph: DynamicGraph) -> Set[Vertex]:
     n = len(vertices)
     for mask in range(1 << n):
         subset = {vertices[i] for i in range(n) if mask >> i & 1}
-        if len(subset) > len(best) and graph.is_independent_set(subset):
+        if len(subset) > len(best) and is_independent_set(graph, subset):
             best = subset
     return best
-
-
-def independence_numbers(
-    graphs: Dict[str, DynamicGraph], *, node_budget: Optional[int] = 500_000
-) -> Dict[str, int]:
-    """Compute α(G) for a dictionary of graphs (used by the experiment harness)."""
-    solver = BranchAndReduceSolver(node_budget=node_budget)
-    return {name: solver.independence_number(graph) for name, graph in graphs.items()}

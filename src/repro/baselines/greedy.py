@@ -50,26 +50,6 @@ def min_degree_greedy(graph: DynamicGraph) -> Set[Vertex]:
     return {label[s] for s in min_degree_greedy_slots(graph)}
 
 
-def static_degree_greedy_slots(graph: DynamicGraph) -> Set[int]:
-    """Greedy maximal independent set scanning slots by their original degree."""
-    adj = graph.adjacency_slots_view()
-    solution: Set[int] = set()
-    blocked: Set[int] = set()
-    for s in sorted(graph.slots(), key=graph.slot_order_key):
-        if s in blocked:
-            continue
-        solution.add(s)
-        blocked.add(s)
-        blocked.update(adj[s])
-    return solution
-
-
-def static_degree_greedy(graph: DynamicGraph) -> Set[Vertex]:
-    """Greedy maximal independent set scanning vertices by their original degree."""
-    label = graph.labels_view()
-    return {label[s] for s in static_degree_greedy_slots(graph)}
-
-
 def randomized_greedy(graph: DynamicGraph, *, seed: Optional[int] = None) -> Set[Vertex]:
     """Greedy maximal independent set over a uniformly random vertex order."""
     rng = random.Random(seed)
@@ -106,11 +86,3 @@ def extend_to_maximal_slots(graph: DynamicGraph, partial: Iterable[int]) -> Set[
         blocked.add(s)
         blocked.update(adj[s])
     return solution
-
-
-def extend_to_maximal(graph: DynamicGraph, partial: Iterable[Vertex]) -> Set[Vertex]:
-    """Extend an independent set to a maximal one (smallest-degree-first greedy)."""
-    slot_map = graph.slot_map_view()
-    label = graph.labels_view()
-    solution = extend_to_maximal_slots(graph, (slot_map[v] for v in partial))
-    return {label[s] for s in solution}

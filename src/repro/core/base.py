@@ -159,10 +159,6 @@ class DynamicMISBase(abc.ABC):
         """Return a copy of the maintained independent set (as labels)."""
         return self.state.solution()
 
-    def approximation_ratio_bound(self) -> float:
-        """Return the worst-case bound ``Δ/2 + 1`` on ``α(G) / |I|`` (Theorem 2)."""
-        return self.graph.max_degree() / 2.0 + 1.0
-
     def memory_footprint(self) -> int:
         """Approximate number of stored references (state + candidate queues)."""
         size = self.state.structure_size()

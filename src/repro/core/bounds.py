@@ -154,11 +154,6 @@ class RatioReport:
         """True when the measured ratio respects the Δ/2 + 1 guarantee."""
         return self.measured_ratio <= self.theorem2_bound + 1e-9
 
-    @property
-    def within_theorem4(self) -> bool:
-        """True when the measured ratio respects the PLB constant (if finite)."""
-        return self.measured_ratio <= self.theorem4_bound + 1e-9
-
 
 def ratio_report(
     graph: DynamicGraph,

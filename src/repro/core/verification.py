@@ -18,24 +18,35 @@ from typing import Iterable, List, Optional, Set, Tuple
 from repro.graphs.dynamic_graph import DynamicGraph, Vertex
 
 
-def is_independent_set(graph: DynamicGraph, vertices: Iterable[Vertex]) -> bool:
-    """Return ``True`` when ``vertices`` form an independent set of ``graph``."""
-    return graph.is_independent_set(vertices)
-
-
-def is_maximal_independent_set(graph: DynamicGraph, vertices: Iterable[Vertex]) -> bool:
-    """Return ``True`` when ``vertices`` form a *maximal* independent set."""
+def _independent_slots(
+    graph: DynamicGraph, vertices: Iterable[Vertex]
+) -> Optional[Set[int]]:
+    """The slots of ``vertices``, or ``None`` unless they form an independent set."""
     slot_map = graph.slot_map_view()
     members: Set[int] = set()
     for v in vertices:
         s = slot_map.get(v)
         if s is None:
-            return False
+            return None
         members.add(s)
     adj = graph.adjacency_slots_view()
     for s in members:
         if adj[s] & members:
-            return False
+            return None
+    return members
+
+
+def is_independent_set(graph: DynamicGraph, vertices: Iterable[Vertex]) -> bool:
+    """Return ``True`` when ``vertices`` form an independent set of ``graph``."""
+    return _independent_slots(graph, vertices) is not None
+
+
+def is_maximal_independent_set(graph: DynamicGraph, vertices: Iterable[Vertex]) -> bool:
+    """Return ``True`` when ``vertices`` form a *maximal* independent set."""
+    members = _independent_slots(graph, vertices)
+    if members is None:
+        return False
+    adj = graph.adjacency_slots_view()
     for s in graph.slots():
         if s in members:
             continue
@@ -111,21 +122,6 @@ def find_one_swap(
             if b not in adj[a]:
                 return label[s], (label[a], label[b])
     return None
-
-
-def independence_violations(graph: DynamicGraph, vertices: Iterable[Vertex]) -> List[Tuple[Vertex, Vertex]]:
-    """Return every edge of ``graph`` with both endpoints in ``vertices``."""
-    slot_map = graph.slot_map_view()
-    adj = graph.adjacency_slots_view()
-    label = graph.labels_view()
-    order = graph.orders_view()
-    members = {slot_map[v] for v in vertices if v in slot_map}
-    violations: List[Tuple[Vertex, Vertex]] = []
-    for s in members:
-        for t in adj[s]:
-            if t in members and order[t] > order[s]:
-                violations.append((label[s], label[t]))
-    return violations
 
 
 def _greedy_then_exact_independent_subset(

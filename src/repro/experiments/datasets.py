@@ -131,11 +131,6 @@ def get_profile(name_or_profile) -> ExperimentProfile:
         ) from None
 
 
-def profile_names() -> Tuple[str, ...]:
-    """Names of the built-in profiles."""
-    return tuple(_PROFILES)
-
-
 def load_profile_dataset(profile: ExperimentProfile, name: str) -> DynamicGraph:
     """Load the stand-in for ``name`` at the size the profile prescribes."""
     if name in profile.hard_datasets:

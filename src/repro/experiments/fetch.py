@@ -39,7 +39,7 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Union
 
 from repro.exceptions import DatasetError, InjectedFault
 from repro.resilience.durable import (
@@ -399,16 +399,4 @@ def snap_temporal_stream(
         window=window,
         max_live=max_live,
         gc_isolated=gc_isolated,
-    )
-
-
-def available_snap_datasets(
-    directory: Optional[PathLike] = None,
-) -> Tuple[str, ...]:
-    """Names of registered datasets whose files are already on disk."""
-    where = dataset_dir(directory)
-    return tuple(
-        name
-        for name, spec in SNAP_TEMPORAL_DATASETS.items()
-        if (where / spec.filename).exists()
     )

@@ -79,13 +79,6 @@ class RunMeasurement:
             reference_kind=self.reference_kind,
         )
 
-    @property
-    def updates_per_second(self) -> float:
-        """Throughput over the update stream (0.0 when nothing was timed)."""
-        if self.elapsed_seconds <= 0:
-            return 0.0
-        return self.num_updates / self.elapsed_seconds
-
     def as_row(self) -> Dict[str, object]:
         """Flatten the measurement into a table row dictionary."""
         row: Dict[str, object] = {
@@ -123,10 +116,3 @@ class Stopwatch:
         if self._start is not None:
             self.elapsed += time.perf_counter() - self._start
             self._start = None
-
-
-def speedup(baseline_seconds: float, contender_seconds: float) -> float:
-    """How many times faster the contender is than the baseline (inf when instant)."""
-    if contender_seconds <= 0:
-        return float("inf")
-    return baseline_seconds / contender_seconds

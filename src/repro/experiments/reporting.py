@@ -8,7 +8,7 @@ harness can print output directly comparable with the paper's tables.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 
 def format_table(
@@ -55,51 +55,6 @@ def format_table(
     return "\n".join(lines)
 
 
-def format_series(
-    series: Mapping[str, Sequence[float]],
-    *,
-    x_label: str = "x",
-    x_values: Optional[Sequence[object]] = None,
-    title: Optional[str] = None,
-    float_precision: int = 4,
-) -> str:
-    """Render a figure-style result (one numeric series per algorithm) as a table.
-
-    ``series`` maps a series name (e.g. an algorithm) to its y-values;
-    ``x_values`` supplies the shared x-axis.
-    """
-    length = max((len(values) for values in series.values()), default=0)
-    if x_values is None:
-        x_values = list(range(length))
-    rows = []
-    for index, x in enumerate(x_values):
-        row: Dict[str, object] = {x_label: x}
-        for name, values in series.items():
-            row[name] = values[index] if index < len(values) else None
-        rows.append(row)
-    return format_table(rows, title=title, float_precision=float_precision)
-
-
-def summarize_comparison(
-    rows: Sequence[Mapping[str, object]],
-    *,
-    group_key: str = "dataset",
-    value_key: str = "accuracy",
-    algorithm_key: str = "algorithm",
-) -> Dict[str, str]:
-    """Return, per group, the algorithm with the best value (used in EXPERIMENTS.md)."""
-    best: Dict[str, tuple] = {}
-    for row in rows:
-        group = str(row.get(group_key))
-        value = row.get(value_key)
-        if value is None:
-            continue
-        current = best.get(group)
-        if current is None or value > current[0]:
-            best[group] = (value, str(row.get(algorithm_key)))
-    return {group: name for group, (_value, name) in best.items()}
-
-
 def _render_cell(value: object, float_precision: int) -> str:
     if value is None:
         return "-"
@@ -108,28 +63,3 @@ def _render_cell(value: object, float_precision: int) -> str:
     if isinstance(value, float):
         return f"{value:.{float_precision}f}"
     return str(value)
-
-
-def rows_to_csv(rows: Sequence[Mapping[str, object]], *, columns: Optional[Iterable[str]] = None) -> str:
-    """Render rows as a small CSV string (used when persisting results)."""
-    if columns is None:
-        seen: List[str] = []
-        for row in rows:
-            for key in row:
-                if key not in seen:
-                    seen.append(key)
-        columns = seen
-    columns = list(columns)
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(row.get(col)) for col in columns))
-    return "\n".join(lines)
-
-
-def _csv_cell(value: object) -> str:
-    if value is None:
-        return ""
-    text = str(value)
-    if "," in text or '"' in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text

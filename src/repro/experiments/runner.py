@@ -49,7 +49,6 @@ from repro.updates.protocol import (
     stream_description,
     stream_length_hint,
 )
-from repro.updates.streams import UpdateStream
 from repro.workloads.replay import (
     Checkpoint,
     CheckpointConfig,
@@ -149,11 +148,6 @@ def supports_snapshots(name: str) -> bool:
     time).
     """
     return name in SNAPSHOT_CAPABLE
-
-
-def available_algorithms() -> Tuple[str, ...]:
-    """Names accepted by :func:`run_algorithm`."""
-    return tuple(ALGORITHM_FACTORIES)
 
 
 def check_algorithm_options(name: str, options: Mapping) -> None:
@@ -745,13 +739,6 @@ def run_competition(
     return measurements
 
 
-def apply_stream_to_graph(graph: DynamicGraph, stream: UpdateStream) -> DynamicGraph:
-    """Return a copy of ``graph`` with every operation of ``stream`` applied."""
-    final_graph = graph.copy()
-    stream.apply_all(final_graph)
-    return final_graph
-
-
 def _algorithm_extras(algorithm) -> Dict[str, float]:
     """Pull algorithm-specific statistics into the measurement's extra fields."""
     extra: Dict[str, float] = {}
@@ -774,4 +761,3 @@ def _algorithm_extras(algorithm) -> Dict[str, float]:
     if batches:
         extra["batches_applied"] = float(batches)
     return extra
-

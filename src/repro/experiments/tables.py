@@ -20,7 +20,7 @@ Mapping to the paper:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.baselines.arw import ArwLocalSearch
 from repro.baselines.exact import BranchAndReduceSolver
@@ -290,25 +290,3 @@ def compute_initial_solution(
             pass
     result = ArwLocalSearch(max_iterations=arw_iterations, seed=seed).run(graph)
     return set(result.solution), "arw"
-
-
-def pivot_quality_rows(
-    rows: Iterable[Dict[str, object]], metric: str = "acc"
-) -> List[Dict[str, object]]:
-    """Re-shape dataset-level rows into (dataset, algorithm, value) triples.
-
-    Useful for plotting or for the summary statistics in EXPERIMENTS.md.
-    """
-    result: List[Dict[str, object]] = []
-    for row in rows:
-        for algorithm in PAPER_ALGORITHMS:
-            key = f"{algorithm}_{metric}"
-            if key in row and row[key] is not None:
-                result.append(
-                    {
-                        "dataset": row["dataset"],
-                        "algorithm": algorithm,
-                        metric: row[key],
-                    }
-                )
-    return result

@@ -64,11 +64,6 @@ class DatasetSpec:
     scaled_vertices: int
 
     @property
-    def scale_factor(self) -> float:
-        """How much smaller the stand-in is than the original (vertex count ratio)."""
-        return self.paper_vertices / self.scaled_vertices
-
-    @property
     def seed(self) -> int:
         """Deterministic seed derived from the dataset name."""
         return sum(ord(c) * (i + 1) for i, c in enumerate(self.name)) % (2**31)

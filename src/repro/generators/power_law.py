@@ -12,9 +12,7 @@ This module provides:
   edges erased),
 * :func:`power_law_random_graph` — the Fig 10 workload: a PLR graph with a
   chosen exponent, built as an erased configuration model over a power-law
-  degree sequence,
-* :func:`plb_graph` — a convenience wrapper that re-samples until the result
-  certifiably satisfies the PLB envelope for the requested parameters.
+  degree sequence.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ import random
 from typing import List, Optional
 
 from repro.graphs.dynamic_graph import DynamicGraph
-from repro.graphs.properties import check_power_law_bounded
 
 
 def power_law_degree_sequence(
@@ -146,39 +143,3 @@ def power_law_random_graph(
         seed=seed,
     )
     return erased_configuration_model(degrees, seed=None if seed is None else seed + 1)
-
-
-def plb_graph(
-    num_vertices: int,
-    beta: float,
-    *,
-    shift: float = 0.0,
-    seed: Optional[int] = None,
-    max_attempts: int = 5,
-) -> DynamicGraph:
-    """Generate a graph that certifiably satisfies the PLB envelope.
-
-    Re-samples a power-law random graph until
-    :func:`repro.graphs.properties.check_power_law_bounded` confirms a valid
-    ``c1 >= c2 > 0`` envelope for the requested ``beta`` and ``shift``; the
-    last sample is returned regardless after ``max_attempts`` tries (the
-    envelope always exists for the sampled graphs, re-sampling merely tightens
-    ``c2``).
-    """
-    attempt_seed = seed
-    graph = power_law_random_graph(num_vertices, beta, shift=shift, seed=attempt_seed)
-    for _ in range(max_attempts):
-        fit = check_power_law_bounded(graph, beta=beta, shift=shift)
-        if fit.is_power_law_bounded:
-            return graph
-        attempt_seed = None if attempt_seed is None else attempt_seed + 17
-        graph = power_law_random_graph(num_vertices, beta, shift=shift, seed=attempt_seed)
-    return graph
-
-
-def average_degree_for_beta(beta: float, min_degree: int, max_degree: int, shift: float = 0.0) -> float:
-    """Expected degree of the truncated shifted power law — used to size datasets."""
-    support = range(min_degree, max_degree + 1)
-    weights = [(d + shift) ** (-beta) for d in support]
-    total = sum(weights)
-    return sum(d * w for d, w in zip(support, weights)) / total

@@ -1,57 +1,15 @@
-"""Classic random graph generators.
+"""Uniform random graphs with a fixed number of edges (the G(n, m) model).
 
-These generators back the synthetic dataset registry and the property-based
-tests.  They only rely on Python's ``random`` module so that experiments are
-reproducible from a single integer seed.
+The fork/what-if benchmark builds its graph here.  Only Python's ``random``
+module is used, so a graph is reproducible from a single integer seed.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from repro.graphs.dynamic_graph import DynamicGraph
-
-
-def erdos_renyi_graph(
-    num_vertices: int,
-    edge_probability: float,
-    *,
-    seed: Optional[int] = None,
-) -> DynamicGraph:
-    """Generate a G(n, p) Erdős–Rényi random graph.
-
-    Uses the skip-sampling technique so the cost is proportional to the number
-    of generated edges rather than ``n^2`` for sparse graphs.
-    """
-    if num_vertices < 0:
-        raise ValueError("num_vertices must be non-negative")
-    if not 0.0 <= edge_probability <= 1.0:
-        raise ValueError("edge_probability must lie in [0, 1]")
-    rng = random.Random(seed)
-    graph = DynamicGraph(vertices=range(num_vertices))
-    if edge_probability == 0.0 or num_vertices < 2:
-        return graph
-    if edge_probability == 1.0:
-        for u in range(num_vertices):
-            for v in range(u + 1, num_vertices):
-                graph.add_edge(u, v)
-        return graph
-    # Skip sampling over the implicit enumeration of all vertex pairs.
-    import math
-
-    log_q = math.log(1.0 - edge_probability)
-    v = 1
-    w = -1
-    while v < num_vertices:
-        r = rng.random()
-        w = w + 1 + int(math.log(1.0 - r) / log_q)
-        while w >= v and v < num_vertices:
-            w -= v
-            v += 1
-        if v < num_vertices:
-            graph.add_edge(v, w)
-    return graph
 
 
 def gnm_random_graph(
@@ -74,152 +32,4 @@ def gnm_random_graph(
         v = rng.randrange(num_vertices)
         if u != v and graph.add_edge_if_missing(u, v):
             placed += 1
-    return graph
-
-
-def barabasi_albert_graph(
-    num_vertices: int,
-    edges_per_vertex: int,
-    *,
-    seed: Optional[int] = None,
-) -> DynamicGraph:
-    """Generate a Barabási–Albert preferential-attachment graph.
-
-    Every new vertex attaches to ``edges_per_vertex`` existing vertices chosen
-    proportionally to their degree (via the repeated-endpoints trick), giving
-    a power-law degree distribution with exponent ≈ 3.
-    """
-    if edges_per_vertex < 1:
-        raise ValueError("edges_per_vertex must be at least 1")
-    if num_vertices < edges_per_vertex + 1:
-        raise ValueError("num_vertices must exceed edges_per_vertex")
-    rng = random.Random(seed)
-    graph = DynamicGraph(vertices=range(num_vertices))
-    # Seed clique-free core: a star over the first m+1 vertices.
-    repeated_endpoints: List[int] = []
-    for v in range(1, edges_per_vertex + 1):
-        graph.add_edge(0, v)
-        repeated_endpoints.extend((0, v))
-    for v in range(edges_per_vertex + 1, num_vertices):
-        targets = set()
-        while len(targets) < edges_per_vertex:
-            targets.add(rng.choice(repeated_endpoints))
-        for t in targets:
-            graph.add_edge(v, t)
-            repeated_endpoints.extend((v, t))
-    return graph
-
-
-def chung_lu_graph(
-    expected_degrees: List[float],
-    *,
-    seed: Optional[int] = None,
-) -> DynamicGraph:
-    """Generate a Chung–Lu random graph with the given expected degrees.
-
-    Edge ``(u, v)`` is present independently with probability
-    ``min(1, w_u * w_v / sum(w))``.  The paper's synthetic stand-ins use this
-    with a power-law weight sequence.
-    """
-    n = len(expected_degrees)
-    rng = random.Random(seed)
-    graph = DynamicGraph(vertices=range(n))
-    total_weight = sum(expected_degrees)
-    if total_weight <= 0:
-        return graph
-    # Order vertices by decreasing weight so the skip-sampling loop below can
-    # prune early once probabilities become negligible.
-    order = sorted(range(n), key=lambda i: -expected_degrees[i])
-    weights = [expected_degrees[i] for i in order]
-    for i in range(n):
-        wi = weights[i]
-        if wi <= 0:
-            break
-        for j in range(i + 1, n):
-            p = wi * weights[j] / total_weight
-            if p >= 1.0:
-                graph.add_edge_if_missing(order[i], order[j])
-                continue
-            if p <= 1e-12:
-                break
-            if rng.random() < p:
-                graph.add_edge_if_missing(order[i], order[j])
-    return graph
-
-
-def random_regular_graph_edges(
-    num_vertices: int,
-    degree: int,
-    *,
-    seed: Optional[int] = None,
-    max_retries: int = 50,
-) -> List[Tuple[int, int]]:
-    """Return the edge list of an (approximately) random ``degree``-regular graph.
-
-    Uses stub matching with retries; falls back to discarding clashing stubs
-    after ``max_retries`` attempts, so the result may be slightly irregular
-    for adversarial parameter choices.  Raises ``ValueError`` when
-    ``num_vertices * degree`` is odd.
-    """
-    if (num_vertices * degree) % 2 != 0:
-        raise ValueError("num_vertices * degree must be even")
-    rng = random.Random(seed)
-    for _ in range(max_retries):
-        stubs = [v for v in range(num_vertices) for _ in range(degree)]
-        rng.shuffle(stubs)
-        edges = set()
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            if u == v or (min(u, v), max(u, v)) in edges:
-                ok = False
-                break
-            edges.add((min(u, v), max(u, v)))
-        if ok:
-            return sorted(edges)
-    # Last resort: simply drop clashing pairs.
-    stubs = [v for v in range(num_vertices) for _ in range(degree)]
-    rng.shuffle(stubs)
-    edges = set()
-    for i in range(0, len(stubs), 2):
-        u, v = stubs[i], stubs[i + 1]
-        if u != v:
-            edges.add((min(u, v), max(u, v)))
-    return sorted(edges)
-
-
-def random_regular_graph(
-    num_vertices: int,
-    degree: int,
-    *,
-    seed: Optional[int] = None,
-) -> DynamicGraph:
-    """Generate an (approximately) random regular graph."""
-    edges = random_regular_graph_edges(num_vertices, degree, seed=seed)
-    return DynamicGraph(vertices=range(num_vertices), edges=edges)
-
-
-def random_tree(num_vertices: int, *, seed: Optional[int] = None) -> DynamicGraph:
-    """Generate a uniformly random labelled tree via a random attachment chain."""
-    rng = random.Random(seed)
-    graph = DynamicGraph(vertices=range(num_vertices))
-    for v in range(1, num_vertices):
-        graph.add_edge(v, rng.randrange(v))
-    return graph
-
-
-def random_bipartite_graph(
-    left_size: int,
-    right_size: int,
-    edge_probability: float,
-    *,
-    seed: Optional[int] = None,
-) -> DynamicGraph:
-    """Generate a random bipartite graph; the left part is an independent set."""
-    rng = random.Random(seed)
-    graph = DynamicGraph(vertices=range(left_size + right_size))
-    for u in range(left_size):
-        for v in range(left_size, left_size + right_size):
-            if rng.random() < edge_probability:
-                graph.add_edge(u, v)
     return graph

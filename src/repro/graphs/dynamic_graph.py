@@ -13,9 +13,9 @@ dense under arbitrary insert/delete churn.  The *public* API still speaks
 arbitrary ``Hashable`` vertex labels — translation between labels and slots
 happens once at the boundary (one dict lookup per operation operand), never
 inside loops.  Maintenance algorithms use the slot-level primitives
-(:meth:`slot_of`, :meth:`vertex_of`, :meth:`neighbors_slots_view`,
-:meth:`adjacency_slots_view`, :meth:`orders_view`, …) and therefore do zero
-label hashing on their inner loops.
+(:meth:`slot_of`, :meth:`vertex_of`, :meth:`adjacency_slots_view`,
+:meth:`orders_view`, …) and therefore do zero label hashing on their
+inner loops.
 
 Vertices are arbitrary hashable objects; the experiment code uses ``int``
 identifiers throughout, but strings (or any hashable label) work identically
@@ -282,21 +282,9 @@ class DynamicGraph:
         """
         return self._adj
 
-    def neighbors_slots_view(self, slot: int) -> Set[int]:
-        """Return the live neighbour-slot set of the vertex at ``slot``."""
-        return self._adj[slot]
-
     def orders_view(self) -> List[int]:
         """Return the live slot-indexed interned-insertion-order table."""
         return self._order
-
-    def degree_by_slot(self, slot: int) -> int:
-        """Return the degree of the vertex at ``slot``."""
-        return len(self._adj[slot])
-
-    def order_by_slot(self, slot: int) -> int:
-        """Return the interned insertion index of the vertex at ``slot``."""
-        return self._order[slot]
 
     def slot_order_key(self, slot: int) -> Tuple[int, int]:
         """Return ``(degree, insertion index)`` for ``slot`` — the canonical greedy key."""
@@ -504,7 +492,7 @@ class DynamicGraph:
         """Return the open neighbourhood ``N(v)`` of ``vertex`` as a label set.
 
         Translated from the slot core, so the result is a fresh set per call;
-        hot loops use :meth:`neighbors_slots_view` instead and translate
+        hot loops use :meth:`adjacency_slots_view` instead and translate
         nothing.
         """
         try:
@@ -513,16 +501,6 @@ class DynamicGraph:
             raise VertexNotFoundError(vertex) from None
         label = self._label
         return {label[t] for t in self._adj[s]}
-
-    def neighbors_copy(self, vertex: Vertex) -> Set[Vertex]:
-        """Return a copy of the open neighbourhood of ``vertex``."""
-        return self.neighbors(vertex)
-
-    def closed_neighbors(self, vertex: Vertex) -> Set[Vertex]:
-        """Return the closed neighbourhood ``N[v] = N(v) ∪ {v}`` as a new set."""
-        closed = self.neighbors(vertex)
-        closed.add(vertex)
-        return closed
 
     def degree(self, vertex: Vertex) -> int:
         """Return the degree of ``vertex``."""
@@ -580,13 +558,6 @@ class DynamicGraph:
             If the vertex is already present.
         """
         self.add_vertex_slot(vertex)
-
-    def add_vertex_if_missing(self, vertex: Vertex) -> bool:
-        """Insert ``vertex`` if absent.  Return ``True`` when it was inserted."""
-        if vertex in self._slot:
-            return False
-        self._alloc(vertex)
-        return True
 
     def remove_vertex(self, vertex: Vertex) -> Set[Vertex]:
         """Delete ``vertex`` and all incident edges.
@@ -736,81 +707,10 @@ class DynamicGraph:
         self._cow_adj = bytearray(n)
         return clone
 
-    def subgraph(self, vertices: Iterable[Vertex]) -> "DynamicGraph":
-        """Return the subgraph induced by ``vertices``.
-
-        Vertices not present in the graph are silently ignored, which makes it
-        convenient to project candidate sets that may reference stale ids.
-        The parent's insertion order is inherited so tie-breaks stay
-        consistent between a graph and its projections; slots are reassigned
-        densely.
-        """
-        slot_map = self._slot
-        keep_slots = {slot_map[v] for v in vertices if v in slot_map}
-        sub = DynamicGraph()
-        label = self._label
-        order = self._order
-        # Allocate in parent-slot order for a deterministic dense layout.
-        translate: Dict[int, int] = {}
-        for s in sorted(keep_slots):
-            t = sub._alloc(label[s])
-            sub._order[t] = order[s]
-            translate[s] = t
-        sub._next_order = self._next_order
-        adj = self._adj
-        sub_adj = sub._adj
-        edge_count = 0
-        for s in keep_slots:
-            t = translate[s]
-            projected = {translate[x] for x in adj[s] if x in keep_slots}
-            sub_adj[t] = projected
-            edge_count += len(projected)
-        sub._num_edges = edge_count // 2
-        return sub
-
     def degree_sequence(self) -> List[int]:
         """Return the (unsorted) list of vertex degrees."""
         adj = self._adj
         return [len(adj[s]) for s in self._slot.values()]
-
-    def degree_histogram(self) -> Dict[int, int]:
-        """Return a mapping ``degree -> number of vertices with that degree``."""
-        histogram: Dict[int, int] = {}
-        adj = self._adj
-        for s in self._slot.values():
-            d = len(adj[s])
-            histogram[d] = histogram.get(d, 0) + 1
-        return histogram
-
-    def is_independent_set(self, vertices: Iterable[Vertex]) -> bool:
-        """Return ``True`` if ``vertices`` form an independent set in the graph."""
-        slot_map = self._slot
-        members: Set[int] = set()
-        for v in vertices:
-            s = slot_map.get(v)
-            if s is None:
-                return False
-            members.add(s)
-        adj = self._adj
-        for s in members:
-            if adj[s] & members:
-                return False
-        return True
-
-    def is_clique(self, vertices: Iterable[Vertex]) -> bool:
-        """Return ``True`` if ``vertices`` induce a complete subgraph."""
-        slot_map = self._slot
-        members: Set[int] = set()
-        for v in vertices:
-            s = slot_map.get(v)
-            if s is None:
-                return False
-            members.add(s)
-        adj = self._adj
-        for s in members:
-            if len(members - adj[s] - {s}) > 0:
-                return False
-        return True
 
     def connected_components(self) -> List[Set[Vertex]]:
         """Return the connected components as a list of vertex sets."""

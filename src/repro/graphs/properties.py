@@ -4,7 +4,6 @@ The paper's sharper bounds (Theorem 4, Lemma 2) hold on *power-law bounded*
 (PLB) graphs: graphs whose bucketed degree distribution is sandwiched between
 two shifted power-law sequences.  This module provides:
 
-* summary statistics (:func:`graph_statistics`) used for Table I,
 * degree-bucket computation matching Definition 2 of the paper,
 * a least-squares estimator for the power-law exponent β,
 * a :func:`check_power_law_bounded` verdict that fits the PLB envelope
@@ -15,41 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from repro.graphs.dynamic_graph import DynamicGraph
-
-
-@dataclass(frozen=True)
-class GraphStatistics:
-    """Summary statistics reported for each dataset (Table I columns)."""
-
-    num_vertices: int
-    num_edges: int
-    average_degree: float
-    max_degree: int
-    min_degree: int
-
-    def as_row(self) -> Dict[str, float]:
-        """Return the statistics as a plain dictionary for table rendering."""
-        return {
-            "n": self.num_vertices,
-            "m": self.num_edges,
-            "avg_degree": round(self.average_degree, 2),
-            "max_degree": self.max_degree,
-            "min_degree": self.min_degree,
-        }
-
-
-def graph_statistics(graph: DynamicGraph) -> GraphStatistics:
-    """Compute the Table I summary statistics of ``graph``."""
-    return GraphStatistics(
-        num_vertices=graph.num_vertices,
-        num_edges=graph.num_edges,
-        average_degree=graph.average_degree(),
-        max_degree=graph.max_degree(),
-        min_degree=graph.min_degree(),
-    )
 
 
 def degree_buckets(graph: DynamicGraph) -> Dict[int, int]:
@@ -180,55 +147,3 @@ def check_power_law_bounded(
         c2=min(ratios),
         buckets=buckets,
     )
-
-
-def degree_distribution_tail(graph: DynamicGraph) -> List[float]:
-    """Return the complementary cumulative degree distribution ``P(D >= d)``.
-
-    Index ``d`` of the returned list holds the fraction of vertices whose
-    degree is at least ``d``.  Useful for eyeballing power-law behaviour in
-    examples and notebooks.
-    """
-    n = graph.num_vertices
-    if n == 0:
-        return []
-    histogram = graph.degree_histogram()
-    max_degree = max(histogram)
-    tail = [0.0] * (max_degree + 2)
-    remaining = n
-    for d in range(0, max_degree + 1):
-        tail[d] = remaining / n
-        remaining -= histogram.get(d, 0)
-    tail[max_degree + 1] = 0.0
-    return tail
-
-
-def independence_number_upper_bound(graph: DynamicGraph) -> int:
-    """Cheap upper bound on α(G): ``n - matching_lower_bound``.
-
-    A greedy maximal matching of size ``μ`` certifies that at least one
-    endpoint of each matching edge is excluded from any independent set, so
-    ``α(G) <= n - μ``.  Used as a sanity bound by the experiment harness and
-    by tests of the exact solver.
-    """
-    matched: set = set()
-    matching_size = 0
-    for u in graph.vertices():
-        if u in matched:
-            continue
-        for v in graph.neighbors(u):
-            if v not in matched:
-                matched.add(u)
-                matched.add(v)
-                matching_size += 1
-                break
-    return graph.num_vertices - matching_size
-
-
-def mean_and_std(values: Sequence[float]) -> tuple:
-    """Return the mean and population standard deviation of ``values``."""
-    if not values:
-        return (0.0, 0.0)
-    mean = sum(values) / len(values)
-    variance = sum((v - mean) ** 2 for v in values) / len(values)
-    return (mean, math.sqrt(variance))

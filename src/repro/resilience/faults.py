@@ -172,10 +172,6 @@ class FaultPlan:
             schedule={point: frozenset(hits) for point, hits in schedule.items()}
         )
 
-    @property
-    def num_faults(self) -> int:
-        return sum(len(hits) for hits in self.schedule.values())
-
     def describe(self) -> str:
         """Human-readable schedule, point-sorted (for logs and CI output)."""
         parts = [

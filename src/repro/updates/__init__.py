@@ -2,7 +2,7 @@
 stream protocol for dynamic graphs."""
 
 from repro.updates.coalesce import CoalescedBatch, coalesce_batch
-from repro.updates.operations import UpdateKind, UpdateOperation, apply_update, invert_update
+from repro.updates.operations import UpdateKind, UpdateOperation, apply_update
 from repro.updates.protocol import (
     EMPTY_FINGERPRINT,
     OperationStream,
@@ -23,11 +23,8 @@ from repro.updates.wire import (
 from repro.updates.streams import (
     UpdateStream,
     burst_stream,
-    bursty_churn_stream,
     flash_crowd_stream,
     mixed_update_stream,
-    random_edge_stream,
-    random_vertex_stream,
     sliding_window_stream,
 )
 
@@ -35,7 +32,6 @@ __all__ = [
     "UpdateKind",
     "UpdateOperation",
     "apply_update",
-    "invert_update",
     "CoalescedBatch",
     "coalesce_batch",
     "OperationStream",
@@ -52,11 +48,8 @@ __all__ = [
     "operations_to_wire",
     "operations_from_wire",
     "UpdateStream",
-    "random_edge_stream",
-    "random_vertex_stream",
     "mixed_update_stream",
     "sliding_window_stream",
     "burst_stream",
-    "bursty_churn_stream",
     "flash_crowd_stream",
 ]

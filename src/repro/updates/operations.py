@@ -3,7 +3,7 @@
 A dynamic graph in the paper is a sequence ``G_0, G_1, ...`` where each graph
 differs from its predecessor by a single vertex/edge insertion or deletion.
 :class:`UpdateOperation` is the value object representing one such step, and
-:func:`apply_update` / :func:`invert_update` apply and undo it on a
+:func:`apply_update` applies it to a
 :class:`~repro.graphs.dynamic_graph.DynamicGraph`.
 """
 
@@ -89,24 +89,9 @@ class UpdateOperation:
     # Introspection
     # ------------------------------------------------------------------ #
     @property
-    def is_insertion(self) -> bool:
-        """True for insert-vertex / insert-edge operations."""
-        return self.kind in (UpdateKind.INSERT_VERTEX, UpdateKind.INSERT_EDGE)
-
-    @property
-    def is_deletion(self) -> bool:
-        """True for delete-vertex / delete-edge operations."""
-        return not self.is_insertion
-
-    @property
     def is_vertex_operation(self) -> bool:
         """True for vertex insert/delete operations."""
         return self.kind in (UpdateKind.INSERT_VERTEX, UpdateKind.DELETE_VERTEX)
-
-    @property
-    def is_edge_operation(self) -> bool:
-        """True for edge insert/delete operations."""
-        return not self.is_vertex_operation
 
     def touched_vertices(self) -> Tuple[Vertex, ...]:
         """Return the vertices whose neighbourhood the operation changes."""
@@ -185,22 +170,3 @@ def apply_update(graph: DynamicGraph, operation: UpdateOperation) -> None:
         raise
     except Exception as exc:
         raise UpdateError(f"cannot apply {operation}: {exc}") from exc
-
-
-def invert_update(graph: DynamicGraph, operation: UpdateOperation) -> UpdateOperation:
-    """Return the operation that undoes ``operation`` on the *current* ``graph``.
-
-    Must be called *before* ``operation`` is applied for deletions (so the
-    incident edges of a deleted vertex can be captured).
-    """
-    if operation.kind is UpdateKind.INSERT_VERTEX:
-        return UpdateOperation.delete_vertex(operation.vertex)
-    if operation.kind is UpdateKind.DELETE_VERTEX:
-        if not graph.has_vertex(operation.vertex):
-            raise UpdateError(f"cannot invert deletion of missing vertex {operation.vertex!r}")
-        return UpdateOperation.insert_vertex(
-            operation.vertex, sorted(graph.neighbors(operation.vertex), key=graph.order_of)
-        )
-    if operation.kind is UpdateKind.INSERT_EDGE:
-        return UpdateOperation.delete_edge(*operation.edge)
-    return UpdateOperation.insert_edge(*operation.edge)

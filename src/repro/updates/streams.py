@@ -6,10 +6,8 @@ in this module produce *valid* update sequences: each operation is legal on
 the graph obtained by applying all previous operations (they simulate the
 stream on a scratch copy of the input graph while generating it).
 
-The main entry points are:
+The entry points are:
 
-* :func:`random_edge_stream` — random edge insertions/deletions,
-* :func:`random_vertex_stream` — random vertex insertions/deletions,
 * :func:`mixed_update_stream` — the paper's default workload (a mix of all
   four operation kinds),
 * :func:`sliding_window_stream` — an insertion-then-expiry pattern typical of
@@ -17,9 +15,6 @@ The main entry points are:
   retract almost immediately),
 * :func:`burst_stream` — bursts of insertions around hub vertices, modelling
   the "hot topic" scenario the introduction motivates,
-* :func:`bursty_churn_stream` — hub bursts where most of the burst is
-  retracted within the same window, the workload the batched update engine's
-  stream coalescing is built for (inverse pairs inside one batch cancel),
 * :func:`flash_crowd_stream` — bursts of *transient vertices* that arrive,
   interact and leave within one window; the heaviest coalescing win, since a
   cancelled vertex insertion/deletion pair also cancels all its incident
@@ -159,71 +154,6 @@ class _StreamBuilder:
         return False
 
 
-def random_edge_stream(
-    graph: DynamicGraph,
-    num_updates: int,
-    *,
-    insert_ratio: float = 0.5,
-    seed: Optional[int] = None,
-) -> UpdateStream:
-    """Generate ``num_updates`` random edge insertions/deletions.
-
-    ``insert_ratio`` is the probability that any given operation is an
-    insertion; the remainder are deletions of random existing edges.
-    """
-    if not 0.0 <= insert_ratio <= 1.0:
-        raise UpdateError("insert_ratio must lie in [0, 1]")
-    builder = _StreamBuilder(graph, seed)
-    produced = 0
-    guard = 0
-    while produced < num_updates and guard < 20 * num_updates + 100:
-        guard += 1
-        if builder.rng.random() < insert_ratio:
-            ok = builder.insert_random_edge()
-        else:
-            ok = builder.delete_random_edge() or builder.insert_random_edge()
-        if ok:
-            produced += 1
-    return UpdateStream(
-        operations=builder.operations,
-        description=f"random_edge_stream(n={num_updates}, insert_ratio={insert_ratio})",
-        seed=seed,
-        metadata={"insert_ratio": insert_ratio},
-    )
-
-
-def random_vertex_stream(
-    graph: DynamicGraph,
-    num_updates: int,
-    *,
-    insert_ratio: float = 0.5,
-    max_neighbors: int = 5,
-    seed: Optional[int] = None,
-) -> UpdateStream:
-    """Generate ``num_updates`` random vertex insertions/deletions."""
-    if not 0.0 <= insert_ratio <= 1.0:
-        raise UpdateError("insert_ratio must lie in [0, 1]")
-    builder = _StreamBuilder(graph, seed)
-    produced = 0
-    guard = 0
-    while produced < num_updates and guard < 20 * num_updates + 100:
-        guard += 1
-        if builder.rng.random() < insert_ratio:
-            ok = builder.insert_random_vertex(max_neighbors=max_neighbors)
-        else:
-            ok = builder.delete_random_vertex() or builder.insert_random_vertex(
-                max_neighbors=max_neighbors
-            )
-        if ok:
-            produced += 1
-    return UpdateStream(
-        operations=builder.operations,
-        description=f"random_vertex_stream(n={num_updates}, insert_ratio={insert_ratio})",
-        seed=seed,
-        metadata={"insert_ratio": insert_ratio, "max_neighbors": max_neighbors},
-    )
-
-
 def mixed_update_stream(
     graph: DynamicGraph,
     num_updates: int,
@@ -241,6 +171,8 @@ def mixed_update_stream(
     """
     if not 0.0 <= edge_fraction <= 1.0:
         raise UpdateError("edge_fraction must lie in [0, 1]")
+    if not 0.0 <= insert_ratio <= 1.0:
+        raise UpdateError("insert_ratio must lie in [0, 1]")
     builder = _StreamBuilder(graph, seed)
     produced = 0
     guard = 0
@@ -367,68 +299,6 @@ def burst_stream(
         description=f"burst_stream(n={num_updates}, burst_size={burst_size})",
         seed=seed,
         metadata={"burst_size": burst_size},
-    )
-
-
-def bursty_churn_stream(
-    graph: DynamicGraph,
-    num_updates: int,
-    *,
-    burst_size: int = 32,
-    churn: float = 0.75,
-    seed: Optional[int] = None,
-) -> UpdateStream:
-    """Generate hub bursts where most of each burst is retracted immediately.
-
-    The "hot topic" pattern of the paper's introduction taken to its bursty
-    extreme: a hub acquires ``burst_size`` new neighbours at once, and a
-    ``churn`` fraction of exactly those edges is deleted again within the
-    same burst window (the topic cools as fast as it flared).  Every
-    retracted edge forms an insert/delete inverse pair a few positions
-    apart, so a batched consumer cancels them outright: with
-    ``batch_size >= burst_size * (1 + churn)`` the net effect of a burst is
-    only its surviving ``1 - churn`` fraction.
-    """
-    if not 0.0 <= churn <= 1.0:
-        raise UpdateError("churn must lie in [0, 1]")
-    if burst_size < 1:
-        raise UpdateError("burst_size must be at least 1")
-    builder = _StreamBuilder(graph, seed)
-    vertices = list(builder.scratch.vertices())
-    produced = 0
-    guard = 0
-    while produced < num_updates and vertices and guard < 20 * num_updates + 100:
-        guard += 1
-        hub = builder.rng.choice(vertices)
-        if not builder.scratch.has_vertex(hub):
-            continue
-        inserted: List = []
-        for _ in range(min(burst_size, num_updates - produced)):
-            target = builder.rng.choice(vertices)
-            if (
-                target != hub
-                and builder.scratch.has_vertex(target)
-                and not builder.scratch.has_edge(hub, target)
-            ):
-                builder._emit(UpdateOperation.insert_edge(hub, target))
-                inserted.append(target)
-                produced += 1
-        # Retraction wave: the most recent interactions vanish first.
-        retract = int(len(inserted) * churn)
-        for target in reversed(inserted[len(inserted) - retract :]):
-            if produced >= num_updates:
-                break
-            if builder.scratch.has_edge(hub, target):
-                builder._emit(UpdateOperation.delete_edge(hub, target))
-                produced += 1
-    return UpdateStream(
-        operations=builder.operations,
-        description=(
-            f"bursty_churn_stream(n={num_updates}, burst_size={burst_size}, "
-            f"churn={churn})"
-        ),
-        seed=seed,
-        metadata={"burst_size": burst_size, "churn": churn},
     )
 
 

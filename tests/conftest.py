@@ -6,8 +6,9 @@ import logging
 
 import pytest
 
+from graph_helpers import erdos_renyi_graph
+
 from repro.generators.power_law import power_law_random_graph
-from repro.generators.random_graphs import erdos_renyi_graph
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.updates.streams import mixed_update_stream
 
@@ -63,12 +64,6 @@ def cycle_graph() -> DynamicGraph:
 def star_graph() -> DynamicGraph:
     """A star with centre 0 and six leaves (α = 6)."""
     return DynamicGraph(edges=[(0, leaf) for leaf in range(1, 7)])
-
-
-@pytest.fixture
-def triangle_with_pendant() -> DynamicGraph:
-    """A triangle 0-1-2 with a pendant vertex 3 attached to 0 (α = 2)."""
-    return DynamicGraph(edges=[(0, 1), (1, 2), (2, 0), (0, 3)])
 
 
 @pytest.fixture

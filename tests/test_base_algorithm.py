@@ -7,7 +7,7 @@ from slot_helpers import count
 
 from repro.core.one_swap import DyOneSwap
 from repro.core.two_swap import DyTwoSwap
-from repro.core.verification import is_maximal_independent_set
+from repro.core.verification import is_independent_set, is_maximal_independent_set
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.updates.operations import UpdateOperation
 
@@ -68,7 +68,7 @@ class TestInsertEdgeCases:
         # 0 is evicted (it can be compensated by its tight neighbour 1).
         solution = algo.solution()
         assert 3 in solution
-        assert graph.is_independent_set(solution)
+        assert is_independent_set(graph, solution)
         assert is_maximal_independent_set(graph, solution)
         assert 1 in solution
 
@@ -80,7 +80,7 @@ class TestInsertEdgeCases:
         # this test is that the update never leaves adjacent solution vertices.
         algo.apply_update(UpdateOperation.insert_edge(0, 4))
         solution = algo.solution()
-        assert graph.is_independent_set(solution)
+        assert is_independent_set(graph, solution)
         assert is_maximal_independent_set(graph, solution)
 
     def test_edge_between_nonsolution_vertices_changes_nothing(self, path_graph):

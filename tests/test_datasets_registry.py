@@ -57,9 +57,9 @@ class TestRegistry:
         assert spec.paper_edges == 405_740
         assert spec.paper_average_degree == pytest.approx(10.69, abs=0.01)
 
-    def test_scale_factor_positive(self):
+    def test_stand_ins_are_scaled_down(self):
         for spec in TABLE1_DATASETS:
-            assert spec.scale_factor > 1.0
+            assert spec.paper_vertices > spec.scaled_vertices
             assert spec.seed >= 0
 
 

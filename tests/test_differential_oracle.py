@@ -25,8 +25,8 @@ from repro.baselines.exact import exact_independence_number
 from repro.core.one_swap import DyOneSwap
 from repro.core.two_swap import DyTwoSwap
 from repro.core.verification import is_k_maximal_independent_set
-from repro.experiments import apply_stream_to_graph
 from repro.generators.random_graphs import gnm_random_graph
+from repro.updates.operations import apply_update
 from repro.updates.streams import (
     flash_crowd_stream,
     mixed_update_stream,
@@ -44,7 +44,9 @@ CONFIGURATIONS = [
 
 def _oracle_check(graph, stream, *, check_reference: bool = True):
     """Run every configuration over ``stream`` and compare against the oracles."""
-    naive_graph = apply_stream_to_graph(graph, stream)
+    naive_graph = graph.copy()
+    for operation in stream:
+        apply_update(naive_graph, operation)
     solutions = {}
     for algorithm_class, lazy, batch_size in CONFIGURATIONS:
         algorithm = algorithm_class(graph.copy(), lazy=lazy)

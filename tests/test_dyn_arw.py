@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from graph_helpers import erdos_renyi_graph
+
 from repro.baselines.dyn_arw import DyARW
 from repro.core.one_swap import DyOneSwap
 from repro.core.verification import is_k_maximal_independent_set
 from repro.generators.power_law import power_law_random_graph
-from repro.generators.random_graphs import erdos_renyi_graph
 from repro.updates.operations import UpdateOperation
 from repro.updates.streams import mixed_update_stream
 

@@ -63,9 +63,6 @@ class TestAccessors:
         with pytest.raises(VertexNotFoundError):
             path_graph.neighbors(99)
 
-    def test_closed_neighbors(self, path_graph):
-        assert path_graph.closed_neighbors(2) == {1, 2, 3}
-
     def test_degree(self, star_graph):
         assert star_graph.degree(0) == 6
         assert star_graph.degree(1) == 1
@@ -92,11 +89,9 @@ class TestAccessors:
         assert path_graph.has_edge(2, 1)
         assert not path_graph.has_edge(0, 4)
 
-    def test_degree_sequence_and_histogram(self, star_graph):
+    def test_degree_sequence(self, star_graph):
         sequence = sorted(star_graph.degree_sequence())
         assert sequence == [1, 1, 1, 1, 1, 1, 6]
-        histogram = star_graph.degree_histogram()
-        assert histogram == {1: 6, 6: 1}
 
 
 class TestMutation:
@@ -106,11 +101,6 @@ class TestMutation:
         assert graph.has_vertex(5)
         with pytest.raises(VertexExistsError):
             graph.add_vertex(5)
-
-    def test_add_vertex_if_missing(self):
-        graph = DynamicGraph()
-        assert graph.add_vertex_if_missing(1) is True
-        assert graph.add_vertex_if_missing(1) is False
 
     def test_remove_vertex_returns_neighbors(self, path_graph):
         neighbors = path_graph.remove_vertex(2)
@@ -188,23 +178,6 @@ class TestDerivedViews:
         other = path_graph.copy()
         other.add_edge(0, 4)
         assert path_graph != other
-
-    def test_subgraph(self, cycle_graph):
-        sub = cycle_graph.subgraph([0, 1, 2, 99])
-        assert set(sub.vertices()) == {0, 1, 2}
-        assert sub.num_edges == 2
-
-    def test_is_independent_set(self, cycle_graph):
-        assert cycle_graph.is_independent_set({0, 2, 4})
-        assert not cycle_graph.is_independent_set({0, 1})
-        assert not cycle_graph.is_independent_set({0, 99})
-        assert cycle_graph.is_independent_set(set())
-
-    def test_is_clique(self, triangle_with_pendant):
-        assert triangle_with_pendant.is_clique({0, 1, 2})
-        assert not triangle_with_pendant.is_clique({0, 1, 3})
-        assert triangle_with_pendant.is_clique({0})
-        assert not triangle_with_pendant.is_clique({0, 99})
 
     def test_connected_components(self):
         graph = DynamicGraph(edges=[(0, 1), (2, 3)], vertices=[4])

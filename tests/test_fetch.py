@@ -11,7 +11,6 @@ from repro.exceptions import DatasetError
 from repro.experiments.fetch import (
     FETCH_RETRY,
     SNAP_TEMPORAL_DATASETS,
-    available_snap_datasets,
     dataset_dir,
     dataset_unavailable_message,
     fetch_dataset,
@@ -133,12 +132,6 @@ class TestFetchDataset:
 
         monkeypatch.setattr(fetch_module, "sha256_of", forbidden)
         assert fetch_dataset("CollegeMsg", directory=tmp_path) == path
-
-    def test_available_listing(self, tmp_path):
-        assert available_snap_datasets(tmp_path) == ()
-        spec = SNAP_TEMPORAL_DATASETS["CollegeMsg"]
-        (tmp_path / spec.filename).write_bytes(b"")
-        assert available_snap_datasets(tmp_path) == ("CollegeMsg",)
 
     def test_dataset_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_DATASET_DIR", str(tmp_path / "elsewhere"))

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from graph_helpers import erdos_renyi_graph
+
 from repro.core import framework
 from repro.core.framework import KSwapFramework
 from repro.core.one_swap import DyOneSwap
@@ -12,7 +14,6 @@ from repro.core.verification import (
     is_k_maximal_independent_set,
     is_maximal_independent_set,
 )
-from repro.generators.random_graphs import erdos_renyi_graph
 from repro.generators.worst_case import subdivided_complete_graph
 from repro.updates.streams import mixed_update_stream
 

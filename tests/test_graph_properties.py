@@ -1,10 +1,8 @@
-"""Tests for graph statistics and the power-law-bounded model checks."""
+"""Tests for the degree buckets and the power-law-bounded model checks."""
 
 from __future__ import annotations
 
 import math
-
-import pytest
 
 from repro.core.bounds import theorem4_constant
 from repro.generators.power_law import power_law_random_graph
@@ -12,28 +10,9 @@ from repro.graphs.dynamic_graph import DynamicGraph
 from repro.graphs.properties import (
     check_power_law_bounded,
     degree_buckets,
-    degree_distribution_tail,
     estimate_power_law_exponent,
-    graph_statistics,
-    independence_number_upper_bound,
-    mean_and_std,
     shifted_zipf_bucket_mass,
 )
-
-
-class TestGraphStatistics:
-    def test_statistics_of_star(self, star_graph):
-        stats = graph_statistics(star_graph)
-        assert stats.num_vertices == 7
-        assert stats.num_edges == 6
-        assert stats.max_degree == 6
-        assert stats.min_degree == 1
-        assert stats.average_degree == pytest.approx(12 / 7)
-
-    def test_as_row_rounds_average_degree(self, star_graph):
-        row = graph_statistics(star_graph).as_row()
-        assert row["n"] == 7
-        assert row["avg_degree"] == round(12 / 7, 2)
 
 
 class TestDegreeBuckets:
@@ -92,29 +71,3 @@ class TestPowerLawEstimation:
         fit = check_power_law_bounded(graph, beta=2.5)
         assert fit.c1 >= fit.c2
 
-
-class TestTailAndBounds:
-    def test_degree_distribution_tail_monotone(self, small_power_law_graph):
-        tail = degree_distribution_tail(small_power_law_graph)
-        assert tail[0] == pytest.approx(1.0)
-        assert all(tail[i] >= tail[i + 1] - 1e-12 for i in range(len(tail) - 1))
-        assert tail[-1] == 0.0
-
-    def test_degree_distribution_tail_empty(self):
-        assert degree_distribution_tail(DynamicGraph()) == []
-
-    def test_independence_upper_bound_star(self, star_graph):
-        # A star has a maximum matching of size 1, so the bound is n - 1 = 6 = α.
-        assert independence_number_upper_bound(star_graph) == 6
-
-    def test_independence_upper_bound_at_least_half(self, small_random_graph):
-        bound = independence_number_upper_bound(small_random_graph)
-        assert bound >= small_random_graph.num_vertices / 2
-
-    def test_mean_and_std(self):
-        mean, std = mean_and_std([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0])
-        assert mean == pytest.approx(5.0)
-        assert std == pytest.approx(2.0)
-
-    def test_mean_and_std_empty(self):
-        assert mean_and_std([]) == (0.0, 0.0)

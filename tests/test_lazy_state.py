@@ -6,12 +6,12 @@ import random
 from itertools import combinations
 
 import pytest
+from graph_helpers import erdos_renyi_graph
 from slot_helpers import count, labels, move_in, move_out, remove_edge, slots
 
 from repro.core.lazy import LazyMISState
 from repro.core.state import MISState
 from repro.exceptions import SolutionInvariantError
-from repro.generators.random_graphs import erdos_renyi_graph
 
 
 class TestLazyBasics:

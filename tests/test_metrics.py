@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.experiments.metrics import QualityMetrics, RunMeasurement, Stopwatch, speedup
+from repro.experiments.metrics import QualityMetrics, RunMeasurement, Stopwatch
 
 
 class TestQualityMetrics:
@@ -43,15 +43,6 @@ class TestRunMeasurement:
         measurement.reference_size = 50
         assert measurement.quality.gap == 2
 
-    def test_updates_per_second(self):
-        measurement = RunMeasurement(
-            algorithm="a", dataset="d", num_updates=200, initial_size=0,
-            final_size=0, elapsed_seconds=2.0, memory_footprint=0,
-        )
-        assert measurement.updates_per_second == pytest.approx(100.0)
-        measurement.elapsed_seconds = 0.0
-        assert measurement.updates_per_second == 0.0
-
     def test_as_row_includes_quality_and_extras(self):
         measurement = RunMeasurement(
             algorithm="DyTwoSwap",
@@ -79,7 +70,3 @@ class TestStopwatchAndSpeedup:
         with watch:
             time.sleep(0.01)
         assert watch.elapsed >= 0.005
-
-    def test_speedup(self):
-        assert speedup(2.0, 1.0) == pytest.approx(2.0)
-        assert speedup(1.0, 0.0) == float("inf")

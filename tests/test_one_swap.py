@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import pytest
 
+from graph_helpers import erdos_renyi_graph
+
 from repro.core.one_swap import DyOneSwap
 from repro.core.verification import (
+    is_independent_set,
     is_k_maximal_independent_set,
     is_maximal_independent_set,
 )
 from repro.exceptions import SolutionInvariantError
-from repro.generators.random_graphs import erdos_renyi_graph
 from repro.generators.power_law import power_law_random_graph
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.updates.operations import UpdateOperation
@@ -51,10 +53,6 @@ class TestInitialisation:
         algo = DyOneSwap(path_graph, k=5)
         assert algo.k == 1
 
-    def test_approximation_ratio_bound(self, star_graph):
-        algo = DyOneSwap(star_graph)
-        assert algo.approximation_ratio_bound() == star_graph.max_degree() / 2 + 1
-
 
 class TestOneSwapDetection:
     def test_edge_insertion_triggers_swap(self):
@@ -82,7 +80,7 @@ class TestOneSwapDetection:
         algo = DyOneSwap(path_graph, initial_solution=[0, 2, 4])
         algo.apply_update(UpdateOperation.insert_edge(2, 4))
         solution = algo.solution()
-        assert path_graph.is_independent_set(solution)
+        assert is_independent_set(path_graph, solution)
         assert is_maximal_independent_set(path_graph, solution)
 
     def test_delete_solution_vertex_repairs_maximality(self, star_graph):

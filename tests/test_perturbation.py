@@ -7,7 +7,7 @@ import pytest
 from repro.core.one_swap import DyOneSwap
 from repro.core.two_swap import DyTwoSwap
 from repro.core.perturbation import pick_perturbation_partner
-from repro.core.verification import is_k_maximal_independent_set
+from repro.core.verification import is_independent_set, is_k_maximal_independent_set
 from repro.generators.power_law import power_law_random_graph
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.updates.operations import UpdateOperation
@@ -50,7 +50,7 @@ class TestPerturbationInAlgorithms:
         # neighbourhood: inserting an edge elsewhere that lowers a count.
         algo.apply_update(UpdateOperation.insert_vertex(5, [0]))
         solution = algo.solution()
-        assert graph.is_independent_set(solution)
+        assert is_independent_set(graph, solution)
         assert 0 not in solution or algo.stats.perturbations == 0
 
     @pytest.mark.parametrize("algorithm_class,k", [(DyOneSwap, 1), (DyTwoSwap, 2)])

@@ -19,7 +19,6 @@ from repro.core.verification import (
     is_maximal_independent_set,
 )
 from repro.graphs.dynamic_graph import DynamicGraph
-from repro.updates.operations import apply_update, invert_update
 from repro.updates.streams import mixed_update_stream
 
 # --------------------------------------------------------------------------- #
@@ -72,15 +71,6 @@ class TestGraphProperties:
     def test_copy_equals_original(self, graph):
         assert graph.copy() == graph
 
-    @given(small_graphs(), st.sets(st.integers(min_value=0, max_value=11)))
-    @settings(max_examples=60, deadline=None)
-    def test_subgraph_preserves_adjacency(self, graph, keep):
-        sub = graph.subgraph(keep)
-        for u, v in sub.edges():
-            assert graph.has_edge(u, v)
-        for v in sub.vertices():
-            assert graph.has_vertex(v)
-
     @given(medium_graphs())
     @settings(max_examples=30, deadline=None)
     def test_components_partition_vertices(self, graph):
@@ -105,19 +95,6 @@ class TestUpdateProperties:
         working = graph.copy()
         stream.apply_all(working)
         working.check_consistency()
-
-    @given(medium_graphs(), st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_invert_restores_graph(self, graph, seed):
-        stream = mixed_update_stream(graph, 25, seed=seed)
-        working = graph.copy()
-        inverses = []
-        for operation in stream:
-            inverses.append(invert_update(working, operation))
-            apply_update(working, operation)
-        for inverse in reversed(inverses):
-            apply_update(working, inverse)
-        assert working == graph
 
 
 # --------------------------------------------------------------------------- #

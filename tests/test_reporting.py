@@ -2,12 +2,7 @@
 
 from __future__ import annotations
 
-from repro.experiments.reporting import (
-    format_series,
-    format_table,
-    rows_to_csv,
-    summarize_comparison,
-)
+from repro.experiments.reporting import format_table
 
 
 class TestFormatTable:
@@ -41,49 +36,3 @@ class TestFormatTable:
     def test_empty_rows(self):
         text = format_table([])
         assert text == "\n"  # header and separator lines are empty
-
-
-class TestFormatSeries:
-    def test_series_alignment(self):
-        series = {"DyOneSwap": [1.0, 2.0], "DyTwoSwap": [1.5, 2.5]}
-        text = format_series(series, x_label="updates", x_values=[100, 200])
-        assert "updates" in text
-        assert "DyOneSwap" in text
-        assert "2.5000" in text
-
-    def test_series_with_default_x(self):
-        text = format_series({"a": [1.0]}, title="Fig")
-        assert "Fig" in text
-
-    def test_unequal_lengths_pad_with_dash(self):
-        text = format_series({"a": [1.0, 2.0], "b": [5.0]})
-        assert "-" in text
-
-
-class TestSummaries:
-    def test_summarize_comparison_picks_best(self):
-        rows = [
-            {"dataset": "d1", "algorithm": "A", "accuracy": 0.9},
-            {"dataset": "d1", "algorithm": "B", "accuracy": 0.95},
-            {"dataset": "d2", "algorithm": "A", "accuracy": 0.99},
-        ]
-        best = summarize_comparison(rows)
-        assert best == {"d1": "B", "d2": "A"}
-
-    def test_summarize_ignores_missing_values(self):
-        rows = [{"dataset": "d", "algorithm": "A", "accuracy": None}]
-        assert summarize_comparison(rows) == {}
-
-
-class TestCsv:
-    def test_rows_to_csv(self):
-        rows = [{"a": 1, "b": "x,y"}, {"a": 2, "b": None}]
-        csv_text = rows_to_csv(rows)
-        lines = csv_text.splitlines()
-        assert lines[0] == "a,b"
-        assert lines[1] == '1,"x,y"'
-        assert lines[2] == "2,"
-
-    def test_rows_to_csv_with_explicit_columns(self):
-        csv_text = rows_to_csv([{"a": 1, "b": 2}], columns=["b"])
-        assert csv_text.splitlines()[0] == "b"

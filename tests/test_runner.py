@@ -8,20 +8,20 @@ import time
 
 import pytest
 
+from graph_helpers import erdos_renyi_graph
+
 from repro.baselines.greedy import randomized_greedy
 from repro.core.verification import is_maximal_independent_set
 from repro.exceptions import ExperimentError
 from repro.experiments.runner import (
     ALGORITHM_FACTORIES,
     PAPER_ALGORITHMS,
-    available_algorithms,
     compute_reference,
     create_algorithm,
     run_algorithm,
     run_competition,
 )
 from repro.generators.power_law import power_law_random_graph
-from repro.generators.random_graphs import erdos_renyi_graph
 from repro.updates.streams import mixed_update_stream
 from repro.workloads import CheckpointConfig
 
@@ -50,14 +50,14 @@ def _keyword_defaults(cls):
 class TestFactories:
     def test_paper_algorithms_are_registered(self):
         for name in PAPER_ALGORITHMS:
-            assert name in available_algorithms()
+            assert name in ALGORITHM_FACTORIES
 
     def test_create_algorithm_unknown_name(self, path_graph):
         with pytest.raises(ExperimentError):
             create_algorithm("NotAnAlgorithm", path_graph)
 
     def test_create_each_algorithm(self, small_random_graph):
-        for name in available_algorithms():
+        for name in ALGORITHM_FACTORIES:
             algo = create_algorithm(name, small_random_graph.copy())
             assert algo.solution_size > 0
 
@@ -74,7 +74,7 @@ class TestFactories:
     @pytest.mark.parametrize(
         "options", [{"workers": 2}, {"lazzy": True}, {"workers": 2, "lazzy": True}]
     )
-    @pytest.mark.parametrize("name", available_algorithms())
+    @pytest.mark.parametrize("name", tuple(ALGORITHM_FACTORIES))
     def test_unknown_options_are_refused(self, path_graph, name, options):
         before = path_graph.copy()
         with pytest.raises(ExperimentError, match=re.escape(repr(name))) as excinfo:
@@ -84,7 +84,7 @@ class TestFactories:
         # Refused before the constructor could touch the graph.
         assert path_graph == before
 
-    @pytest.mark.parametrize("name", available_algorithms())
+    @pytest.mark.parametrize("name", tuple(ALGORITHM_FACTORIES))
     def test_constructor_options_are_accepted(self, name, small_random_graph):
         """Every option an algorithm declares is one its constructors take."""
         cls = type(create_algorithm(name, small_random_graph.copy()))

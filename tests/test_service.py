@@ -42,7 +42,7 @@ from repro.service import (
     TenantSpec,
 )
 from repro.service.tenant import Tenant, engine_digest
-from repro.updates.operations import UpdateOperation
+from repro.updates.operations import UpdateKind, UpdateOperation
 from repro.updates.protocol import (
     EMPTY_FINGERPRINT,
     advance_identity,
@@ -1127,7 +1127,7 @@ def relabel(operations, mapping):
     out = []
     for op in operations:
         if op.is_vertex_operation:
-            if op.is_insertion:
+            if op.kind is UpdateKind.INSERT_VERTEX:
                 out.append(
                     UpdateOperation.insert_vertex(
                         mapping(op.vertex), [mapping(w) for w in op.neighbors]
@@ -1137,7 +1137,8 @@ def relabel(operations, mapping):
                 out.append(UpdateOperation.delete_vertex(mapping(op.vertex)))
         else:
             u, v = op.edge
-            build = UpdateOperation.insert_edge if op.is_insertion else UpdateOperation.delete_edge
+            insert = op.kind is UpdateKind.INSERT_EDGE
+            build = UpdateOperation.insert_edge if insert else UpdateOperation.delete_edge
             out.append(build(mapping(u), mapping(v)))
     return out
 

@@ -40,7 +40,7 @@ def _path(n=6):
 def _own(state, slot):
     """Brute-force I(v): the solution neighbours of ``slot``."""
     in_sol = state.in_solution_view()
-    return {t for t in state.graph.neighbors_slots_view(slot) if in_sol[t]}
+    return {t for t in state.graph.adjacency_slots_view()[slot] if in_sol[t]}
 
 
 def _outside(state):

@@ -6,11 +6,13 @@ from dataclasses import replace
 
 import pytest
 
+from graph_helpers import erdos_renyi_graph
+
+from repro.core.verification import is_independent_set
 from repro.experiments.datasets import QUICK_PROFILE
 from repro.experiments.runner import PAPER_ALGORITHMS
 from repro.experiments.tables import (
     compute_initial_solution,
-    pivot_quality_rows,
     table1_dataset_statistics,
     table2_easy_quality,
     table3_many_updates,
@@ -18,7 +20,6 @@ from repro.experiments.tables import (
 )
 from repro.generators.datasets import dataset_names
 from repro.generators.power_law import power_law_random_graph
-from repro.generators.random_graphs import erdos_renyi_graph
 
 
 #: A deliberately tiny profile so the table harness runs in seconds in CI.
@@ -95,11 +96,6 @@ class TestTable2:
                 if value is not None:
                     assert two >= value - 0.02
 
-    def test_pivot_helper(self, rows):
-        pivoted = pivot_quality_rows(rows, metric="acc")
-        assert len(pivoted) == len(rows) * len(PAPER_ALGORITHMS)
-        assert {entry["algorithm"] for entry in pivoted} == set(PAPER_ALGORITHMS)
-
 
 class TestTable3:
     def test_uses_large_update_count(self):
@@ -132,7 +128,7 @@ class TestInitialSolution:
         graph = erdos_renyi_graph(40, 0.1, seed=1)
         solution, source = compute_initial_solution(graph, prefer="exact", node_budget=100_000)
         assert source == "exact"
-        assert graph.is_independent_set(solution)
+        assert is_independent_set(graph, solution)
 
     def test_falls_back_to_arw(self):
         graph = erdos_renyi_graph(150, 0.3, seed=2)
@@ -140,10 +136,10 @@ class TestInitialSolution:
             graph, prefer="exact", node_budget=2, arw_iterations=2
         )
         assert source == "arw"
-        assert graph.is_independent_set(solution)
+        assert is_independent_set(graph, solution)
 
     def test_arw_requested_directly(self):
         graph = power_law_random_graph(100, 2.3, seed=3)
         solution, source = compute_initial_solution(graph, prefer="arw", arw_iterations=2)
         assert source == "arw"
-        assert graph.is_independent_set(solution)
+        assert is_independent_set(graph, solution)

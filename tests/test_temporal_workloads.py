@@ -34,6 +34,9 @@ from repro.workloads.temporal import (
     write_temporal_edge_list,
 )
 
+#: The kinds of an insertion-only stream.
+INSERTIONS = (UpdateKind.INSERT_VERTEX, UpdateKind.INSERT_EDGE)
+
 
 class TestTemporalParser:
     def test_roundtrip(self, tmp_path):
@@ -118,7 +121,7 @@ class TestWindowingPolicies:
     def test_insertion_only_when_no_policy(self):
         events = [TemporalEdge(0, 1, 0.0), TemporalEdge(1, 2, 5.0)]
         stream = temporal_update_stream(events)
-        assert all(op.is_insertion for op in stream)
+        assert all(op.kind in INSERTIONS for op in stream)
         graph = DynamicGraph()
         stream.apply_all(graph)
         assert graph.num_edges == 2
@@ -420,7 +423,7 @@ class TestWorkloadCatalog:
 
     def test_growth_workload_never_deletes(self):
         _graph, stream = load_temporal_workload("quick", "citation-growth", num_events=150)
-        assert all(op.is_insertion for op in stream)
+        assert all(op.kind in INSERTIONS for op in stream)
 
     def test_windowed_workload_churns_vertices(self):
         _graph, stream = load_temporal_workload("quick", "wiki-talk-window", num_events=300)

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from graph_helpers import erdos_renyi_graph
+
 from repro.core.one_swap import DyOneSwap
 from repro.core.two_swap import DyTwoSwap
 from repro.core.verification import is_k_maximal_independent_set
-from repro.generators.random_graphs import erdos_renyi_graph
 from repro.generators.power_law import power_law_random_graph
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.updates.operations import UpdateOperation

@@ -8,7 +8,7 @@ import dataclasses
 import pytest
 
 from repro.exceptions import UpdateError
-from repro.updates.operations import UpdateKind, UpdateOperation, apply_update, invert_update
+from repro.updates.operations import UpdateKind, UpdateOperation, apply_update
 
 
 class TestConstruction:
@@ -17,18 +17,18 @@ class TestConstruction:
         assert op.kind is UpdateKind.INSERT_VERTEX
         assert op.vertex == 5
         assert op.neighbors == (1, 2)
-        assert op.is_insertion and op.is_vertex_operation
+        assert op.is_vertex_operation
 
     def test_delete_vertex(self):
         op = UpdateOperation.delete_vertex(3)
         assert op.kind is UpdateKind.DELETE_VERTEX
-        assert op.is_deletion and op.is_vertex_operation
+        assert op.is_vertex_operation
 
     def test_insert_edge(self):
         op = UpdateOperation.insert_edge(1, 2)
         assert op.kind is UpdateKind.INSERT_EDGE
         assert op.edge == (1, 2)
-        assert op.is_insertion and op.is_edge_operation
+        assert not op.is_vertex_operation
 
     def test_insert_self_loop_rejected(self):
         with pytest.raises(UpdateError):
@@ -36,7 +36,8 @@ class TestConstruction:
 
     def test_delete_edge(self):
         op = UpdateOperation.delete_edge(1, 2)
-        assert op.is_deletion and op.is_edge_operation
+        assert op.kind is UpdateKind.DELETE_EDGE
+        assert not op.is_vertex_operation
 
     def test_delete_self_loop_rejected(self):
         with pytest.raises(UpdateError, match="self loop"):
@@ -132,32 +133,3 @@ class TestApply:
             apply_update(path_graph, UpdateOperation.insert_edge(0, 1))
         with pytest.raises(UpdateError):
             apply_update(path_graph, UpdateOperation.delete_edge(0, 4))
-
-
-class TestInvert:
-    def test_invert_insert_vertex(self, path_graph):
-        op = UpdateOperation.insert_vertex(9, [0])
-        inverse = invert_update(path_graph, op)
-        apply_update(path_graph, op)
-        apply_update(path_graph, inverse)
-        assert not path_graph.has_vertex(9)
-
-    def test_invert_delete_vertex_restores_edges(self, path_graph):
-        original = path_graph.copy()
-        op = UpdateOperation.delete_vertex(2)
-        inverse = invert_update(path_graph, op)
-        apply_update(path_graph, op)
-        apply_update(path_graph, inverse)
-        assert path_graph == original
-
-    def test_invert_delete_missing_vertex_raises(self, path_graph):
-        with pytest.raises(UpdateError):
-            invert_update(path_graph, UpdateOperation.delete_vertex(99))
-
-    def test_invert_edge_operations(self, path_graph):
-        original = path_graph.copy()
-        for op in (UpdateOperation.insert_edge(0, 4), UpdateOperation.delete_edge(1, 2)):
-            inverse = invert_update(path_graph, op)
-            apply_update(path_graph, op)
-            apply_update(path_graph, inverse)
-        assert path_graph == original

@@ -7,7 +7,6 @@ import pytest
 from repro.core.verification import (
     find_j_swap,
     find_one_swap,
-    independence_violations,
     is_independent_set,
     is_k_maximal_independent_set,
     is_maximal_independent_set,
@@ -20,19 +19,13 @@ class TestIndependenceChecks:
     def test_is_independent_set(self, cycle_graph):
         assert is_independent_set(cycle_graph, {0, 2, 4})
         assert not is_independent_set(cycle_graph, {0, 1})
+        assert not is_independent_set(cycle_graph, {0, 99})
+        assert is_independent_set(cycle_graph, set())
 
     def test_is_maximal_independent_set(self, cycle_graph):
         assert is_maximal_independent_set(cycle_graph, {0, 2, 4})
         assert not is_maximal_independent_set(cycle_graph, {0, 2})
         assert not is_maximal_independent_set(cycle_graph, {0, 1, 3})
-
-    def test_independence_violations(self, cycle_graph):
-        assert independence_violations(cycle_graph, {0, 2, 4}) == []
-        violations = independence_violations(cycle_graph, {0, 1, 3})
-        assert len(violations) == 1
-
-    def test_violations_ignore_missing_vertices(self, cycle_graph):
-        assert independence_violations(cycle_graph, {0, 99}) == []
 
 
 class TestSwapSearch:

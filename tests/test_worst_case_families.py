@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.verification import is_k_maximal_independent_set
+from repro.core.verification import is_independent_set, is_k_maximal_independent_set
 from repro.generators.worst_case import (
     complete_graph,
     flicker_update_stream,
@@ -52,11 +52,11 @@ class TestSubdivision:
     def test_original_vertices_become_independent(self):
         base = complete_graph(4)
         subdivided, _mapping, originals = subdivide(base)
-        assert subdivided.is_independent_set(originals)
+        assert is_independent_set(subdivided, originals)
 
     def test_subdivision_vertices_are_independent(self):
         subdivided, _originals, subdivisions = subdivided_complete_graph(5)
-        assert subdivided.is_independent_set(subdivisions)
+        assert is_independent_set(subdivided, subdivisions)
 
 
 class TestTheorem3Witnesses:
@@ -98,8 +98,8 @@ class TestTheorem3Witnesses:
         assert families == {"subdivided_complete", "subdivided_hypercube"}
         for witness in witnesses:
             graph = witness["graph"]
-            assert graph.is_independent_set(witness["k_maximal_set"])
-            assert graph.is_independent_set(witness["optimal_set"])
+            assert is_independent_set(graph, witness["k_maximal_set"])
+            assert is_independent_set(graph, witness["optimal_set"])
             assert witness["ratio"] == pytest.approx(witness["max_degree"] / 2)
 
     def test_worst_case_ratio_zero_guard(self):

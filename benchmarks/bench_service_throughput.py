@@ -12,7 +12,9 @@ streams a mixed update workload through it, once per coalescer window shape:
 The measured rate is the full wire → admission → engine → durability path —
 NDJSON framing, sequence bookkeeping, batch apply and periodic checkpoints —
 so it prices what a deployment actually pays per update over what the bare
-engine costs (see ``bench_core_operations.py`` for the engine-only numbers).
+engine costs (the repository benchmark's ``update-mixed`` workload,
+``python3 perfbench/run.py --workload update-mixed``, prices the engine
+alone).
 
 This suite is deliberately **not** wired into the perf regression gate:
 socket scheduling noise across CI machines would make a hard threshold

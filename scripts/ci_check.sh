@@ -1,26 +1,20 @@
 #!/usr/bin/env bash
-# CI-style smoke check: tier-1 tests in Python's dev mode, the smokes and the
-# long crash-state enumeration, plus the quick benchmark gated against the
-# committed BENCH_core.json, so correctness *and* per-update performance
-# regressions fail fast — locally and in the GitHub Actions workflow.  Ends
-# with traced runs of two repository-benchmark workloads (perfbench/), which
-# fail only on their output checks, never on timings.
+# CI-style smoke check: tier-1 tests in Python's dev mode (which pin the
+# engine trajectories, solution sizes and allocation peaks without a clock),
+# the smokes, the long crash-state enumeration and the fork/what-if gate, so
+# correctness regressions fail fast — locally and in the GitHub Actions
+# workflow.  Ends with traced runs of two repository-benchmark workloads
+# (perfbench/), which fail only on their output checks, never on timings.
 #
 # Usage: scripts/ci_check.sh
 #
 # Environment knobs:
-#   BENCH_ROUNDS     best-of-N rounds for the quick profile (default 3)
-#   BENCH_TOLERANCE  fractional regression allowed vs the committed baseline
-#                    (default 0.15, i.e. fail on >15% per-update slowdown)
-#   BENCH_MODE       "fail" (default) or "warn" — set to warn on machines with
-#                    known-noisy clocks (e.g. shared CI runners)
-#   BENCH_OUTPUT     where to write the fresh results (default: a mktemp file);
-#                    CI points this at a stable path and uploads it as an
-#                    artifact so warn-mode runs still leave a perf record
-#   BENCH_LABEL      trajectory label recorded in the fresh results
+#   BENCH_MODE       "fail" (default) or "warn" — warn downgrades the
+#                    fork/what-if gate's two speed ratios to a warning on
+#                    machines with known-noisy clocks (e.g. shared CI
+#                    runners); its correctness checks always fail the run
 #   FORK_BENCH_ROUNDS  best-of-N rounds for the fork/what-if gate
-#                    (default 3); BENCH_MODE warn downgrades its two speed
-#                    ratios only, its correctness checks always fail the run
+#                    (default 3)
 #   FORK_BENCH_OUTPUT  optional JSON file receiving the fork/what-if results;
 #                    CI uploads it as an artifact
 #   COVERAGE         set to 1 to run the tier-1 tests under pytest-cov with a
@@ -68,18 +62,6 @@ echo "   the durable writers, long traces =="
 python -m pytest -q tests/crash_states_full.py
 
 echo
-echo "== quick benchmark vs committed BENCH_core.json (per-update regression"
-echo "   beyond the tolerance or any solution-size change fails the check) =="
-scratch="${BENCH_OUTPUT:-$(mktemp -t bench_core_ci.XXXXXX.json)}"
-python benchmarks/bench_core_operations.py \
-    --rounds "${BENCH_ROUNDS:-3}" \
-    --output "$scratch" \
-    --label "${BENCH_LABEL:-ci-check}" \
-    --compare BENCH_core.json \
-    --tolerance "${BENCH_TOLERANCE:-0.15}" \
-    --compare-mode "${BENCH_MODE:-fail}"
-
-echo
 echo "== fork / what-if gate (fork >= 5x cheaper than both full-copy"
 echo "   baselines at >= 10k live slots; what-if leaves the base engine"
 echo "   untouched; a checkpoint after a what-if is the reference encoding) =="
@@ -97,4 +79,4 @@ python3 perfbench/run.py --workload replay-churn --seconds 2 --trace 1
 python3 perfbench/run.py --workload update-mixed --seconds 2 --trace 1
 
 echo
-echo "ci_check OK (benchmark results: $scratch)"
+echo "ci_check OK"

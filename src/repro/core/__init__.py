@@ -6,7 +6,6 @@ from repro.core.bounds import (
     lemma2_expected_tight2_bound,
     measured_tight2_sizes,
     ratio_report,
-    riemann_zeta,
     theorem2_ratio_bound,
     theorem2_size_lower_bound,
     theorem3_worst_case_ratio,
@@ -48,7 +47,6 @@ __all__ = [
     "theorem4_constant_for_graph",
     "lemma2_expected_tight2_bound",
     "measured_tight2_sizes",
-    "riemann_zeta",
     "RatioReport",
     "ratio_report",
 ]

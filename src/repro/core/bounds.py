@@ -80,7 +80,7 @@ def theorem4_constant_for_graph(
     return theorem4_constant(c1=fit.c1, c2=fit.c2, beta=fit.beta, shift=fit.shift)
 
 
-def riemann_zeta(s: float, *, terms: int = 100_000) -> float:
+def _riemann_zeta(s: float, *, terms: int = 100_000) -> float:
     """Partial-sum approximation of the Riemann zeta function ``ζ(s)`` for ``s > 1``.
 
     For ``s <= 1`` the series diverges and ``inf`` is returned.
@@ -110,7 +110,7 @@ def lemma2_expected_tight2_bound(
     """
     if c2 <= 0:
         return float("inf")
-    zeta = riemann_zeta(2.0 * beta - 4.0)
+    zeta = _riemann_zeta(2.0 * beta - 4.0)
     if math.isinf(zeta):
         return float("inf")
     return (

@@ -13,7 +13,7 @@ layer at the real thing:
   when present, and the digest observed on first download is recorded in a
   ``<file>.sha256`` sidecar so later reads detect on-disk corruption even
   for unpinned datasets.  Downloads are **retrying and resumable**
-  (:func:`fetch_file`): the payload accumulates in a ``<file>.part``
+  (:func:`_fetch_file`): the payload accumulates in a ``<file>.part``
   sibling, transient failures back off exponentially and resume with an
   HTTP ``Range`` request from the bytes already fetched, zero-byte and
   truncated transfers are hard failures, and a checksum mismatch deletes
@@ -58,7 +58,7 @@ PathLike = Union[str, Path]
 #: the ``REPRO_DATASET_DIR`` environment variable).
 DEFAULT_DATASET_DIR = Path("datasets/snap")
 
-#: :func:`fetch_file`'s default retries: 4 attempts, backing off from 0.25 s
+#: :func:`_fetch_file`'s default retries: 4 attempts, backing off from 0.25 s
 #: up to at most 8 s between them.
 FETCH_RETRY = RetryPolicy(max_attempts=4, base_delay=0.25, cap=8.0)
 
@@ -112,7 +112,7 @@ SNAP_TEMPORAL_DATASETS: Dict[str, SnapDataset] = {
 }
 
 
-def dataset_dir(directory: Optional[PathLike] = None) -> Path:
+def _dataset_dir(directory: Optional[PathLike] = None) -> Path:
     """Resolve the dataset directory (arg > ``$REPRO_DATASET_DIR`` > default)."""
     if directory is not None:
         return Path(directory)
@@ -120,7 +120,7 @@ def dataset_dir(directory: Optional[PathLike] = None) -> Path:
     return Path(env) if env else DEFAULT_DATASET_DIR
 
 
-def sha256_of(path: PathLike, *, chunk_size: int = 1 << 20) -> str:
+def _sha256_of(path: PathLike, *, chunk_size: int = 1 << 20) -> str:
     """SHA-256 of a file, streamed in ``chunk_size`` blocks."""
     digest = hashlib.sha256()
     with Path(path).open("rb") as handle:
@@ -143,7 +143,7 @@ def _record_digest(path: Path, digest: str) -> None:
         stream.write(f"{digest}\n".encode("ascii"))
 
 
-def verify_checksum(path: PathLike, expected: Optional[str] = None) -> str:
+def _verify_checksum(path: PathLike, expected: Optional[str] = None) -> str:
     """Verify ``path`` against ``expected`` and/or its recorded sidecar digest.
 
     Returns the file's digest.  Raises :class:`~repro.exceptions.DatasetError`
@@ -151,7 +151,7 @@ def verify_checksum(path: PathLike, expected: Optional[str] = None) -> str:
     (trust-on-first-use for unpinned datasets).
     """
     path = Path(path)
-    digest = sha256_of(path)
+    digest = _sha256_of(path)
     if expected is not None and digest != expected:
         raise DatasetError(
             f"{path}: SHA-256 mismatch — expected {expected}, got {digest}; "
@@ -225,7 +225,7 @@ def _transfer_once(
     return expected
 
 
-def fetch_file(
+def _fetch_file(
     url: str,
     dest: PathLike,
     *,
@@ -291,7 +291,7 @@ def fetch_file(
             f"download of {url} is empty (zero bytes) — refusing to install "
             "an empty dataset file"
         )
-    digest = sha256_of(part)
+    digest = _sha256_of(part)
     if sha256 is not None and digest != sha256:
         # A poisoned partial file must not survive: resuming a future
         # download on top of corrupt bytes could never converge.
@@ -326,31 +326,30 @@ def fetch_dataset(
             f"unknown SNAP temporal dataset {name!r}; "
             f"known: {sorted(SNAP_TEMPORAL_DATASETS)}"
         ) from None
-    path = dataset_dir(directory) / spec.filename
+    path = _dataset_dir(directory) / spec.filename
     if path.exists():
         # Re-hashing a multi-hundred-MB dump on every call would dominate a
         # cache-hit replay, so the full verification is skipped while the
         # sidecar digest is at least as new as the file (the file was not
         # modified since its digest was recorded).  Touching the file — or
-        # deleting the sidecar — re-triggers the full check, and
-        # :func:`verify_checksum` stays available for explicit audits.
+        # deleting the sidecar — re-triggers the full check.
         sidecar = _sidecar(path)
         if (
             sidecar.exists()
             and sidecar.stat().st_mtime_ns >= path.stat().st_mtime_ns
         ):
             return path
-        verify_checksum(path, spec.sha256)
+        _verify_checksum(path, spec.sha256)
         return path
     if not download:
         return None
-    return fetch_file(spec.url, path, sha256=spec.sha256, timeout=timeout)
+    return _fetch_file(spec.url, path, sha256=spec.sha256, timeout=timeout)
 
 
-def dataset_unavailable_message(name: str, directory: Optional[PathLike] = None) -> str:
+def _dataset_unavailable_message(name: str, directory: Optional[PathLike] = None) -> str:
     """The one canonical "dataset missing, here is how to get it" message."""
     spec = SNAP_TEMPORAL_DATASETS.get(name)
-    where = dataset_dir(directory)
+    where = _dataset_dir(directory)
     if spec is None:
         return f"dataset {name!r} is not registered"
     return (
@@ -391,7 +390,7 @@ def snap_temporal_stream(
 
     path = fetch_dataset(name, directory=directory, download=download, timeout=60.0)
     if path is None:
-        raise DatasetError(dataset_unavailable_message(name, directory))
+        raise DatasetError(_dataset_unavailable_message(name, directory))
     return cached_temporal_stream(
         path,
         self_loops=self_loops,

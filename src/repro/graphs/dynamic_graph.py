@@ -521,11 +521,6 @@ class DynamicGraph:
         except KeyError:
             raise VertexNotFoundError(vertex) from None
 
-    def degree_order_key(self, vertex: Vertex) -> Tuple[int, int]:
-        """Return ``(degree, insertion index)`` — the canonical greedy sort key."""
-        s = self._slot[vertex]
-        return len(self._adj[s]), self._order[s]
-
     def max_degree(self) -> int:
         """Return the maximum degree Δ of the graph (0 for an empty graph)."""
         if not self._slot:

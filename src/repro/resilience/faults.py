@@ -21,7 +21,7 @@ point                     where it fires
                           (same position as ``checkpoint.write``)
 ``cache.read``            :class:`~repro.workloads.temporal.CachedOperationStream`
                           (once per chunk line decoded)
-``fetch``                 :func:`~repro.experiments.fetch.fetch_file`
+``fetch``                 :func:`~repro.experiments.fetch._fetch_file`
                           (once per network chunk received)
 ``service.ingest``        :meth:`~repro.service.tenant.Tenant.offer`
                           (once per ingest request, before admission; the

@@ -35,6 +35,9 @@ from repro.resilience.faults import trip
 #: Key under which the digest is embedded in artifact documents.
 DIGEST_KEY = "sha256"
 
+#: What :func:`write_document` writes between the body and the hex digest.
+_STAMP_HEAD = f'"{DIGEST_KEY}":"'.encode("ascii")
+
 #: The canonical rule: sorted keys, no whitespace, ASCII-escaped strings.
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
@@ -100,7 +103,7 @@ def write_document(
     writers.
     """
     body = canonical_bytes(document)
-    stamp = f'"{DIGEST_KEY}":"{hashlib.sha256(body).hexdigest()}"}}'.encode("ascii")
+    stamp = _STAMP_HEAD + hashlib.sha256(body).hexdigest().encode("ascii") + b'"}'
     data = body[:-1] + (b"," if body != b"{}" else b"") + stamp
     half = len(data) // 2
     stream.write(data[:half])
@@ -108,27 +111,42 @@ def write_document(
     stream.write(data[half:])
 
 
-def verify_document(
-    document: Dict[str, Any],
-    *,
-    source: Optional[object] = None,
-    required: bool = True,
-) -> Dict[str, Any]:
-    """Check the embedded digest of ``document``; raise on absence or mismatch.
+def intact_as_written(data: bytes) -> bool:
+    """Whether ``data`` is a document exactly as :func:`write_document` wrote it.
 
-    With ``required=False`` a document without a digest passes (for formats
-    whose older versions predate integrity stamping); a *present but wrong*
-    digest always raises.
+    Hashes the canonical body and compares the result with the stamp spliced
+    in after it, without parsing the JSON, so a file cut short or changed
+    after its write fails.  So does a document re-encoded with another JSON
+    encoder, which :func:`verify_document` accepts once parsed.
     """
+    split = len(data) - len(_STAMP_HEAD) - 66  # 64 hex digits, then '"}'
+    stamp = data[split:]
+    if split < 1 or not (stamp.startswith(_STAMP_HEAD) and stamp.endswith(b'"}')):
+        return False
+    # The body is what precedes the stamp with its last byte, the ',' before
+    # the digest member, turned back into '}'; an empty body kept its '{'.
+    if split == 1:
+        end = 1
+    elif data[split - 1 : split] == b",":
+        end = split - 1
+    else:
+        return False
+    digest = hashlib.sha256(memoryview(data)[:end])
+    digest.update(b"}")
+    return digest.hexdigest().encode("ascii") == stamp[len(_STAMP_HEAD) : -2]
+
+
+def verify_document(
+    document: Dict[str, Any], *, source: Optional[object] = None
+) -> Dict[str, Any]:
+    """Check the embedded digest of ``document``; raise on absence or mismatch."""
     stored = document.get(DIGEST_KEY)
     if stored is None:
-        if required:
-            raise IntegrityError(
-                "artifact carries no integrity digest"
-                + (f" ({source})" if source is not None else ""),
-                source=source,
-            )
-        return document
+        raise IntegrityError(
+            "artifact carries no integrity digest"
+            + (f" ({source})" if source is not None else ""),
+            source=source,
+        )
     actual = document_digest(document)
     if stored != actual:
         raise IntegrityError(

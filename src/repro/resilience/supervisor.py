@@ -14,9 +14,9 @@ crashed arbitrarily often is identical to an uninterrupted run's.
 An optional invariant guard (``verify_every=``) re-verifies solution
 independence and k-maximality from first principles
 (:mod:`repro.core.verification`) at checkpoint-chunk boundaries, outside
-the measured update time, with a repair-or-abort degradation policy
-(:class:`InvariantGuard`): ``"repair"`` re-stabilises the solution and only
-aborts if the violation survives, ``"abort"`` raises immediately.
+the measured update time (:class:`InvariantGuard`): a violation is
+repaired by re-stabilising the solution, and the run aborts only if the
+violation survives.
 
 The module is imported lazily by :mod:`repro.resilience` (it pulls in the
 experiment runner, which sits above the layers that host the fault points).
@@ -111,19 +111,14 @@ class InvariantGuard:
     the candidate queues are drained and the solution is supposed to be
     k-maximal).  Verification goes through :mod:`repro.core.verification`
     — straight graph scans sharing no code with the maintenance engine, so
-    a bookkeeping bug cannot vouch for itself.  On a violation the
-    ``"repair"`` policy re-stabilises the engine (re-registering candidates
-    and draining the queues) and re-verifies, aborting only if the
-    violation survives; ``"abort"`` raises
-    :class:`~repro.exceptions.SolutionInvariantError` immediately.
+    a bookkeeping bug cannot vouch for itself.  On a violation the guard
+    re-stabilises the engine (re-registering candidates and draining the
+    queues) and re-verifies, raising
+    :class:`~repro.exceptions.SolutionInvariantError` only if the violation
+    survives.
     """
 
-    def __init__(self, on_violation: str = "repair") -> None:
-        if on_violation not in ("repair", "abort"):
-            raise ExperimentError(
-                f"on_violation must be 'repair' or 'abort', got {on_violation!r}"
-            )
-        self.on_violation = on_violation
+    def __init__(self) -> None:
         self.checks = 0
         self.violations = 0
         self.repairs = 0
@@ -144,11 +139,6 @@ class InvariantGuard:
         if self._verify(algorithm):
             return
         self.violations += 1
-        if self.on_violation == "abort":
-            raise SolutionInvariantError(
-                "invariant guard: solution is not a k-maximal independent "
-                "set at a batch boundary (policy 'abort')"
-            )
         stabilize = getattr(algorithm, "_stabilize", None)
         if stabilize is not None:
             stabilize()
@@ -170,7 +160,6 @@ def supervised_replay(
     dataset: str = "",
     retry: Optional[RetryPolicy] = None,
     verify_every: Optional[int] = None,
-    on_violation: str = "repair",
     recoverable: Tuple[type, ...] = RECOVERABLE,
     sleep: Callable[[float], None] = time.sleep,
     **run_options,
@@ -192,7 +181,7 @@ def supervised_replay(
         When set, an :class:`InvariantGuard` re-verifies solution
         independence and k-maximality about every ``verify_every``
         operations (at checkpoint-chunk boundaries, outside the measured
-        time), degrading per ``on_violation`` (``"repair"`` or ``"abort"``).
+        time), repairing a violation and aborting if it survives.
     recoverable:
         Exception types treated as crashes to recover from; everything else
         propagates immediately.
@@ -227,7 +216,7 @@ def supervised_replay(
             "recovery needs durable state to recover *from*"
         )
     policy = retry if retry is not None else RetryPolicy()
-    guard = InvariantGuard(on_violation) if verify_every is not None else None
+    guard = InvariantGuard() if verify_every is not None else None
     crashes = []
     for attempt in range(1, policy.max_attempts + 1):
         restored = latest_valid_checkpoint(checkpoint.directory, name)

@@ -173,6 +173,8 @@ def mixed_update_stream(
         raise UpdateError("edge_fraction must lie in [0, 1]")
     if not 0.0 <= insert_ratio <= 1.0:
         raise UpdateError("insert_ratio must lie in [0, 1]")
+    if max_neighbors < 0:
+        raise UpdateError("max_neighbors must be at least 0")
     builder = _StreamBuilder(graph, seed)
     produced = 0
     guard = 0
@@ -221,6 +223,8 @@ def sliding_window_stream(
     so batch coalescing (:mod:`repro.updates.coalesce`) cancels them
     whenever both ends fall inside one batch.
     """
+    if window < 1:
+        raise UpdateError("window must be at least 1")
     if not 0.0 <= flicker <= 1.0:
         raise UpdateError("flicker must lie in [0, 1]")
     builder = _StreamBuilder(graph, seed)
@@ -268,6 +272,8 @@ def burst_stream(
     suddenly acquires many new neighbours (a topic going viral), followed by a
     quieter period where random edges are removed again.
     """
+    if burst_size < 1:
+        raise UpdateError("burst_size must be at least 1")
     builder = _StreamBuilder(graph, seed)
     vertices = [v for v in builder.scratch.vertices()]
     produced = 0
@@ -326,6 +332,8 @@ def flash_crowd_stream(
         raise UpdateError("churn must lie in [0, 1]")
     if burst_size < 1:
         raise UpdateError("burst_size must be at least 1")
+    if max_neighbors < 0:
+        raise UpdateError("max_neighbors must be at least 0")
     builder = _StreamBuilder(graph, seed)
     produced = 0
     guard = 0

@@ -33,7 +33,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 from repro.exceptions import CheckpointError, IntegrityError
 from repro.resilience.durable import atomic_writer, makedirs, remove, replace
 from repro.resilience.faults import CHECKPOINT_WRITE
-from repro.resilience.integrity import verify_document, write_document
+from repro.resilience.integrity import intact_as_written, verify_document, write_document
 from repro.workloads.snapshot import algorithm_from_payload, algorithm_to_document
 
 PathLike = Union[str, Path]
@@ -67,13 +67,12 @@ class CheckpointConfig:
         boundaries coincide with batch boundaries (where the solution is
         k-maximal and the candidate queues are drained).
     keep:
-        Retain at most this many checkpoint *files* per algorithm (oldest
-        pruned first, from a fresh listing after each commit); ``None``
-        keeps every checkpoint.  Keep-N counts files by name and does not
-        open them: a file damaged after its commit still holds one of the
-        places until discovery (:func:`latest_valid_checkpoint`)
-        quarantines it, so with ``keep=2`` a torn newest file and a single
-        valid older one can be all that is left.
+        Retain at most this many checkpoints per algorithm, the newest by
+        offset, from a fresh listing after each commit; older ones are
+        pruned.  Only a file a resume could load holds a place: the prune
+        quarantines (:func:`quarantine_checkpoint`) one that fails its
+        embedded digest and does not load, so ``keep`` resumable states
+        stay on disk.  ``None`` keeps every checkpoint.
     every_seconds:
         Wall-clock retention: additionally checkpoint once at least this
         many seconds have passed since the previous checkpoint.  The
@@ -183,7 +182,8 @@ def save_checkpoint(
     own provenance (the runner leaves it empty; the service layer records
     tenant identity and batching policy).  Returns the path written.  With
     a :class:`CheckpointConfig` whose ``keep`` is set, older checkpoints of
-    the same algorithm beyond the retention limit are pruned.
+    the same algorithm beyond the retention limit are pruned, and one that
+    fails its integrity check is quarantined instead of counted.
     """
     if isinstance(config_or_directory, CheckpointConfig):
         directory = Path(config_or_directory.directory)
@@ -224,9 +224,16 @@ def save_checkpoint(
     # no fsync (a power loss may bring a pruned file back, which the next
     # prune removes): a file someone else already removed is skipped, and
     # one we cannot unlink degrades to a warning; neither may fail the write
-    # that just committed.
+    # that just committed.  The listing is walked newest first, and only a
+    # file a resume could use holds one of the ``keep`` places, so a torn
+    # file is quarantined instead of displacing a valid older one.
     if keep is not None:
-        for _, stale in find_checkpoints(directory, algorithm_name)[:-keep]:
+        kept = 0
+        for _, stale in reversed(find_checkpoints(directory, algorithm_name)):
+            if kept < keep:
+                if stale == path or _usable(stale):
+                    kept += 1
+                continue
             try:
                 remove(stale)
             except OSError as exc:
@@ -236,6 +243,26 @@ def save_checkpoint(
                     stacklevel=2,
                 )
     return path
+
+
+def _usable(path: Path) -> bool:
+    """Whether ``path`` holds a checkpoint a resume could load; one that
+    cannot is quarantined.  The bytes are checked against their embedded
+    digest, and only a file that fails that is loaded in full, so a
+    re-encoded checkpoint that still verifies is kept."""
+    try:
+        if intact_as_written(path.read_bytes()):
+            return True
+    except FileNotFoundError:
+        return False  # removed by someone else meanwhile
+    except OSError:
+        pass  # unreadable: the load below says why
+    try:
+        load_checkpoint(path)
+    except (CheckpointError, IntegrityError) as exc:
+        quarantine_checkpoint(path, reason=str(exc))
+        return False
+    return True
 
 
 def load_checkpoint(path: PathLike) -> Checkpoint:

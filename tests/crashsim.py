@@ -497,7 +497,7 @@ def cache_build(tmp_path: Path, *, events, window, stale, seed=4) -> int:
 
 
 def download(tmp_path: Path, *, size, pinned, interrupted, seed=5) -> int:
-    """``fetch_file`` of a ``file://`` URL with its sidecar (a transfer
+    """``_fetch_file`` of a ``file://`` URL with its sidecar (a transfer
     interrupted after one chunk and retried when ``interrupted``), then
     ``fetch_dataset`` of the downloaded file."""
     upstream = tmp_path / "upstream" / "demo.txt"
@@ -517,7 +517,7 @@ def download(tmp_path: Path, *, size, pinned, interrupted, seed=5) -> int:
     with mock.patch.dict(fetch.SNAP_TEMPORAL_DATASETS, {"demo": spec}):
         with record(root) as trace:
             with inject_faults(plan):
-                fetch.fetch_file(
+                fetch._fetch_file(
                     spec.url, dest, sha256=spec.sha256, chunk_size=max(1, size // 4),
                     retry=RetryPolicy(max_attempts=2, base_delay=0.0), sleep=lambda _: None,
                 )
@@ -527,7 +527,7 @@ def download(tmp_path: Path, *, size, pinned, interrupted, seed=5) -> int:
         def recover():
             if dest.exists():
                 sidecar = dest.with_name(dest.name + ".sha256").exists()
-                fetch.verify_checksum(dest, spec.sha256)  # no false alarm
+                fetch._verify_checksum(dest, spec.sha256)  # no false alarm
                 found = "verified+sidecar" if sidecar else "verified"
             elif (directory / "demo.txt.part").exists():
                 part = (directory / "demo.txt.part").read_bytes()
@@ -537,11 +537,11 @@ def download(tmp_path: Path, *, size, pinned, interrupted, seed=5) -> int:
                 found = "absent"
             assert fetch.fetch_dataset("demo", directory=directory, download=True) == dest
             assert dest.read_bytes() == payload
-            fetch.verify_checksum(dest, digest)
+            fetch._verify_checksum(dest, digest)
             return found
 
         def check(k, outcome):
-            # Once fetch_file has returned, the file and its sidecar are on
+            # Once _fetch_file has returned, the file and its sidecar are on
             # disk.
             assert k < fetched or outcome == "verified+sidecar"
 

@@ -7,10 +7,10 @@ import math
 import pytest
 
 from repro.core.bounds import (
+    _riemann_zeta,
     lemma2_expected_tight2_bound,
     measured_tight2_sizes,
     ratio_report,
-    riemann_zeta,
     theorem2_ratio_bound,
     theorem2_size_lower_bound,
     theorem3_worst_case_ratio,
@@ -70,11 +70,11 @@ class TestTheorem4:
 
 class TestLemma2:
     def test_riemann_zeta_known_value(self):
-        assert riemann_zeta(2.0) == pytest.approx(math.pi**2 / 6, rel=1e-4)
+        assert _riemann_zeta(2.0) == pytest.approx(math.pi**2 / 6, rel=1e-4)
 
     def test_riemann_zeta_diverges_at_one(self):
-        assert riemann_zeta(1.0) == float("inf")
-        assert riemann_zeta(0.5) == float("inf")
+        assert _riemann_zeta(1.0) == float("inf")
+        assert _riemann_zeta(0.5) == float("inf")
 
     def test_lemma2_bound_finite_for_beta_above_2_5(self):
         bound = lemma2_expected_tight2_bound(

@@ -11,6 +11,8 @@ thread, and keep-N pruning from a fresh listing of the directory.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.core.one_swap import DyOneSwap
@@ -489,3 +491,33 @@ class TestKeepN:
         assert [
             processed for processed, _ in find_checkpoints(tmp_path, "DyOneSwap")
         ] == [200, 348]
+
+    def test_a_torn_checkpoint_holds_no_place(self, tmp_path):
+        engine = DyOneSwap(gnm_random_graph(300, 600, seed=3))
+        config = CheckpointConfig(directory=tmp_path, every=1, keep=2)
+        for step in (100, 200, 300):
+            torn = self._save(engine, config, step)
+        torn.write_bytes(torn.read_bytes()[: torn.stat().st_size // 2])
+        # The prune walks newest first: the torn 300 fails its digest and
+        # is quarantined, so the valid 200 keeps the second place.
+        with pytest.warns(RuntimeWarning, match="quarantined corrupt checkpoint"):
+            self._save(engine, config, 348)
+        assert [
+            processed for processed, _ in find_checkpoints(tmp_path, "DyOneSwap")
+        ] == [200, 348]
+        assert [path.name for path in (tmp_path / "quarantine").iterdir()] == [torn.name]
+
+    def test_a_reencoded_checkpoint_that_verifies_keeps_its_place(self, tmp_path):
+        engine = DyOneSwap(gnm_random_graph(12, 18, seed=6))
+        config = CheckpointConfig(directory=tmp_path, every=1, keep=2)
+        for step in (1, 2):
+            previous = self._save(engine, config, step)
+        previous.write_text(
+            json.dumps(json.loads(previous.read_text(encoding="utf-8")), indent=2),
+            encoding="utf-8",
+        )
+        self._save(engine, config, 3)
+        assert [
+            processed for processed, _ in find_checkpoints(tmp_path, "DyOneSwap")
+        ] == [2, 3]
+        assert not (tmp_path / "quarantine").exists()

@@ -16,11 +16,22 @@ The values were recorded from the engine before its swap performers were
 merged into one swap step and its uncoalesced batch strategy was deleted.
 A change to how swaps, fills or batches are carried out must reproduce them
 exactly.
+
+Nine more scenarios pin the same counters, and the solution size, on an
+800-vertex power-law graph with 2,000-operation streams: a mixed one and a
+flash-crowd one, whose transient vertices mostly cancel inside a 64-operation
+batch.  They cover plain and lazy DyOneSwap, plain DyTwoSwap and batch 16.
+Each also bounds the tracemalloc peak of its ``apply_stream`` call at 25%
+above the one recorded, which fails on a retention that grows with the
+stream, such as a copy of the solution kept per batch.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import platform
+import sys
+import tracemalloc
 
 import pytest
 
@@ -28,7 +39,7 @@ from repro.baselines import DyARW
 from repro.core import DyOneSwap, DyTwoSwap, KSwapFramework
 from repro.generators import power_law_random_graph
 from repro.service.tenant import engine_digest
-from repro.updates import mixed_update_stream
+from repro.updates import flash_crowd_stream, mixed_update_stream
 
 ALGORITHMS = {
     "DyARW": (DyARW, {}),
@@ -58,16 +69,16 @@ def _graph():
     return power_law_random_graph(400, 2.3, seed=20)
 
 
-def observe(case: str) -> dict:
-    """Everything the golden pins for ``case``."""
-    name, stream, batch = CASES[case]
-    cls, options = ALGORITHMS[name]
-    graph = _graph()
-    operations = mixed_update_stream(
-        graph, 600, seed=21, edge_fraction=STREAMS[stream]
-    )
+def _run(cls, options, graph, operations, batch):
+    """``cls(graph.copy(), **options)`` after applying ``operations`` in
+    batches of ``batch``."""
     engine = cls(graph.copy(), **options)
     engine.apply_stream(operations, batch_size=batch)
+    return engine
+
+
+def observe(engine) -> dict:
+    """Everything the golden pins for ``engine`` after its run."""
     stats = vars(engine.stats).copy()
     stats["swaps_performed"] = dict(sorted(stats["swaps_performed"].items()))
     return {
@@ -443,5 +454,190 @@ GOLDEN = {
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_engine_reproduces_the_recorded_trajectory(case):
-    assert observe(case) == GOLDEN[case]
+    name, stream, batch = CASES[case]
+    cls, options = ALGORITHMS[name]
+    graph = _graph()
+    operations = mixed_update_stream(
+        graph, 600, seed=21, edge_fraction=STREAMS[stream]
+    )
+    assert observe(_run(cls, options, graph, operations, batch)) == GOLDEN[case]
+
+
+#: Scenario -> (engine class, options, stream, batch size, tracemalloc peak
+#: of its ``apply_stream`` call in KiB above what was allocated when the call
+#: began, recorded on CPython 3.11).
+SCENARIOS = {
+    "DyOneSwap": (DyOneSwap, {}, "mixed", 1, 321.4),
+    "DyOneSwap-lazy": (DyOneSwap, {"lazy": True}, "mixed", 1, 164.4),
+    "DyTwoSwap": (DyTwoSwap, {}, "mixed", 1, 391.5),
+    "DyTwoSwap-batch16": (DyTwoSwap, {}, "mixed", 16, 400.6),
+    "DyTwoSwap-batch64": (DyTwoSwap, {}, "mixed", 64, 405.3),
+    "DyOneSwap-bursty": (DyOneSwap, {}, "bursty", 1, 287.9),
+    "DyOneSwap-bursty-batch64": (DyOneSwap, {}, "bursty", 64, 178.5),
+    "DyTwoSwap-bursty": (DyTwoSwap, {}, "bursty", 1, 344.8),
+    "DyTwoSwap-bursty-batch64": (DyTwoSwap, {}, "bursty", 64, 217.6),
+}
+
+
+@pytest.fixture(scope="module")
+def scenario_inputs():
+    graph = power_law_random_graph(800, 2.2, seed=123)
+    streams = {
+        "mixed": mixed_update_stream(graph, 2000, seed=321, edge_fraction=0.8),
+        "bursty": flash_crowd_stream(
+            graph, 2000, burst_size=24, max_neighbors=2, churn=0.9, seed=321
+        ),
+    }
+    return graph, streams
+
+
+SCENARIO_GOLDEN = {
+    "DyOneSwap": {
+        "size": 472,
+        "digest": "c33fbaf5445fe6ff40b3765ae4ec073b4b096477bbc0bdbc9c627e4e83380a35",
+        "stats": {
+            "updates_processed": 2000,
+            "swaps_performed": {1: 92},
+            "perturbations": 0,
+            "candidates_processed": 940,
+            "operations_coalesced": 0,
+            "batches_applied": 0,
+        },
+        "state": {"move_in_calls": 1024, "move_out_calls": 427, "count_updates": 3440},
+    },
+    "DyOneSwap-lazy": {
+        "size": 472,
+        "digest": "0569605df40415c69b9850fb32f43249dc3ff12ade543626193603d76623b959",
+        "stats": {
+            "updates_processed": 2000,
+            "swaps_performed": {1: 92},
+            "perturbations": 0,
+            "candidates_processed": 940,
+            "operations_coalesced": 0,
+            "batches_applied": 0,
+        },
+        "state": {"move_in_calls": 1024, "move_out_calls": 427, "count_updates": 3440},
+    },
+    "DyTwoSwap": {
+        "size": 477,
+        "digest": "994688052fd0db44f772912979698beee9c97ca567afd50896a6c8e51f881ac1",
+        "stats": {
+            "updates_processed": 2000,
+            "swaps_performed": {1: 69, 2: 39},
+            "perturbations": 0,
+            "candidates_processed": 2077,
+            "operations_coalesced": 0,
+            "batches_applied": 0,
+        },
+        "state": {"move_in_calls": 1087, "move_out_calls": 481, "count_updates": 3775},
+    },
+    "DyTwoSwap-batch16": {
+        "size": 477,
+        "digest": "22e178cdfd320487af576637b75d372a31e58cd06a77eaae50a243898a27d2b9",
+        "stats": {
+            "updates_processed": 2000,
+            "swaps_performed": {1: 65, 2: 39},
+            "perturbations": 0,
+            "candidates_processed": 2052,
+            "operations_coalesced": 0,
+            "batches_applied": 125,
+        },
+        "state": {"move_in_calls": 1080, "move_out_calls": 475, "count_updates": 3739},
+    },
+    "DyTwoSwap-batch64": {
+        "size": 478,
+        "digest": "bd5067f74a78fd05e4c6c555f617da12b7dd0662faba32f57965605cbec4f8e6",
+        "stats": {
+            "updates_processed": 2000,
+            "swaps_performed": {1: 59, 2: 34},
+            "perturbations": 0,
+            "candidates_processed": 1872,
+            "operations_coalesced": 42,
+            "batches_applied": 32,
+        },
+        "state": {"move_in_calls": 1047, "move_out_calls": 444, "count_updates": 3542},
+    },
+    "DyOneSwap-bursty": {
+        "size": 608,
+        "digest": "34685b0f99fcd8a3c2e09d37726a7a8920ae17ac3b64083759a6bef9585e2c8a",
+        "stats": {
+            "updates_processed": 2000,
+            "swaps_performed": {1: 115},
+            "perturbations": 0,
+            "candidates_processed": 776,
+            "operations_coalesced": 0,
+            "batches_applied": 0,
+        },
+        "state": {"move_in_calls": 1266, "move_out_calls": 115, "count_updates": 1696},
+    },
+    "DyOneSwap-bursty-batch64": {
+        "size": 609,
+        "digest": "fb8e0850172e9566fff1ca15188a23e4330e332c0166971dc742bf1a69ab3cdc",
+        "stats": {
+            "updates_processed": 2000,
+            "swaps_performed": {1: 46},
+            "perturbations": 0,
+            "candidates_processed": 382,
+            "operations_coalesced": 1244,
+            "batches_applied": 32,
+        },
+        "state": {"move_in_calls": 841, "move_out_calls": 46, "count_updates": 1026},
+    },
+    "DyTwoSwap-bursty": {
+        "size": 610,
+        "digest": "c7500a4ffc8deeffc26e9299eeccd56e3a61c1bd2498a76a7eeb30be82587a79",
+        "stats": {
+            "updates_processed": 2000,
+            "swaps_performed": {1: 115, 2: 25},
+            "perturbations": 0,
+            "candidates_processed": 1414,
+            "operations_coalesced": 0,
+            "batches_applied": 0,
+        },
+        "state": {"move_in_calls": 1336, "move_out_calls": 165, "count_updates": 1974},
+    },
+    "DyTwoSwap-bursty-batch64": {
+        "size": 610,
+        "digest": "e590bd9438885c0346dbd098f803e2fb63d1d0c76bd38cf79d4b09dd98a3cb27",
+        "stats": {
+            "updates_processed": 2000,
+            "swaps_performed": {1: 44, 2: 7},
+            "perturbations": 0,
+            "candidates_processed": 650,
+            "operations_coalesced": 1244,
+            "batches_applied": 32,
+        },
+        "state": {"move_in_calls": 857, "move_out_calls": 58, "count_updates": 1094},
+    },
+}
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_scenario_reproduces_the_recorded_trajectory(scenario, scenario_inputs):
+    cls, options, stream, batch, _peak = SCENARIOS[scenario]
+    graph, streams = scenario_inputs
+    engine = _run(cls, options, graph, streams[stream], batch)
+    assert {"size": engine.solution_size, **observe(engine)} == SCENARIO_GOLDEN[scenario]
+
+
+@pytest.mark.skipif(
+    sys.version_info[:2] != (3, 11),
+    reason="the peaks were recorded on CPython 3.11, and this is "
+    f"{platform.python_implementation()} {platform.python_version()}",
+)
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_scenario_peak_stays_within_a_quarter_of_the_recorded_one(
+    scenario, scenario_inputs
+):
+    cls, options, stream, batch, peak_kib = SCENARIOS[scenario]
+    graph, streams = scenario_inputs
+    engine = cls(graph.copy(), **options)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        engine.apply_stream(streams[stream], batch_size=batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - before) / 1024 <= 1.25 * peak_kib
 

@@ -11,13 +11,13 @@ from repro.exceptions import DatasetError
 from repro.experiments.fetch import (
     FETCH_RETRY,
     SNAP_TEMPORAL_DATASETS,
-    dataset_dir,
-    dataset_unavailable_message,
+    _dataset_dir,
+    _dataset_unavailable_message,
+    _fetch_file,
+    _sha256_of,
+    _verify_checksum,
     fetch_dataset,
-    fetch_file,
-    sha256_of,
     snap_temporal_stream,
-    verify_checksum,
 )
 from repro.resilience.supervisor import RetryPolicy
 
@@ -34,31 +34,31 @@ def events_file(tmp_path):
 class TestChecksums:
     def test_sha256_of_matches_hashlib(self, events_file):
         expected = hashlib.sha256(EVENTS_TEXT.encode("utf-8")).hexdigest()
-        assert sha256_of(events_file) == expected
+        assert _sha256_of(events_file) == expected
 
     def test_verify_records_sidecar_on_first_use(self, events_file):
-        digest = verify_checksum(events_file)
+        digest = _verify_checksum(events_file)
         sidecar = events_file.with_name(events_file.name + ".sha256")
         assert sidecar.read_text().strip() == digest
         # A clean re-verify passes.
-        assert verify_checksum(events_file) == digest
+        assert _verify_checksum(events_file) == digest
 
     def test_verify_detects_on_disk_corruption(self, events_file):
-        verify_checksum(events_file)
+        _verify_checksum(events_file)
         events_file.write_text(EVENTS_TEXT + "9 9 99\n", encoding="utf-8")
         with pytest.raises(DatasetError, match="modified or corrupted"):
-            verify_checksum(events_file)
+            _verify_checksum(events_file)
 
     def test_verify_enforces_pinned_digest(self, events_file):
         with pytest.raises(DatasetError, match="SHA-256 mismatch"):
-            verify_checksum(events_file, "0" * 64)
+            _verify_checksum(events_file, "0" * 64)
 
 
 class TestFetchFile:
     def test_file_url_download_with_checksum(self, events_file, tmp_path):
         dest = tmp_path / "downloaded" / "demo.txt"
-        digest = sha256_of(events_file)
-        fetched = fetch_file(events_file.as_uri(), dest, sha256=digest)
+        digest = _sha256_of(events_file)
+        fetched = _fetch_file(events_file.as_uri(), dest, sha256=digest)
         assert fetched == dest
         assert dest.read_text(encoding="utf-8") == EVENTS_TEXT
         assert dest.with_name(dest.name + ".sha256").read_text().strip() == digest
@@ -66,21 +66,21 @@ class TestFetchFile:
     def test_checksum_mismatch_leaves_nothing_behind(self, events_file, tmp_path):
         dest = tmp_path / "downloaded" / "demo.txt"
         with pytest.raises(DatasetError, match="pinned SHA-256"):
-            fetch_file(events_file.as_uri(), dest, sha256="0" * 64)
+            _fetch_file(events_file.as_uri(), dest, sha256="0" * 64)
         assert not dest.exists()
         assert not list(dest.parent.glob("*.tmp"))
 
     def test_unreachable_url_raises_dataset_error(self, tmp_path):
         missing = tmp_path / "no-such-file.txt"
         with pytest.raises(DatasetError, match="cannot download"):
-            fetch_file(missing.as_uri(), tmp_path / "out.txt")
+            _fetch_file(missing.as_uri(), tmp_path / "out.txt")
 
     def test_retries_wait_by_the_retry_policy(self, tmp_path):
         missing = tmp_path / "no-such-file.txt"
         policy = RetryPolicy(max_attempts=3, base_delay=0.5, cap=0.75, seed=4)
         slept = []
         with pytest.raises(DatasetError, match="cannot download"):
-            fetch_file(
+            _fetch_file(
                 missing.as_uri(), tmp_path / "out.txt", retry=policy,
                 sleep=slept.append,
             )
@@ -100,7 +100,7 @@ class TestFetchDataset:
     def test_absent_file_is_offline_safe(self, tmp_path):
         # download=False (the default) never touches the network.
         assert fetch_dataset("CollegeMsg", directory=tmp_path) is None
-        message = dataset_unavailable_message("CollegeMsg", tmp_path)
+        message = _dataset_unavailable_message("CollegeMsg", tmp_path)
         assert "CollegeMsg" in message and "download=True" in message
 
     def test_present_file_is_verified_and_returned(self, tmp_path):
@@ -128,15 +128,15 @@ class TestFetchDataset:
         from repro.experiments import fetch as fetch_module
 
         def forbidden(*_args, **_kwargs):  # pragma: no cover - the assertion
-            raise AssertionError("sha256_of must not run on a fresh sidecar")
+            raise AssertionError("_sha256_of must not run on a fresh sidecar")
 
-        monkeypatch.setattr(fetch_module, "sha256_of", forbidden)
+        monkeypatch.setattr(fetch_module, "_sha256_of", forbidden)
         assert fetch_dataset("CollegeMsg", directory=tmp_path) == path
 
     def test_dataset_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_DATASET_DIR", str(tmp_path / "elsewhere"))
-        assert dataset_dir() == tmp_path / "elsewhere"
-        assert dataset_dir(tmp_path) == tmp_path
+        assert _dataset_dir() == tmp_path / "elsewhere"
+        assert _dataset_dir(tmp_path) == tmp_path
 
 
 class TestSnapTemporalStream:

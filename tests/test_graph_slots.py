@@ -209,11 +209,11 @@ class TestViews:
         for vertex in graph.vertices():
             slot = graph.slot_of(vertex)
             assert len(adjacency[slot]) == graph.degree(vertex)
-            assert graph.slot_order_key(slot) == graph.degree_order_key(vertex)
+            assert graph.slot_order_key(slot) == (graph.degree(vertex), graph.order_of(vertex))
             assert orders[slot] == graph.order_of(vertex)
         by_slot = sorted(graph.slots(), key=graph.slot_order_key)
         assert [graph.vertex_of(s) for s in by_slot] == sorted(
-            graph.vertices(), key=graph.degree_order_key
+            graph.vertices(), key=lambda v: (graph.degree(v), graph.order_of(v))
         )
 
     def test_neighbors_is_independent_of_the_graph(self):

@@ -3,25 +3,28 @@
 A definition is a top-level function or class of a module under
 ``src/repro/`` whose name does not start with ``_``, or such a method of a
 top-level class (dunders start with ``_``, so none is scanned).  It counts
-as reached when its name appears as a name (``ast.Name``), an attribute
-name (``ast.Attribute``) or an imported name in
+as reached when its name is used as a name (``ast.Name``) or an attribute
+name (``ast.Attribute``) in
 
 * a module of ``src/`` other than a package ``__init__.py``, outside the
-  definition itself: a re-export is not a caller, and neither is a
-  recursive call;
+  definition itself and outside every definition the scan flags: a
+  re-export is not a caller, nor is a recursive call, nor a caller that
+  only the tests reach;
 * a module of ``benchmarks/``, ``examples/`` or ``scripts/``;
 * a module of ``perfbench/`` other than its ``test_*.py``.
 
-Nothing under ``tests/`` counts.  A definition that nothing reaches fails
-the guard unless ``ALLOWLIST`` gives a reason to keep it.  Qualified names
-are relative to the ``repro`` package.
+An import is not a use; only the uses of the imported name count.  Nothing
+under ``tests/`` counts.  The scan repeats until it flags nothing new, so a
+chain of definitions that only the tests start is flagged whole.  A
+definition that nothing reaches fails the guard unless ``ALLOWLIST`` gives
+a reason to keep it; what an allowlisted definition uses is flagged too.
+Qualified names are relative to the ``repro`` package.
 
-Matching is by name only, one pass, so what it misses is known: any
-same-named name or attribute elsewhere hides a definition (every
-``.copy()`` reaches ``DynamicGraph.copy``), and so does a caller that is
-itself test-only.  A call through ``getattr`` with a built name is not seen
-at all, which would flag its target; the gateway's ``_cmd_*`` handlers,
-reached that way, are private and not scanned.
+Matching is by name only, so what it misses is known: any same-named name
+or attribute elsewhere hides a definition (every ``.copy()`` reaches
+``DynamicGraph.copy``).  A call through ``getattr`` with a built name is
+not seen at all, which would flag its target; the gateway's ``_cmd_*``
+handlers, reached that way, are private and not scanned.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 import ast
 from collections import defaultdict
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
 import pytest
 
@@ -44,6 +47,10 @@ ALLOWLIST: Dict[str, str] = {
     ),
     "baselines.exact.brute_force_maximum_independent_set": (
         "the exponential reference the tests check the exact solver against"
+    ),
+    "core.verification.is_independent_set": (
+        "reached in src/ only from the brute-force reference above; the "
+        "tests check solutions with it"
     ),
     "core.bounds.theorem2_size_lower_bound": (
         "Theorem 2's size bound, pinned by tests/test_bounds.py; the "
@@ -62,9 +69,13 @@ ALLOWLIST: Dict[str, str] = {
         "the measured side of Lemma 2, pinned by tests/test_bounds.py; "
         "ROADMAP.md plans to report it beside the bound"
     ),
+    "experiments.fetch.fetch_dataset": (
+        "the README's SHA-256-verified download of a real SNAP dataset, "
+        "which needs the network"
+    ),
     "experiments.fetch.snap_temporal_stream": (
         "the README's entry point for a real SNAP temporal dataset, which "
-        "needs a download; it keeps fetch_dataset and fetch_file reached"
+        "needs a download"
     ),
     "resilience.durable.recording": (
         "the hook through which tests/crashsim.py records every durable write"
@@ -90,16 +101,12 @@ def _parse(path: Path) -> ast.Module:
 
 
 def _names(tree: ast.AST) -> Iterator[Tuple[str, int]]:
-    """Yield ``(name, line)`` for every name, attribute and imported name."""
+    """Yield ``(name, line)`` for every use of a name or an attribute."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
         elif isinstance(node, ast.Attribute):
             yield node.attr, node.lineno
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                for part in alias.name.split("."):
-                    yield part, node.lineno
 
 
 def _definitions(tree: ast.Module) -> Iterator[Tuple[str, ast.AST]]:
@@ -115,29 +122,42 @@ def _definitions(tree: ast.Module) -> Iterator[Tuple[str, ast.AST]]:
 
 def unreached(package: Path, callers: Iterable[Path]) -> List[Tuple[str, Path, int]]:
     """``(qualified name, path, line)`` of each definition in ``package`` that
-    neither its sibling modules nor any of ``callers`` reaches."""
+    neither any of ``callers`` nor a use in its sibling modules reaches,
+    counting no use inside a definition this scan flags."""
     outside = {name for path in callers for name, _line in _names(_parse(path))}
-    modules = {path: _parse(path) for path in sorted(package.rglob("*.py"))}
+    candidates = []
+    # Per module and line, the public definitions whose lines hold it.
+    enclosing: Dict[Path, Dict[int, List[str]]] = {}
     inside: Dict[str, List[Tuple[Path, int]]] = defaultdict(list)
-    for path, tree in modules.items():
+    for path in sorted(package.rglob("*.py")):
+        tree = _parse(path)
+        parts = path.relative_to(package).with_suffix("").parts
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        spans = enclosing[path] = defaultdict(list)
+        for suffix, node in _definitions(tree):
+            qualified = f"{module}.{suffix}" if module else suffix
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            for line in range(first, node.end_lineno + 1):
+                spans[line].append(qualified)
+            if node.name not in outside:
+                candidates.append((qualified, node.name, path, node.lineno))
         if path.name != "__init__.py":
             for name, line in _names(tree):
                 inside[name].append((path, line))
-    found = []
-    for path, tree in modules.items():
-        parts = path.relative_to(package).with_suffix("").parts
-        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
-        for suffix, node in _definitions(tree):
-            if node.name in outside:
-                continue
-            first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-            if any(
-                where != path or not first <= line <= node.end_lineno
-                for where, line in inside[node.name]
-            ):
-                continue
-            found.append((f"{module}.{suffix}" if module else suffix, path, node.lineno))
-    return found
+    flagged: Set[str] = set()
+    while True:
+        found = [
+            (qualified, path, line)
+            for qualified, name, path, line in candidates
+            if not any(
+                qualified not in enclosing[where][at]
+                and flagged.isdisjoint(enclosing[where][at])
+                for where, at in inside[name]
+            )
+        ]
+        if len(found) == len(flagged):
+            return found
+        flagged = {qualified for qualified, _path, _line in found}
 
 
 def _callers() -> List[Path]:
@@ -189,7 +209,10 @@ def test_the_scanner_flags_test_only_definitions_and_only_those(tmp_path):
         "    return side * side\n"
         "\n"
         "def only_tested(n):\n"
-        "    return only_tested(n - 1) if n else 0\n"
+        "    return only_tested(n - 1) if n else base_case()\n"
+        "\n"
+        "def base_case():\n"
+        "    return 0\n"
         "\n"
         "def _private():\n"
         "    return 0\n"
@@ -206,7 +229,7 @@ def test_the_scanner_flags_test_only_definitions_and_only_those(tmp_path):
         encoding="utf-8",
     )
     (package / "report.py").write_text(
-        "from pkg.shapes import area\n"
+        "from pkg.shapes import area, only_tested\n"
         "\n"
         "def describe(square):\n"
         "    return area(square.side)\n",
@@ -226,8 +249,10 @@ def test_the_scanner_flags_test_only_definitions_and_only_those(tmp_path):
         encoding="utf-8",
     )
     shapes = package / "shapes.py"
+    # An import is not a use, and base_case has only a test-only caller.
     assert unreached(package, [script]) == [
         ("shapes.only_tested", shapes, 4),
-        ("shapes.Square.test_only_method", shapes, 17),
+        ("shapes.base_case", shapes, 7),
+        ("shapes.Square.test_only_method", shapes, 20),
     ]
     assert [name for name, _path, _line in unreached(package, [script, test_module])] == []

@@ -38,7 +38,7 @@ from repro.exceptions import (
     SolutionInvariantError,
 )
 from repro.experiments import load_temporal_workload, run_algorithm
-from repro.experiments.fetch import fetch_file
+from repro.experiments.fetch import _fetch_file
 from repro.experiments.runner import create_algorithm
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.resilience import (
@@ -62,7 +62,7 @@ from repro.resilience import (
     verify_document,
     write_document,
 )
-from repro.resilience.integrity import DIGEST_KEY, Fragment, canonical_bytes
+from repro.resilience.integrity import DIGEST_KEY, Fragment, canonical_bytes, intact_as_written
 from repro.resilience.supervisor import InvariantGuard
 from repro.workloads import (
     CheckpointConfig,
@@ -286,6 +286,20 @@ class TestIntegrity:
         assert _written(spliced) == _written(plain)
         assert document_digest(spliced) == document_digest(plain)
 
+    @pytest.mark.parametrize("document", [{}, {"format": "x/1", "value": [1, None]}])
+    def test_only_the_written_bytes_are_intact(self, document):
+        data = _written(document)
+        assert intact_as_written(data)
+        assert not any(intact_as_written(data[:cut]) for cut in range(len(data)))
+        assert not any(
+            intact_as_written(data[:i] + bytes([data[i] ^ 1]) + data[i + 1 :])
+            for i in range(len(data))
+        )
+        # Re-encoded, it is not the written bytes, though it verifies once parsed.
+        reencoded = json.dumps(json.loads(data), indent=2).encode()
+        assert not intact_as_written(reencoded)
+        verify_document(json.loads(reencoded))
+
     def test_fault_point_fires_with_half_the_bytes_written(self):
         document = {"value": list(range(100))}
         full = _written(document, SNAPSHOT_WRITE)
@@ -309,10 +323,8 @@ class TestIntegrity:
     def test_missing_digest_policy(self):
         with pytest.raises(IntegrityError, match="no integrity digest"):
             verify_document({"value": 1})
-        assert verify_document({"value": 1}, required=False) == {"value": 1}
-        # A digest that is present but wrong always fails, even when optional.
-        with pytest.raises(IntegrityError):
-            verify_document({"value": 1, "sha256": "bogus"}, required=False)
+        with pytest.raises(IntegrityError, match="failed its integrity check"):
+            verify_document({"value": 1, "sha256": "bogus"})
 
 
 class TestCheckpointDurability:
@@ -632,25 +644,14 @@ class TestInvariantGuard:
         assert (guard.checks, guard.violations, guard.repairs) == (1, 0, 0)
 
     def test_repair_policy_restabilises_and_recovers(self):
-        guard = InvariantGuard("repair")
+        guard = InvariantGuard()
         guard(_GuardProbe({1}))  # not maximal: vertex 2 is addable
         assert (guard.violations, guard.repairs) == (1, 1)
 
     def test_repair_failure_aborts(self):
-        guard = InvariantGuard("repair")
+        guard = InvariantGuard()
         with pytest.raises(SolutionInvariantError, match="could not be repaired"):
             guard(_GuardProbe({1}, repairable=False))
-
-    def test_abort_policy_raises_immediately(self):
-        guard = InvariantGuard("abort")
-        probe = _GuardProbe({1})
-        with pytest.raises(SolutionInvariantError, match="'abort'"):
-            guard(probe)
-        assert probe.solution() == {1}  # no repair was attempted
-
-    def test_unknown_policy_is_rejected(self):
-        with pytest.raises(ExperimentError, match="'repair' or 'abort'"):
-            InvariantGuard("shrug")
 
 
 class TestCacheIntegrity:
@@ -838,7 +839,7 @@ class TestResumableFetch:
         server = _FakeServer(self.PAYLOAD, script=[{"die_after_reads": 2}])
         monkeypatch.setattr(urllib.request, "urlopen", server)
         dest = tmp_path / "data.bin"
-        fetch_file(
+        _fetch_file(
             "http://example.test/data.bin", dest, sha256=self._digest(),
             chunk_size=8, sleep=no_sleep,
         )
@@ -856,7 +857,7 @@ class TestResumableFetch:
         )
         monkeypatch.setattr(urllib.request, "urlopen", server)
         dest = tmp_path / "data.bin"
-        fetch_file(
+        _fetch_file(
             "http://example.test/data.bin", dest, sha256=self._digest(),
             chunk_size=8, sleep=no_sleep,
         )
@@ -872,7 +873,7 @@ class TestResumableFetch:
         monkeypatch.setattr(urllib.request, "urlopen", server)
         dest = tmp_path / "data.bin"
         dest.with_name(dest.name + ".part").write_bytes(self.PAYLOAD)
-        fetch_file(
+        _fetch_file(
             "http://example.test/data.bin", dest, sha256=self._digest(),
             sleep=no_sleep,
         )
@@ -886,7 +887,7 @@ class TestResumableFetch:
         monkeypatch.setattr(urllib.request, "urlopen", server)
         dest = tmp_path / "data.bin"
         with pytest.raises(DatasetError, match="zero bytes"):
-            fetch_file("http://example.test/data.bin", dest, sleep=no_sleep)
+            _fetch_file("http://example.test/data.bin", dest, sleep=no_sleep)
         assert not dest.exists()
         assert not dest.with_name(dest.name + ".part").exists()
         assert len(server.requests) == 1  # an empty body is not retried
@@ -905,7 +906,7 @@ class TestResumableFetch:
         monkeypatch.setattr(urllib.request, "urlopen", server)
         dest = tmp_path / "data.bin"
         with pytest.raises(DatasetError, match="truncated"):
-            fetch_file(
+            _fetch_file(
                 "http://example.test/data.bin", dest,
                 retry=RetryPolicy(max_attempts=2), sleep=no_sleep,
             )
@@ -922,7 +923,7 @@ class TestResumableFetch:
         monkeypatch.setattr(urllib.request, "urlopen", server)
         dest = tmp_path / "data.bin"
         with pytest.raises(DatasetError, match="pinned SHA-256"):
-            fetch_file(
+            _fetch_file(
                 "http://example.test/data.bin", dest,
                 sha256=self._digest(b"other"), sleep=no_sleep,
             )
@@ -936,7 +937,7 @@ class TestResumableFetch:
         monkeypatch.setattr(urllib.request, "urlopen", server)
         dest = tmp_path / "data.bin"
         with inject_faults(FaultPlan.at(FETCH, 2)) as injector:
-            fetch_file(
+            _fetch_file(
                 "http://example.test/data.bin", dest, sha256=self._digest(),
                 chunk_size=8, sleep=no_sleep,
             )

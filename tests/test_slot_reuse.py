@@ -123,7 +123,7 @@ class TestStateSlotRecycling:
         graph = gnm_random_graph(20, 30, seed=seed)
         state = state_cls(graph, k=2)
         member = state.in_solution_view()
-        for v in sorted(graph.vertices(), key=graph.degree_order_key):
+        for v in sorted(graph.vertices(), key=lambda v: graph.slot_order_key(graph.slot_of(v))):
             if not member[graph.slot_of(v)] and count(state, v) == 0:
                 move_in(state, v)
         next_label = 500

@@ -13,7 +13,8 @@ must agree with it:
   batches;
 * the engine's digest equals a reference engine fed the same batches with
   the same boundaries;
-* the checkpoint offsets on disk are the model's, keep-N included;
+* the checkpoint offsets on disk are the model's, keep-N included: the
+  ``keep`` newest intact files stay, and a torn one is quarantined;
 * ``_recover`` refuses exactly when the newest valid checkpoint is not the
   durable one.
 """
@@ -126,11 +127,16 @@ class TenantDurabilityMachine(RuleBasedStateMachine):
         return None
 
     def _written(self):
-        """The tenant committed a checkpoint at ``applied``: keep-N prunes."""
+        """The tenant committed a checkpoint at ``applied``: keep-N prunes,
+        newest first, and a torn file holds no place but is quarantined."""
         self.durable = self.applied
         self.disk[self.durable] = True
-        for offset in sorted(self.disk)[:-KEEP]:
-            del self.disk[offset]
+        kept = 0
+        for offset in sorted(self.disk, reverse=True):
+            if kept < KEEP and self.disk[offset]:
+                kept += 1
+            else:
+                del self.disk[offset]
 
     def _start(self):
         """A new tenant on the data directory, warm-started from disk."""

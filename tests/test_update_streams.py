@@ -153,6 +153,25 @@ class TestOtherWorkloads:
         with pytest.raises(UpdateError):
             flash_crowd_stream(base_graph, 10, churn=2.0, seed=20)
 
+    @pytest.mark.parametrize(
+        "generate, message",
+        [
+            (lambda g: sliding_window_stream(g, 10, window=0, seed=1), "window"),
+            (lambda g: burst_stream(g, 40, burst_size=0, seed=1), "burst_size"),
+            (
+                lambda g: mixed_update_stream(
+                    g, 40, max_neighbors=-1, edge_fraction=0.0, seed=1
+                ),
+                "max_neighbors",
+            ),
+            (lambda g: flash_crowd_stream(g, 40, max_neighbors=-1, seed=1), "max_neighbors"),
+        ],
+        ids=["sliding-window", "burst", "mixed", "flash-crowd"],
+    )
+    def test_out_of_range_parameter_raises(self, base_graph, generate, message):
+        with pytest.raises(UpdateError, match=f"{message} must be at least"):
+            generate(base_graph)
+
 
 class TestStreamContainer:
     def test_iteration_and_indexing(self, base_graph):

@@ -147,13 +147,14 @@ def bench_what_if(rounds, num_vertices, num_edges, batch=32):
 def checkpoint_after_what_if(engine, hypothetical) -> bool:
     """Is a checkpoint written after a what-if the reference encoding?
 
-    The checkpoint encoder keeps the text of every adjacency row whose set
-    object is unchanged since its previous encode; it relies on the
-    ownership bitmap that ``fork()`` resets and that each encode resets
-    again.  So: run a what-if, write on the base, checkpoint, write again
-    on the same rows (deleting the edges just inserted), checkpoint again,
-    and compare that file byte for byte with the same document encoded
-    from ``algorithm_to_payload``.
+    A what-if forks the engine, so the base's adjacency rows are shared
+    with the discarded fork until the copy-on-write barrier privatises
+    them.  Checkpoints encode the engine's ``algorithm_to_payload``, which
+    must see every write on the base through that barrier.  So: run a
+    what-if, write on the base, checkpoint, write again on the same rows
+    (deleting the edges just inserted), checkpoint again, and compare that
+    file byte for byte with the same document encoded from
+    ``algorithm_to_payload`` of the engine.
     """
     engine.fork().apply_batch(list(hypothetical))
     engine.apply_batch(list(hypothetical))

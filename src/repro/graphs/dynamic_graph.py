@@ -29,9 +29,8 @@ trajectories do not depend on slot recycling or set iteration order.
 
 from __future__ import annotations
 
-from itertools import chain, compress
-from operator import is_not
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
+from itertools import chain
+from typing import Dict, Hashable, Iterable, Iterator, List, Set, Tuple
 
 from repro.exceptions import (
     EdgeExistsError,
@@ -53,15 +52,6 @@ _FREE = object()
 #: a free slot); checked as a set first so the per-slot scan runs only when
 #: some entry is of another type.
 _PAYLOAD_LABEL_TYPES = frozenset((int, str, bool, type(None)))
-
-
-def _row_json(row: Set[int]) -> str:
-    """``json.dumps(sorted(row), separators=(",", ":"))`` for a row of slots.
-
-    A list of plain ints prints as its JSON with ", " between the items;
-    dropping the spaces is cheaper than joining the items' strings.
-    """
-    return repr(sorted(row)).replace(" ", "")
 
 
 def _asymmetric(su: int, sv: int) -> GraphError:
@@ -102,8 +92,6 @@ class DynamicGraph:
         "_num_edges",
         "_next_order",
         "_cow_adj",
-        "_row_text",
-        "_row_sets",
     )
 
     def __init__(
@@ -127,18 +115,12 @@ class DynamicGraph:
         self._num_edges = 0
         self._next_order = 0
         # Copy-on-write ownership bitmap for the inner adjacency sets, or
-        # ``None`` for a graph that has never been forked or encoded (the
-        # common case: mutators then pay a single ``is None`` check).  After
-        # a :meth:`fork`, parent and child share inner sets and each side
+        # ``None`` for a graph that has never been forked (the common case:
+        # mutators then pay a single ``is None`` check).  After a
+        # :meth:`fork`, parent and child share inner sets and each side
         # owns none of them (all zeros); a mutator must privatise a set
         # (``adj[s] = set(adj[s])``) before its first write to slot ``s``.
-        # :meth:`adjacency_json` installs the same all-zero bitmap, so the
-        # first write to a row after an encode replaces its set object.
         self._cow_adj: bytearray | None = None
-        # What the last :meth:`adjacency_json` call rendered: the JSON text
-        # of each row and the set object it rendered it from.
-        self._row_text: Optional[List[str]] = None
-        self._row_sets: Optional[List[Set[int]]] = None
         if vertices is not None:
             slot_map = self._slot
             for v in vertices:
@@ -185,10 +167,9 @@ class DynamicGraph:
     def _own(self, slots: Iterable[int]) -> None:
         """The copy-on-write barrier, passed by every write into an existing row.
 
-        After a :meth:`fork` or an :meth:`adjacency_json` encode a row's set
-        may be shared, so each listed row not yet owned is replaced by a
-        private copy before it is written.  A graph that was never forked
-        or encoded pays one ``is None`` check.
+        After a :meth:`fork` a row's set may be shared, so each listed row
+        not yet owned is replaced by a private copy before it is written.  A
+        graph that was never forked pays one ``is None`` check.
         """
         cow = self._cow_adj
         if cow is None:
@@ -769,17 +750,6 @@ class DynamicGraph:
         together with the internal representation; external modules must
         not reach into the slot arrays directly.
         """
-        return self.payload_around([sorted(nbrs) for nbrs in self._adj])
-
-    def payload_around(self, adjacency: object) -> Dict:
-        """The :meth:`to_payload` document with ``adjacency`` as its rows.
-
-        The checkpoint and snapshot writers pass the :meth:`adjacency_json`
-        text, wrapped as a verbatim fragment for
-        :func:`~repro.resilience.integrity.canonical_bytes`, instead of the
-        sorted rows.  Raises :class:`GraphError` for a label that is not an
-        int, str or bool, exactly like :meth:`to_payload`.
-        """
         labels = list(self._label)
         for slot in self._free:
             labels[slot] = None
@@ -795,40 +765,13 @@ class DynamicGraph:
         return {
             "format": self.PAYLOAD_FORMAT,
             "labels": labels,
-            "adjacency": adjacency,
+            "adjacency": [sorted(nbrs) for nbrs in self._adj],
             "orders": list(self._order),
             "free": list(self._free),
             "live": list(self._slot.values()),  # slot-map insertion order
             "num_edges": self._num_edges,
             "next_order": self._next_order,
         }
-
-    def adjacency_json(self) -> str:
-        """The compact JSON text of the payload's ``adjacency`` rows.
-
-        Byte-identical to ``json.dumps([sorted(row) for row in adjacency],
-        separators=(",", ":"))``, at the cost of the rows written since the
-        previous call.  Each call keeps the text of every row and the set
-        object it rendered, then installs the all-zero ownership bitmap of
-        :meth:`fork`.  Every adjacency write passes that copy-on-write
-        barrier, so the first write to a row afterwards replaces its set
-        object: a row whose set still *is* the one rendered last time keeps
-        its text.  One C-level pass finds the other rows; only they and the
-        slots allocated since are sorted and rendered again.
-        """
-        adj = self._adj
-        texts = self._row_text
-        if texts is None:
-            texts = self._row_text = []
-            rendered: List[Set[int]] = []
-        else:
-            rendered = self._row_sets
-        for s in compress(range(len(rendered)), map(is_not, adj, rendered)):
-            texts[s] = _row_json(adj[s])
-        texts.extend(map(_row_json, adj[len(texts):]))
-        self._row_sets = list(adj)
-        self._cow_adj = bytearray(len(adj))
-        return "[%s]" % ",".join(texts)
 
     @classmethod
     def from_payload(cls, payload: Dict) -> "DynamicGraph":

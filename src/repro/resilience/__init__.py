@@ -41,6 +41,7 @@ from repro.resilience.faults import (
     COALESCE,
     FAULT_POINTS,
     FETCH,
+    LOG_APPEND,
     SERVICE_INGEST,
     SERVICE_QUERY,
     SERVICE_SHUTDOWN,
@@ -86,6 +87,7 @@ __all__ = [
     "BULK_APPLY",
     "CHECKPOINT_WRITE",
     "SNAPSHOT_WRITE",
+    "LOG_APPEND",
     "CACHE_READ",
     "FETCH",
     "SERVICE_INGEST",

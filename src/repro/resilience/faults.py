@@ -19,6 +19,10 @@ point                     where it fires
                           the torn-write scenario; the commit is aborted)
 ``snapshot.write``        :func:`~repro.workloads.snapshot.save_snapshot`
                           (same position as ``checkpoint.write``)
+``log.append``            :func:`~repro.workloads.oplog.append_records`
+                          (once per record of a service tenant's operation
+                          log, with half the record written — a torn
+                          append; the commit's fsync never runs)
 ``cache.read``            :class:`~repro.workloads.temporal.CachedOperationStream`
                           (once per chunk line decoded)
 ``fetch``                 :func:`~repro.experiments.fetch._fetch_file`
@@ -76,6 +80,7 @@ COALESCE = "coalesce"
 BULK_APPLY = "bulk_apply"
 CHECKPOINT_WRITE = "checkpoint.write"
 SNAPSHOT_WRITE = "snapshot.write"
+LOG_APPEND = "log.append"
 CACHE_READ = "cache.read"
 FETCH = "fetch"
 SERVICE_INGEST = "service.ingest"
@@ -89,6 +94,7 @@ FAULT_POINTS: FrozenSet[str] = frozenset(
         BULK_APPLY,
         CHECKPOINT_WRITE,
         SNAPSHOT_WRITE,
+        LOG_APPEND,
         CACHE_READ,
         FETCH,
         SERVICE_INGEST,

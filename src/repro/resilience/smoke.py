@@ -16,8 +16,8 @@ deterministic scenarios run against the quick temporal workload:
    gateway (:mod:`repro.service`) over a real Unix socket, with faults at
    every service point — a rejected ingest admission, a degraded query, a
    mid-batch engine crash (supervised tenant restart with replay-buffer
-   recovery), a torn checkpoint write and an injected crash during the
-   shutdown drain.  The client retries degraded replies; the drained
+   recovery), a torn checkpoint write, a torn log append and an injected
+   crash during the shutdown drain.  The client retries degraded replies; the drained
    tenant's engine digest must equal an uninterrupted in-process run with
    the same batch boundaries, and the final checkpoint must verify.
 
@@ -36,6 +36,7 @@ from repro.resilience.faults import (
     BULK_APPLY,
     CHECKPOINT_WRITE,
     COALESCE,
+    LOG_APPEND,
     SERVICE_INGEST,
     SERVICE_QUERY,
     SERVICE_SHUTDOWN,
@@ -109,8 +110,9 @@ def _scenario(
 def _service_scenario(name, operations, workdir) -> "str | None":
     """Fault-injected in-process gateway vs an uninterrupted reference.
 
-    Exercises every ``service.*`` fault point plus a mid-batch engine crash
-    and a torn checkpoint write, over a real Unix-socket round-trip.
+    Exercises every ``service.*`` fault point plus a mid-batch engine crash,
+    a torn checkpoint write and a torn log append, over a real Unix-socket
+    round-trip.
     Returns the failure message or ``None``.
     """
     from repro.experiments.runner import create_algorithm
@@ -131,6 +133,7 @@ def _service_scenario(name, operations, workdir) -> "str | None":
         FaultPlan.at(SERVICE_QUERY, 1),
         FaultPlan.at(BULK_APPLY, 3),
         FaultPlan.at(CHECKPOINT_WRITE, 2),
+        FaultPlan.at(LOG_APPEND, 3),
         FaultPlan.at(SERVICE_SHUTDOWN, 1),
     )
     config = ServiceConfig(
@@ -169,6 +172,7 @@ def _service_scenario(name, operations, workdir) -> "str | None":
         SERVICE_SHUTDOWN,
         BULK_APPLY,
         CHECKPOINT_WRITE,
+        LOG_APPEND,
     ):
         if point not in fired_points:
             return (
@@ -259,8 +263,8 @@ def main(argv=None) -> int:
             failures.append(failure)
         # Scenario 3 — the always-on service layer: the same operations
         # ingested through a live gateway over a Unix socket, with faults
-        # at admission, query, batch apply, checkpoint write and the
-        # shutdown drain.
+        # at admission, query, batch apply, checkpoint write, log append
+        # and the shutdown drain.
         failure = _service_scenario("service", list(stream), tmp / "s3")
         if failure:
             failures.append(failure)

@@ -11,9 +11,10 @@ tenant first *widens its coalescer batch window* (coalesce harder, same
 memory envelope), and only when the bounded queue is truly full refuses
 with an explicit ``overloaded`` reply carrying the resume position — never
 silent loss, never unbounded buffering.  A crashed tenant engine is
-restored from its newest valid checkpoint and replayed to the exact
-pre-crash state while every other tenant keeps serving; a killed *process*
-warm-starts from disk and clients resume from the ``offset`` counters.
+restored from its newest valid checkpoint and operation log and replayed
+to the exact pre-crash state while every other tenant keeps serving; a
+killed *process* warm-starts from disk and clients resume from the
+``offset`` counters.
 Graceful shutdown drains queues, writes and verifies final checkpoints,
 and only then closes the sockets.
 

@@ -93,7 +93,15 @@ class TenantSpec:
     checkpoint_every / checkpoint_every_seconds / checkpoint_keep:
         Durability policy (see :class:`~repro.workloads.replay.CheckpointConfig`);
         with neither interval set the tenant falls back to
-        :data:`DEFAULT_CHECKPOINT_SECONDS` of wall clock.
+        :data:`DEFAULT_CHECKPOINT_SECONDS` of wall clock.  The intervals
+        set the tenant's durable points: each appends the batches applied
+        since the previous one to the operation log with one fsync
+        (:mod:`repro.workloads.oplog`).  A full checkpoint is written at
+        the first durable point in the data directory, when the open log
+        segment holds more bytes than the newest checkpoint, on the
+        ``checkpoint`` command and at drain.  ``checkpoint_keep`` counts
+        full checkpoints; a log segment goes once it is older than all of
+        them.
     snapshot:
         Optional engine snapshot to warm-start from when no checkpoint
         exists yet (first boot of a pre-loaded tenant).

@@ -18,21 +18,28 @@ Responsibilities, and how they compose:
   coalescer batch window in whole-``batch_size`` steps toward
   ``window_max`` *before* the queue ever sheds — degradation order is
   "coalesce harder, then refuse loudly", never silent loss.
-* **Durability**: checkpoints on the operation-interval and/or wall-clock
-  policy of :class:`~repro.workloads.replay.CheckpointConfig`, written at
-  batch boundaries, carrying the tenant's stream identity
+* **Durability**: durable points on the operation-interval and/or
+  wall-clock policy of :class:`~repro.workloads.replay.CheckpointConfig`,
+  at batch boundaries.  A durable point appends the batches applied since
+  the previous one to the operation log (:mod:`repro.workloads.oplog`),
+  one record per batch and one fsync, so its cost follows the operations,
+  not the graph.  A full checkpoint is cut only to compact: at the first
+  durable point in the data directory, when the open log segment has grown
+  past the newest checkpoint, on the ``checkpoint`` command and at drain.
+  Records and checkpoints carry the tenant's stream identity
   (:func:`~repro.updates.protocol.advance_identity`, advanced once per
   applied batch and resumable across process death, unlike a hashing
-  cursor's in-memory state) and service metadata so a warm start can refuse
-  a config-mismatched checkpoint.
+  cursor's in-memory state); checkpoints also carry service metadata so a
+  warm start can refuse a config-mismatched one.
 * **Supervision** (:meth:`run`): a crashed engine (injected fault, I/O
-  error, integrity violation) is dropped, restored from the
-  newest *valid* checkpoint and brought back to the exact pre-crash state
-  by replaying the in-memory replay buffer with the **original batch
-  boundaries** — recovery is bit-identical and invisible to clients, while
-  other tenants keep serving.  The restored checkpoint must carry the
-  offset and identity the tenant last made durable; any other checkpoint
-  is refused rather than replayed onto.
+  error, integrity violation) is dropped, restored from the newest *valid*
+  checkpoint plus the log records up to the durable offset, and brought
+  back to the exact pre-crash state by replaying the in-memory replay
+  buffer with the **original batch boundaries** — recovery is
+  bit-identical and invisible to clients, while other tenants keep
+  serving.  The log must lead to the offset and identity the tenant last
+  made durable; a recovery that cannot reach them is refused rather than
+  replayed onto.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ import asyncio
 import time
 from collections import deque
 from pathlib import Path
-from typing import Callable, Deque, Dict, List, Optional, Sequence
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.exceptions import GraphError, OverloadedError, ServiceError, UpdateError
 from repro.experiments.runner import create_algorithm
@@ -52,6 +59,7 @@ from repro.resilience.supervisor import RECOVERABLE, RetryPolicy
 from repro.service.config import TenantSpec
 from repro.updates.operations import UpdateOperation
 from repro.updates.protocol import EMPTY_FINGERPRINT, advance_identity
+from repro.workloads.oplog import append_records, prune_segments, replay_log
 from repro.workloads.replay import (
     Checkpoint,
     latest_valid_checkpoint,
@@ -95,8 +103,9 @@ class Tenant:
         self.engine = None
         self.status = "starting"
         #: Absolute op counters: ``accepted`` ops admitted to the queue,
-        #: ``applied`` ops applied to the engine, ``durable`` ops covered by
-        #: the newest checkpoint.  Invariant: durable <= applied <= accepted.
+        #: ``applied`` ops applied to the engine, ``durable`` ops on disk
+        #: (the newest checkpoint plus the log after it).  Invariant:
+        #: durable <= applied <= accepted.
         self.accepted = 0
         self.applied = 0
         self.durable = 0
@@ -104,11 +113,16 @@ class Tenant:
         self._durable_fp = EMPTY_FINGERPRINT
         self._attempt = 0
         self.final_checkpoint: Optional[Path] = None
+        #: ``checkpoints`` counts durable points, ``snapshots`` the full
+        #: checkpoints among them, and ``log_bytes`` is the size of the open
+        #: log segment.
         self.stats: Dict[str, int] = {
             "sheds": 0,
             "crashes": 0,
             "restarts": 0,
             "checkpoints": 0,
+            "snapshots": 0,
+            "log_bytes": 0,
             "batches": 0,
             "peak_queue": 0,
             "peak_window": 0,
@@ -116,11 +130,18 @@ class Tenant:
         self.crashes: List[str] = []
         self._initial_size = 0
         self._pending: Deque[UpdateOperation] = deque()
-        #: Batches applied since the last checkpoint, with their original
-        #: boundaries — the recovery replay re-applies exactly these groups,
-        #: which is what makes in-process recovery bit-identical even in
-        #: adaptive (timing-dependent) windowing mode.
-        self._replay: Deque[List[UpdateOperation]] = deque()
+        #: Batches applied since the last durable point, each with the
+        #: identity after it and its original boundaries — the next durable
+        #: point logs them and the recovery replay re-applies exactly these
+        #: groups, which is what makes in-process recovery bit-identical even
+        #: in adaptive (timing-dependent) windowing mode.
+        self._replay: Deque[Tuple[List[UpdateOperation], str]] = deque()
+        #: The offset of the checkpoint whose log segment the next durable
+        #: point appends to (``None`` until a checkpoint exists to continue,
+        #: and after a failed write), and the size of the newest checkpoint,
+        #: past which the segment is compacted.
+        self._segment: Optional[int] = None
+        self._snapshot_bytes = 0
         self._subscribers: List[Callable[[Dict], None]] = []
         self._work = asyncio.Event()
         self._idle = asyncio.Event()
@@ -270,10 +291,10 @@ class Tenant:
         """Bootstrap, serve, and absorb recoverable crashes until drained.
 
         The attempt counter resets whenever a batch lands together with the
-        checkpoint it made due (:meth:`_apply_batch`), so ``max_attempts``
-        bounds *consecutive* failures, not lifetime crashes of a long-lived
-        tenant, and a checkpoint write that keeps failing fails the tenant
-        instead of crashing it once per batch.
+        durable point it made due (:meth:`_apply_batch`), so
+        ``max_attempts`` bounds *consecutive* failures, not lifetime crashes
+        of a long-lived tenant, and a log or checkpoint write that keeps
+        failing fails the tenant instead of crashing it once per batch.
         """
         bootstrapped = False
         while True:
@@ -320,7 +341,13 @@ class Tenant:
                 raise
 
     def _bootstrap(self) -> None:
-        """Warm-start priority: newest valid checkpoint > snapshot > fresh."""
+        """Warm-start priority: newest valid checkpoint and the log after it
+        > snapshot > fresh.
+
+        The counters start at the offset the log reaches, which may pass the
+        last acknowledged ``durable`` when a failed commit left whole records
+        behind; the client protocol trims the resent duplicates.
+        """
         spec = self.spec
         restored = latest_valid_checkpoint(self.checkpoints.directory, spec.algorithm)
         if restored is not None:
@@ -340,12 +367,12 @@ class Tenant:
                 )
         self._restore(restored)
         if restored is not None:
-            self.applied = self.accepted = self.durable = restored.processed
-            self.fingerprint = restored.stream_identity
-            self._durable_fp = self.fingerprint
             self._initial_size = restored.initial_size
         else:
             self._initial_size = self.engine.solution_size
+        self.durable, self._durable_fp = self._replay_log(restored)
+        self.applied = self.accepted = self.durable
+        self.fingerprint = self._durable_fp
         self._last_checkpoint_time = time.monotonic()
 
     def _restore(self, restored: Optional[Checkpoint]) -> None:
@@ -357,6 +384,27 @@ class Tenant:
         else:
             self.engine = self._factory(DynamicGraph(), None)
 
+    def _replay_log(
+        self, restored: Optional[Checkpoint], until: Optional[int] = None
+    ) -> Tuple[int, str]:
+        """Apply the log that follows ``restored`` to the engine, up to
+        ``until`` (:func:`~repro.workloads.oplog.replay_log`); return the
+        offset and identity reached.  The last segment read is the one the
+        next durable point appends to."""
+        if restored is None:
+            self._segment, self.stats["log_bytes"] = None, 0
+            return 0, EMPTY_FINGERPRINT
+        self._snapshot_bytes = restored.path.stat().st_size
+        offset, identity, self._segment, self.stats["log_bytes"] = replay_log(
+            self.checkpoints.directory,
+            self.spec.algorithm,
+            restored.processed,
+            restored.stream_identity,
+            self.engine.apply_batch,
+            until=until,
+        )
+        return offset, identity
+
     def _factory(self, graph, solution, **snapshot_options):
         merged = dict(self.spec.options)
         merged.update(snapshot_options)
@@ -366,11 +414,13 @@ class Tenant:
         """Rebuild the exact pre-crash engine state.
 
         Restore the newest valid checkpoint (corrupt ones are quarantined by
-        discovery), which must be the durable one: same offset, same stream
-        identity.  Then re-apply the replay buffer, which covers precisely
-        the applied suffix past ``durable``, with its original batch
-        boundaries, so the rebuilt engine matches the crashed one bit for
-        bit; queued-but-unapplied operations are still in ``_pending``.
+        discovery) and replay the log after it up to ``durable``, cutting
+        off whatever a failed commit appended past it; that must reach the
+        durable point: same offset, same stream identity.  Then re-apply the
+        replay buffer, which covers precisely the applied suffix past
+        ``durable``, with its original batch boundaries, so the rebuilt
+        engine matches the crashed one bit for bit; queued-but-unapplied
+        operations are still in ``_pending``.
         """
         restored = latest_valid_checkpoint(
             self.checkpoints.directory, self.spec.algorithm
@@ -379,20 +429,23 @@ class Tenant:
             found, source = (0, EMPTY_FINGERPRINT), "no valid checkpoint"
         else:
             found = (restored.processed, restored.stream_identity)
-            source = f"checkpoint {restored.path}"
+            source = f"checkpoint {restored.path} and its log"
+        if found[0] <= self.durable:
+            self._restore(restored)
+            found = self._replay_log(restored, until=self.durable)
         if found != (self.durable, self._durable_fp):
+            self.engine = None
             raise ServiceError(
                 f"tenant {self.spec.name!r}: the replay buffer starts at "
                 f"offset {self.durable} with identity {self._durable_fp}, but "
-                f"{source} is at offset {found[0]} with identity {found[1]} "
-                "— cannot reconstruct the crashed state"
+                f"recovery from {source} reaches offset {found[0]} with "
+                f"identity {found[1]} — cannot reconstruct the crashed state"
             )
-        self._restore(restored)
         self.applied = self.durable
         self.fingerprint = self._durable_fp
-        for batch in self._replay:
+        for batch, identity in self._replay:
             self.engine.apply_batch(batch)
-            self.fingerprint = advance_identity(self.fingerprint, batch)
+            self.fingerprint = identity
             self.applied += len(batch)
         self._last_checkpoint_time = time.monotonic()
 
@@ -484,7 +537,7 @@ class Tenant:
         self.fingerprint = advance_identity(self.fingerprint, batch)
         self.applied += len(batch)
         self.stats["batches"] += 1
-        self._replay.append(batch)
+        self._replay.append((batch, self.fingerprint))
         if before is not None:
             after = self.engine.solution()
             added = sorted(after - before, key=repr)
@@ -501,7 +554,7 @@ class Tenant:
                     callback(event)
         if self._checkpoint_due():
             self._write_checkpoint()
-        # The batch and the checkpoint it made due have both landed:
+        # The batch and the durable point it made due have both landed:
         # consecutive-failure accounting starts over.
         self._attempt = 0
 
@@ -512,63 +565,101 @@ class Tenant:
         )
 
     def checkpoint(self) -> Optional[Path]:
-        """Write a checkpoint on request; ``None`` when nothing was applied.
+        """Write a full checkpoint on request (which also starts a new log
+        segment); ``None`` when nothing was applied.
 
         Raises :class:`ServiceError` when the engine is down or the write
-        fails; the tenant keeps serving from its previous durable point.
+        fails.  The tenant keeps serving, and its next durable point writes
+        a full checkpoint: the failed write may have left the log segment
+        ending inside a record.
         """
         if self.engine is None:
             raise ServiceError(f"tenant {self.spec.name!r} engine is down")
         if not self.applied:
             return None
         try:
-            return self._write_checkpoint()
+            return self._write_checkpoint(snapshot=True)
         except OSError as exc:
             raise ServiceError(
                 f"tenant {self.spec.name!r}: checkpoint write failed: "
                 f"{type(exc).__name__}: {exc}"
             ) from exc
 
-    def _write_checkpoint(self) -> Path:
-        """Persist the engine at the current batch boundary (atomic write,
-        embedded digest); the replay buffer is trimmed only after commit."""
-        path = save_checkpoint(
-            self.engine,
-            self.checkpoints,
-            algorithm_name=self.spec.algorithm,
-            processed=self.applied,
-            initial_size=self._initial_size,
-            elapsed_seconds=0.0,
-            dataset=f"service:{self.spec.name}",
-            stream_description=f"service-ingest:{self.spec.name}",
-            stream_identity=self.fingerprint,
-            batch_size=self.spec.batch_size,
-            metadata={
-                "service": SERVICE_FORMAT,
-                "tenant": self.spec.name,
-                "adaptive": self.spec.adaptive,
-                "queue_cap": self.spec.queue_cap,
-                "window_max": self.spec.window_max,
-            },
-        )
-        self.durable = self.applied
-        self._durable_fp = self.fingerprint
-        self._replay.clear()
+    def _write_checkpoint(self, snapshot: bool = False) -> Optional[Path]:
+        """Make every applied batch durable; return the full checkpoint
+        written, if any.
+
+        The replay buffer goes to the open log segment, one record per batch
+        and one fsync.  A full checkpoint (atomic write, embedded digest) is
+        written as well when ``snapshot`` asks for one, when the log cannot
+        take the batches (no checkpoint to continue yet, its segment was
+        removed, or the previous write failed), and when the segment has
+        grown past the newest checkpoint; it starts the next segment.
+        ``durable`` advances, and the replay buffer is trimmed, only once the
+        write that covers them is on disk.
+        """
+        # No segment is open until this write lands: one that fails part
+        # way may leave the segment ending inside a record, or a checkpoint
+        # that no segment continues, so the next durable point must write a
+        # full checkpoint instead of appending.
+        segment, self._segment = self._segment, None
+        log_bytes, self.stats["log_bytes"] = self.stats["log_bytes"], 0
+        directory, algorithm = self.checkpoints.directory, self.spec.algorithm
+        if self._replay and segment is not None:
+            appended = append_records(
+                directory, algorithm, segment, self._replay, self.durable
+            )
+            if appended is not None:
+                log_bytes = appended
+                self._made_durable()
+        path = None
+        if snapshot or self.durable < self.applied or log_bytes > self._snapshot_bytes:
+            path = save_checkpoint(
+                self.engine,
+                self.checkpoints,
+                algorithm_name=algorithm,
+                processed=self.applied,
+                initial_size=self._initial_size,
+                elapsed_seconds=0.0,
+                dataset=f"service:{self.spec.name}",
+                stream_description=f"service-ingest:{self.spec.name}",
+                stream_identity=self.fingerprint,
+                batch_size=self.spec.batch_size,
+                metadata={
+                    "service": SERVICE_FORMAT,
+                    "tenant": self.spec.name,
+                    "adaptive": self.spec.adaptive,
+                    "queue_cap": self.spec.queue_cap,
+                    "window_max": self.spec.window_max,
+                },
+            )
+            self._made_durable()
+            self.stats["snapshots"] += 1
+            self._snapshot_bytes = path.stat().st_size
+            if self.checkpoints.keep is not None:
+                prune_segments(directory, algorithm)
+            segment, log_bytes = self.applied, 0
+        self._segment, self.stats["log_bytes"] = segment, log_bytes
         self._last_checkpoint_time = time.monotonic()
         self.stats["checkpoints"] += 1
         return path
 
+    def _made_durable(self) -> None:
+        self.durable = self.applied
+        self._durable_fp = self.fingerprint
+        self._replay.clear()
+
     def _drain(self) -> None:
         """Flush every queued operation, then write and verify the final
-        checkpoint.  The ``service.shutdown`` fault point fires *before* the
-        final write — an injected crash here is absorbed by the supervision
-        loop and the drain retried, so shutdown remains graceful even under
-        fault injection."""
+        full checkpoint.  The ``service.shutdown`` fault point fires *before*
+        the final write — an injected crash here is absorbed by the
+        supervision loop and the drain retried, so shutdown remains graceful
+        even under fault injection."""
         self.status = "draining"
         while self._pending:
             self._apply_batch(self._take(self._window()))
         trip(SERVICE_SHUTDOWN)
-        path = self._write_checkpoint() if self.applied else None
+        path = self._write_checkpoint(snapshot=True) if self.applied else None
         if path is not None:
             # Read-back verification: the final checkpoint must load and
             # pass its integrity check before we report a clean drain.

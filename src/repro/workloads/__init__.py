@@ -9,7 +9,10 @@ The subsystem that turns the maintenance engine into a workload runner:
   slot-indexed graph plus the solution state and statistics,
 * :mod:`repro.workloads.replay` — checkpoint files wrapping snapshots with
   stream provenance, consumed by the experiment runner's checkpoint/resume
-  wiring.
+  wiring,
+* :mod:`repro.workloads.oplog` — a service tenant's operation log: one
+  self-checking record per applied batch, appended at each durable point
+  and replayed after the newest checkpoint.
 """
 
 from repro.workloads.replay import (

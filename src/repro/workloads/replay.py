@@ -34,7 +34,7 @@ from repro.exceptions import CheckpointError, IntegrityError
 from repro.resilience.durable import atomic_writer, makedirs, remove, replace
 from repro.resilience.faults import CHECKPOINT_WRITE
 from repro.resilience.integrity import intact_as_written, verify_document, write_document
-from repro.workloads.snapshot import algorithm_from_payload, algorithm_to_document
+from repro.workloads.snapshot import algorithm_from_payload, algorithm_to_payload
 
 PathLike = Union[str, Path]
 
@@ -67,12 +67,16 @@ class CheckpointConfig:
         boundaries coincide with batch boundaries (where the solution is
         k-maximal and the candidate queues are drained).
     keep:
-        Retain at most this many checkpoints per algorithm, the newest by
-        offset, from a fresh listing after each commit; older ones are
-        pruned.  Only a file a resume could load holds a place: the prune
-        quarantines (:func:`quarantine_checkpoint`) one that fails its
-        embedded digest and does not load, so ``keep`` resumable states
-        stay on disk.  ``None`` keeps every checkpoint.
+        Retain at most this many checkpoints per algorithm, from a fresh
+        listing after each commit: the one just written, then the newest
+        others by offset; the rest are pruned.  Only a file a resume could
+        load holds a place: the prune quarantines
+        (:func:`quarantine_checkpoint`) one that fails its embedded digest
+        and does not load, so ``keep`` resumable states stay on disk.  A
+        service tenant then prunes the log segments older than the oldest
+        checkpoint kept (:func:`~repro.workloads.oplog.prune_segments`), so
+        a fallback to any kept checkpoint can replay forward through the
+        segments after it.  ``None`` keeps every file.
     every_seconds:
         Wall-clock retention: additionally checkpoint once at least this
         many seconds have passed since the previous checkpoint.  The
@@ -181,9 +185,9 @@ def save_checkpoint(
     is an optional JSON-serialisable dict stored verbatim for the writer's
     own provenance (the runner leaves it empty; the service layer records
     tenant identity and batching policy).  Returns the path written.  With
-    a :class:`CheckpointConfig` whose ``keep`` is set, older checkpoints of
-    the same algorithm beyond the retention limit are pruned, and one that
-    fails its integrity check is quarantined instead of counted.
+    a :class:`CheckpointConfig` whose ``keep`` is set, the other checkpoints
+    of the same algorithm beyond the retention limit are pruned, and one
+    that fails its integrity check is quarantined instead of counted.
     """
     if isinstance(config_or_directory, CheckpointConfig):
         directory = Path(config_or_directory.directory)
@@ -207,7 +211,7 @@ def save_checkpoint(
         },
         "batch_size": batch_size,
         "metadata": dict(metadata or {}),
-        "algorithm": algorithm_to_document(algorithm),
+        "algorithm": algorithm_to_payload(algorithm),
     }
     # Atomic replace: a crash mid-write (the exact scenario checkpoints
     # exist for) must never leave a truncated newest checkpoint shadowing
@@ -224,15 +228,17 @@ def save_checkpoint(
     # no fsync (a power loss may bring a pruned file back, which the next
     # prune removes): a file someone else already removed is skipped, and
     # one we cannot unlink degrades to a warning; neither may fail the write
-    # that just committed.  The listing is walked newest first, and only a
-    # file a resume could use holds one of the ``keep`` places, so a torn
+    # that just committed.  The file just written holds the first of the
+    # ``keep`` places, whatever its offset; the others are walked newest
+    # first, and only a file a resume could use holds a place, so a torn
     # file is quarantined instead of displacing a valid older one.
     if keep is not None:
-        kept = 0
+        kept = 1
         for _, stale in reversed(find_checkpoints(directory, algorithm_name)):
-            if kept < keep:
-                if stale == path or _usable(stale):
-                    kept += 1
+            if stale == path:
+                continue
+            if kept < keep and _usable(stale):
+                kept += 1
                 continue
             try:
                 remove(stale)

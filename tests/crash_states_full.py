@@ -1,9 +1,9 @@
 """Every crash state the durable writers can leave, on longer traces.
 
 The scenarios of ``tests/test_crash_states.py`` at larger sizes: more
-checkpoints, several keep-N rotations, both batch modes, cache bodies of
-several chunk lines, pinned and unpinned downloads with and without an
-interrupted transfer.  The name keeps it out of the default collection;
+checkpoints, several keep-N rotations, both batch modes, a tenant log with
+several compactions, cache bodies of several chunk lines, pinned and
+unpinned downloads with and without an interrupted transfer.  The name keeps it out of the default collection;
 run it explicitly::
 
     PYTHONPATH=src python -m pytest -q tests/crash_states_full.py
@@ -29,6 +29,13 @@ def test_tenant_checkpoints_across_a_restart(tmp_path, keep):
     assert crashsim.tenant_restart(
         tmp_path, operations=384, batch_size=8, every=16, keep=keep
     ) > 200
+
+
+@pytest.mark.parametrize("keep", [1, 3])
+def test_tenant_log_commits_compactions_and_a_torn_append(tmp_path, keep):
+    assert crashsim.tenant_log(
+        tmp_path, vertices=60, operations=640, batch_size=8, every=16, keep=keep
+    ) > 500
 
 
 @pytest.mark.parametrize("batch_size", [1, 4], ids=["unbatched", "batched"])

@@ -44,13 +44,13 @@ from pathlib import Path, PurePosixPath
 from typing import Callable, Dict, Iterator, List, Set, Tuple
 from unittest import mock
 
-from repro.exceptions import ServiceError, SnapshotError
+from repro.exceptions import InjectedFault, ServiceError, SnapshotError
 from repro.experiments import fetch
 from repro.experiments.runner import create_algorithm, run_algorithm
 from repro.generators.random_graphs import gnm_random_graph
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.resilience.durable import recording
-from repro.resilience.faults import FETCH, FaultPlan, inject_faults
+from repro.resilience.faults import FETCH, LOG_APPEND, FaultPlan, inject_faults
 from repro.resilience.supervisor import RetryPolicy
 from repro.service.config import ServiceConfig, TenantSpec
 from repro.service.tenant import Tenant, engine_digest
@@ -298,6 +298,29 @@ def check_every_crash(trace: Trace, recover: Callable, check: Callable) -> int:
 # Scenarios
 # --------------------------------------------------------------------- #
 _CHECKPOINT = re.compile(r"-(\d+)\.ckpt\.json$")
+#: A checkpoint or a log segment; temp files start with ``.``.
+_RETAINED = re.compile(r"(^|/)[^./][^/]*-\d+\.(ckpt\.json|log)$")
+
+
+def _present(root: Path) -> Set[str]:
+    """The checkpoints and segments under ``root``, by relative path."""
+    return {
+        path.relative_to(root).as_posix()
+        for path in root.rglob("*")
+        if _RETAINED.search(path.relative_to(root).as_posix())
+    }
+
+
+def _gone(trace: Trace, k: int) -> Set[str]:
+    """The checkpoints and segments that ``events[:k]`` pruned or moved away
+    (keep-N, quarantine) and did not write again."""
+    gone: Set[str] = set()
+    for op, *args in trace.events[:k]:
+        if op in ("unlink", "rename"):
+            paths = [Path(arg).relative_to(trace.root).as_posix() for arg in args]
+            gone.add(paths[0])
+            gone.difference_update(paths[1:])
+    return {path for path in gone if _RETAINED.search(path)}
 
 
 def _committed_checkpoints(trace: Trace, directory: Path, initially: int = 0):
@@ -338,30 +361,45 @@ def _runner_reference(name, graph, stream, batch_size, offsets):
     return digests, _comparable(measurement)
 
 
-def _check_runner(trace, config, name, graph, stream, batch_size, durable, digests, final):
+def _check_runner(
+    trace, config, name, graph, stream, batch_size, durable, digests, final, returning=None
+):
     """Recovery is ``latest_valid_checkpoint`` →
     ``run_algorithm(resume_from=...)``; each crash state must restore a
     checkpoint at or past the durable one, bit-identical to the
-    uninterrupted run there, and finish the stream exactly like it."""
+    uninterrupted run there, and finish the stream exactly like it.  With
+    ``returning``, some state must hold that file again at its old name
+    after the trace moved it away."""
+    came_back = []
 
     def recover():
+        present = _present(trace.root)
         restored = latest_valid_checkpoint(config.directory, name)
         if restored is None:
-            return 0, digests[0], _comparable(
+            return present, 0, digests[0], _comparable(
                 run_algorithm(name, graph, stream, batch_size=batch_size)
             )
         measurement = run_algorithm(
             name, graph, stream, batch_size=batch_size, resume_from=restored
         )
-        return restored.processed, engine_digest(restored.restore()), _comparable(measurement)
+        return (
+            present, restored.processed, engine_digest(restored.restore()),
+            _comparable(measurement),
+        )
 
     def check(k, outcome):
-        offset, digest, measurement = outcome
+        present, offset, digest, measurement = outcome
         assert offset >= durable(k), f"recovered {offset}, durable {durable(k)}"
         assert digest == digests[offset]
         assert measurement == final
+        came_back.extend(
+            path for path in _gone(trace, k) & present
+            if PurePosixPath(path).name == returning
+        )
 
-    return check_every_crash(trace, recover, check)
+    states = check_every_crash(trace, recover, check)
+    assert returning is None or came_back, f"{returning} never came back"
+    return states
 
 
 def runner_checkpoints(tmp_path: Path, *, operations, batch_size, every, keep, seed=1) -> int:
@@ -384,7 +422,8 @@ def runner_checkpoints(tmp_path: Path, *, operations, batch_size, every, keep, s
 
 def quarantine_torn_checkpoint(tmp_path: Path, *, operations, batch_size, every, seed=2) -> int:
     """Discovery quarantines a torn newest checkpoint, and the resumed run
-    writes new ones, while a power loss may strike."""
+    writes new ones, while a power loss may strike; the quarantined file may
+    come back at its old name, which costs no resumable state."""
     name = "DyOneSwap"
     graph, stream = _runner_input(operations, seed)
     offsets = list(range(every, operations, every)) + [operations]
@@ -410,7 +449,8 @@ def quarantine_torn_checkpoint(tmp_path: Path, *, operations, batch_size, every,
     durable = _committed_checkpoints(trace, config.directory, initially=cut - every)
     assert durable(len(trace.events)) == operations
     return _check_runner(
-        trace, config, name, graph, stream, batch_size, durable, digests, final
+        trace, config, name, graph, stream, batch_size, durable, digests, final,
+        returning=torn.name,
     )
 
 
@@ -462,6 +502,102 @@ def tenant_restart(tmp_path: Path, *, operations, batch_size, every, keep, seed=
         assert (digest, fingerprint) == reference[offset]
 
     return check_every_crash(trace, recover, check)
+
+
+def tenant_log(tmp_path: Path, *, vertices, operations, batch_size, every, keep, seed=7) -> int:
+    """A service tenant warm-started from a base snapshot of ``vertices``
+    vertices logs its batches: the first durable point writes a checkpoint,
+    the next commit creates its segment and later ones append to it, each
+    compaction (the log outgrew the checkpoint) writes a checkpoint that
+    keep-N prunes with the segments before it, a torn append is cut off by
+    the recovery, the tenant restarts halfway, and then the ``checkpoint``
+    command's append fails with a record half written, which no recovery
+    cuts.  Recovery is a fresh tenant's ``_bootstrap``: it must reach the
+    durable offset, equal an uninterrupted engine there, and a pruned
+    checkpoint or segment that comes back must cost nothing."""
+    graph = gnm_random_graph(vertices, 2 * vertices, seed=seed)
+    root = tmp_path / "root"
+    root.mkdir()
+    base = root / "base.json"
+    save_snapshot(create_algorithm("DyOneSwap", graph.copy(), None), base)
+    spec = TenantSpec(
+        name="t", batch_size=batch_size, window_max=batch_size, adaptive=False,
+        checkpoint_every=every, checkpoint_keep=keep, snapshot=str(base),
+    )
+    ops = list(mixed_update_stream(graph.copy(), operations, seed=seed + 1))
+    batches = [ops[i : i + batch_size] for i in range(0, operations, batch_size)]
+    engine = load_snapshot(base)
+    reference = {0: (engine_digest(engine), EMPTY_FINGERPRINT)}
+    identity, offset = EMPTY_FINGERPRINT, 0
+    for batch in batches:
+        engine.apply_batch(batch)
+        identity, offset = advance_identity(identity, batch), offset + len(batch)
+        reference[offset] = (engine_digest(engine), identity)
+    data = root / "data"
+    reported: List[Tuple[int, int]] = []
+    with record(root) as trace:
+        tenant = Tenant(spec, data)
+        tenant._bootstrap()
+        # The fourth record is the second of the third commit, an append to
+        # the segment the second commit created.
+        with inject_faults(FaultPlan.at(LOG_APPEND, 4)) as injector:
+            for batch in batches[: len(batches) // 2]:
+                try:
+                    tenant._apply_batch(list(batch))
+                except InjectedFault:
+                    tenant.engine = None
+                    tenant._recover()
+                reported.append((len(trace.events), tenant.durable))
+        assert injector.fired
+        tenant = Tenant(spec, data)
+        tenant._bootstrap()
+        assert tenant.durable == reported[-1][1]
+        commanded = False
+        for batch in batches[tenant.durable // batch_size :]:
+            tenant._apply_batch(list(batch))
+            reported.append((len(trace.events), tenant.durable))
+            if (
+                not commanded and tenant._replay and tenant.durable > tenant._segment
+                and 2 * tenant.stats["log_bytes"] < tenant._snapshot_bytes
+            ):
+                # The command appends to a segment that holds records, few
+                # enough that the next durable point appends rather than
+                # compacts; its first record is torn, and the tenant serves on.
+                with inject_faults(FaultPlan.at(LOG_APPEND, 1)) as injector:
+                    try:
+                        tenant.checkpoint()
+                    except InjectedFault:
+                        commanded = True
+                assert commanded, injector.fired
+        assert commanded
+    # The failed commit is retried one batch later, so the durable points
+    # after it are shifted.
+    assert operations - every < reported[-1][1] <= operations
+    renamed = [event[2] for event in trace.events if event[0] == "rename"]
+    assert sum(path.endswith(".ckpt.json") for path in renamed) > keep
+    unlinked = [event[1] for event in trace.events if event[0] == "unlink"]
+    assert any(path.endswith(".log") for path in unlinked)
+    came_back = []
+
+    def durable(k):
+        return max([offset for at, offset in reported if at <= k], default=0)
+
+    def recover():
+        present = _present(root)
+        recovered = Tenant(spec, data)
+        recovered._bootstrap()
+        return present, recovered.durable, recovered.digest(), recovered.fingerprint
+
+    def check(k, outcome):
+        present, offset, digest, fingerprint = outcome
+        assert offset >= durable(k), f"recovered {offset}, durable {durable(k)}"
+        assert (digest, fingerprint) == reference[offset]
+        came_back.extend(_gone(trace, k) & present)
+
+    states = check_every_crash(trace, recover, check)
+    assert any(path.endswith(".log") for path in came_back)
+    assert any(path.endswith(".ckpt.json") for path in came_back)
+    return states
 
 
 def cache_build(tmp_path: Path, *, events, window, stale, seed=4) -> int:

@@ -31,6 +31,7 @@ from repro.workloads import (
     save_checkpoint,
 )
 from repro.updates.streams import mixed_update_stream
+from repro.workloads.oplog import prune_segments, segment_path
 from repro.workloads.replay import latest_valid_checkpoint
 from repro.workloads.snapshot import algorithm_to_payload, graph_to_payload
 
@@ -455,11 +456,38 @@ class TestKeepN:
     def test_keep_one_retains_only_the_newest(self, tmp_path):
         engine = DyOneSwap(gnm_random_graph(12, 18, seed=4))
         config = CheckpointConfig(directory=tmp_path, every=1, keep=1)
-        for step in (3, 1, 2):  # out-of-order offsets still prune by offset
+        for step in (3, 1, 2):  # the file just written keeps the one place
             self._save(engine, config, step)
         assert [
             processed for processed, _ in find_checkpoints(tmp_path, "DyOneSwap")
-        ] == [3]
+        ] == [2]
+
+    def test_the_file_just_written_is_kept_whatever_its_offset(self, tmp_path):
+        engine = DyOneSwap(gnm_random_graph(12, 18, seed=4))
+        config = CheckpointConfig(directory=tmp_path, every=1, keep=1)
+        self._save(engine, config, 3)
+        written = self._save(engine, config, 1)
+        assert written.exists()
+        assert find_checkpoints(tmp_path, "DyOneSwap") == [(1, written)]
+
+    def test_segments_older_than_every_kept_checkpoint_are_pruned(self, tmp_path):
+        engine = DyOneSwap(gnm_random_graph(12, 18, seed=7))
+        config = CheckpointConfig(directory=tmp_path, every=1, keep=2)
+        for offset in (5, 10, 20, 30):
+            segment_path(tmp_path, "DyOneSwap", offset).write_bytes(b"")
+        segment_path(tmp_path, "DyTwoSwap", 5).write_bytes(b"")
+        for step in (10, 20, 30):
+            self._save(engine, config, step)
+        # keep-N of checkpoints leaves the log segments alone ...
+        assert len(list(tmp_path.glob("*.log"))) == 5
+        prune_segments(tmp_path, "DyOneSwap")
+        # ... and 20 and 30 are kept, so a fallback to 20 can still replay
+        # its segment and 30's; the segments before 20 go.
+        assert sorted(path.name for path in tmp_path.glob("*.log")) == [
+            "DyOneSwap-0000000020.log",
+            "DyOneSwap-0000000030.log",
+            "DyTwoSwap-0000000005.log",
+        ]
 
     def test_algorithms_sharing_a_directory_prune_independently(self, tmp_path):
         engine = DyOneSwap(gnm_random_graph(12, 18, seed=5))

@@ -32,6 +32,12 @@ def test_tenant_checkpoints_across_a_restart(tmp_path):
     ) > 20
 
 
+def test_tenant_log_commits_compactions_and_a_torn_append(tmp_path):
+    assert crashsim.tenant_log(
+        tmp_path, vertices=24, operations=128, batch_size=4, every=8, keep=2
+    ) > 50
+
+
 def test_quarantine_of_a_torn_checkpoint(tmp_path):
     assert crashsim.quarantine_torn_checkpoint(
         tmp_path, operations=40, batch_size=1, every=10

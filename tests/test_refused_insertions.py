@@ -57,8 +57,8 @@ def _check(engine):
 def test_refused_insertion_leaves_no_trace(name, options, operation, error):
     engine = create_algorithm(name, _graph(), **options)
     engine.apply_update(UpdateOperation.delete_edge(1, 4))
-    # An encode installs the copy-on-write bitmap: the rows are now shared.
-    engine.graph.adjacency_json()
+    # A graph fork installs the copy-on-write bitmap: the rows are shared.
+    fork = engine.graph.fork()
     payload = engine.graph.to_payload()
     num_edges = engine.graph.num_edges
     solution = engine.solution()
@@ -74,6 +74,7 @@ def test_refused_insertion_leaves_no_trace(name, options, operation, error):
     engine.apply_update(UpdateOperation.insert_edge("x", 5))
     assert engine.graph.neighbors("x") == {1, 3, 5, 6}
     _check(engine)
+    assert fork.to_payload() == payload
 
 
 @pytest.mark.parametrize("operation, error", REFUSED.values(), ids=REFUSED)

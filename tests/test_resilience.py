@@ -62,7 +62,7 @@ from repro.resilience import (
     verify_document,
     write_document,
 )
-from repro.resilience.integrity import DIGEST_KEY, Fragment, canonical_bytes, intact_as_written
+from repro.resilience.integrity import DIGEST_KEY, canonical_bytes, intact_as_written
 from repro.resilience.supervisor import InvariantGuard
 from repro.workloads import (
     CheckpointConfig,
@@ -274,17 +274,6 @@ class TestIntegrity:
         assert canonical_bytes(document) == json.dumps(
             body, sort_keys=True, separators=(",", ":")
         ).encode("utf-8")
-
-    def test_fragments_are_emitted_verbatim(self):
-        rows = [[1, 2], [], [0]]
-        plain = {"z": {"rows": rows, "n": 3}, "a": [1.5, {"b": None}]}
-        spliced = {
-            "z": {"rows": Fragment(json.dumps(rows, separators=(",", ":"))), "n": 3},
-            "a": [1.5, {"b": None}],
-        }
-        assert canonical_bytes(spliced) == canonical_bytes(plain)
-        assert _written(spliced) == _written(plain)
-        assert document_digest(spliced) == document_digest(plain)
 
     @pytest.mark.parametrize("document", [{}, {"format": "x/1", "value": [1, None]}])
     def test_only_the_written_bytes_are_intact(self, document):

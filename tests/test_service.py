@@ -24,11 +24,13 @@ import pytest
 
 from repro.exceptions import ServiceError, WireError
 from repro.experiments.runner import SNAPSHOT_CAPABLE, create_algorithm
+from repro.generators.random_graphs import gnm_random_graph
 from repro.generators.worst_case import flicker_update_stream
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.resilience.faults import (
     BULK_APPLY,
     CHECKPOINT_WRITE,
+    LOG_APPEND,
     SERVICE_INGEST,
     SERVICE_SHUTDOWN,
     FaultPlan,
@@ -58,6 +60,7 @@ from repro.updates.wire import (
     operations_to_wire,
 )
 from repro.workloads import replay
+from repro.workloads.oplog import segment_path
 from repro.workloads.replay import load_checkpoint, save_checkpoint
 from repro.workloads.snapshot import save_snapshot
 
@@ -654,6 +657,28 @@ class TestSupervision:
         assert [f.point for f in injector.fired] == [CHECKPOINT_WRITE]
         assert digest == reference_digest(ops, 32)
 
+    def test_torn_log_append_is_absorbed(self, tmp_path):
+        # Hit 2 tears the second record of the first commit into a new
+        # segment; hit 5 tears a record appended to the segment, leaving
+        # half a record on disk that the recovery cuts off.
+        ops = build_ops(256)
+        spec = TenantSpec(
+            name="torn",
+            batch_size=32,
+            window_max=64,
+            adaptive=False,
+            checkpoint_every=64,
+        )
+        with inject_faults(FaultPlan.at(LOG_APPEND, 2, 5)) as injector:
+            with service(tmp_path, spec) as svc:
+                with svc.client() as client:
+                    client.ingest_stream("torn", ops, chunk=32)
+                    digest = client.digest("torn")["digest"]
+                    stats = client.stats("torn")["stats"]
+        assert [(f.point, f.hit) for f in injector.fired] == [(LOG_APPEND, 2), (LOG_APPEND, 5)]
+        assert stats["crashes"] == stats["restarts"] == 2
+        assert digest == reference_digest(ops, 32)
+
     def test_exhausted_retries_fail_tenant_but_not_service(self, tmp_path):
         ops = build_ops(128)
         doomed = TenantSpec(
@@ -686,17 +711,14 @@ class TestSupervision:
                     assert client.flush("healthy")["applied"] == 32
                     assert client.health()["tenants"]["doomed"] == "failed"
 
-    def test_failing_checkpoint_writes_exhaust_the_retries(self, tmp_path):
-        # Every checkpoint write after the first fails (a full disk).  A
-        # batch that lands but whose due checkpoint does not is no progress,
-        # so max_attempts binds: exactly three crashes, and the replay
-        # buffer never holds more than the batches since the durable one.
+    @staticmethod
+    def _fail_writes(tmp_path, plan, retry):
+        """A tenant at one durable point per 8-op batch, under ``plan``."""
         ops = build_ops(400)
         spec = TenantSpec(
             name="full", batch_size=8, window_max=8, adaptive=False,
             checkpoint_every=8,
         )
-        retry = RetryPolicy(max_attempts=3, base_delay=0.0, cap=0.0)
 
         async def scenario():
             tenant = Tenant(spec, tmp_path, retry=retry)
@@ -706,8 +728,39 @@ class TestSupervision:
             await asyncio.wait_for(task, 30)
             return tenant
 
-        with inject_faults(FaultPlan.at(CHECKPOINT_WRITE, *range(2, 400))):
-            tenant = asyncio.run(scenario())
+        with inject_faults(plan):
+            return asyncio.run(scenario())
+
+    def test_failing_checkpoint_writes_exhaust_the_retries(self, tmp_path):
+        # Every checkpoint write after the first fails (a full disk).  The
+        # log takes each batch, so nothing applied is lost, but a durable
+        # point whose due compaction does not land is no progress: the log
+        # would grow without bound.  max_attempts binds, exactly three
+        # crashes, each at a compaction the log had made due.  The failed
+        # write leaves no segment open.
+        retry = RetryPolicy(max_attempts=3, base_delay=0.0, cap=0.0)
+        tenant = self._fail_writes(
+            tmp_path, FaultPlan.at(CHECKPOINT_WRITE, *range(2, 400)), retry
+        )
+        assert tenant.status == "failed"
+        assert tenant.stats["crashes"] == retry.max_attempts
+        assert tenant.stats["restarts"] == retry.max_attempts - 1
+        assert tenant.stats["snapshots"] == 1
+        assert tenant.durable == tenant.applied > 8
+        segment = segment_path(tmp_path / "full", tenant.spec.algorithm, 8)
+        assert segment.stat().st_size > tenant._snapshot_bytes
+        assert (tenant._segment, tenant.stats["log_bytes"]) == (None, 0)
+        assert not tenant._replay
+
+    def test_failing_log_appends_exhaust_the_retries(self, tmp_path):
+        # Every log append fails.  A batch that lands but whose due commit
+        # does not is no progress, so max_attempts binds: exactly three
+        # crashes, and the replay buffer never holds more than the batches
+        # since the durable point, the first checkpoint.
+        retry = RetryPolicy(max_attempts=3, base_delay=0.0, cap=0.0)
+        tenant = self._fail_writes(
+            tmp_path, FaultPlan.at(LOG_APPEND, *range(1, 400)), retry
+        )
         assert tenant.status == "failed"
         assert tenant.stats["crashes"] == retry.max_attempts
         assert tenant.stats["restarts"] == retry.max_attempts - 1
@@ -937,6 +990,74 @@ class TestDurability:
                 assert written["ok"] and written["durable"] == 16
                 assert load_checkpoint(written["checkpoint"]).processed == 16
         assert svc.report.clean
+
+    def test_failed_checkpoint_command_keeps_later_commits_recoverable(self, tmp_path):
+        # The command's log append fails with a record half written.  Were
+        # the next durable point to append after those bytes, its first
+        # record would join them into one bad line, and no replay could
+        # reach the operations it acknowledged.
+        graph = gnm_random_graph(300, 600, seed=9)
+        base = tmp_path / "base.json"
+        save_snapshot(create_algorithm("DyOneSwap", graph.copy(), None), base)
+        ops = list(mixed_update_stream(graph.copy(), 64, seed=10))
+        spec = TenantSpec(
+            name="t", batch_size=8, window_max=8, adaptive=False,
+            checkpoint_every=16, snapshot=str(base),
+        )
+        directory = tmp_path / "data" / "t"
+        killed = tmp_path / "killed"
+        # Records 1 and 2 are the commit at 32, which creates the segment of
+        # the checkpoint at 16; record 3 is the command's.  The seventh
+        # batch (48-56) crashes the engine after the durable point at 48.
+        plan = FaultPlan.union(FaultPlan.at(LOG_APPEND, 3), FaultPlan.at(BULK_APPLY, 7))
+        with inject_faults(plan) as injector:
+            with service(tmp_path, spec) as svc:
+                with svc.client() as client:
+                    client.ingest_stream("t", ops[:40], chunk=8)
+                    client.flush("t")
+                    failed = client.checkpoint("t")
+                    assert failed["error"] == "injected-fault"
+                    assert segment_path(directory, spec.algorithm, 16).read_bytes()[-1:] != b"\n"
+                    client.ingest_stream("t", ops[:56], chunk=8)
+                    client.flush("t")
+                    offsets = client.offset("t")
+                    stats = client.stats("t")
+                    assert offsets["status"] == "serving", stats
+                    # What a killed gateway would leave on disk.
+                    shutil.copytree(tmp_path / "data", killed)
+                    digest = client.digest("t")["digest"]
+        assert [(f.point, f.hit) for f in injector.fired] == [(LOG_APPEND, 3), (BULK_APPLY, 7)]
+        assert (offsets["applied"], offsets["durable"]) == (56, 48)
+        assert stats["stats"]["crashes"] == stats["stats"]["restarts"] == 1
+        assert digest == reference_digest(ops[:56], 8, initial_graph=graph)
+        restarted = Tenant(spec, killed)
+        restarted._bootstrap()
+        assert restarted.durable == 48
+        assert restarted.digest() == reference_digest(ops[:48], 8, initial_graph=graph)
+
+    def test_stats_reply_shows_durable_points_snapshots_and_log_bytes(self, tmp_path):
+        # A base graph large enough that three commits stay below its
+        # checkpoint: one full checkpoint, then only log appends.
+        graph = gnm_random_graph(300, 600, seed=9)
+        base = tmp_path / "base.json"
+        save_snapshot(create_algorithm("DyOneSwap", graph.copy(), None), base)
+        ops = list(mixed_update_stream(graph.copy(), 64, seed=10))
+        spec = TenantSpec(
+            name="t", batch_size=8, window_max=8, adaptive=False,
+            checkpoint_every=16, snapshot=str(base),
+        )
+        segment = segment_path(tmp_path / "data" / "t", spec.algorithm, 16)
+        with service(tmp_path, spec) as svc:
+            with svc.client() as client:
+                client.ingest_stream("t", ops, chunk=8)
+                client.flush("t")
+                stats = client.stats("t")["stats"]
+                assert (stats["checkpoints"], stats["snapshots"]) == (4, 1)
+                assert stats["log_bytes"] == segment.stat().st_size > 0
+                assert client.checkpoint("t")["durable"] == 64
+                stats = client.stats("t")["stats"]
+                assert (stats["checkpoints"], stats["snapshots"]) == (5, 2)
+                assert stats["log_bytes"] == 0
 
     def test_checkpoint_on_request(self, tmp_path):
         spec = TenantSpec(name="t", batch_size=4, adaptive=False)

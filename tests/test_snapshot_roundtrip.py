@@ -19,11 +19,14 @@ from hypothesis import strategies as st
 from repro.core.one_swap import DyOneSwap
 from repro.core.two_swap import DyTwoSwap
 from repro.exceptions import GraphError, SnapshotError
+from repro.experiments.runner import create_algorithm
 from repro.generators.random_graphs import gnm_random_graph
 from repro.graphs.dynamic_graph import DynamicGraph
 from repro.resilience.faults import SNAPSHOT_WRITE
 from repro.resilience.integrity import write_document
+from repro.updates.operations import UpdateOperation
 from repro.updates.streams import flash_crowd_stream, mixed_update_stream
+from repro.workloads.replay import load_checkpoint, save_checkpoint
 from repro.workloads.snapshot import (
     algorithm_from_payload,
     algorithm_to_payload,
@@ -350,3 +353,42 @@ class TestForkPayload:
         engine.apply_stream(stream, batch_size=8)
         restored.apply_stream(stream, batch_size=8)
         assert algorithm_to_payload(restored) == algorithm_to_payload(engine)
+
+    @pytest.mark.parametrize("name, options", [
+        ("DyOneSwap", {}), ("DyTwoSwap", {}), ("KSwapFramework", {"k": 3}),
+    ])
+    @pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
+    def test_checkpoint_of_a_diverged_fork_continues_like_it(
+        self, tmp_path, name, options, lazy
+    ):
+        """Both sides of a fork write, vertex churn recycles slots, and the
+        labels are of every kind a checkpoint holds (bools, big ints,
+        strings with non-ASCII characters and escapes): the fork's
+        checkpoint file restores an engine that continues exactly like it."""
+        odd = 'ü"\\\n'
+        labels = [True, "a", -5, False, odd, 10**20, 7, "b"]
+        edges = [(True, "a"), ("a", -5), (-5, odd), (odd, 10**20), (10**20, True),
+                 (False, 7), (7, "b"), ("b", False), ("a", 7)]
+        engine = create_algorithm(name, DynamicGraph(labels, edges), lazy=lazy, **options)
+        fork = engine.fork()
+        fork.apply_batch([
+            UpdateOperation.delete_vertex(odd),
+            UpdateOperation.delete_vertex(True),
+            UpdateOperation.insert_vertex("é\t", ["a", 10**20]),
+            UpdateOperation.insert_vertex(10**21, [-5, "b"]),
+            UpdateOperation.delete_edge("a", 7),
+        ])
+        engine.apply_batch([UpdateOperation.delete_edge("a", -5)])
+        path = save_checkpoint(
+            fork, tmp_path, algorithm_name=name, processed=5, initial_size=0
+        )
+        restored = load_checkpoint(path).restore()
+        assert algorithm_to_payload(restored) == algorithm_to_payload(fork)
+        more = [
+            UpdateOperation.insert_vertex(odd, ["é\t", 7]),
+            UpdateOperation.insert_edge(False, 10**21),
+            UpdateOperation.delete_vertex("a"),
+        ]
+        for side in (fork, restored):
+            side.apply_batch(list(more))
+        assert algorithm_to_payload(restored) == algorithm_to_payload(fork)

@@ -1,30 +1,48 @@
 """Model-based test of a service tenant's durability, in-process.
 
 A Hypothesis rule-based state machine drives one :class:`Tenant` on a small
-graph without an event loop: it applies batches of valid operations, writes
-checkpoints, crashes the engine and recovers it, restarts the tenant on the
-same data directory, and tears or deletes the newest checkpoint file.  The
-model is the list of applied batches, the durable prefix and the checkpoint
-files on disk (with whether each is intact).  After every step the tenant
-must agree with it:
+graph without an event loop: it applies batches of valid operations, makes
+them durable (a log commit, or a full checkpoint when the log has outgrown
+the newest one), writes checkpoints on request, crashes the engine and
+recovers it, restarts the tenant on the same data directory, tears or
+deletes the newest checkpoint file, tears the last record of a log segment,
+deletes a segment, leaves a stale one where the next segment goes, and
+fails the ``checkpoint`` command part way.  The model is the list of
+applied batches, the durable prefix, the checkpoints on disk (with whether
+each is intact) and the records of each log segment (with a torn tail
+where a record was cut).
+After every step the tenant must agree with it:
 
 * ``durable <= applied``, and both equal the model's;
 * ``fingerprint`` is :func:`advance_identity` folded over the model's
   batches;
 * the engine's digest equals a reference engine fed the same batches with
   the same boundaries;
-* the checkpoint offsets on disk are the model's, keep-N included: the
-  ``keep`` newest intact files stay, and a torn one is quarantined;
-* ``_recover`` refuses exactly when the newest valid checkpoint is not the
-  durable one.
+* the checkpoint offsets on disk are the model's, keep-N included: the one
+  just written and the ``keep - 1`` newest other intact files stay, a torn
+  one is quarantined, and a segment older than every checkpoint kept goes;
+* every segment on disk holds the model's records, in order, and the tenant
+  appends to the segment the model expects, whose size it knows; after a
+  failed write it appends to none, and its next durable point writes a
+  full checkpoint;
+* recovery replays a segment's records while each continues the offset and
+  identity reached, goes on into the segment named after the offset
+  reached, and cuts a segment back to the records it replayed; ``_recover``
+  refuses exactly when that does not reach the durable point.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
+import json
 import shutil
 import tempfile
 import warnings
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import List, Optional
 
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
@@ -36,14 +54,18 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.exceptions import ServiceError
+from repro.exceptions import InjectedFault, ServiceError
 from repro.experiments.runner import create_algorithm
 from repro.graphs.dynamic_graph import DynamicGraph
+from repro.resilience.faults import CHECKPOINT_WRITE, LOG_APPEND, FaultPlan, inject_faults
+from repro.resilience.integrity import intact_as_written, write_document
 from repro.service.config import TenantSpec
 from repro.service.tenant import Tenant, engine_digest
 from repro.updates.operations import UpdateOperation
 from repro.updates.protocol import EMPTY_FINGERPRINT, advance_identity
-from repro.workloads.replay import find_checkpoints
+from repro.updates.wire import operations_to_wire
+from repro.workloads.oplog import append_records, segment_path
+from repro.workloads.replay import checkpoint_path, find_checkpoints
 
 #: Vertex labels the machine draws from; few, so labels and slots recycle.
 LABELS = range(7)
@@ -91,15 +113,68 @@ def _draw_operation(data, vertices, edges):
     return UpdateOperation.delete_edge(u, v)
 
 
+@contextmanager
+def _quiet():
+    """Silence the notices of the quarantines the damage rules cause."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        yield
+
+
+@dataclass(frozen=True)
+class Batch:
+    """One applied batch: its operations, the graph after it, and where it
+    sits on the identity chain."""
+
+    operations: tuple
+    vertices: frozenset
+    edges: frozenset
+    start: int
+    before: str
+    after: str
+
+    @property
+    def end(self):
+        return self.start + len(self.operations)
+
+    @property
+    def size(self):
+        """The bytes of its log record, newline included."""
+        record = {
+            "identity": self.after,
+            "offset": self.start,
+            "ops": operations_to_wire(self.operations),
+        }
+        stream = io.BytesIO()
+        write_document(stream, record, fault_point=LOG_APPEND)
+        return len(stream.getvalue()) + 1
+
+
+@dataclass
+class Segment:
+    """A segment's lines: a record (its :class:`Batch`) or ``None`` for a
+    line that is not intact; ``torn`` when the file ends inside a line."""
+
+    lines: List[Optional[Batch]] = field(default_factory=list)
+    torn: bool = False
+
+
 class TenantDurabilityMachine(RuleBasedStateMachine):
     @initialize()
     def boot(self):
         self.root = Path(tempfile.mkdtemp(prefix="tenant-durability-"))
-        #: Applied batches, each with the graph ``(vertices, edges)`` after it.
-        self.batches = []
+        self.directory = self.root / SPEC.name
+        self.batches: List[Batch] = []
         self.durable = 0
         #: Checkpoint offset on disk -> whether the file is intact.
         self.disk = {}
+        #: Segment name (the offset it continues) -> its lines.
+        self.segments = {}
+        #: The segment the tenant appends to next, its size, and the size
+        #: of the checkpoint past which it is compacted.
+        self.open = None
+        self.open_bytes = 0
+        self.snapshot_bytes = 0
         self._start()
 
     def teardown(self):
@@ -110,13 +185,22 @@ class TenantDurabilityMachine(RuleBasedStateMachine):
     # -- model helpers ------------------------------------------------- #
     @property
     def applied(self):
-        return sum(len(batch) for batch, _, _ in self.batches)
+        return self.batches[-1].end if self.batches else 0
+
+    @property
+    def identity(self):
+        return self.batches[-1].after if self.batches else EMPTY_FINGERPRINT
+
+    def _prefix(self, offset):
+        """The batches up to ``offset``, which must be a batch boundary."""
+        prefix = [batch for batch in self.batches if batch.end <= offset]
+        assert (prefix[-1].end if prefix else 0) == offset
+        return prefix
 
     def _graph(self):
         if not self.batches:
             return set(), set()
-        _, vertices, edges = self.batches[-1]
-        return set(vertices), set(edges)
+        return set(self.batches[-1].vertices), set(self.batches[-1].edges)
 
     def _discover(self):
         """What checkpoint discovery returns, quarantining torn files."""
@@ -126,66 +210,204 @@ class TenantDurabilityMachine(RuleBasedStateMachine):
             del self.disk[offset]
         return None
 
-    def _written(self):
-        """The tenant committed a checkpoint at ``applied``: keep-N prunes,
-        newest first, and a torn file holds no place but is quarantined."""
-        self.durable = self.applied
-        self.disk[self.durable] = True
-        kept = 0
-        for offset in sorted(self.disk, reverse=True):
-            if kept < KEEP and self.disk[offset]:
-                kept += 1
-            else:
-                del self.disk[offset]
+    def _replay(self, offset, identity, until=None):
+        """What the tenant's log replay does from the checkpoint at
+        ``offset``: the batches it re-applies, and the segments it cuts."""
+        replayed = []
+        self.open_bytes = 0
+        self.snapshot_bytes = checkpoint_path(self.directory, SPEC.algorithm, offset).stat().st_size
+        while True:
+            self.open, start = offset, offset
+            segment = self.segments.get(offset, Segment())
+            kept = []
+            for batch in segment.lines:
+                if until is not None and offset >= until:
+                    break
+                if batch is None or (batch.start, batch.before) != (offset, identity):
+                    break
+                kept.append(batch)
+                offset, identity = batch.end, batch.after
+            if segment.torn or len(kept) < len(segment.lines):
+                self.segments[start] = Segment(kept)
+            replayed += kept
+            self.open_bytes = sum(batch.size for batch in kept)
+            if offset in (start, until) or offset not in self.segments:
+                return replayed
+
+    def _loggable(self):
+        """The batches the next durable point appends to the open segment:
+        those since the durable one, unless no segment is open or the open
+        one has records and was deleted."""
+        if self.open is None or (self.open_bytes and self.open not in self.segments):
+            return []
+        return [batch for batch in self.batches if batch.start >= self.durable]
+
+    def _append(self, batches, torn=False):
+        """Records of ``batches`` reach the open segment, then half of the
+        next record when ``torn``; a first commit that fails leaves none."""
+        if not self.open_bytes:
+            if torn:
+                return
+            self.segments[self.open] = Segment()
+        segment = self.segments[self.open]
+        lines = list(batches)
+        if segment.torn and lines:
+            # The first record completes the torn line: one bad line.
+            lines[0] = None
+            segment.torn = False
+        segment.lines += lines
+        segment.torn = segment.torn or torn
+        self.open_bytes += sum(batch.size for batch in batches)
+
+    def _commit(self, snapshot=False):
+        """The durable point the tenant just made: log the batches since the
+        durable one, then compact when due; keep-N prunes after a compaction."""
+        pending = self._loggable()
+        if pending:
+            self._append(pending)
+            self.durable = self.applied
+        if snapshot or self.durable < self.applied or self.open_bytes > self.snapshot_bytes:
+            self.durable = self.applied
+            self.disk[self.durable] = True
+            kept = [self.durable]
+            for offset in sorted(self.disk, reverse=True):
+                if offset == self.durable:
+                    continue
+                if len(kept) < KEEP and self.disk[offset]:
+                    kept.append(offset)
+                else:
+                    del self.disk[offset]
+            for name in [name for name in self.segments if name < min(kept)]:
+                del self.segments[name]
+            self.open, self.open_bytes = self.durable, 0
+            path = checkpoint_path(self.directory, SPEC.algorithm, self.durable)
+            self.snapshot_bytes = path.stat().st_size
 
     def _start(self):
         """A new tenant on the data directory, warm-started from disk."""
         self.tenant = Tenant(SPEC, self.root)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+        newest = self._discover()
+        if newest is None:
+            self.batches, self.open, self.open_bytes = [], None, 0
+        else:
+            prefix = self._prefix(newest)
+            identity = prefix[-1].after if prefix else EMPTY_FINGERPRINT
+            self.batches = prefix + self._replay(newest, identity)
+        self.durable = self.applied
+        with _quiet():
             self.tenant._bootstrap()
-        offset = self._discover() or 0
-        while self.applied > offset:
-            self.batches.pop()
-        self.durable = offset
         self.reference = create_algorithm("DyOneSwap", DynamicGraph(), None)
-        for batch, _, _ in self.batches:
-            self.reference.apply_batch(batch)
+        for batch in self.batches:
+            self.reference.apply_batch(list(batch.operations))
+
+    def _apply(self, data):
+        vertices, edges = self._graph()
+        size = data.draw(st.integers(1, 8), label="size")
+        operations = tuple(_draw_operation(data, vertices, edges) for _ in range(size))
+        with _quiet():
+            self.tenant._apply_batch(list(operations))
+        self.reference.apply_batch(list(operations))
+        self.batches.append(
+            Batch(
+                operations, frozenset(vertices), frozenset(edges), self.applied,
+                self.identity, advance_identity(self.identity, operations),
+            )
+        )
+        if self.applied - self.durable >= EVERY:
+            self._commit()
 
     # -- rules --------------------------------------------------------- #
     @precondition(lambda self: self.tenant.engine is not None)
     @rule(data=st.data())
     def apply_batch(self, data):
-        vertices, edges = self._graph()
-        size = data.draw(st.integers(1, 8), label="size")
-        batch = [_draw_operation(data, vertices, edges) for _ in range(size)]
-        self.tenant._apply_batch(list(batch))
-        self.reference.apply_batch(batch)
-        self.batches.append((batch, frozenset(vertices), frozenset(edges)))
-        if self.applied - self.durable >= EVERY:
-            self._written()
+        self._apply(data)
 
     @precondition(lambda self: self.tenant.engine is not None)
     @rule()
-    def write_checkpoint(self):
-        self.tenant._write_checkpoint()
-        self._written()
+    def commit(self):
+        """A durable point before ``EVERY`` operations (the wall clock's)."""
+        if self.applied > self.durable:
+            with _quiet():
+                self.tenant._write_checkpoint()
+            self._commit()
+
+    @precondition(lambda self: self.tenant.engine is not None)
+    @rule(data=st.data())
+    def compaction(self, data):
+        """Batches and durable points until the log outgrows the checkpoint."""
+        snapshots = self.tenant.stats["snapshots"]
+        for _ in range(40):
+            self._apply(data)
+            if self.applied > self.durable:
+                with _quiet():
+                    self.tenant._write_checkpoint()
+                self._commit()
+            if self.tenant.stats["snapshots"] > snapshots:
+                return
+
+    @precondition(lambda self: self.tenant.engine is not None)
+    @rule()
+    def checkpoint_command(self):
+        with _quiet():
+            written = self.tenant.checkpoint()
+        if self.applied:
+            self._commit(snapshot=True)
+            assert written == checkpoint_path(self.directory, SPEC.algorithm, self.durable)
+        else:
+            assert written is None
+
+    @precondition(lambda self: self.tenant.engine is not None and self.applied)
+    @rule(data=st.data())
+    def failed_checkpoint_command(self, data):
+        """The ``checkpoint`` command fails with a log record or the
+        checkpoint half written; the tenant opens no segment until its next
+        durable point, which writes a full checkpoint."""
+        pending = self._loggable()
+        if pending and data.draw(st.booleans(), label="in the log"):
+            hit = data.draw(st.integers(1, len(pending)), label="record")
+            plan = FaultPlan.at(LOG_APPEND, hit)
+        else:
+            hit, plan = None, FaultPlan.at(CHECKPOINT_WRITE, 1)
+        with _quiet(), inject_faults(plan) as injector:
+            try:
+                self.tenant.checkpoint()
+            except InjectedFault:
+                pass
+        assert len(injector.fired) == 1
+        if hit is None:
+            if pending:
+                self._append(pending)
+                self.durable = self.applied
+        else:
+            self._append(pending[: hit - 1], torn=True)
+        self.open, self.open_bytes = None, 0
 
     @precondition(lambda self: self.tenant.engine is not None)
     @rule()
     def crash(self):
         self.tenant.engine = None
         newest = self._discover()
-        recoverable = (0 if newest is None else newest) == self.durable
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+        if newest is None:
+            reached = (0, EMPTY_FINGERPRINT)
+            self.open, self.open_bytes = None, 0
+        elif newest > self.durable:
+            reached = (newest, None)
+        else:
+            prefix = self._prefix(newest)
+            identity = prefix[-1].after if prefix else EMPTY_FINGERPRINT
+            replayed = self._replay(newest, identity, until=self.durable)
+            last = (replayed or prefix or [None])[-1]
+            reached = (last.end, last.after) if last else (0, EMPTY_FINGERPRINT)
+        recoverable = reached == (self.durable, self._prefix(self.durable)[-1].after
+                                  if self.durable else EMPTY_FINGERPRINT)
+        with _quiet():
             try:
                 self.tenant._recover()
             except ServiceError:
-                assert not recoverable
+                assert not recoverable, f"refused, but the log reaches {reached}"
                 assert self.tenant.engine is None
             else:
-                assert recoverable, f"recovered from {newest}, durable {self.durable}"
+                assert recoverable, f"recovered, but the log reaches {reached}"
 
     @rule()
     def restart(self):
@@ -194,8 +416,7 @@ class TenantDurabilityMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.disk)
     @rule(delete=st.booleans())
     def damage_newest_checkpoint(self, delete):
-        directory = self.tenant.checkpoints.directory
-        newest, path = find_checkpoints(directory, SPEC.algorithm)[-1]
+        newest, path = find_checkpoints(self.directory, SPEC.algorithm)[-1]
         assert newest == max(self.disk)
         if delete:
             path.unlink()
@@ -203,6 +424,57 @@ class TenantDurabilityMachine(RuleBasedStateMachine):
         else:
             path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
             self.disk[newest] = False
+
+    @precondition(
+        lambda self: any(
+            s.lines and s.lines[-1] is not None and not s.torn
+            for s in self.segments.values()
+        )
+    )
+    @rule(data=st.data())
+    def tear_log_tail(self, data):
+        """A power loss cut a segment's last record in half."""
+        name = data.draw(st.sampled_from(sorted(
+            name for name, s in self.segments.items()
+            if s.lines and s.lines[-1] is not None and not s.torn
+        )))
+        segment = self.segments[name]
+        last = segment.lines.pop()
+        path = segment_path(self.directory, SPEC.algorithm, name)
+        size = path.stat().st_size - last.size + last.size // 2
+        path.write_bytes(path.read_bytes()[:size])
+        segment.torn = True
+
+    @precondition(
+        lambda self: self.tenant.engine is not None
+        and self.open is not None
+        and not self.open_bytes
+    )
+    @rule(data=st.data())
+    def stale_segment(self, data):
+        """An earlier history left a segment where the next one goes: its
+        record starts at the right offset but continues another identity."""
+        base = self._prefix(self.open)
+        vertices, edges = (set(base[-1].vertices), set(base[-1].edges)) if base else (set(), set())
+        size = data.draw(st.integers(1, 4), label="size")
+        operations = tuple(_draw_operation(data, vertices, edges) for _ in range(size))
+        before = hashlib.sha256(b"an earlier history").hexdigest()
+        stale = Batch(
+            operations, frozenset(vertices), frozenset(edges), self.open,
+            before, advance_identity(before, operations),
+        )
+        append_records(
+            self.directory, SPEC.algorithm, self.open,
+            [(list(operations), stale.after)], self.open,
+        )
+        self.segments[self.open] = Segment([stale])
+
+    @precondition(lambda self: self.segments)
+    @rule(data=st.data())
+    def delete_segment(self, data):
+        name = data.draw(st.sampled_from(sorted(self.segments)))
+        segment_path(self.directory, SPEC.algorithm, name).unlink()
+        del self.segments[name]
 
     # -- invariants ---------------------------------------------------- #
     @invariant()
@@ -213,8 +485,8 @@ class TenantDurabilityMachine(RuleBasedStateMachine):
         assert tenant.durable <= tenant.applied
         assert (tenant.durable, tenant.applied) == (self.durable, self.applied)
         identity = EMPTY_FINGERPRINT
-        for batch, _, _ in self.batches:
-            identity = advance_identity(identity, batch)
+        for batch in self.batches:
+            identity = advance_identity(identity, batch.operations)
         assert tenant.fingerprint == identity
 
     @invariant()
@@ -224,8 +496,37 @@ class TenantDurabilityMachine(RuleBasedStateMachine):
 
     @invariant()
     def checkpoints_on_disk_match_the_model(self):
-        found = find_checkpoints(self.tenant.checkpoints.directory, SPEC.algorithm)
+        found = find_checkpoints(self.directory, SPEC.algorithm)
         assert [offset for offset, _ in found] == sorted(self.disk)
+
+    @invariant()
+    def segments_on_disk_match_the_model(self):
+        names = sorted(
+            int(path.name.rsplit("-", 1)[1][: -len(".log")])
+            for path in self.directory.glob("*.log")
+        ) if self.directory.is_dir() else []
+        assert names == sorted(self.segments)
+        for name, segment in self.segments.items():
+            data = segment_path(self.directory, SPEC.algorithm, name).read_bytes()
+            *lines, tail = data.split(b"\n")
+            found = [
+                (json.loads(line)["offset"], json.loads(line)["identity"])
+                if intact_as_written(line) else None
+                for line in lines
+            ]
+            expected = [
+                None if batch is None else (batch.start, batch.after)
+                for batch in segment.lines
+            ]
+            assert (found, bool(tail)) == (expected, segment.torn)
+
+    @invariant()
+    def the_open_segment_is_the_models(self):
+        tenant = self.tenant
+        if tenant.engine is None:
+            return
+        assert tenant._segment == self.open
+        assert tenant.stats["log_bytes"] == self.open_bytes
 
 
 TestTenantDurability = TenantDurabilityMachine.TestCase

@@ -32,6 +32,11 @@ Performance notes (the hot path of every maintenance algorithm):
   ints, ``I(v)`` a list of neighbour-slot sets, and the level-1 hierarchy a
   list of buckets keyed by the owner *slot*.  The innermost count-maintenance
   loop therefore performs zero hashing — every probe is a C-level list index.
+* Every empty ``I(v)`` — a solution vertex's, and a non-solution vertex's
+  with no solution neighbour — is the one shared immutable ``_EMPTY``
+  frozenset, so only a vertex with a solution neighbour holds a set of its
+  own: a count step from 0 stores a fresh one-element set, a step to 0 puts
+  ``_EMPTY`` back.
 * Only levels ≥ 2 of the hierarchy use frozenset-keyed dictionaries (of
   slots); DyOneSwap never allocates a frozenset on a count change.
 * The API is slot-level throughout; labels are translated once, at the
@@ -50,8 +55,9 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from repro.exceptions import SolutionInvariantError
 from repro.graphs.dynamic_graph import DynamicGraph, Vertex
 
-#: Shared immutable empty set returned by the view accessors when a bucket is
-#: absent, so callers can iterate/compare without a per-call allocation.
+#: Shared immutable empty set: every empty ``I(v)`` of the eager state, and
+#: what the view accessors return when a bucket is absent, so neither costs
+#: an allocation.
 _EMPTY: FrozenSet[int] = frozenset()
 
 
@@ -374,8 +380,9 @@ class MISState(SlotState):
     def __init__(self, graph: DynamicGraph, k: int = 1) -> None:
         super().__init__(graph, k)
         n = graph.num_slots
-        # I(v) as neighbour-slot sets, indexed by slot.
-        self._sn: List[Set[int]] = [set() for _ in range(n)]
+        # I(v) as neighbour-slot sets, indexed by slot; an empty one is the
+        # shared _EMPTY.
+        self._sn: List[Set[int]] = [_EMPTY] * n
         # Level-1 hierarchy keyed by the owner slot: _tight1[w] = ¯I_1({w})
         # (None when the bucket is absent).
         self._tight1: List[Optional[Set[int]]] = [None] * n
@@ -394,7 +401,7 @@ class MISState(SlotState):
         super()._ensure_slot(slot)
         cow = self._cow_sn
         while len(self._sn) <= slot:
-            self._sn.append(set())
+            self._sn.append(_EMPTY)
             self._tight1.append(None)
             if cow is not None:
                 cow.append(1)
@@ -425,14 +432,18 @@ class MISState(SlotState):
         return clone
 
     def _owned_sn(self, slot: int) -> Set[int]:
-        """Return ``I(v)`` for ``slot`` privately owned (the CoW write barrier)."""
+        """Return ``I(v)`` for ``slot`` privately owned (the CoW write barrier).
+
+        The shared ``_EMPTY`` is never owned: it is replaced by a fresh set.
+        """
         sn = self._sn
+        nbrs = sn[slot]
         cow = self._cow_sn
-        if cow is not None and not cow[slot]:
-            sn[slot] = nbrs = set(sn[slot])
-            cow[slot] = 1
-            return nbrs
-        return sn[slot]
+        if nbrs is _EMPTY or (cow is not None and not cow[slot]):
+            sn[slot] = nbrs = set(nbrs)
+            if cow is not None:
+                cow[slot] = 1
+        return nbrs
 
     def _owned_t1(self, owner: int) -> Optional[Set[int]]:
         """Return the ``¯I_1({owner})`` bucket privately owned (may be ``None``)."""
@@ -473,7 +484,8 @@ class MISState(SlotState):
         """Live ``I(v)`` neighbour-slot set for the vertex at ``slot``.
 
         Internal state: callers must not mutate it and must not hold it
-        across a state mutation.
+        across a state mutation.  An empty ``I(v)`` is the shared immutable
+        ``_EMPTY`` frozenset.
         """
         return self._sn[slot]
 
@@ -566,13 +578,12 @@ class MISState(SlotState):
         for t in row:
             # No neighbour can be in the solution (count was zero), so every
             # neighbour gains a solution neighbour.
-            nbrs = sn[t]
-            if cow_sn is not None and not cow_sn[t]:
-                sn[t] = nbrs = set(nbrs)
-                cow_sn[t] = 1
             old = counts[t]
             if old == 0:
-                nbrs.add(slot)
+                # I(t) was the shared empty set: t gets a set of its own.
+                sn[t] = {slot}
+                if cow_sn is not None:
+                    cow_sn[t] = 1
                 counts[t] = 1
                 if bucket_new is None:
                     bucket_new = tight1[slot]
@@ -585,6 +596,10 @@ class MISState(SlotState):
                         cow_t1[slot] = 1
                 bucket_new.add(t)
                 continue
+            nbrs = sn[t]
+            if cow_sn is not None and not cow_sn[t]:
+                sn[t] = nbrs = set(nbrs)
+                cow_sn[t] = 1
             if old <= k:
                 if old == 1:
                     (owner,) = nbrs
@@ -637,40 +652,43 @@ class MISState(SlotState):
             if in_sol[t]:
                 own_neighbors.add(t)
                 continue
+            old = counts[t]
+            if old == 1:
+                # I(t) was {slot}: t leaves ¯I_1({slot}) and its I(v) is the
+                # shared empty set again.
+                if bucket_old is not None:
+                    bucket_old.discard(t)
+                sn[t] = _EMPTY
+                counts[t] = 0
+                continue
             nbrs = sn[t]
             if cow_sn is not None and not cow_sn[t]:
                 sn[t] = nbrs = set(nbrs)
                 cow_sn[t] = 1
-            old = counts[t]
             if old <= k:
-                if old == 1:
-                    if bucket_old is not None:
-                        bucket_old.discard(t)
-                else:
-                    self._unposition_level(t, nbrs, old)
+                self._unposition_level(t, nbrs, old)
             nbrs.discard(slot)
             new = old - 1
             counts[t] = new
-            if new:
-                if new <= k:
-                    if new == 1:
-                        (owner,) = nbrs
-                        bucket = tight1[owner]
-                        if bucket is None:
-                            bucket = tight1[owner] = set()
-                            if cow_t1 is not None:
-                                cow_t1[owner] = 1
-                        elif cow_t1 is not None and not cow_t1[owner]:
-                            tight1[owner] = bucket = set(bucket)
+            if new <= k:
+                if new == 1:
+                    (owner,) = nbrs
+                    bucket = tight1[owner]
+                    if bucket is None:
+                        bucket = tight1[owner] = set()
+                        if cow_t1 is not None:
                             cow_t1[owner] = 1
-                        bucket.add(t)
-                    else:
-                        self._position_level(t, nbrs, new)
+                    elif cow_t1 is not None and not cow_t1[owner]:
+                        tight1[owner] = bucket = set(bucket)
+                        cow_t1[owner] = 1
+                    bucket.add(t)
+                else:
+                    self._position_level(t, nbrs, new)
         if bucket_old is not None and not bucket_old:
             tight1[slot] = None
         # Every neighbour outside the solution lost one from its count.
         self.stats.count_updates += len(row) - len(own_neighbors)
-        self._sn[slot] = own_neighbors
+        self._sn[slot] = own_neighbors or _EMPTY
         if cow_sn is not None:
             cow_sn[slot] = 1
         self._count[slot] = len(own_neighbors)
@@ -680,7 +698,7 @@ class MISState(SlotState):
     # Hooks called by the SlotState mutators
     # ------------------------------------------------------------------ #
     def _init_slot(self, slot: int, own: Set[int]) -> None:
-        self._sn[slot] = own
+        self._sn[slot] = own or _EMPTY
         if self._cow_sn is not None:
             self._cow_sn[slot] = 1
         self._count[slot] = len(own)
@@ -693,9 +711,7 @@ class MISState(SlotState):
         level = len(stored)
         if 1 <= level <= self.k:
             self._unposition_level(slot, stored, level)
-        self._sn[slot] = set()
-        if self._cow_sn is not None:
-            self._cow_sn[slot] = 1
+        self._sn[slot] = _EMPTY
         self._count[slot] = 0
 
     def _add_solution_neighbor(self, slot: int, solution_slot: int) -> None:
@@ -719,7 +735,9 @@ class MISState(SlotState):
         nbrs.discard(solution_slot)
         new = old - 1
         self._count[slot] = new
-        if 0 < new <= self.k:
+        if not new:
+            self._sn[slot] = _EMPTY
+        elif new <= self.k:
             self._position_level(slot, nbrs, new)
 
     # ------------------------------------------------------------------ #

@@ -52,6 +52,7 @@ from repro.updates.protocol import (
 from repro.workloads.replay import (
     Checkpoint,
     CheckpointConfig,
+    latest_checkpoint,
     load_checkpoint,
     save_checkpoint,
 )
@@ -525,6 +526,18 @@ def _run_single(
             f"algorithm {name!r} does not support engine snapshots; "
             f"checkpointing is available for {SNAPSHOT_CAPABLE}"
         )
+    if checkpoint is not None and resume_from is None:
+        # Keep-N and discovery compare offsets across runs: a fresh run
+        # beside another run's checkpoints could see its own pruned in
+        # favour of higher foreign offsets, and a resume offered theirs.
+        existing = latest_checkpoint(checkpoint.directory, name)
+        if existing is not None:
+            raise ExperimentError(
+                f"checkpoint directory {checkpoint.directory} already holds "
+                f"checkpoints of {name!r} (newest: {existing.name}); resume "
+                "from one with resume_from=..., or start a fresh run in an "
+                "empty directory"
+            )
     every = None if checkpoint is None else checkpoint.every
     if batch_size > 1 and every is not None and every % batch_size:
         raise ExperimentError(
@@ -625,7 +638,9 @@ def run_algorithm(
         wall-clock time (I/O excluded from the measured time).  Each
         checkpoint records the stream offset plus the incremental prefix
         fingerprint, so resumes work on lazy streams that were never
-        materialised.  Checkpointing requires a
+        materialised.  A run without ``resume_from`` refuses a directory
+        that already holds checkpoints of ``name``, before it reads an
+        operation.  Checkpointing requires a
         :class:`~repro.core.base.DynamicMISBase` algorithm (the core
         maintainers); the index-based baselines are not snapshot-capable.
     resume_from:

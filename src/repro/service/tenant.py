@@ -33,13 +33,13 @@ Responsibilities, and how they compose:
   warm start can refuse a config-mismatched one.
 * **Supervision** (:meth:`run`): a crashed engine (injected fault, I/O
   error, integrity violation) is dropped, restored from the newest *valid*
-  checkpoint plus the log records up to the durable offset, and brought
-  back to the exact pre-crash state by replaying the in-memory replay
-  buffer with the **original batch boundaries** — recovery is
-  bit-identical and invisible to clients, while other tenants keep
-  serving.  The log must lead to the offset and identity the tenant last
-  made durable; a recovery that cannot reach them is refused rather than
-  replayed onto.
+  checkpoint at or below the durable offset plus the log records up to
+  it, and brought back to the exact pre-crash state by replaying the
+  in-memory replay buffer with the **original batch boundaries** —
+  recovery is bit-identical and invisible to clients, while other tenants
+  keep serving.  The log must lead to the offset and identity the tenant
+  last made durable; a recovery that cannot reach them is refused rather
+  than replayed onto.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ from repro.updates.protocol import EMPTY_FINGERPRINT, advance_identity
 from repro.workloads.oplog import append_records, prune_segments, replay_log
 from repro.workloads.replay import (
     Checkpoint,
+    latest_checkpoint,
     latest_valid_checkpoint,
     load_checkpoint,
     save_checkpoint,
@@ -413,34 +414,39 @@ class Tenant:
     def _recover(self) -> None:
         """Rebuild the exact pre-crash engine state.
 
-        Restore the newest valid checkpoint (corrupt ones are quarantined by
-        discovery) and replay the log after it up to ``durable``, cutting
-        off whatever a failed commit appended past it; that must reach the
+        Restore the newest valid checkpoint at or below ``durable`` (corrupt
+        ones are quarantined by discovery), else the snapshot or a fresh
+        engine, and replay the log after it up to ``durable``, cutting off
+        whatever a failed commit appended past it; that must reach the
         durable point: same offset, same stream identity.  Then re-apply the
         replay buffer, which covers precisely the applied suffix past
         ``durable``, with its original batch boundaries, so the rebuilt
         engine matches the crashed one bit for bit; queued-but-unapplied
         operations are still in ``_pending``.
+
+        A checkpoint past ``durable`` (a write that failed after its rename)
+        stays on disk: it holds applied state, and a restart may resume from
+        it.  No log segment continues it, so while it is the newest the next
+        durable point writes a full checkpoint instead of appending.
         """
-        restored = latest_valid_checkpoint(
-            self.checkpoints.directory, self.spec.algorithm
-        )
-        if restored is None:
-            found, source = (0, EMPTY_FINGERPRINT), "no valid checkpoint"
-        else:
-            found = (restored.processed, restored.stream_identity)
-            source = f"checkpoint {restored.path} and its log"
-        if found[0] <= self.durable:
-            self._restore(restored)
-            found = self._replay_log(restored, until=self.durable)
+        directory, algorithm = self.checkpoints.directory, self.spec.algorithm
+        restored = latest_valid_checkpoint(directory, algorithm, at_most=self.durable)
+        self._restore(restored)
+        found = self._replay_log(restored, until=self.durable)
         if found != (self.durable, self._durable_fp):
             self.engine = None
+            source = (
+                "no valid checkpoint" if restored is None
+                else f"checkpoint {restored.path} and its log"
+            )
             raise ServiceError(
                 f"tenant {self.spec.name!r}: the replay buffer starts at "
                 f"offset {self.durable} with identity {self._durable_fp}, but "
                 f"recovery from {source} reaches offset {found[0]} with "
                 f"identity {found[1]} — cannot reconstruct the crashed state"
             )
+        if restored is not None and latest_checkpoint(directory, algorithm) != restored.path:
+            self._segment, self.stats["log_bytes"] = None, 0
         self.applied = self.durable
         self.fingerprint = self._durable_fp
         for batch, identity in self._replay:

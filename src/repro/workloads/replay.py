@@ -411,19 +411,22 @@ def quarantine_checkpoint(path: PathLike, *, reason: str = "") -> Optional[Path]
 
 
 def latest_valid_checkpoint(
-    directory: PathLike, algorithm_name: str
+    directory: PathLike, algorithm_name: str, *, at_most: Optional[int] = None
 ) -> Optional[Checkpoint]:
     """The newest checkpoint that loads and passes its integrity check.
 
     Walks the discovered checkpoints newest-first, fully validating each
     (parse, format, embedded SHA-256 digest, structural completeness); a
     candidate that fails is quarantined and the walk falls back to the next
-    older one.  Returns the loaded :class:`Checkpoint` (its ``path`` says
-    which file), so recovery reads the file once, or ``None`` when no valid
-    checkpoint survives — the caller starts fresh, which is always safe,
-    merely slower.
+    older one.  With ``at_most``, a checkpoint past that offset is skipped
+    unread and left on disk.  Returns the loaded :class:`Checkpoint` (its
+    ``path`` says which file), so recovery reads the file once, or ``None``
+    when no valid checkpoint survives — the caller starts fresh, which is
+    always safe, merely slower.
     """
-    for _, path in reversed(find_checkpoints(directory, algorithm_name)):
+    for offset, path in reversed(find_checkpoints(directory, algorithm_name)):
+        if at_most is not None and offset > at_most:
+            continue
         try:
             return load_checkpoint(path)
         except (CheckpointError, IntegrityError) as exc:

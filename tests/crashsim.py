@@ -13,7 +13,10 @@ The persistence model:
   (or its content when recording began).  Bytes written after that may be
   dropped or torn: the file holds its synced bytes plus a cut of the rest —
   none of it, one byte, half, all but one byte, or all of it.  "The rest" is
-  what the file holds at its next fsync in the trace, or at the end.
+  what the file holds at its next fsync in the trace; when no later fsync
+  covers it, what it held last: at the end, or right before a rename over
+  it or an unlink removed it (the half record of a failed append that
+  recovery then rewrites).
 * **Directory entries.**  A file created, renamed or unlinked in a
   directory, and a subdirectory made in it, is on disk once that directory
   is fsynced.  Until then each such operation may be undone: every subset of
@@ -49,6 +52,7 @@ from repro.experiments import fetch
 from repro.experiments.runner import create_algorithm, run_algorithm
 from repro.generators.random_graphs import gnm_random_graph
 from repro.graphs.dynamic_graph import DynamicGraph
+from repro.resilience import durable
 from repro.resilience.durable import recording
 from repro.resilience.faults import FETCH, LOG_APPEND, FaultPlan, inject_faults
 from repro.resilience.supervisor import RetryPolicy
@@ -84,6 +88,9 @@ class Trace:
     mtimes: Dict[str, int]
     events: List[tuple] = field(default_factory=list)
     final: Dict[str, bytes] = field(default_factory=dict)
+    #: Event index -> the bytes of the file that the event (a rename over
+    #: it, or an unlink) removed, read right before it.
+    lost: Dict[int, bytes] = field(default_factory=dict)
 
 
 def _scan(root: Path):
@@ -98,12 +105,43 @@ def _scan(root: Path):
     return files, dirs, mtimes
 
 
+class _KeepRemovedBytes:
+    """The ``os`` that :mod:`repro.resilience.durable` sees while recording:
+    before a rename over a file or an unlink, it keeps the bytes the file
+    holds, under the index of the event the call records, because no later
+    fsync shows the bytes written to it since its last one."""
+
+    def __init__(self, trace: Trace) -> None:
+        self._trace = trace
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    def _removing(self, path, remove: Callable[[], None]) -> None:
+        index = len(self._trace.events)
+        try:
+            self._trace.lost[index] = Path(path).read_bytes()
+        except OSError:
+            pass  # nothing there to lose
+        try:
+            remove()
+        except BaseException:
+            self._trace.lost.pop(index, None)
+            raise
+
+    def replace(self, source, destination) -> None:
+        self._removing(destination, lambda: os.replace(source, destination))
+
+    def unlink(self, path) -> None:
+        self._removing(path, lambda: os.unlink(path))
+
+
 @contextmanager
 def record(root: Path) -> Iterator[Trace]:
     """Record the durable calls of the block; ``trace.events`` grows live."""
     files, dirs, mtimes = _scan(root)
     trace = Trace(root, files, dirs, mtimes)
-    with recording() as events:
+    with recording() as events, mock.patch.object(durable, "os", _KeepRemovedBytes(trace)):
         trace.events = events
         yield trace
     trace.events = list(trace.events)
@@ -136,16 +174,21 @@ def _parent(path: str) -> str:
 
 def _compile(trace: Trace):
     """Per event, its steps over inode numbers: ``("entry", dir, op)``,
-    ``("fsync", inode, data)`` or ``("fsync_dir", dir)``."""
+    ``("fsync", inode, data)`` or ``("fsync_dir", dir)``; with what each
+    inode held last (at the end, or when a rename or unlink removed it)."""
     relative = lambda path: Path(path).relative_to(trace.root).as_posix()  # noqa: E731
     inodes = itertools.count()
     names: Dict[str, int] = {}
     synced: Dict[int, bytes] = {}
+    removed: Dict[int, bytes] = {}
     for path, data in trace.initial.items():
         names[path] = next(inodes)
         synced[names[path]] = data
     steps: List[List[tuple]] = []
-    for op, *args in trace.events:
+    for index, (op, *args) in enumerate(trace.events):
+        if index in trace.lost:
+            # The file this event removes (a rename's target, or unlinked).
+            removed[names[relative(args[-1])]] = trace.lost[index]
         if op == "fsync":
             path, data = relative(args[0]), args[1]
             steps.append([("fsync", names[path], data)])
@@ -175,6 +218,7 @@ def _compile(trace: Trace):
             raise AssertionError(f"unknown durable event {op!r}")
         steps.append(step)
     final = {inode: trace.final[path] for path, inode in names.items() if path in trace.final}
+    final.update(removed)
     # The initial files took the first inode numbers, in order.
     initial_names = {path: inode for inode, path in enumerate(trace.initial)}
     return steps, synced, final, initial_names
@@ -311,16 +355,19 @@ def _present(root: Path) -> Set[str]:
     }
 
 
-def _gone(trace: Trace, k: int) -> Set[str]:
-    """The checkpoints and segments that ``events[:k]`` pruned or moved away
-    (keep-N, quarantine) and did not write again."""
+def _gone(trace: Trace) -> List[Set[str]]:
+    """Per crash point ``k``, the checkpoints and segments that
+    ``events[:k]`` pruned or moved away (keep-N, quarantine) and did not
+    write again."""
     gone: Set[str] = set()
-    for op, *args in trace.events[:k]:
+    by_point = [set()]
+    for op, *args in trace.events:
         if op in ("unlink", "rename"):
             paths = [Path(arg).relative_to(trace.root).as_posix() for arg in args]
             gone.add(paths[0])
             gone.difference_update(paths[1:])
-    return {path for path in gone if _RETAINED.search(path)}
+        by_point.append({path for path in gone if _RETAINED.search(path)})
+    return by_point
 
 
 def _committed_checkpoints(trace: Trace, directory: Path, initially: int = 0):
@@ -371,6 +418,7 @@ def _check_runner(
     ``returning``, some state must hold that file again at its old name
     after the trace moved it away."""
     came_back = []
+    gone = _gone(trace)
 
     def recover():
         present = _present(trace.root)
@@ -393,7 +441,7 @@ def _check_runner(
         assert digest == digests[offset]
         assert measurement == final
         came_back.extend(
-            path for path in _gone(trace, k) & present
+            path for path in gone[k] & present
             if PurePosixPath(path).name == returning
         )
 
@@ -514,7 +562,9 @@ def tenant_log(tmp_path: Path, *, vertices, operations, batch_size, every, keep,
     command's append fails with a record half written, which no recovery
     cuts.  Recovery is a fresh tenant's ``_bootstrap``: it must reach the
     durable offset, equal an uninterrupted engine there, and a pruned
-    checkpoint or segment that comes back must cost nothing."""
+    checkpoint or segment that comes back must cost nothing.  The half
+    record of the torn append, which no fsync covers, must appear in some
+    state before the recovery's cut replaces the segment."""
     graph = gnm_random_graph(vertices, 2 * vertices, seed=seed)
     root = tmp_path / "root"
     root.mkdir()
@@ -545,6 +595,7 @@ def tenant_log(tmp_path: Path, *, vertices, operations, batch_size, every, keep,
                 try:
                     tenant._apply_batch(list(batch))
                 except InjectedFault:
+                    torn_at = len(trace.events)
                     tenant.engine = None
                     tenant._recover()
                 reported.append((len(trace.events), tenant.durable))
@@ -577,26 +628,39 @@ def tenant_log(tmp_path: Path, *, vertices, operations, batch_size, every, keep,
     assert sum(path.endswith(".ckpt.json") for path in renamed) > keep
     unlinked = [event[1] for event in trace.events if event[0] == "unlink"]
     assert any(path.endswith(".log") for path in unlinked)
-    came_back = []
+    # The recovery cut the torn segment back by renaming a rewrite over it.
+    cut_at, segment = next(
+        (at, Path(event[2])) for at, event in enumerate(trace.events)
+        if at >= torn_at and event[0] == "rename" and event[2].endswith(".log")
+    )
+    came_back, half_record = [], []
+    gone = _gone(trace)
 
     def durable(k):
         return max([offset for at, offset in reported if at <= k], default=0)
 
     def recover():
         present = _present(root)
+        tail = segment.read_bytes() if segment.exists() else b""
         recovered = Tenant(spec, data)
         recovered._bootstrap()
-        return present, recovered.durable, recovered.digest(), recovered.fingerprint
+        return (
+            present, bool(tail) and not tail.endswith(b"\n"), recovered.durable,
+            recovered.digest(), recovered.fingerprint,
+        )
 
     def check(k, outcome):
-        present, offset, digest, fingerprint = outcome
+        present, torn, offset, digest, fingerprint = outcome
         assert offset >= durable(k), f"recovered {offset}, durable {durable(k)}"
         assert (digest, fingerprint) == reference[offset]
-        came_back.extend(_gone(trace, k) & present)
+        came_back.extend(gone[k] & present)
+        if torn_at <= k <= cut_at and torn:
+            half_record.append(k)
 
     states = check_every_crash(trace, recover, check)
     assert any(path.endswith(".log") for path in came_back)
     assert any(path.endswith(".ckpt.json") for path in came_back)
+    assert half_record, f"no state before the cut holds the torn record of {segment.name}"
     return states
 
 

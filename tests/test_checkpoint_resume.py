@@ -165,6 +165,35 @@ class TestRunAlgorithmCheckpointing:
         assert len(checkpoints) == 2
         assert checkpoints[-1][0] == stream.count()
 
+    def test_a_fresh_run_refuses_a_directory_holding_its_checkpoints(self, tmp_path):
+        # Keep-N and discovery compare offsets across runs: a fresh run of
+        # stream B beside stream A's checkpoints would keep A's 75 and 100
+        # over its own 25 and 50, and discovery would then offer A's 100.
+        graph = gnm_random_graph(40, 80, seed=9)
+        config = CheckpointConfig(directory=tmp_path, every=25, keep=3)
+        stream_a = list(mixed_update_stream(graph.copy(), 100, seed=1))
+        run_algorithm("DyOneSwap", graph, stream_a, checkpoint=config)
+        written = find_checkpoints(tmp_path, "DyOneSwap")
+        assert [offset for offset, _ in written] == [50, 75, 100]
+        read = []
+
+        def stream_b():
+            for operation in mixed_update_stream(graph.copy(), 60, seed=2):
+                read.append(operation)
+                yield operation
+
+        with pytest.raises(ExperimentError, match=r"DyOneSwap-0000000100\.ckpt\.json"):
+            run_algorithm("DyOneSwap", graph, stream_b(), checkpoint=config)
+        assert not read
+        assert find_checkpoints(tmp_path, "DyOneSwap") == written
+        # Another algorithm's files do not count, and stream A resumes.
+        run_algorithm("DyTwoSwap", graph, stream_b(), checkpoint=config)
+        resumed = run_algorithm(
+            "DyOneSwap", graph, stream_a, checkpoint=config,
+            resume_from=latest_valid_checkpoint(tmp_path, "DyOneSwap"),
+        )
+        assert resumed.num_updates == 100
+
     def test_resume_validates_algorithm_name(self, temporal_workload, tmp_path):
         graph, stream = temporal_workload
         config = CheckpointConfig(directory=tmp_path, every=200)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import pytest
 
 import crashsim
-from repro.resilience.durable import append_writer, remove
+from repro.resilience.durable import append_writer, atomic_writer, remove
 
 
 @pytest.mark.parametrize("batch_size", [1, 4], ids=["unbatched", "batched"])
@@ -86,6 +86,26 @@ def test_model_undoes_unsynced_entries_and_tears_unsynced_data(tmp_path):
         (("doc", b"v2v2"),),
     }
     assert states[4] == {(("doc", b"v2v2"),)}
+
+
+def test_model_tears_bytes_that_no_later_fsync_covers(tmp_path):
+    root = tmp_path / "root"
+    root.mkdir()
+    path = root / "log"
+    with crashsim.record(root) as trace:
+        with append_writer(path) as stream:
+            stream.write(b"one\n")
+        with open(path, "ab") as stream:
+            stream.write(b"two")  # an append that fails before its fsync
+        with atomic_writer(path) as stream:
+            stream.write(b"one\n")  # the recovery's cut replaces the file
+    renamed = next(k for k, event in enumerate(trace.events) if event[0] == "rename")
+    before_the_cut = {
+        dict(state.files).get("log")
+        for k, state in crashsim.crash_states(trace)
+        if k <= renamed
+    }
+    assert {b"one\nt", b"one\ntw", b"one\ntwo"} <= before_the_cut
 
 
 def test_enumeration_catches_a_write_in_place(tmp_path):

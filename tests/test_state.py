@@ -11,10 +11,13 @@ from __future__ import annotations
 import pytest
 from slot_helpers import count, labels, move_in, move_out, slots
 
+from repro.core import DyOneSwap, DyTwoSwap
 from repro.core.lazy import LazyMISState
-from repro.core.state import MISState
+from repro.core.state import _EMPTY, MISState
 from repro.exceptions import SolutionInvariantError
+from repro.generators import power_law_random_graph
 from repro.graphs.dynamic_graph import DynamicGraph
+from repro.updates import mixed_update_stream
 
 
 @pytest.fixture(params=[MISState, LazyMISState], ids=lambda cls: cls.__name__)
@@ -246,6 +249,52 @@ class TestMemberBookkeeping:
 
     def test_check_invariants_detects_a_member_solution_neighbour_set(self, path_graph):
         state = make_state(MISState, path_graph, solution=[0, 2])
-        state._sn[path_graph.slot_of(2)].add(path_graph.slot_of(0))
+        # A member's I(v) is the shared immutable empty set: plant by assignment.
+        state._sn[path_graph.slot_of(2)] = {path_graph.slot_of(0)}
         with pytest.raises(SolutionInvariantError, match="not the empty set"):
             state.check_invariants()
+
+
+class TestSharedEmptySet:
+    """Every empty ``I(v)`` of the eager state is the shared ``_EMPTY``.
+
+    A solution vertex, a non-solution vertex without solution neighbours and
+    a free slot all store that one frozenset, so only a vertex with a
+    solution neighbour holds a set of its own.
+    """
+
+    @staticmethod
+    def assert_shared(engine):
+        engine.state.check_invariants()
+        stored = engine.state._sn
+        empty = [nbrs for nbrs in stored if not nbrs]
+        assert len(empty) >= engine.solution_size > 0
+        assert all(nbrs is _EMPTY for nbrs in empty)
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return power_law_random_graph(300, 2.3, seed=42)
+
+    @pytest.mark.parametrize("cls", [DyOneSwap, DyTwoSwap])
+    def test_after_set_up(self, graph, cls):
+        self.assert_shared(cls(graph.copy()))
+
+    @pytest.mark.parametrize("edge_fraction", [0.8, 0.3], ids=["edges", "vertex-churn"])
+    @pytest.mark.parametrize("batch", [1, 8, 64], ids=["b1", "short-b8", "bulk-b64"])
+    @pytest.mark.parametrize("cls", [DyOneSwap, DyTwoSwap])
+    def test_after_a_mixed_stream(self, graph, cls, batch, edge_fraction):
+        engine = cls(graph.copy())
+        stream = mixed_update_stream(graph, 400, seed=7, edge_fraction=edge_fraction)
+        engine.apply_stream(stream, batch_size=batch)
+        self.assert_shared(engine)
+
+    @pytest.mark.parametrize("cls", [DyOneSwap, DyTwoSwap])
+    def test_after_a_fork_written_on_both_sides(self, graph, cls):
+        parent = cls(graph.copy())
+        child = parent.fork()
+        for engine, seed in ((parent, 11), (child, 12)):
+            stream = mixed_update_stream(engine.graph, 300, seed=seed, edge_fraction=0.5)
+            engine.apply_stream(stream, batch_size=8)
+        assert parent.solution() != child.solution()
+        self.assert_shared(parent)
+        self.assert_shared(child)

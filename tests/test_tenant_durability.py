@@ -6,11 +6,12 @@ them durable (a log commit, or a full checkpoint when the log has outgrown
 the newest one), writes checkpoints on request, crashes the engine and
 recovers it, restarts the tenant on the same data directory, tears or
 deletes the newest checkpoint file, tears the last record of a log segment,
-deletes a segment, leaves a stale one where the next segment goes, and
-fails the ``checkpoint`` command part way.  The model is the list of
-applied batches, the durable prefix, the checkpoints on disk (with whether
-each is intact) and the records of each log segment (with a torn tail
-where a record was cut).
+deletes a segment, leaves a stale one where the next segment goes, fails
+the ``checkpoint`` command part way, and fails a full checkpoint after its
+rename, which leaves it on disk past the durable point.  The model is the
+list of applied batches, the durable prefix, the checkpoints on disk (with
+whether each is intact) and the records of each log segment (with a torn
+tail where a record was cut).
 After every step the tenant must agree with it:
 
 * ``durable <= applied``, and both equal the model's;
@@ -28,11 +29,15 @@ After every step the tenant must agree with it:
 * recovery replays a segment's records while each continues the offset and
   identity reached, goes on into the segment named after the offset
   reached, and cuts a segment back to the records it replayed; ``_recover``
-  refuses exactly when that does not reach the durable point.
+  starts from the newest intact checkpoint at or below the durable point,
+  leaves a newer one on disk and opens no segment while it is there, and
+  refuses exactly when the log does not reach the durable point.
 """
 
 from __future__ import annotations
 
+import asyncio
+import errno
 import hashlib
 import io
 import json
@@ -43,6 +48,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional
+from unittest import mock
 
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
@@ -57,12 +63,15 @@ from hypothesis.stateful import (
 from repro.exceptions import InjectedFault, ServiceError
 from repro.experiments.runner import create_algorithm
 from repro.graphs.dynamic_graph import DynamicGraph
+from repro.resilience import durable
 from repro.resilience.faults import CHECKPOINT_WRITE, LOG_APPEND, FaultPlan, inject_faults
 from repro.resilience.integrity import intact_as_written, write_document
+from repro.resilience.supervisor import RetryPolicy
 from repro.service.config import TenantSpec
 from repro.service.tenant import Tenant, engine_digest
 from repro.updates.operations import UpdateOperation
-from repro.updates.protocol import EMPTY_FINGERPRINT, advance_identity
+from repro.updates.protocol import EMPTY_FINGERPRINT, advance_identity, chunked
+from repro.updates.streams import mixed_update_stream
 from repro.updates.wire import operations_to_wire
 from repro.workloads.oplog import append_records, segment_path
 from repro.workloads.replay import checkpoint_path, find_checkpoints
@@ -121,6 +130,23 @@ def _quiet():
         yield
 
 
+@contextmanager
+def _directory_fsync_fails_once(directory):
+    """The next fsync of ``directory`` raises ``EIO``: a checkpoint written
+    into it is renamed into place, and then its write fails."""
+    real = durable._fsync_directory
+    fired = []
+
+    def fsync_directory(path):
+        if not fired and Path(path) == Path(directory):
+            fired.append(path)
+            raise OSError(errno.EIO, "injected I/O error", str(path))
+        real(path)
+
+    with mock.patch.object(durable, "_fsync_directory", fsync_directory):
+        yield fired
+
+
 @dataclass(frozen=True)
 class Batch:
     """One applied batch: its operations, the graph after it, and where it
@@ -153,10 +179,12 @@ class Batch:
 @dataclass
 class Segment:
     """A segment's lines: a record (its :class:`Batch`) or ``None`` for a
-    line that is not intact; ``torn`` when the file ends inside a line."""
+    line that is not intact; ``torn`` when the file ends inside a line;
+    ``size`` is the file's length in bytes."""
 
     lines: List[Optional[Batch]] = field(default_factory=list)
     torn: bool = False
+    size: int = 0
 
 
 class TenantDurabilityMachine(RuleBasedStateMachine):
@@ -202,9 +230,12 @@ class TenantDurabilityMachine(RuleBasedStateMachine):
             return set(), set()
         return set(self.batches[-1].vertices), set(self.batches[-1].edges)
 
-    def _discover(self):
-        """What checkpoint discovery returns, quarantining torn files."""
+    def _discover(self, at_most=None):
+        """What checkpoint discovery returns, quarantining torn files and
+        skipping those past ``at_most``."""
         for offset in sorted(self.disk, reverse=True):
+            if at_most is not None and offset > at_most:
+                continue
             if self.disk[offset]:
                 return offset
             del self.disk[offset]
@@ -227,10 +258,10 @@ class TenantDurabilityMachine(RuleBasedStateMachine):
                     break
                 kept.append(batch)
                 offset, identity = batch.end, batch.after
-            if segment.torn or len(kept) < len(segment.lines):
-                self.segments[start] = Segment(kept)
-            replayed += kept
             self.open_bytes = sum(batch.size for batch in kept)
+            if segment.torn or len(kept) < len(segment.lines):
+                self.segments[start] = Segment(kept, size=self.open_bytes)
+            replayed += kept
             if offset in (start, until) or offset not in self.segments:
                 return replayed
 
@@ -242,9 +273,11 @@ class TenantDurabilityMachine(RuleBasedStateMachine):
             return []
         return [batch for batch in self.batches if batch.start >= self.durable]
 
-    def _append(self, batches, torn=False):
+    def _append(self, batches, torn=None):
         """Records of ``batches`` reach the open segment, then half of the
-        next record when ``torn``; a first commit that fails leaves none."""
+        record of ``torn``; a first commit that fails leaves none.  The
+        tenant then knows the segment's size, which is less than the bytes
+        it appended when a tear cut the segment behind its back."""
         if not self.open_bytes:
             if torn:
                 return
@@ -256,8 +289,12 @@ class TenantDurabilityMachine(RuleBasedStateMachine):
             lines[0] = None
             segment.torn = False
         segment.lines += lines
-        segment.torn = segment.torn or torn
-        self.open_bytes += sum(batch.size for batch in batches)
+        segment.size += sum(batch.size for batch in batches)
+        if torn:
+            # Half of the document; its newline is not written.
+            segment.torn = True
+            segment.size += (torn.size - 1) // 2
+        self.open_bytes = segment.size
 
     def _commit(self, snapshot=False):
         """The durable point the tenant just made: log the batches since the
@@ -379,25 +416,49 @@ class TenantDurabilityMachine(RuleBasedStateMachine):
                 self._append(pending)
                 self.durable = self.applied
         else:
-            self._append(pending[: hit - 1], torn=True)
+            self._append(pending[: hit - 1], torn=pending[hit - 1])
         self.open, self.open_bytes = None, 0
+
+    @precondition(
+        lambda self: self.tenant.engine is not None
+        and self.open is None
+        and self.applied > self.durable
+    )
+    @rule(data=st.data())
+    def checkpoint_lands_past_durable(self, data):
+        """A durable point with no segment open writes a full checkpoint,
+        and the fsync of its directory fails after the rename: the file is
+        on disk past the durable point, which does not move.  In the
+        service the error crashes the engine, so recovery often follows."""
+        with _quiet(), _directory_fsync_fails_once(self.directory) as fired:
+            try:
+                self.tenant._write_checkpoint()
+            except OSError:
+                pass
+            else:
+                raise AssertionError("the directory fsync did not fail")
+        assert fired
+        self.disk[self.applied] = True
+        if data.draw(st.booleans(), label="the engine crashes"):
+            self.crash()
 
     @precondition(lambda self: self.tenant.engine is not None)
     @rule()
     def crash(self):
         self.tenant.engine = None
-        newest = self._discover()
+        newest = self._discover(at_most=self.durable)
         if newest is None:
             reached = (0, EMPTY_FINGERPRINT)
             self.open, self.open_bytes = None, 0
-        elif newest > self.durable:
-            reached = (newest, None)
         else:
             prefix = self._prefix(newest)
             identity = prefix[-1].after if prefix else EMPTY_FINGERPRINT
             replayed = self._replay(newest, identity, until=self.durable)
             last = (replayed or prefix or [None])[-1]
             reached = (last.end, last.after) if last else (0, EMPTY_FINGERPRINT)
+            if max(self.disk) > newest:
+                # A newer checkpoint stays, and no segment continues it.
+                self.open, self.open_bytes = None, 0
         recoverable = reached == (self.durable, self._prefix(self.durable)[-1].after
                                   if self.durable else EMPTY_FINGERPRINT)
         with _quiet():
@@ -441,8 +502,8 @@ class TenantDurabilityMachine(RuleBasedStateMachine):
         segment = self.segments[name]
         last = segment.lines.pop()
         path = segment_path(self.directory, SPEC.algorithm, name)
-        size = path.stat().st_size - last.size + last.size // 2
-        path.write_bytes(path.read_bytes()[:size])
+        segment.size -= last.size - last.size // 2
+        path.write_bytes(path.read_bytes()[: segment.size])
         segment.torn = True
 
     @precondition(
@@ -467,7 +528,7 @@ class TenantDurabilityMachine(RuleBasedStateMachine):
             self.directory, SPEC.algorithm, self.open,
             [(list(operations), stale.after)], self.open,
         )
-        self.segments[self.open] = Segment([stale])
+        self.segments[self.open] = Segment([stale], size=stale.size)
 
     @precondition(lambda self: self.segments)
     @rule(data=st.data())
@@ -519,6 +580,7 @@ class TenantDurabilityMachine(RuleBasedStateMachine):
                 for batch in segment.lines
             ]
             assert (found, bool(tail)) == (expected, segment.torn)
+            assert len(data) == segment.size
 
     @invariant()
     def the_open_segment_is_the_models(self):
@@ -536,3 +598,42 @@ TestTenantDurability.settings = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+
+def test_a_checkpoint_that_fails_after_its_rename_costs_one_restart(tmp_path):
+    """The first durable point (offset 8) writes a full checkpoint, and the
+    fsync of its directory raises ``EIO`` after the rename, so the file is
+    on disk while ``durable`` is still 0.  Recovery starts from the newest
+    checkpoint at or below ``durable`` (none: a fresh engine), replays the
+    buffer and serves on, and a later durable point moves ``durable``."""
+    spec = TenantSpec(
+        name="t", batch_size=4, window_max=4, adaptive=False,
+        checkpoint_every=8, checkpoint_keep=KEEP,
+    )
+    ops = list(mixed_update_stream(DynamicGraph(), 64, seed=3, edge_fraction=0.5))
+    reference = create_algorithm(spec.algorithm, DynamicGraph(), None)
+    for group in chunked(iter(ops), spec.batch_size):
+        reference.apply_batch(group)
+    directory = tmp_path / spec.name
+
+    async def scenario():
+        tenant = Tenant(spec, tmp_path, retry=RetryPolicy(max_attempts=3, base_delay=0.0))
+        task = asyncio.get_running_loop().create_task(tenant.run())
+        await tenant.ready.wait()
+        with _directory_fsync_fails_once(directory) as fired:
+            tenant.offer(ops[:8], 1)
+            await tenant.flush()
+        assert fired and tenant.status == "serving"
+        assert checkpoint_path(directory, spec.algorithm, 8).exists()
+        tenant.offer(ops[8:], 9)
+        await tenant.flush()
+        state = (tenant.status, tenant.durable, tenant.applied, tenant.digest())
+        tenant.request_drain()
+        await asyncio.wait_for(task, 30)
+        return tenant, state
+
+    tenant, (status, durable_offset, applied, digest) = asyncio.run(scenario())
+    assert status == "serving"
+    assert (tenant.stats["crashes"], tenant.stats["restarts"]) == (1, 1)
+    assert durable_offset > 8 and applied == len(ops)
+    assert digest == engine_digest(reference)

@@ -28,51 +28,32 @@ Quickstart
 [0, 2, 3]
 """
 
-from repro.core import (
-    DyOneSwap,
-    DyTwoSwap,
-    KSwapFramework,
-    is_independent_set,
-    is_k_maximal_independent_set,
-    is_maximal_independent_set,
-    theorem2_ratio_bound,
-    theorem4_constant_for_graph,
-)
-from repro.graphs import DynamicGraph
-from repro.updates import (
-    UpdateOperation,
-    UpdateStream,
-    mixed_update_stream,
-)
-from repro.workloads import (
-    TemporalEdge,
-    cached_temporal_stream,
-    load_snapshot,
-    read_temporal_edge_list,
-    save_snapshot,
-    temporal_update_stream,
-)
+from repro._exports import _lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "DynamicGraph",
-    "DyOneSwap",
-    "DyTwoSwap",
-    "KSwapFramework",
-    "UpdateOperation",
-    "UpdateStream",
-    "mixed_update_stream",
-    "TemporalEdge",
-    "read_temporal_edge_list",
-    "temporal_update_stream",
-    "cached_temporal_stream",
-    "save_snapshot",
-    "load_snapshot",
-    "is_independent_set",
-    "is_maximal_independent_set",
-    "is_k_maximal_independent_set",
-    "theorem2_ratio_bound",
-    "theorem4_constant_for_graph",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.graphs.dynamic_graph": ("DynamicGraph",),
+        "repro.core.one_swap": ("DyOneSwap",),
+        "repro.core.two_swap": ("DyTwoSwap",),
+        "repro.core.framework": ("KSwapFramework",),
+        "repro.updates.operations": ("UpdateOperation",),
+        "repro.updates.streams": ("UpdateStream", "mixed_update_stream"),
+        "repro.workloads.temporal": (
+            "TemporalEdge",
+            "read_temporal_edge_list",
+            "temporal_update_stream",
+            "cached_temporal_stream",
+        ),
+        "repro.workloads.snapshot": ("save_snapshot", "load_snapshot"),
+        "repro.core.verification": (
+            "is_independent_set",
+            "is_maximal_independent_set",
+            "is_k_maximal_independent_set",
+        ),
+        "repro.core.bounds": ("theorem2_ratio_bound", "theorem4_constant_for_graph"),
+    },
+)
+__all__.append("__version__")

@@ -1,33 +1,20 @@
 """Baseline algorithms: exact solver, greedy heuristics, ARW, DyARW, DGOneDIS/DGTwoDIS."""
 
-from repro.baselines.arw import ArwLocalSearch, ArwResult, arw_best_result
-from repro.baselines.dgdis import DGOneDIS, DGTwoDIS, DgdisStatistics
-from repro.baselines.dyn_arw import DyARW
-from repro.baselines.exact import (
-    BranchAndReduceSolver,
-    SolverReport,
-    brute_force_maximum_independent_set,
-    clique_cover_bound,
-    exact_independence_number,
-)
-from repro.baselines.greedy import (
-    min_degree_greedy,
-    randomized_greedy,
-)
+from repro._exports import _lazy_exports
 
-__all__ = [
-    "BranchAndReduceSolver",
-    "SolverReport",
-    "exact_independence_number",
-    "brute_force_maximum_independent_set",
-    "clique_cover_bound",
-    "ArwLocalSearch",
-    "ArwResult",
-    "arw_best_result",
-    "DyARW",
-    "DGOneDIS",
-    "DGTwoDIS",
-    "DgdisStatistics",
-    "min_degree_greedy",
-    "randomized_greedy",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.baselines.exact": (
+            "BranchAndReduceSolver",
+            "SolverReport",
+            "exact_independence_number",
+            "brute_force_maximum_independent_set",
+            "clique_cover_bound",
+        ),
+        "repro.baselines.arw": ("ArwLocalSearch", "ArwResult", "arw_best_result"),
+        "repro.baselines.dyn_arw": ("DyARW",),
+        "repro.baselines.dgdis": ("DGOneDIS", "DGTwoDIS", "DgdisStatistics"),
+        "repro.baselines.greedy": ("min_degree_greedy", "randomized_greedy"),
+    },
+)

@@ -890,9 +890,16 @@ class DynamicMISBase(abc.ABC):
                         f"initial solution is not independent around "
                         f"{graph.vertex_of(s)!r}"
                     )
-            for s in sorted(members, key=key):
-                if state.count_slot(s) == 0 and not in_sol[s]:
-                    state.move_in_slot(s)
+            # Independent members raise no member's count, so any order
+            # moves in the same set; only the slots they leave free are
+            # sorted, by the greedy fill, and restoring a maximal snapshot
+            # sorts nothing.
+            move_in = state.move_in_slot
+            for s in members:
+                if not in_sol[s]:
+                    move_in(s)
+            self._extend_maximal_over(graph.slots())
+            return
         # Extend to a maximal independent set greedily (smallest degree first).
         counts = state.counts_slots_view()
         for s in sorted(graph.slots(), key=key):

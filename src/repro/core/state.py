@@ -165,10 +165,6 @@ class SlotState:
         """Live slot-indexed count table (read-only for callers)."""
         return self._count
 
-    def count_slot(self, slot: int) -> int:
-        """Return ``count(v)`` for the vertex at ``slot`` (0 for solution vertices)."""
-        return self._count[slot]
-
     # ------------------------------------------------------------------ #
     # Structural mutation: the graph writes, then the counts follow
     # ------------------------------------------------------------------ #

@@ -20,100 +20,58 @@ Layering: ``faults``, ``durable`` and ``integrity`` sit *below* the
 pipeline (only :mod:`repro.exceptions` and the standard library beneath
 them; ``integrity`` trips the torn-write points of ``faults``) so every
 layer can import its fault hook and its writers; the supervisor drives the
-experiment runner, imports it lazily and is itself loaded lazily via module
-``__getattr__`` — ``from repro.resilience import supervised_replay`` works,
-but merely importing a fault point never drags the runner in (which would
-cycle).
+experiment runner and imports it lazily.  Like every ``repro`` package,
+this one resolves its exports on first use (:mod:`repro._exports`):
+``from repro.resilience import supervised_replay`` works, but merely
+importing a fault point never drags the runner in (which would cycle).
 """
 
-from __future__ import annotations
+from repro._exports import _lazy_exports
 
-from repro.exceptions import (
-    InjectedFault,
-    IntegrityError,
-    RecoveryExhaustedError,
-    ResilienceError,
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.exceptions": (
+            "ResilienceError",
+            "IntegrityError",
+            "RecoveryExhaustedError",
+            "InjectedFault",
+        ),
+        "repro.resilience.faults": (
+            "FAULT_POINTS",
+            "STREAM_READ",
+            "COALESCE",
+            "BULK_APPLY",
+            "CHECKPOINT_WRITE",
+            "SNAPSHOT_WRITE",
+            "LOG_APPEND",
+            "CACHE_READ",
+            "FETCH",
+            "SERVICE_INGEST",
+            "SERVICE_QUERY",
+            "SERVICE_SHUTDOWN",
+            "FaultPlan",
+            "FaultInjector",
+            "FiredFault",
+            "inject_faults",
+            "install",
+            "uninstall",
+            "active",
+            "trip",
+        ),
+        "repro.resilience.integrity": (
+            "DIGEST_KEY",
+            "document_digest",
+            "verify_document",
+            "write_document",
+        ),
+        "repro.resilience.supervisor": (
+            "CrashRecord",
+            "InvariantGuard",
+            "RetryPolicy",
+            "SupervisedResult",
+            "supervised_replay",
+            "RECOVERABLE",
+        ),
+    },
 )
-from repro.resilience.faults import (
-    BULK_APPLY,
-    CACHE_READ,
-    CHECKPOINT_WRITE,
-    COALESCE,
-    FAULT_POINTS,
-    FETCH,
-    LOG_APPEND,
-    SERVICE_INGEST,
-    SERVICE_QUERY,
-    SERVICE_SHUTDOWN,
-    SNAPSHOT_WRITE,
-    STREAM_READ,
-    FaultInjector,
-    FaultPlan,
-    FiredFault,
-    active,
-    inject_faults,
-    install,
-    trip,
-    uninstall,
-)
-from repro.resilience.integrity import (
-    DIGEST_KEY,
-    document_digest,
-    verify_document,
-    write_document,
-)
-
-#: Supervisor names resolved lazily (importing them eagerly would pull the
-#: experiment runner into every module that merely hosts a fault point).
-_SUPERVISOR_EXPORTS = (
-    "CrashRecord",
-    "InvariantGuard",
-    "RetryPolicy",
-    "SupervisedResult",
-    "supervised_replay",
-    "RECOVERABLE",
-)
-
-__all__ = [
-    # exceptions
-    "ResilienceError",
-    "IntegrityError",
-    "RecoveryExhaustedError",
-    "InjectedFault",
-    # faults
-    "FAULT_POINTS",
-    "STREAM_READ",
-    "COALESCE",
-    "BULK_APPLY",
-    "CHECKPOINT_WRITE",
-    "SNAPSHOT_WRITE",
-    "LOG_APPEND",
-    "CACHE_READ",
-    "FETCH",
-    "SERVICE_INGEST",
-    "SERVICE_QUERY",
-    "SERVICE_SHUTDOWN",
-    "FaultPlan",
-    "FaultInjector",
-    "FiredFault",
-    "inject_faults",
-    "install",
-    "uninstall",
-    "active",
-    "trip",
-    # integrity
-    "DIGEST_KEY",
-    "document_digest",
-    "verify_document",
-    "write_document",
-    # supervisor (lazy)
-    *_SUPERVISOR_EXPORTS,
-]
-
-
-def __getattr__(name: str):
-    if name in _SUPERVISOR_EXPORTS:
-        from repro.resilience import supervisor
-
-        return getattr(supervisor, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -24,26 +24,18 @@ server; :class:`~repro.service.client.ServiceClient` talks to one;
 bit-identical recovery.
 """
 
-from repro.service.config import (
-    DEFAULT_CHECKPOINT_SECONDS,
-    ServiceConfig,
-    TenantSpec,
-)
-from repro.service.gateway import MISGateway, ShutdownReport, TenantReport
-from repro.service.client import ServiceClient, ServiceThread, connect_with_retry
-from repro.service.tenant import SERVICE_FORMAT, Tenant, engine_digest
+from repro._exports import _lazy_exports
 
-__all__ = [
-    "DEFAULT_CHECKPOINT_SECONDS",
-    "ServiceConfig",
-    "TenantSpec",
-    "MISGateway",
-    "ShutdownReport",
-    "TenantReport",
-    "ServiceClient",
-    "ServiceThread",
-    "connect_with_retry",
-    "Tenant",
-    "SERVICE_FORMAT",
-    "engine_digest",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.service.config": (
+            "DEFAULT_CHECKPOINT_SECONDS",
+            "ServiceConfig",
+            "TenantSpec",
+        ),
+        "repro.service.gateway": ("MISGateway", "ShutdownReport", "TenantReport"),
+        "repro.service.client": ("ServiceClient", "ServiceThread", "connect_with_retry"),
+        "repro.service.tenant": ("Tenant", "SERVICE_FORMAT", "engine_digest"),
+    },
+)

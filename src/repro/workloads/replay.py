@@ -19,6 +19,11 @@ power loss, once :func:`save_checkpoint` returns, and keep-N pruning runs
 only after that commit, from a fresh listing of the directory, so files
 moved or deleted by anyone else (a quarantine, another process) are
 counted as they are on disk.
+
+Like a snapshot (:mod:`repro.workloads.snapshot`), a checkpoint is read
+once on load and its embedded digest checked on the bytes as written; the
+document is re-encoded only when those bytes fail that check, to tell a
+file rewritten by another JSON encoder from a damaged one.
 """
 
 from __future__ import annotations
@@ -281,10 +286,18 @@ def load_checkpoint(path: PathLike) -> Checkpoint:
     bytes that were written — the checkpoint must never be replayed);
     structurally incomplete documents raise :class:`CheckpointError` again.
     :func:`latest_valid_checkpoint` catches both and falls back.
+
+    The file is read once.  Bytes exactly as :func:`save_checkpoint` wrote
+    them are checked against their digest as they are
+    (:func:`~repro.resilience.integrity.intact_as_written`); only a file
+    that fails that, such as one re-encoded by another JSON encoder, has
+    its parsed document re-encoded in canonical form and checked
+    (:func:`~repro.resilience.integrity.verify_document`).
     """
     path = Path(path)
     try:
-        document = json.loads(path.read_text(encoding="utf-8"))
+        raw = path.read_bytes()
+        document = json.loads(raw)
     except (OSError, ValueError) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     if not isinstance(document, dict):
@@ -297,7 +310,8 @@ def load_checkpoint(path: PathLike) -> Checkpoint:
             f"{path}: unsupported checkpoint format {document.get('format')!r} "
             f"(expected {CHECKPOINT_FORMAT!r})"
         )
-    verify_document(document, source=path)
+    if not intact_as_written(raw):
+        verify_document(document, source=path)
     try:
         stream_info = document.get("stream") or {}
         return Checkpoint(

@@ -32,6 +32,11 @@ list of JSON-native values (``null`` for a free slot): JSON already keeps
 exactly, and any other label type is refused on save.  Payloads of an older
 format (``repro-graph/1`` tagged every label) are refused, not converted.
 Payload mismatches raise :class:`~repro.exceptions.SnapshotError`.
+
+A snapshot file embeds the SHA-256 of its canonical encoding.
+:func:`load_snapshot` checks it on the bytes as written and re-encodes
+the parsed document only when they fail that check, to tell a file
+rewritten by another JSON encoder from a damaged one.
 """
 
 from __future__ import annotations
@@ -39,13 +44,13 @@ from __future__ import annotations
 import json
 from collections import Counter
 from pathlib import Path
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from repro.exceptions import GraphError, SnapshotError
-from repro.graphs.dynamic_graph import DynamicGraph
+from repro.exceptions import GraphError, SnapshotError, SolutionInvariantError
+from repro.graphs.dynamic_graph import _FREE, DynamicGraph, Vertex
 from repro.resilience.durable import atomic_writer, makedirs
 from repro.resilience.faults import SNAPSHOT_WRITE
-from repro.resilience.integrity import verify_document, write_document
+from repro.resilience.integrity import intact_as_written, verify_document, write_document
 
 PathLike = Union[str, Path]
 
@@ -175,6 +180,13 @@ def algorithm_from_payload(
     membership, and its statistics counters are overwritten with the
     captured values — so continuing the stream yields results
     indistinguishable from never having been interrupted.
+
+    Raises :class:`SnapshotError` when ``solution_slots`` names a slot that
+    is not a live vertex of the graph or two adjacent slots, when the
+    factory builds an engine of another class or another ``k`` than the one
+    that wrote the payload (its solution need not be k-maximal for the
+    engine built, and nothing would repair it), and when the restored
+    solution differs from the recorded one.
     """
     if payload.get("format") != ALGORITHM_FORMAT:
         raise SnapshotError(
@@ -182,8 +194,8 @@ def algorithm_from_payload(
             f"(expected {ALGORITHM_FORMAT!r})"
         )
     graph = graph_from_payload(payload["graph"])
-    solution_slots = set(payload["solution_slots"])
-    initial_solution = [graph.vertex_of(s) for s in sorted(solution_slots)]
+    slots = payload["solution_slots"]
+    initial_solution = _solution_labels(graph, slots)
     options = {
         "k": payload["k"],
         "lazy": payload["lazy"],
@@ -195,7 +207,24 @@ def algorithm_from_payload(
     }
     if factory is None:
         factory = _default_factory(payload["class"])
-    algorithm = factory(graph, initial_solution, **options)
+    try:
+        algorithm = factory(graph, initial_solution, **options)
+    except SolutionInvariantError as exc:
+        pair = _adjacent_pair(graph, slots)
+        if pair is None:
+            raise
+        raise SnapshotError(
+            f"solution_slots names adjacent slots {pair[0]} and {pair[1]}, "
+            "which is not an independent set"
+        ) from exc
+    built = (type(algorithm).__name__, algorithm.k)
+    if built != (payload["class"], payload["k"]):
+        raise SnapshotError(
+            f"snapshot was written by {payload['class']} (k={payload['k']}), "
+            f"but the factory builds {built[0]} (k={built[1]}); restoring it "
+            "would serve a solution no engine of that kind maintained"
+        )
+    solution_slots = set(slots)
     restored = algorithm.state.solution_slots_view()
     if restored != solution_slots:
         raise SnapshotError(
@@ -216,6 +245,31 @@ def algorithm_from_payload(
         if hasattr(algorithm, name):
             setattr(algorithm, name, value)
     return algorithm
+
+
+def _solution_labels(graph: DynamicGraph, slots) -> List[Vertex]:
+    """The labels at ``slots``, each of which must be a live slot of ``graph``."""
+    labels = graph.labels_view()
+    total = len(labels)
+    solution = []
+    for slot in slots:
+        if type(slot) is not int or not 0 <= slot < total or labels[slot] is _FREE:
+            raise SnapshotError(
+                f"solution_slots names {slot!r}, which is not a live slot of "
+                "the snapshot's graph"
+            )
+        solution.append(labels[slot])
+    return solution
+
+
+def _adjacent_pair(graph: DynamicGraph, slots) -> Optional[Tuple[int, int]]:
+    """The first two of ``slots`` that are adjacent in ``graph``, if any."""
+    members = set(slots)
+    adjacency = graph.adjacency_slots_view()
+    for slot in sorted(members):
+        for other in sorted(adjacency[slot] & members):
+            return slot, other
+    return None
 
 
 def _default_factory(class_name: str) -> Callable:
@@ -271,13 +325,20 @@ def load_snapshot(path: PathLike, factory: Optional[Callable] = None):
 
     Verifies the embedded SHA-256 digest first; a snapshot whose bytes no
     longer hash to the digest recorded at write time raises
-    :class:`~repro.exceptions.IntegrityError` and is never restored.
+    :class:`~repro.exceptions.IntegrityError` and is never restored.  The
+    file is read once.  Bytes exactly as :func:`save_snapshot` wrote them
+    are checked against their digest as they are
+    (:func:`~repro.resilience.integrity.intact_as_written`); only a file
+    that fails that, such as one re-encoded by another JSON encoder, has
+    its parsed document re-encoded in canonical form and checked
+    (:func:`~repro.resilience.integrity.verify_document`).
     """
     path = Path(path)
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        raw = path.read_bytes()
+        payload = json.loads(raw)
     except (OSError, ValueError) as exc:
         raise SnapshotError(f"cannot read snapshot {path}: {exc}") from exc
-    if isinstance(payload, dict):
+    if isinstance(payload, dict) and not intact_as_written(raw):
         verify_document(payload, source=path)
     return algorithm_from_payload(payload, factory)

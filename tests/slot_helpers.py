@@ -35,7 +35,7 @@ def remove_edge(state, u, v):
 
 def count(state, label):
     """``count(v)`` of the labelled vertex."""
-    return state.count_slot(state.graph.slot_of(label))
+    return state.counts_slots_view()[state.graph.slot_of(label)]
 
 
 def slots(state, labels):

@@ -15,7 +15,8 @@ fails it.
 The values were recorded from the engine before its swap performers were
 merged into one swap step and its uncoalesced batch strategy was deleted.
 A change to how swaps, fills or batches are carried out must reproduce them
-exactly.
+exactly.  Three more cases do the same for an engine built from a partial
+initial solution, right after construction and after a stream.
 
 Nine more scenarios pin the same counters, and the solution size, on an
 800-vertex power-law graph with 2,000-operation streams: a mixed one and a
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import dataclasses
 import platform
+import random
 import sys
 import tracemalloc
 
@@ -40,6 +42,7 @@ import pytest
 
 from repro.baselines import DyARW
 from repro.core import DyOneSwap, DyTwoSwap, KSwapFramework
+from repro.experiments.runner import create_algorithm
 from repro.generators import power_law_random_graph
 from repro.service.tenant import engine_digest
 from repro.updates import flash_crowd_stream, mixed_update_stream
@@ -464,6 +467,56 @@ def test_engine_reproduces_the_recorded_trajectory(case):
         graph, 600, seed=21, edge_fraction=STREAMS[stream]
     )
     assert observe(_run(cls, options, graph, operations, batch)) == GOLDEN[case]
+
+
+#: Engine -> (options, digest after construction from a partial initial
+#: solution, digest after 600 more operations in 64-operation batches).  The
+#: digest covers every statistics counter.  Recorded when the members of an
+#: initial solution moved in in (degree, insertion) order and the greedy
+#: fill sorted every slot; moving them in as given and sorting only the
+#: slots left free must change neither.
+INSTALLED = {
+    "DyOneSwap": (
+        {},
+        "f987a0171ef3f81b9e7821a5c1b540df9cfe92cdcf893d5ce42db35cb220de01",
+        "454d768cdbbd14437f711a4229edd200996b4399eb644d79f3a3a96ab3b7969e",
+    ),
+    "DyTwoSwap": (
+        {},
+        "07f1fac1588d0b6acc2bd43a4120605c2778b5e0cf3503842d93c57e4e0046dc",
+        "afed9b09cbdbdc407dc80d283fc05b180f78ea31a7c3affdf7fc836749815939",
+    ),
+    "KSwapFramework": (
+        {"k": 3},
+        "2bc78b047f271b969b8cdb254b959fb5b0eb2dd8e78d451e007c3acae442b231",
+        "6f8df24d534724ce8f9e2e60b412aac624db272d250b57cde3c186ca1ddd41be",
+    ),
+}
+
+
+def _partial_solution(graph):
+    """An independent set that is not maximal, in no sorted order: a greedy
+    pick over the vertices in a seeded shuffle, every second one kept."""
+    vertices = sorted(graph.vertices())
+    random.Random(7).shuffle(vertices)
+    chosen, blocked = [], set()
+    for vertex in vertices:
+        if vertex not in blocked:
+            chosen.append(vertex)
+            blocked.add(vertex)
+            blocked.update(graph.neighbors(vertex))
+    return chosen[::2]
+
+
+@pytest.mark.parametrize("name", sorted(INSTALLED))
+def test_install_from_a_partial_solution_reproduces_the_recorded_trajectory(name):
+    options, installed, after = INSTALLED[name]
+    graph = _graph()
+    engine = create_algorithm(name, graph.copy(), _partial_solution(graph), **options)
+    assert engine_digest(engine) == installed
+    operations = mixed_update_stream(graph, 600, seed=21, edge_fraction=0.8)
+    engine.apply_stream(operations, batch_size=64)
+    assert engine_digest(engine) == after
 
 
 #: Scenario -> (engine class, options, stream, batch size, KiB its

@@ -163,14 +163,38 @@ def _payload(**changes):
     return payload
 
 
+def _payload_with_a_free_slot(**changes):
+    """A 4-vertex payload whose graph holds one free slot, 4."""
+    engine = create_algorithm("DyOneSwap", _path(5))
+    engine.apply_update(delete_vertex(4))
+    payload = algorithm_to_payload(engine)
+    payload.update(changes)
+    return payload
+
+
 @pytest.mark.parametrize(
     "payload, message",
     [
         (_payload(format="repro-algorithm/0"), "unsupported algorithm payload format"),
         (_payload(solution_slots=[]), "restored solution diverges from the snapshot"),
         (_payload(**{"class": "NoSuchEngine"}), "no default factory for algorithm class"),
+        (_payload(solution_slots=[0, 3, 9]), "solution_slots names 9, which is not a live slot"),
+        (_payload(solution_slots=[0, "3"]), "solution_slots names '3', which is not a live slot"),
+        (
+            _payload_with_a_free_slot(solution_slots=[0, 2, 4]),
+            "solution_slots names 4, which is not a live slot",
+        ),
+        (_payload(solution_slots=[0, 1, 3]), "solution_slots names adjacent slots 0 and 1"),
     ],
-    ids=["wrong-format", "diverging-solution", "unknown-class"],
+    ids=[
+        "wrong-format",
+        "diverging-solution",
+        "unknown-class",
+        "slot-out-of-range",
+        "slot-not-an-integer",
+        "free-slot",
+        "adjacent-slots",
+    ],
 )
 def test_restore_refuses_a_payload_it_cannot_rebuild(payload, message):
     with pytest.raises(SnapshotError, match=message):

@@ -38,6 +38,7 @@ from repro.exceptions import (
     SolutionInvariantError,
 )
 from repro.experiments import load_temporal_workload, run_algorithm
+from repro.experiments import runner as runner_module
 from repro.experiments.fetch import _fetch_file
 from repro.experiments.runner import create_algorithm
 from repro.graphs.dynamic_graph import DynamicGraph
@@ -75,6 +76,7 @@ from repro.workloads import (
     write_temporal_edge_list,
 )
 from repro.workloads import replay as replay_module
+from repro.workloads import snapshot as snapshot_module
 from repro.workloads.replay import (
     QUARANTINE_DIRNAME,
     load_checkpoint,
@@ -511,21 +513,24 @@ class TestSupervisedRecovery:
         """Discovery loads and verifies the checkpoint it returns, and the
         resumed run starts from that load instead of reading the file again."""
         graph, stream = temporal_workload
-        verified = []
-        real = replay_module.verify_document
+        loaded = []
+        real = replay_module.load_checkpoint
 
-        def counting(document, **kwargs):
-            verified.append(kwargs.get("source"))
-            return real(document, **kwargs)
+        def counting(where):
+            loaded.append(where)
+            return real(where)
 
-        monkeypatch.setattr(replay_module, "verify_document", counting)
+        # Every module that loads a checkpoint on this path, so a second
+        # read by the resumed run counts too.
+        monkeypatch.setattr(replay_module, "load_checkpoint", counting)
+        monkeypatch.setattr(runner_module, "load_checkpoint", counting)
         with inject_faults(FaultPlan.at(STREAM_READ, 100)):
             result = supervised_replay(
                 "DyOneSwap", graph, stream, dataset="t", retry=NO_BACKOFF,
                 checkpoint=CheckpointConfig(directory=tmp_path, every=64),
             )
         assert result.attempts == 2
-        assert verified == [tmp_path / "DyOneSwap-0000000064.ckpt.json"]
+        assert loaded == [tmp_path / "DyOneSwap-0000000064.ckpt.json"]
         assert result.crashes[0].resumed_from is None
         assert _fingerprint(result.measurement) == _fingerprint(
             references["unbatched"]
@@ -740,6 +745,40 @@ class TestArtifactEncoding:
         document = json.loads(path.read_bytes())
         path.write_text(json.dumps(document, indent=2), encoding="utf-8")
         assert load(path).solution() == algorithm.solution()
+
+    @pytest.mark.parametrize("save, load", _ARTIFACTS)
+    def test_only_a_rewritten_artifact_is_re_encoded(
+        self, save, load, tmp_path, monkeypatch
+    ):
+        """Bytes as written are checked as they are; the canonical re-encode
+        (``verify_document``) runs only for a file some other encoder wrote."""
+        checked = []
+        for module in (snapshot_module, replay_module):
+            real = module.verify_document
+
+            def counting(document, real=real, **kwargs):
+                checked.append(kwargs.get("source"))
+                return real(document, **kwargs)
+
+            monkeypatch.setattr(module, "verify_document", counting)
+        algorithm = _small_algorithm()
+        path = save(algorithm, tmp_path)
+        assert load(path).solution() == algorithm.solution()
+        assert checked == []
+        document = json.loads(path.read_bytes())
+        path.write_text(json.dumps(document, indent=2), encoding="utf-8")
+        assert load(path).solution() == algorithm.solution()
+        assert checked == [path]
+
+    @pytest.mark.parametrize("save, load", _ARTIFACTS)
+    def test_one_flipped_digest_byte_is_rejected(self, save, load, tmp_path):
+        path = save(_small_algorithm(), tmp_path)
+        data = bytearray(path.read_bytes())
+        at = data.rindex(b'"sha256":"') + len(b'"sha256":"')
+        data[at] = ord("0") if data[at] != ord("0") else ord("1")
+        path.write_bytes(bytes(data))
+        with pytest.raises(IntegrityError, match="failed its integrity check"):
+            load(path)
 
     @pytest.mark.parametrize("save, load", _ARTIFACTS)
     def test_one_byte_change_inside_labels_is_rejected(self, save, load, tmp_path):

@@ -22,8 +22,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.exceptions import ServiceError, WireError
+from repro.exceptions import ServiceError, SnapshotError, WireError
 from repro.experiments.runner import SNAPSHOT_CAPABLE, create_algorithm
+from repro.generators.power_law import power_law_random_graph
 from repro.generators.random_graphs import gnm_random_graph
 from repro.generators.worst_case import flicker_update_stream
 from repro.graphs.dynamic_graph import DynamicGraph
@@ -43,6 +44,7 @@ from repro.service import (
     ServiceThread,
     TenantSpec,
 )
+from repro.service import tenant as tenant_module
 from repro.service.tenant import Tenant, engine_digest
 from repro.updates.operations import UpdateKind, UpdateOperation
 from repro.updates.protocol import (
@@ -917,6 +919,28 @@ class TestDurability:
         svc2._thread.join(timeout=20)
         assert not svc2._thread.is_alive()
 
+    def test_a_snapshot_of_another_engine_refuses_warm_start(self, tmp_path):
+        """A DyTwoSwap tenant must not serve a DyOneSwap snapshot: restored
+        without stabilising, its solution is 1-maximal but not 2-maximal,
+        and no queued candidate would ever repair it."""
+        graph = power_law_random_graph(300, 2.1, seed=0)
+        writer = create_algorithm("DyOneSwap", graph.copy())
+        writer.apply_stream(mixed_update_stream(graph, 600, seed=0), batch_size=64)
+        snapshot_path = tmp_path / "one-swap.snap.json"
+        save_snapshot(writer, snapshot_path)
+        spec = TenantSpec(
+            name="t", algorithm="DyTwoSwap", batch_size=64, snapshot=str(snapshot_path)
+        )
+        refusal = r"written by DyOneSwap \(k=1\), but the factory builds DyTwoSwap \(k=2\)"
+        with pytest.raises(SnapshotError, match=refusal):
+            Tenant(spec, tmp_path / "bare")._bootstrap()
+        svc = service(tmp_path, spec)
+        with pytest.raises(ServiceError, match=refusal):
+            svc.start()
+        # The thread winds down on its own after the startup failure.
+        svc._thread.join(timeout=20)
+        assert not svc._thread.is_alive()
+
     def test_snapshot_warm_start_and_flicker_ingest(self, tmp_path):
         graph, stream = flicker_update_stream(6, rounds=24, seed=5)
         ops = list(stream)
@@ -1080,22 +1104,24 @@ class TestDurability:
         tenant._bootstrap()
         tenant._apply_batch(build_ops(4))
         path = tenant.checkpoint()
-        verified = []
-        real = replay.verify_document
+        loaded = []
+        real = replay.load_checkpoint
 
-        def counting(document, **kwargs):
-            verified.append(kwargs.get("source"))
-            return real(document, **kwargs)
+        def counting(where):
+            loaded.append(where)
+            return real(where)
 
-        monkeypatch.setattr(replay, "verify_document", counting)
+        # Every module that loads a checkpoint, so a second read counts.
+        monkeypatch.setattr(replay, "load_checkpoint", counting)
+        monkeypatch.setattr(tenant_module, "load_checkpoint", counting)
         digest = tenant.digest()
         tenant.engine = None
         tenant._recover()
-        assert verified == [path]
+        assert loaded == [path]
         assert tenant.digest() == digest
         restarted = Tenant(spec, tmp_path)
         restarted._bootstrap()
-        assert verified == [path, path]
+        assert loaded == [path, path]
         assert restarted.digest() == digest
 
 

@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.one_swap import DyOneSwap
+from repro.core.framework import KSwapFramework
 from repro.core.two_swap import DyTwoSwap
 from repro.exceptions import GraphError, SnapshotError
 from repro.experiments.runner import create_algorithm
@@ -242,6 +243,40 @@ class TestAlgorithmPayload:
         with pytest.raises(SnapshotError):
             algorithm_to_payload(NotAnAlgorithm())
 
+    @pytest.mark.parametrize(
+        "writer, options, reader, refusal",
+        [
+            (
+                "DyOneSwap",
+                {},
+                DyTwoSwap,
+                r"by DyOneSwap \(k=1\), but the factory builds DyTwoSwap \(k=2\)",
+            ),
+            (
+                "KSwapFramework",
+                {"k": 3},
+                KSwapFramework,
+                r"\(k=3\), but the factory builds KSwapFramework \(k=2\)",
+            ),
+        ],
+        ids=["class", "k"],
+    )
+    def test_a_factory_building_another_engine_is_refused(
+        self, writer, options, reader, refusal
+    ):
+        """The payload's solution is k-maximal for the engine that wrote it
+        only; a restore into another class or another ``k`` would serve it
+        unrepaired."""
+        graph = gnm_random_graph(40, 80, seed=4)
+        payload = algorithm_to_payload(create_algorithm(writer, graph, **options))
+
+        def factory(restored_graph, solution, **snapshot_options):
+            snapshot_options["k"] = 2
+            return reader(restored_graph, initial_solution=solution, **snapshot_options)
+
+        with pytest.raises(SnapshotError, match=refusal):
+            algorithm_from_payload(payload, factory)
+
     def test_corrupt_solution_rejected(self):
         graph = gnm_random_graph(20, 40, seed=4)
         algorithm = DyOneSwap(graph)
@@ -254,7 +289,7 @@ class TestAlgorithmPayload:
             t for s in solution for t in adj[s] if t not in solution
         )
         payload["solution_slots"] = sorted(solution | {neighbour})
-        with pytest.raises(Exception):  # SolutionInvariantError or SnapshotError
+        with pytest.raises(SnapshotError, match="names adjacent slots"):
             algorithm_from_payload(payload)
 
 

@@ -143,7 +143,7 @@ class TestStructuralUpdates:
     def test_add_vertex_counts_solution_neighbors(self, state_class, path_graph):
         state = make_state(state_class, path_graph, solution=[0, 2, 4])
         slot, new_count = state.add_vertex_slot(9, [2, 4])
-        assert new_count == 2 == state.count_slot(slot)
+        assert new_count == 2 == state.counts_slots_view()[slot]
         assert path_graph.slot_of(9) == slot
 
     def test_add_vertex_isolated(self, state_class, path_graph):
@@ -239,13 +239,12 @@ class TestMemberBookkeeping:
         with pytest.raises(SolutionInvariantError, match="stores count 3"):
             state.check_invariants()
 
-    def test_count_slot_reads_the_count_table(self, state_class, path_graph):
+    def test_counts_view_is_the_live_count_table(self, state_class, path_graph):
         state = make_state(state_class, path_graph, solution=[0, 2])
-        state._count[path_graph.slot_of(2)] = 3
         table = state.counts_slots_view()
-        assert [state.count_slot(s) for s in path_graph.slots()] == [
-            table[s] for s in path_graph.slots()
-        ]
+        state._count[path_graph.slot_of(2)] = 3
+        assert table[path_graph.slot_of(2)] == 3
+        assert state.counts_slots_view() is table
 
     def test_check_invariants_detects_a_member_solution_neighbour_set(self, path_graph):
         state = make_state(MISState, path_graph, solution=[0, 2])

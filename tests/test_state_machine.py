@@ -441,7 +441,7 @@ class StateCoreMachine(RuleBasedStateMachine):
             assert state.is_maximal() == all(model.owners(v) for v in outside)
             for v in model.vertices:
                 s = slot(v)
-                assert state.count_slot(s) == len(model.owners(v))
+                assert state.counts_slots_view()[s] == len(model.owners(v))
                 assert set(state.sn_slots_view(s)) == {slot(w) for w in model.owners(v)}
             for level in range(1, k + 1):
                 expected = {slot(v) for v in outside if len(model.owners(v)) == level}

@@ -2,7 +2,7 @@
 
 The maintenance algorithms drive their bookkeeping through slot-indexed
 methods (``move_in_slot``, ``add_edge_slots``, ``remove_vertex_slot``, the
-bulk mutators …) and read it through zero-copy views (``count_slot``,
+bulk mutators …) and read it through zero-copy views (``counts_slots_view``,
 ``sn_slots_view``, ``tight1_view``, ``tight_up_to_slots`` …), the only API
 the states have.  The eager state stores the hierarchy and the lazy one
 recomputes it, but both promise the same answers: every test runs on both
@@ -104,7 +104,7 @@ class TestStructuralSlots:
         old = graph.slot_of(1)
         assert state.remove_vertex_slot(old) == (True, {graph.slot_of(0), graph.slot_of(2)})
         assert state.add_vertex_slot("fresh", [5]) == (old, 0)
-        assert state.count_slot(old) == 0 and not state.in_solution_view()[old]
+        assert state.counts_slots_view()[old] == 0 and not state.in_solution_view()[old]
         assert set(state.sn_slots_view(old)) == set()
         state.move_in_slot(old)
         state.check_invariants()
@@ -118,7 +118,7 @@ class TestStructuralSlots:
         with pytest.raises(SolutionInvariantError):
             state.check_invariants()
         state.move_out_slot(graph.slot_of(3))  # the caller's eviction
-        assert state.count_slot(graph.slot_of(3)) == 1
+        assert state.counts_slots_view()[graph.slot_of(3)] == 1
         state.check_invariants()
 
     def test_bulk_insertion_reports_bumps_and_conflicts(self, state_class):
@@ -129,7 +129,7 @@ class TestStructuralSlots:
             [(s(0), s(5)), (s(3), s(6)), (s(2), s(7)), (s(4), s(0))]
         )
         assert (sorted(bumped), conflicts) == (sorted([s(5), s(4)]), [(s(3), s(6))])
-        assert state.count_slot(s(5)) == 2 and graph.num_edges == 11
+        assert state.counts_slots_view()[s(5)] == 2 and graph.num_edges == 11
 
     def test_bulk_deletion_reports_drops_and_outside_pairs(self, state_class):
         graph = _path(8)
@@ -139,7 +139,7 @@ class TestStructuralSlots:
             [(s(1), s(0)), (s(4), s(5)), (s(3), s(2))]
         )
         assert (sorted(dropped), outside) == (sorted([s(1), s(2)]), [(s(4), s(5))])
-        assert [state.count_slot(s(v)) for v in (1, 2)] == [0, 0]
+        assert [state.counts_slots_view()[s(v)] for v in (1, 2)] == [0, 0]
         assert graph.num_edges == 4
         state.check_invariants()
 
